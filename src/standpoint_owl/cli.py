@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -21,15 +20,13 @@ from .errors import BadName, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.functional import Annotation, Declaration, RawDocument
-from .model import (Negation, Ria, StandpointKB, make_kb, rebase_names,
-                    validate_roles)
+from .model import (STANDPOINT_NAME_RE, Negation, Ria, StandpointKB, make_kb,
+                    rebase_names, validate_roles)
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED,
                      check_entailment_bounded)
 from .serializer import serialize_document, serialize_kb
 from .translator import translate_kb
-
-_SP_NAME_RE = re.compile(r"[a-zA-Z]+[0-9]*\Z")
 
 
 def _read(path: str) -> str:
@@ -84,7 +81,7 @@ def _box_annotation(standpoint: str) -> Annotation:
 
 
 def cmd_import(args) -> int:
-    if args.standpoint != "*" and not _SP_NAME_RE.match(args.standpoint):
+    if args.standpoint != "*" and not STANDPOINT_NAME_RE.match(args.standpoint):
         raise BadName(f"bad standpoint name {args.standpoint!r}")
     doc_in = parse_document(_read(args.input))
     doc_src = parse_document(_read(args.source))

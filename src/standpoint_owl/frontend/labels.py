@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import BadName, GrammarViolation, XmlSyntaxError
-from ..model import (Atom, Box, Conjunction, Diamond, Disjunction, Equiv, Gci,
-                     NamedStandpoint, Negation, SpIntersection, SpMinus,
-                     SpUnion, Star, StandpointExpr, StandpointFormula,
-                     AxiomRef)
+from ..model import (STANDPOINT_NAME_RE, Atom, AxiomRef, Box, Conjunction,
+                     Diamond, Disjunction, Equiv, Gci, NamedStandpoint,
+                     Negation, SpIntersection, SpMinus, SpUnion, Star,
+                     StandpointExpr, StandpointFormula)
 from .manchester import parse_manchester_class
 
-_AX_NAME_RE = re.compile(r"§[a-zA-Z]+[0-9]*\Z")
-_SP_NAME_RE = re.compile(r"[a-zA-Z]+[0-9]*\Z")
+# Axiom names follow the standpoint-name rule after their leading §.
+_AX_NAME_RE = re.compile("§" + STANDPOINT_NAME_RE.pattern)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _sp_name(elem) -> str:
     value = _attr(elem, "name")
     if value is None:
         raise GrammarViolation("<Standpoint> requires a name attribute")
-    if value != "*" and not _SP_NAME_RE.match(value):
+    if value != "*" and not STANDPOINT_NAME_RE.match(value):
         raise BadName(f"bad standpoint name {value!r}")
     return value
 

@@ -12,12 +12,11 @@ import re
 import xml.etree.ElementTree as ET
 
 from ..errors import BadName, GrammarViolation, ParseError, XmlSyntaxError
-from ..model import (Atom, Box, Diamond, Equiv, Gci, NamedStandpoint, Star,
-                     StandpointFormula)
+from ..model import (STANDPOINT_NAME_RE, Atom, Box, Diamond, Equiv, Gci,
+                     NamedStandpoint, Star, StandpointFormula)
 from .labels import _parse_formula, _tag, _children
 from .manchester import parse_manchester_class
 
-_SP_NAME_RE = re.compile(r"[a-zA-Z]+[0-9]*\Z")
 _HEAD_RE = re.compile(r"\s*(\[(?P<box>[^\]]*)\]|<(?P<dia>[^>]*)>)\s*\((?P<body>.*)\)\s*\Z",
                       re.DOTALL)
 
@@ -41,7 +40,7 @@ def parse_simple_query(text: str, base: str = "") -> StandpointFormula:
     if not m:
         raise ParseError("query must look like [s](C sub D) or <s>(C eq D)")
     name = m.group("box") if m.group("box") is not None else m.group("dia")
-    if name != "*" and not _SP_NAME_RE.match(name):
+    if name != "*" and not STANDPOINT_NAME_RE.match(name):
         raise BadName(f"bad standpoint name {name!r} in query")
     expr = Star() if name == "*" else NamedStandpoint(name)
     lhs_text, op, rhs_text = _split_body(m.group("body"))

@@ -25,6 +25,8 @@ from typing import Iterator, Mapping, Union
 
 from .errors import CyclicRoleOrder, MalformedRIA, NonSimpleInRestriction
 
+# The one rule for standpoint names, which every parser checks: a letter,
+# then letters and digits.  Axiom names follow it after their leading §.
 STANDPOINT_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 UNIVERSAL_STANDPOINT = "*"
 

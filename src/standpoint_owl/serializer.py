@@ -20,9 +20,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     PlainKB, Ria, RoleExpr, Some, SpIntersection, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UniversalRole, entity_names_in)
+from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import RawDocument
-
-STANDPOINT_LABEL = "standpointLabel"
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +68,15 @@ def _role_str(role: RoleExpr, ns: _Namespaces) -> str:
 
 
 def _left_spine(expr, ctor):
-    if isinstance(expr, ctor):
-        return _left_spine(expr.lhs, ctor) + [expr.rhs]
-    return [expr]
+    """Operands of a left-folded ctor chain, leftmost first; iterative, so
+    the width of an n-ary fold is not bounded by the recursion limit."""
+    parts = []
+    while isinstance(expr, ctor):
+        parts.append(expr.rhs)
+        expr = expr.lhs
+    parts.append(expr)
+    parts.reverse()
+    return parts
 
 
 def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:

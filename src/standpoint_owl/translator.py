@@ -15,20 +15,23 @@ diamond the disjunction of guard-and-body.  Unannotated axioms and role
 chains are emitted once per index over the renamed vocabulary, which is
 equivalent to their guarded universal-standpoint translation because the
 universal marker is forced to be total.
+
+A translated KB shares immutable subtrees: each mangled name, its wrappers,
+each marker and each guard is built once per ``translate_kb`` call and
+reused wherever it recurs.
 """
 
 from __future__ import annotations
 
-from .errors import NestedModality, ReservedName, UnresolvedRef
+from .errors import ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     ConceptName, Conjunction, Diamond, Disjunction,
-                    EntityName, Equiv, Gci, HasSelf, InverseRole, Negation,
-                    Nominal, Not, Or, PlainKB, Ria, RoleExpr, RoleName,
-                    Signature, Some, SpIntersection, SpMinus, SpUnion,
-                    StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UNIVERSAL, UniversalRole, standpoint_entity,
-                    walk_refs)
-from .normalizer import count_precisifications
+                    EntityName, Equiv, Gci, HasSelf, Negation, Nominal, Not,
+                    Or, PlainKB, Ria, RoleExpr, Signature, Some,
+                    SpIntersection, SpMinus, SpUnion, STAR, Star,
+                    StandpointExpr, StandpointFormula, StandpointKB, TOP,
+                    UNIVERSAL, UniversalRole, standpoint_entity, walk_refs)
+from .normalizer import _check_no_nesting, count_precisifications
 
 STAR_TOKEN = "STAR"
 
@@ -46,68 +49,116 @@ def mangle(name: EntityName, pi: int, base: str) -> EntityName:
     return EntityName(name.kind, f"{name.local}__{pi}", base)
 
 
-def _mangle_role(role: RoleExpr, pi: int, base: str) -> RoleExpr:
-    if isinstance(role, UniversalRole):
-        return role
-    if isinstance(role, InverseRole):
-        return InverseRole(mangle(role.name, pi, base))
-    return RoleName(mangle(role.name, pi, base))
+class _Interner:
+    """The leaves one translation repeats, each built once.
 
+    Every box and diamond expands into p guarded copies, so the same mangled
+    names and guards recur across axioms and precisifications.  A
+    table lives for one ``translate_kb`` call (or one call of a public
+    helper) and hands out the same frozen node for equal requests, which
+    keeps the output tree free of duplicate leaves without any state that
+    outlives the call.  Entries are keyed on what the result depends on:
+    the kind and local part of a name (its input base never reaches the
+    output) and the index, which individuals ignore.
+    """
 
-def _mangle_concept(c: ConceptExpr, pi: int, base: str) -> ConceptExpr:
-    if isinstance(c, ConceptName):
-        return ConceptName(mangle(c.name, pi, base))
-    if isinstance(c, Nominal):
-        return Nominal(mangle(c.individual, pi, base))
-    if isinstance(c, Not):
-        return Not(_mangle_concept(c.arg, pi, base))
-    if isinstance(c, And):
-        return And(_mangle_concept(c.lhs, pi, base), _mangle_concept(c.rhs, pi, base))
-    if isinstance(c, Or):
-        return Or(_mangle_concept(c.lhs, pi, base), _mangle_concept(c.rhs, pi, base))
-    if isinstance(c, All):
-        return All(_mangle_role(c.role, pi, base), _mangle_concept(c.filler, pi, base))
-    if isinstance(c, Some):
-        return Some(_mangle_role(c.role, pi, base), _mangle_concept(c.filler, pi, base))
-    if isinstance(c, HasSelf):
-        return HasSelf(_mangle_role(c.role, pi, base))
-    if isinstance(c, AtMost):
-        return AtMost(c.n, _mangle_role(c.role, pi, base),
-                      _mangle_concept(c.filler, pi, base))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.n, _mangle_role(c.role, pi, base),
-                       _mangle_concept(c.filler, pi, base))
-    return c  # Top / Bottom
+    def __init__(self, base: str):
+        self.base = base
+        self.names: dict = {}
+        self.wrappers: dict = {}
+        self.guards: dict = {}
 
+    def name(self, name: EntityName, pi: int) -> EntityName:
+        key = (name.kind, name.local, 0 if name.kind == "individual" else pi)
+        out = self.names.get(key)
+        if out is None:
+            out = self.names[key] = mangle(name, pi, self.base)
+        return out
 
-def _marker(sp_name: str, pi: int, base: str) -> ConceptExpr:
-    return All(UNIVERSAL, ConceptName(mangle(standpoint_entity(sp_name), pi, base)))
+    def _wrap(self, ctor, name: EntityName, pi: int):
+        key = (ctor, name.kind, name.local, 0 if name.kind == "individual" else pi)
+        out = self.wrappers.get(key)
+        if out is None:
+            out = self.wrappers[key] = ctor(self.name(name, pi))
+        return out
 
+    def role(self, role: RoleExpr, pi: int) -> RoleExpr:
+        if isinstance(role, UniversalRole):
+            return role
+        return self._wrap(type(role), role.name, pi)
 
-def trans_e(pi: int, e: StandpointExpr, base: str = "") -> ConceptExpr:
-    """Guard expression that is total exactly when precisification pi
-    belongs to the standpoint expression."""
-    if isinstance(e, Star):
-        return _marker("*", pi, base)
-    if isinstance(e, SpUnion):
-        return Or(trans_e(pi, e.lhs, base), trans_e(pi, e.rhs, base))
-    if isinstance(e, SpIntersection):
-        return And(trans_e(pi, e.lhs, base), trans_e(pi, e.rhs, base))
-    if isinstance(e, SpMinus):
-        return And(trans_e(pi, e.lhs, base), Not(trans_e(pi, e.rhs, base)))
-    return _marker(e.name, pi, base)
+    def concept(self, c: ConceptExpr, pi: int) -> ConceptExpr:
+        if isinstance(c, ConceptName):
+            return self._wrap(ConceptName, c.name, pi)
+        if isinstance(c, Nominal):
+            return self._wrap(Nominal, c.individual, pi)
+        if isinstance(c, Not):
+            return Not(self.concept(c.arg, pi))
+        if isinstance(c, And):
+            return And(self.concept(c.lhs, pi), self.concept(c.rhs, pi))
+        if isinstance(c, Or):
+            return Or(self.concept(c.lhs, pi), self.concept(c.rhs, pi))
+        if isinstance(c, All):
+            return All(self.role(c.role, pi), self.concept(c.filler, pi))
+        if isinstance(c, Some):
+            return Some(self.role(c.role, pi), self.concept(c.filler, pi))
+        if isinstance(c, HasSelf):
+            return HasSelf(self.role(c.role, pi))
+        if isinstance(c, AtMost):
+            return AtMost(c.n, self.role(c.role, pi), self.concept(c.filler, pi))
+        if isinstance(c, AtLeast):
+            return AtLeast(c.n, self.role(c.role, pi), self.concept(c.filler, pi))
+        return c  # Top / Bottom
 
+    def guard(self, e: StandpointExpr, pi: int) -> ConceptExpr:
+        key = (e, pi)
+        out = self.guards.get(key)
+        if out is None:
+            out = self.guards[key] = self._guard(e, pi)
+        return out
 
-def _check_modal_body(f: StandpointFormula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Box, Diamond)):
-            raise NestedModality("standpoint modality in the scope of another")
-        if isinstance(g, Negation):
-            stack.append(g.arg)
-        elif isinstance(g, (Conjunction, Disjunction)):
-            stack.extend([g.lhs, g.rhs])
+    def _guard(self, e: StandpointExpr, pi: int) -> ConceptExpr:
+        if isinstance(e, SpUnion):
+            return Or(self.guard(e.lhs, pi), self.guard(e.rhs, pi))
+        if isinstance(e, SpIntersection):
+            return And(self.guard(e.lhs, pi), self.guard(e.rhs, pi))
+        if isinstance(e, SpMinus):
+            return And(self.guard(e.lhs, pi), Not(self.guard(e.rhs, pi)))
+        # a standpoint name: its marker ∀u.SP__s__π
+        marker = standpoint_entity("*" if isinstance(e, Star) else e.name)
+        return All(UNIVERSAL, self._wrap(ConceptName, marker, pi))
+
+    def trans(self, pi: int, f: StandpointFormula, p: int) -> ConceptExpr:
+        if isinstance(f, Atom):
+            ax = f.axiom
+            if isinstance(ax, Equiv):
+                return And(self.trans(pi, Atom(Gci(ax.lhs, ax.rhs)), p),
+                           self.trans(pi, Atom(Gci(ax.rhs, ax.lhs)), p))
+            return All(UNIVERSAL, Or(Not(self.concept(ax.lhs, pi)),
+                                     self.concept(ax.rhs, pi)))
+        if isinstance(f, Negation):
+            g = f.arg
+            if isinstance(g, Atom) and isinstance(g.axiom, Gci):
+                return Some(UNIVERSAL, And(self.concept(g.axiom.lhs, pi),
+                                           Not(self.concept(g.axiom.rhs, pi))))
+            if isinstance(g, Atom) and isinstance(g.axiom, Equiv):
+                a, b = g.axiom.lhs, g.axiom.rhs
+                return Or(self.trans(pi, Negation(Atom(Gci(a, b))), p),
+                          self.trans(pi, Negation(Atom(Gci(b, a))), p))
+            raise ValueError("formula is not in negation normal form")
+        if isinstance(f, Conjunction):
+            return And(self.trans(pi, f.lhs, p), self.trans(pi, f.rhs, p))
+        if isinstance(f, Disjunction):
+            return Or(self.trans(pi, f.lhs, p), self.trans(pi, f.rhs, p))
+        if isinstance(f, Box):
+            _check_no_nesting(f.arg, True)
+            return _fold(And, [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
+                               for k in range(p)])
+        if isinstance(f, Diamond):
+            _check_no_nesting(f.arg, True)
+            return _fold(Or, [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
+                              for k in range(p)])
+        raise UnresolvedRef(f.name)
 
 
 def _fold(ctor, parts):
@@ -117,37 +168,15 @@ def _fold(ctor, parts):
     return out
 
 
+def trans_e(pi: int, e: StandpointExpr, base: str = "") -> ConceptExpr:
+    """Guard expression that is total exactly when precisification pi
+    belongs to the standpoint expression."""
+    return _Interner(base).guard(e, pi)
+
+
 def trans(pi: int, f: StandpointFormula, p: int, base: str = "") -> ConceptExpr:
     """Translate a normal-form standpoint formula at precisification pi."""
-    if isinstance(f, Atom):
-        ax = f.axiom
-        if isinstance(ax, Equiv):
-            return And(trans(pi, Atom(Gci(ax.lhs, ax.rhs)), p, base),
-                       trans(pi, Atom(Gci(ax.rhs, ax.lhs)), p, base))
-        return All(UNIVERSAL, Or(Not(_mangle_concept(ax.lhs, pi, base)),
-                                 _mangle_concept(ax.rhs, pi, base)))
-    if isinstance(f, Negation):
-        g = f.arg
-        if isinstance(g, Atom) and isinstance(g.axiom, Gci):
-            return Some(UNIVERSAL, And(_mangle_concept(g.axiom.lhs, pi, base),
-                                       Not(_mangle_concept(g.axiom.rhs, pi, base))))
-        if isinstance(g, Atom) and isinstance(g.axiom, Equiv):
-            return Or(trans(pi, Negation(Atom(Gci(g.axiom.lhs, g.axiom.rhs))), p, base),
-                      trans(pi, Negation(Atom(Gci(g.axiom.rhs, g.axiom.lhs))), p, base))
-        raise ValueError("formula is not in negation normal form")
-    if isinstance(f, Conjunction):
-        return And(trans(pi, f.lhs, p, base), trans(pi, f.rhs, p, base))
-    if isinstance(f, Disjunction):
-        return Or(trans(pi, f.lhs, p, base), trans(pi, f.rhs, p, base))
-    if isinstance(f, Box):
-        _check_modal_body(f.arg)
-        return _fold(And, [Or(Not(trans_e(k, f.standpoint, base)),
-                              trans(k, f.arg, p, base)) for k in range(p)])
-    if isinstance(f, Diamond):
-        _check_modal_body(f.arg)
-        return _fold(Or, [And(trans_e(k, f.standpoint, base),
-                              trans(k, f.arg, p, base)) for k in range(p)])
-    raise UnresolvedRef(f.name)
+    return _Interner(base).trans(pi, f, p)
 
 
 def _has_bare_atom(f: StandpointFormula) -> bool:
@@ -177,8 +206,7 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     otherwise), then per-index plain axioms, then per-index role chains.
     """
     for f in kb.formulas:
-        if any(True for _ in walk_refs(f)):
-            ref = next(walk_refs(f))
+        for ref in walk_refs(f):
             raise UnresolvedRef(ref.name)
     p_min = count_precisifications(kb)
     if p is None:
@@ -186,32 +214,31 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     elif p < p_min:
         raise ValueError(f"p={p} below the required bound {p_min}")
     iri = base_iri if base_iri is not None else output_iri(kb)
-    ns = iri + "#"
+    table = _Interner(iri + "#")
 
     axioms: list = []
     for k in range(p):
-        axioms.append(Gci(Top(), _marker("*", k, ns)))
+        axioms.append(Gci(TOP, table.guard(STAR, k)))
     for f in kb.formulas:
         if _has_bare_atom(f):
             for k in range(p):
-                axioms.append(Gci(Top(), trans(k, f, p, ns)))
+                axioms.append(Gci(TOP, table.trans(k, f, p)))
         else:
-            axioms.append(Gci(Top(), trans(0, f, p, ns)))
+            axioms.append(Gci(TOP, table.trans(0, f, p)))
     for ax in kb.plain_axioms:
+        ctor = Gci if isinstance(ax, Gci) else Equiv
         for k in range(p):
-            ctor = Gci if isinstance(ax, Gci) else Equiv
-            axioms.append(ctor(_mangle_concept(ax.lhs, k, ns),
-                               _mangle_concept(ax.rhs, k, ns)))
+            axioms.append(ctor(table.concept(ax.lhs, k), table.concept(ax.rhs, k)))
     for ria in kb.rias:
         for k in range(p):
-            axioms.append(Ria(tuple(_mangle_role(r, k, ns) for r in ria.chain),
-                              mangle(ria.head, k, ns)))
+            axioms.append(Ria(tuple(table.role(r, k) for r in ria.chain),
+                              table.name(ria.head, k)))
 
-    concepts = {mangle(c, k, ns) for c in kb.signature.concepts for k in range(p)}
-    concepts |= {mangle(standpoint_entity(s), k, ns)
+    concepts = {table.name(c, k) for c in kb.signature.concepts for k in range(p)}
+    concepts |= {table.name(standpoint_entity(s), k)
                  for s in kb.signature.standpoints for k in range(p)}
-    roles = {mangle(r, k, ns) for r in kb.signature.roles for k in range(p)}
-    individuals = {mangle(i, 0, ns) for i in kb.signature.individuals}
+    roles = {table.name(r, k) for r in kb.signature.roles for k in range(p)}
+    individuals = {table.name(i, 0) for i in kb.signature.individuals}
     signature = Signature(concepts=frozenset(concepts), roles=frozenset(roles),
                           individuals=frozenset(individuals),
                           standpoints=frozenset())

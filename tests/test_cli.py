@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, outputs, external reasoner protocol."""
 
+import hashlib
 import os
 import shutil
 import sys
@@ -12,6 +13,13 @@ from standpoint_owl.frontend import parse_document
 from conftest import FIXTURES
 
 MARKER = "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :SP__STAR__0))"
+
+# sha256 of `translate FIXTURE --dump` as emitted before the translator
+# shared its leaves; sharing must not change a byte.
+GOLDEN_SHA256 = {
+    "forest.ofn": "244de316819f35fbc8e801167806c8e78588ea0a3d099ff58abf14312347ad71",
+    "mixed.ofn": "7e3945cb267ff0bdb0f93a503cc1766c7538bbe40f4e9c9715eba76674c75d84",
+}
 
 
 @pytest.fixture
@@ -69,6 +77,12 @@ class TestTranslate:
         main(["translate", forest_path, "--dump"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("fixture", sorted(GOLDEN_SHA256))
+    def test_golden_output(self, fixture, capsys):
+        assert main(["translate", str(FIXTURES / fixture), "--dump"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[fixture]
 
 
 SOURCE_DOC = """Prefix(:=<urn:src#>)
@@ -128,6 +142,12 @@ class TestImport:
         src = write(tmp_path, "src.ofn", SOURCE_DOC)
         assert main(["import", forest_path, src, "--standpoint", "9x"]) == 2
 
+    def test_digit_inside_standpoint_name(self, forest_path, tmp_path, capsys):
+        src = write(tmp_path, "src.ofn", SOURCE_DOC)
+        assert main(["import", forest_path, src, "--standpoint", "a1b", "--dump"]) == 0
+        out = capsys.readouterr().out
+        assert out.count('<Box><Standpoint name=\\"a1b\\"/></Box>') == 2
+
     def test_duplicate_named_axioms_collide(self, tmp_path, capsys):
         named = ('SubClassOf(Annotation(:standpointLabel "<standpointAxiom '
                  'name=\\"\u00a7ax1\\"><Box><Standpoint name=\\"s\\"/></Box>'
@@ -157,6 +177,12 @@ class TestQuery:
     def test_star_tautology(self, forest_path, capsys):
         code = main(["query", forest_path, "--simple", "[*](Forest sub Forest)",
                      "--domain-bound", "2", "--prec-bound", "2",
+                     "--guard-bits", "200"])
+        assert code == 0
+
+    def test_digit_inside_standpoint_name(self, forest_path, capsys):
+        code = main(["query", forest_path, "--simple", "[a1b](Forest sub Forest)",
+                     "--domain-bound", "1", "--prec-bound", "1",
                      "--guard-bits", "200"])
         assert code == 0
 

@@ -63,12 +63,23 @@ class TestSharpening:
         assert parse_standpoint_label(payload) == SharpeningLabel(
             SpMinus(S("a"), S("b")), Star())
 
+    def test_mixed_letters_digits_accepted(self):
+        # the one name rule (model.STANDPOINT_NAME_RE): a letter, then
+        # letters and digits in any order
+        payload = '<Sharpening><Standpoint name="a1b"/><Standpoint name="c"/></Sharpening>'
+        assert parse_standpoint_label(payload) == SharpeningLabel(S("a1b"), S("c"))
+
 
 class TestSpAxiom:
     def test_named_box(self):
         payload = ('<standpointAxiom name="§ax1"><Box>'
                    '<Standpoint name="s"/></Box></standpointAxiom>')
         assert parse_standpoint_label(payload) == SpAxiomLabel("ax1", "box", S("s"))
+
+    def test_digit_inside_axiom_name(self):
+        payload = ('<standpointAxiom name="§a1b"><Box>'
+                   '<Standpoint name="s"/></Box></standpointAxiom>')
+        assert parse_standpoint_label(payload) == SpAxiomLabel("a1b", "box", S("s"))
 
     def test_unnamed_diamond(self):
         payload = ('<standpointAxiom><Diamond><Standpoint name="s"/>'
@@ -138,11 +149,10 @@ class TestErrors:
             parse_standpoint_label('<standpointAxiom name="ax1"><Box>'
                                    '<Standpoint name="s"/></Box></standpointAxiom>')
 
-    def test_mixed_letters_digits_rejected(self):
-        # digits may only trail the alphabetic part
+    def test_leading_digit_axiom_name(self):
         with pytest.raises(BadName):
-            parse_standpoint_label('<Sharpening><Standpoint name="a1b"/>'
-                                   '<Standpoint name="c"/></Sharpening>')
+            parse_standpoint_label('<standpointAxiom name="§1ax"><Box>'
+                                   '<Standpoint name="s"/></Box></standpointAxiom>')
 
     def test_minus_needs_two(self):
         with pytest.raises(GrammarViolation):

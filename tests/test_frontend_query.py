@@ -31,6 +31,10 @@ class TestSimpleQueries:
         with pytest.raises(BadName):
             parse_simple_query("[9s](A sub B)")
 
+    def test_digit_inside_standpoint_name(self):
+        assert parse_simple_query("[a1b](A sub B)") == \
+            Box(S("a1b"), Atom(Gci(C("A"), C("B"))))
+
     def test_base_applied(self):
         q = parse_simple_query("[s](A sub B)", base="urn:x#")
         assert q.arg.axiom == Gci(C("A", "urn:x#"), C("B", "urn:x#"))

@@ -1,7 +1,9 @@
 """Functional-syntax emission: determinism and round-trips."""
 
+import pytest
+
 from standpoint_owl.frontend import assemble_kb, parse_document
-from standpoint_owl.model import (All, Atom, Box, Diamond, Equiv, Gci,
+from standpoint_owl.model import (All, And, Atom, Box, Diamond, Equiv, Gci,
                                   Negation, Not, Or, PlainKB, Ria, Signature,
                                   Some, Top, UNIVERSAL, make_kb, role_name)
 from standpoint_owl.normalizer import normalize_kb
@@ -49,6 +51,21 @@ class TestAxiomRendering:
         assert decl == ["Declaration(Class(:A))", "Declaration(Class(:B))",
                         "Declaration(ObjectProperty(:r))",
                         "Declaration(NamedIndividual(:bob))"]
+
+    @pytest.mark.parametrize("ctor,word", [(And, "ObjectIntersectionOf"),
+                                           (Or, "ObjectUnionOf")])
+    def test_wide_left_fold(self, ctor, word):
+        # a left fold as deep as p guarded copies of a diamond; the signature
+        # is built by hand because the model's walkers recurse on depth
+        names = [C(f"A{k}__0", NS) for k in range(3000)]
+        fold = names[0]
+        for name in names[1:]:
+            fold = ctor(fold, name)
+        sig = Signature(frozenset(c.name for c in names), frozenset(),
+                        frozenset(), frozenset())
+        kb = PlainKB((Gci(fold, C("A0__0", NS)),), sig, "urn:o")
+        operands = " ".join(f":A{k}__0" for k in range(3000))
+        assert f"SubClassOf({word}({operands}) :A0__0)" in serialize_kb(kb).splitlines()
 
 
 class TestSerializeConcept:

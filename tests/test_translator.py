@@ -1,16 +1,22 @@
 """Name mangling and the precisification-copy translation."""
 
+import dataclasses
+
 import pytest
 
 from standpoint_owl.errors import NestedModality, ReservedName, UnresolvedRef
-from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, Conjunction,
-                                  Diamond, Disjunction, EntityName, Equiv,
-                                  Gci, InverseRole, Negation, Nominal, Not,
-                                  Or, Ria, Some, SpIntersection, SpMinus,
-                                  SpUnion, Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, make_kb, role_name,
-                                  standpoint_entity, validate_roles)
+from standpoint_owl import translator
+from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
+                                  Conjunction, Diamond, Disjunction,
+                                  EntityName, Equiv, Gci, InverseRole,
+                                  Negation, Nominal, Not, Or, Ria, RoleName,
+                                  Some, SpIntersection, SpMinus, SpUnion,
+                                  Star, Top, UNIVERSAL, concept_name,
+                                  individual_name, make_kb, rebase_names,
+                                  role_name, standpoint_entity,
+                                  validate_roles)
 from standpoint_owl.normalizer import normalize_kb
+from standpoint_owl.serializer import _left_spine
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
 from conftest import C, O, R, S
@@ -228,3 +234,83 @@ class TestInvariants:
         for local in simple_in:
             copies = {f"{local}__{k}" for k in (0,)}
             assert copies <= simple_out
+
+
+def _nodes(root):
+    """Every dataclass node under root, through tuples and frozensets."""
+    stack, seen = [root], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (tuple, frozenset)):
+            stack.extend(node)
+        elif dataclasses.is_dataclass(node):
+            seen.append(node)
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+    return seen
+
+
+class TestSharing:
+    def test_equal_leaves_are_one_object(self, forest_kb):
+        kb = normalize_kb(forest_kb)
+        out = translate_kb(kb, p=3)
+        leaves = [n for n in _nodes(out)
+                  if isinstance(n, (EntityName, ConceptName, RoleName,
+                                    InverseRole, Nominal))]
+        by_value = {}
+        for leaf in leaves:
+            by_value.setdefault(leaf, set()).add(id(leaf))
+        assert len(by_value) < len(leaves)  # the fixture does repeat names
+        assert all(len(ids) == 1 for ids in by_value.values())
+        # the signature holds the very names the axioms use
+        names = {id(n) for n in leaves if isinstance(n, EntityName)}
+        for name in out.signature.concepts | out.signature.roles:
+            if name in by_value:
+                assert id(name) in names
+
+    def test_equal_guards_are_one_object(self):
+        union = SpUnion(S("s"), S("t"))
+        kb = make_kb(formulas=[Diamond(union, Atom(Gci(A, B))),
+                               Box(SpUnion(S("s"), S("t")), Atom(Gci(B, D))),
+                               Diamond(S("s"), Atom(Gci(D, A)))],
+                     base_iri="urn:o")
+        out = translate_kb(kb)
+        p = 2
+        diamond, box, single = (ax.rhs for ax in out.axioms[p:p + 3])
+        diamond_guards = [part.lhs for part in _left_spine(diamond, Or)]
+        box_guards = [part.lhs.arg for part in _left_spine(box, And)]
+        for k in range(p):
+            assert diamond_guards[k] is box_guards[k]
+            assert diamond_guards[k] == trans_e(k, union, "urn:o/translated#")
+            # the marker inside the composite guard is the plain guard of s
+            assert diamond_guards[k].lhs is _left_spine(single, Or)[k].lhs
+
+
+class TestIsolation:
+    def test_consecutive_calls_with_different_bases(self):
+        kb = normalize_kb(make_kb(
+            formulas=[Diamond(S("s"), Atom(Gci(A, Some(R("r"), O("x"))))),
+                      Conjunction(Atom(Gci(B, A)), Box(S("s"), Atom(Gci(A, D))))],
+            plain_axioms=[Gci(B, D)], rias=[Ria((R("r"), R("r")), role_name("r"))],
+            base_iri="urn:o"))
+        first = translate_kb(kb, base_iri="urn:one")
+        second = translate_kb(kb, base_iri="urn:two")
+        again = translate_kb(kb, base_iri="urn:one")
+        for out, iri in ((first, "urn:one"), (second, "urn:two")):
+            assert out.base_iri == iri
+            bases = {n.base for n in _nodes(out) if isinstance(n, EntityName)}
+            assert bases == {iri + "#"}
+        assert again == first
+        assert tuple(rebase_names(ax, "urn:two#") for ax in first.axioms) == second.axioms
+        # nothing built in one call is handed out by the next
+        first_ids = {id(n) for n in _nodes(first) if isinstance(n, EntityName)}
+        assert not first_ids & {id(n) for n in _nodes(again)
+                                if isinstance(n, EntityName)}
+
+    def test_no_module_level_cache(self):
+        scopes = [vars(translator)] + [vars(value) for value in vars(translator).values()
+                                       if isinstance(value, type)
+                                       and value.__module__ == translator.__name__]
+        state = [name for scope in scopes for name, value in scope.items()
+                 if not name.startswith("__")
+                 and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))]
+        assert state == []
