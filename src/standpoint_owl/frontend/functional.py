@@ -17,8 +17,8 @@ from ..errors import ParseError, UnsupportedConstruct
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
-                     Some, Top, UNIVERSAL, concept_name, individual_name,
-                     role_name)
+                     Some, Top, UNIVERSAL, concept_name, fold,
+                     individual_name, role_name)
 
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -373,10 +373,7 @@ class _DocParser:
             parts = [self.concept(), self.concept()]
             while self.peek().kind != ")":
                 parts.append(self.concept())
-            ctor = And if word == "ObjectIntersectionOf" else Or
-            out = parts[0]
-            for part in parts[1:]:
-                out = ctor(out, part)
+            out = fold(And if word == "ObjectIntersectionOf" else Or, parts)
         elif word == "ObjectAllValuesFrom":
             out = All(self.object_property(), self.concept())
         elif word == "ObjectSomeValuesFrom":

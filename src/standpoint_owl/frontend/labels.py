@@ -20,7 +20,7 @@ from ..errors import BadName, GrammarViolation, XmlSyntaxError
 from ..model import (STANDPOINT_NAME_RE, Atom, AxiomRef, Box, Conjunction,
                      Diamond, Disjunction, Equiv, Gci, NamedStandpoint,
                      Negation, SpIntersection, SpMinus, SpUnion, Star,
-                     StandpointExpr, StandpointFormula)
+                     StandpointExpr, StandpointFormula, fold)
 from .manchester import parse_manchester_class
 
 # Axiom names follow the standpoint-name rule after their leading §.
@@ -90,12 +90,8 @@ def _parse_sp_expr(elem) -> StandpointExpr:
         # accepted and folded from the left.
         if len(kids) < 2:
             raise GrammarViolation(f"<{elem.tag}> needs at least two operands")
-        parts = [_parse_sp_expr(k) for k in kids]
-        out = parts[0]
         ctor = SpIntersection if tag == "intersection" else SpUnion
-        for part in parts[1:]:
-            out = ctor(out, part)
-        return out
+        return fold(ctor, [_parse_sp_expr(k) for k in kids])
     if tag == "minus":
         if len(kids) != 2:
             raise GrammarViolation("<MINUS> needs exactly two operands")

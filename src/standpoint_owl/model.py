@@ -20,7 +20,9 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from operator import is_
 from typing import Iterator, Mapping, Union
 
 from .errors import CyclicRoleOrder, MalformedRIA, NonSimpleInRestriction
@@ -374,231 +376,160 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
 
 
 # ---------------------------------------------------------------------------
-# Generic walkers
+# Traversal
 # ---------------------------------------------------------------------------
 
-def walk_role_exprs(x) -> Iterator[RoleExpr]:
-    """Yield every role expression occurring in a role/concept/axiom/formula."""
-    if isinstance(x, (RoleName, InverseRole, UniversalRole)):
-        yield x
-    elif isinstance(x, (All, Some)):
-        yield x.role
-        yield from walk_role_exprs(x.filler)
-    elif isinstance(x, HasSelf):
-        yield x.role
-    elif isinstance(x, (AtMost, AtLeast)):
-        yield x.role
-        yield from walk_role_exprs(x.filler)
-    elif isinstance(x, Not):
-        yield from walk_role_exprs(x.arg)
-    elif isinstance(x, (And, Or)):
-        yield from walk_role_exprs(x.lhs)
-        yield from walk_role_exprs(x.rhs)
-    elif isinstance(x, (Gci, Equiv)):
-        yield from walk_role_exprs(x.lhs)
-        yield from walk_role_exprs(x.rhs)
-    elif isinstance(x, Ria):
-        yield from x.chain
-        yield RoleName(x.head)
-    elif isinstance(x, Atom):
-        yield from walk_role_exprs(x.axiom)
-    elif isinstance(x, Negation):
-        yield from walk_role_exprs(x.arg)
-    elif isinstance(x, (Conjunction, Disjunction)):
-        yield from walk_role_exprs(x.lhs)
-        yield from walk_role_exprs(x.rhs)
-    elif isinstance(x, (Box, Diamond)):
-        yield from walk_role_exprs(x.arg)
+# The child fields of each compound node class, in field-declaration order;
+# a class not listed here is a leaf.  This order is the visit order of
+# iter_nodes, so it fixes the first-occurrence order of entity_names_in and,
+# through it, the oracle's slot order and its canonical first witness.
+_CHILDREN: dict[type, tuple[str, ...]] = {
+    RoleName: ("name",), InverseRole: ("name",),
+    ConceptName: ("name",), Nominal: ("individual",), Not: ("arg",),
+    And: ("lhs", "rhs"), Or: ("lhs", "rhs"),
+    All: ("role", "filler"), Some: ("role", "filler"), HasSelf: ("role",),
+    AtMost: ("role", "filler"), AtLeast: ("role", "filler"),
+    Gci: ("lhs", "rhs"), Equiv: ("lhs", "rhs"), Ria: ("chain", "head"),
+    SpUnion: ("lhs", "rhs"), SpIntersection: ("lhs", "rhs"),
+    SpMinus: ("lhs", "rhs"),
+    Atom: ("axiom",), Negation: ("arg",),
+    Conjunction: ("lhs", "rhs"), Disjunction: ("lhs", "rhs"),
+    Box: ("standpoint", "arg"), Diamond: ("standpoint", "arg"),
+}
+# Every constructor argument of each compound class, for positional rebuilds.
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILDREN}
+# Child fields last to first, the order in which a stack takes them;
+# iter_nodes reads them inline, since a _children call per node doubled
+# the cost of entity_names_in and signature_of.
+_PUSH_ORDER = {cls: names[::-1] for cls, names in _CHILDREN.items()}
 
 
-def walk_restriction_roles(x) -> Iterator[RoleExpr]:
-    """Yield role expressions in positions that require simple roles
-    (Self and qualified number restrictions)."""
-    if isinstance(x, HasSelf):
-        yield x.role
-    elif isinstance(x, (AtMost, AtLeast)):
-        yield x.role
-        yield from walk_restriction_roles(x.filler)
-    elif isinstance(x, Not):
-        yield from walk_restriction_roles(x.arg)
-    elif isinstance(x, (And, Or)):
-        yield from walk_restriction_roles(x.lhs)
-        yield from walk_restriction_roles(x.rhs)
-    elif isinstance(x, (All, Some)):
-        yield from walk_restriction_roles(x.filler)
-    elif isinstance(x, (Gci, Equiv)):
-        yield from walk_restriction_roles(x.lhs)
-        yield from walk_restriction_roles(x.rhs)
-    elif isinstance(x, Atom):
-        yield from walk_restriction_roles(x.axiom)
-    elif isinstance(x, Negation):
-        yield from walk_restriction_roles(x.arg)
-    elif isinstance(x, (Conjunction, Disjunction)):
-        yield from walk_restriction_roles(x.lhs)
-        yield from walk_restriction_roles(x.rhs)
-    elif isinstance(x, (Box, Diamond)):
-        yield from walk_restriction_roles(x.arg)
+def _children(node) -> list:
+    """Child nodes in visit order; each element of a role chain is a child."""
+    out = []
+    for name in _CHILDREN.get(type(node), ()):
+        value = getattr(node, name)
+        if type(value) is tuple:
+            out.extend(value)
+        else:
+            out.append(value)
+    return out
+
+
+def iter_nodes(x, stop=()) -> Iterator:
+    """Every node of ``x`` in preorder, left to right, ``x`` first.  Nodes
+    whose type is in ``stop`` are yielded but not entered.  The walk keeps
+    an explicit stack, so no tree is too wide or deep for it."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) not in stop:
+            for name in _PUSH_ORDER.get(type(node), ()):
+                value = getattr(node, name)
+                if type(value) is tuple:
+                    stack.extend(reversed(value))
+                else:
+                    stack.append(value)
+
+
+def _rebuild(node, kids: list):
+    it = iter(kids)
+    child_fields = _CHILDREN[type(node)]
+    args = []
+    for name in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        if name in child_fields:
+            value = tuple(islice(it, len(value))) if type(value) is tuple else next(it)
+        args.append(value)
+    return type(node)(*args)
+
+
+def transform(x, replace):
+    """Copy of ``x`` in which every node for which ``replace`` returns a
+    value (not None) is swapped for that value, which is not entered.  The
+    copy is rebuilt bottom-up with an explicit stack; a node none of whose
+    children changed is kept as the same object."""
+    done: list = []  # finished subtrees, children before their parent
+    stack: list = [x]  # nodes to visit, and (node, children) to rebuild
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            node, kids = item
+            built = done[-len(kids):]
+            del done[-len(kids):]
+            done.append(node if all(map(is_, built, kids)) else _rebuild(node, built))
+            continue
+        new = replace(item)
+        kids = _children(item) if new is None else None
+        if kids:
+            stack.append((item, kids))
+            stack.extend(reversed(kids))
+        else:
+            done.append(item if new is None else new)
+    return done[0]
+
+
+def fold(ctor, parts):
+    """Left fold of the operands under a binary constructor:
+    ``ctor(ctor(a, b), c)``; a single operand is returned as it is."""
+    it = iter(parts)
+    out = next(it)
+    for part in it:
+        out = ctor(out, part)
+    return out
+
+
+def left_spine(expr, ctor) -> list:
+    """Operands of a left-folded ``ctor`` chain, leftmost first (the inverse
+    of ``fold``); iterative, so no fold is too wide for it."""
+    parts = []
+    while isinstance(expr, ctor):
+        parts.append(expr.rhs)
+        expr = expr.lhs
+    parts.append(expr)
+    parts.reverse()
+    return parts
 
 
 def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Negation):
-        yield from walk_atoms(f.arg)
-    elif isinstance(f, (Conjunction, Disjunction)):
-        yield from walk_atoms(f.lhs)
-        yield from walk_atoms(f.rhs)
-    elif isinstance(f, (Box, Diamond)):
-        yield from walk_atoms(f.arg)
+    return (n for n in iter_nodes(f, (Atom,)) if type(n) is Atom)
 
 
 def walk_refs(f: StandpointFormula) -> Iterator[AxiomRef]:
-    if isinstance(f, AxiomRef):
-        yield f
-    elif isinstance(f, Negation):
-        yield from walk_refs(f.arg)
-    elif isinstance(f, (Conjunction, Disjunction)):
-        yield from walk_refs(f.lhs)
-        yield from walk_refs(f.rhs)
-    elif isinstance(f, (Box, Diamond)):
-        yield from walk_refs(f.arg)
-
-
-def walk_standpoint_exprs(f: StandpointFormula) -> Iterator[StandpointExpr]:
-    if isinstance(f, Negation):
-        yield from walk_standpoint_exprs(f.arg)
-    elif isinstance(f, (Conjunction, Disjunction)):
-        yield from walk_standpoint_exprs(f.lhs)
-        yield from walk_standpoint_exprs(f.rhs)
-    elif isinstance(f, (Box, Diamond)):
-        yield f.standpoint
-        yield from walk_standpoint_exprs(f.arg)
-
-
-def standpoint_names_in(e: StandpointExpr) -> Iterator[str]:
-    if isinstance(e, Star):
-        yield UNIVERSAL_STANDPOINT
-    elif isinstance(e, NamedStandpoint):
-        yield e.name
-    else:
-        yield from standpoint_names_in(e.lhs)
-        yield from standpoint_names_in(e.rhs)
-
-
-def _collect_entity_names(x, concepts: set, roles: set, individuals: set):
-    if isinstance(x, ConceptName):
-        concepts.add(x.name)
-    elif isinstance(x, Nominal):
-        individuals.add(x.individual)
-    elif isinstance(x, Not):
-        _collect_entity_names(x.arg, concepts, roles, individuals)
-    elif isinstance(x, (And, Or)):
-        _collect_entity_names(x.lhs, concepts, roles, individuals)
-        _collect_entity_names(x.rhs, concepts, roles, individuals)
-    elif isinstance(x, (All, Some, AtMost, AtLeast)):
-        _collect_role(x.role, roles)
-        _collect_entity_names(x.filler, concepts, roles, individuals)
-    elif isinstance(x, HasSelf):
-        _collect_role(x.role, roles)
-    elif isinstance(x, (Gci, Equiv)):
-        _collect_entity_names(x.lhs, concepts, roles, individuals)
-        _collect_entity_names(x.rhs, concepts, roles, individuals)
-    elif isinstance(x, Ria):
-        for r in x.chain:
-            _collect_role(r, roles)
-        roles.add(x.head)
-
-
-def _collect_role(r: RoleExpr, roles: set):
-    if isinstance(r, (RoleName, InverseRole)):
-        roles.add(r.name)
+    return (n for n in iter_nodes(f, (Atom,)) if type(n) is AxiomRef)
 
 
 def rebase_names(x, base: str):
     """Copy of an axiom/expression with every entity name moved to ``base``."""
-    if isinstance(x, EntityName):
-        return EntityName(x.kind, x.local, base)
-    if isinstance(x, ConceptName):
-        return ConceptName(rebase_names(x.name, base))
-    if isinstance(x, Nominal):
-        return Nominal(rebase_names(x.individual, base))
-    if isinstance(x, Not):
-        return Not(rebase_names(x.arg, base))
-    if isinstance(x, (And, Or)):
-        return type(x)(rebase_names(x.lhs, base), rebase_names(x.rhs, base))
-    if isinstance(x, (All, Some)):
-        return type(x)(rebase_names(x.role, base), rebase_names(x.filler, base))
-    if isinstance(x, HasSelf):
-        return HasSelf(rebase_names(x.role, base))
-    if isinstance(x, (AtMost, AtLeast)):
-        return type(x)(x.n, rebase_names(x.role, base), rebase_names(x.filler, base))
-    if isinstance(x, (RoleName, InverseRole)):
-        return type(x)(rebase_names(x.name, base))
-    if isinstance(x, UniversalRole):
-        return x
-    if isinstance(x, (Gci, Equiv)):
-        return type(x)(rebase_names(x.lhs, base), rebase_names(x.rhs, base))
-    if isinstance(x, Ria):
-        return Ria(tuple(rebase_names(r, base) for r in x.chain),
-                   rebase_names(x.head, base))
-    return x  # Top / Bottom
+    return transform(x, lambda n: EntityName(n.kind, n.local, base)
+                     if type(n) is EntityName else None)
 
 
 def entity_names_in(x) -> Iterator[EntityName]:
     """Concept/role/individual names in an axiom or expression, in first
     left-to-right occurrence order (each yielded once)."""
     seen: set[EntityName] = set()
-
-    def walk(node):
-        if isinstance(node, ConceptName):
-            emit(node.name)
-        elif isinstance(node, Nominal):
-            emit(node.individual)
-        elif isinstance(node, Not):
-            walk(node.arg)
-        elif isinstance(node, (And, Or, Gci, Equiv)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, (All, Some, AtMost, AtLeast)):
-            walk(node.role)
-            walk(node.filler)
-        elif isinstance(node, HasSelf):
-            walk(node.role)
-        elif isinstance(node, (RoleName, InverseRole)):
-            emit(node.name)
-        elif isinstance(node, Ria):
-            for r in node.chain:
-                walk(r)
-            emit(node.head)
-
-    out: list[EntityName] = []
-
-    def emit(name):
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-
-    walk(x)
-    yield from out
+    for node in iter_nodes(x):
+        if type(node) is EntityName and node not in seen:
+            seen.add(node)
+            yield node
 
 
 def signature_of(kb: StandpointKB) -> Signature:
     """The exact sets of names occurring anywhere in the KB, including inside
     annotations-turned-formulas and standpoint expressions.  The universal
     standpoint ``*`` is always present."""
-    concepts: set[EntityName] = set()
-    roles: set[EntityName] = set()
-    individuals: set[EntityName] = set()
+    names: dict[str, set] = {"concept": set(), "role": set(), "individual": set()}
     standpoints: set[str] = {UNIVERSAL_STANDPOINT}
-    for ax in list(kb.rias) + list(kb.plain_axioms):
-        _collect_entity_names(ax, concepts, roles, individuals)
-    for f in list(kb.formulas) + list(kb.named_axioms.values()):
-        for atom in walk_atoms(f):
-            _collect_entity_names(atom.axiom, concepts, roles, individuals)
-        for e in walk_standpoint_exprs(f):
-            standpoints.update(standpoint_names_in(e))
-    return Signature(frozenset(concepts), frozenset(roles),
-                     frozenset(individuals), frozenset(standpoints))
+    for root in (*kb.rias, *kb.plain_axioms, *kb.formulas, *kb.named_axioms.values()):
+        for node in iter_nodes(root):
+            if type(node) is EntityName:
+                names[node.kind].add(node)
+            elif type(node) is NamedStandpoint:
+                standpoints.add(node.name)
+    return Signature(frozenset(names["concept"]), frozenset(names["role"]),
+                     frozenset(names["individual"]), frozenset(standpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +572,14 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     """
     if isinstance(kb, PlainKB):
         rias = tuple(a for a in kb.axioms if isinstance(a, Ria))
-        exprs: list = [a for a in kb.axioms if not isinstance(a, Ria)]
-        all_roles = set(kb.signature.roles)
+        roots = kb.axioms
     else:
         rias = kb.rias
-        exprs = list(kb.plain_axioms) + list(kb.formulas) + list(kb.named_axioms.values())
-        all_roles = set(kb.signature.roles)
+        roots = (*kb.plain_axioms, *kb.formulas, *kb.named_axioms.values(), *rias)
+    all_roles = set(kb.signature.roles)
 
     non_simple: set[EntityName] = set()
-    pairs: set[tuple[EntityName, EntityName]] = set()
+    successors: dict[EntityName, set[EntityName]] = {}
     for ria in rias:
         all_roles.add(ria.head)
         all_roles.update(n for n in map(_role_base, ria.chain) if n is not None)
@@ -669,37 +599,33 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
         for r in ria.chain:
             base = _role_base(r)
             if base is not None and base != ria.head:
-                pairs.add((base, ria.head))
+                successors.setdefault(base, set()).add(ria.head)
 
-    # Transitive closure and irreflexivity of the induced order.
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    for (a, b) in closure:
-        if a == b:
+    # Transitive closure of the induced order, one depth-first search per
+    # role, and its irreflexivity.
+    closure: set[tuple[EntityName, EntityName]] = set()
+    for a in successors:
+        reached: set[EntityName] = set()
+        stack = [a]
+        while stack:
+            for b in successors.get(stack.pop(), ()):
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        if a in reached:
             raise CyclicRoleOrder(f"role order has a cycle through {a.local!r}")
+        closure.update((a, b) for b in reached)
 
-    # Simple-role side conditions across every concept expression in the KB.
-    for x in exprs:
-        for role in walk_restriction_roles(x):
-            if isinstance(role, UniversalRole) or _role_base(role) in non_simple:
+    # Simple-role side conditions, in one pass over every node of the KB.
+    for root in roots:
+        for node in iter_nodes(root):
+            if type(node) in (HasSelf, AtMost, AtLeast):
+                if isinstance(node.role, UniversalRole) or node.role.name in non_simple:
+                    raise NonSimpleInRestriction(
+                        "Self/number restriction over a non-simple role")
+            elif type(node) is InverseRole and node.name in non_simple:
                 raise NonSimpleInRestriction(
-                    "Self/number restriction over a non-simple role")
-        for role in walk_role_exprs(x):
-            if isinstance(role, InverseRole) and role.name in non_simple:
-                raise NonSimpleInRestriction(
-                    f"inverse of non-simple role {role.name.local!r}")
-    for ria in rias:
-        for role in ria.chain:
-            if isinstance(role, InverseRole) and role.name in non_simple:
-                raise NonSimpleInRestriction(
-                    f"inverse of non-simple role {role.name.local!r}")
+                    f"inverse of non-simple role {node.name.local!r}")
 
     simple = frozenset(r for r in all_roles if r not in non_simple)
     return RoleValidationReport(simple=simple,

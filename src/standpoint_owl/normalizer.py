@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import NestedModality, UnresolvedRef
 from .model import (Atom, AxiomRef, Bottom, Box, Conjunction, Diamond,
                     Disjunction, Equiv, Gci, Negation, SpMinus, StandpointExpr,
-                    StandpointFormula, StandpointKB, Top)
+                    StandpointFormula, StandpointKB, Top, iter_nodes, transform)
 
 
 def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointFormula:
@@ -21,21 +21,16 @@ def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointForm
 
 
 def _substitute(f: StandpointFormula, named: dict) -> StandpointFormula:
-    if isinstance(f, AxiomRef):
-        if f.name not in named:
-            raise UnresolvedRef(f.name)
-        return named[f.name]
-    if isinstance(f, Negation):
-        return Negation(_substitute(f.arg, named))
-    if isinstance(f, Conjunction):
-        return Conjunction(_substitute(f.lhs, named), _substitute(f.rhs, named))
-    if isinstance(f, Disjunction):
-        return Disjunction(_substitute(f.lhs, named), _substitute(f.rhs, named))
-    if isinstance(f, Box):
-        return Box(f.standpoint, _substitute(f.arg, named))
-    if isinstance(f, Diamond):
-        return Diamond(f.standpoint, _substitute(f.arg, named))
-    return f
+    def swap(node):
+        if type(node) is Atom:
+            return node  # holds no reference; keep it without entering
+        if type(node) is AxiomRef:
+            if node.name not in named:
+                raise UnresolvedRef(node.name)
+            return named[node.name]
+        return None
+
+    return transform(f, swap)
 
 
 def resolve_refs(kb: StandpointKB) -> StandpointKB:
@@ -88,18 +83,6 @@ def to_nnf(f: StandpointFormula) -> StandpointFormula:
     return Box(g.standpoint, to_nnf(Negation(g.arg)))
 
 
-def _count_diamonds(f: StandpointFormula) -> int:
-    if isinstance(f, Diamond):
-        return 1 + _count_diamonds(f.arg)
-    if isinstance(f, Box):
-        return _count_diamonds(f.arg)
-    if isinstance(f, Negation):
-        return _count_diamonds(f.arg)
-    if isinstance(f, (Conjunction, Disjunction)):
-        return _count_diamonds(f.lhs) + _count_diamonds(f.rhs)
-    return 0
-
-
 def count_precisifications(kb: StandpointKB) -> int:
     """Number of precisification copies the translation materialises.
 
@@ -107,19 +90,20 @@ def count_precisifications(kb: StandpointKB) -> int:
     is a diamond, so the bound is the diamond count, floored at one because
     the set of precisifications is never empty.
     """
-    return max(1, sum(_count_diamonds(f) for f in kb.formulas))
+    return max(1, sum(type(node) is Diamond for f in kb.formulas
+                      for node in iter_nodes(f, (Atom,))))
+
+
+def _modalities(f: StandpointFormula) -> list:
+    """The outermost Box/Diamond subformulas of f."""
+    return [node for node in iter_nodes(f, (Atom, Box, Diamond))
+            if type(node) in (Box, Diamond)]
 
 
 def _check_no_nesting(f: StandpointFormula, inside: bool = False):
-    if isinstance(f, (Box, Diamond)):
-        if inside:
+    for modal in _modalities(f):
+        if inside or _modalities(modal.arg):
             raise NestedModality("standpoint modality in the scope of another")
-        _check_no_nesting(f.arg, True)
-    elif isinstance(f, Negation):
-        _check_no_nesting(f.arg, inside)
-    elif isinstance(f, (Conjunction, Disjunction)):
-        _check_no_nesting(f.lhs, inside)
-        _check_no_nesting(f.rhs, inside)
 
 
 def normalize_kb(kb: StandpointKB) -> StandpointKB:

@@ -38,7 +38,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    make_kb, walk_atoms, walk_refs)
+                    make_kb, signature_of, walk_atoms, walk_refs)
 from .normalizer import normalize_kb
 
 # ---------------------------------------------------------------------------
@@ -88,12 +88,12 @@ class StandpointStructure:
         if len(self.gamma) != self.precisifications:
             raise ValueError("gamma must assign every precisification")
         pis = frozenset(range(self.precisifications))
-        sigma = dict(self.sigma)
+        sigma = {name: frozenset(members) for name, members in self.sigma.items()}
         star = sigma.setdefault(UNIVERSAL_STANDPOINT, pis)
         if star != pis:
             raise ValueError("the universal standpoint must cover all precisifications")
         for name, members in sigma.items():
-            if not frozenset(members) <= pis:
+            if not members <= pis:
                 raise ValueError(f"sigma({name}) is not a set of precisifications")
         object.__setattr__(self, "sigma", sigma)
         maps = {tuple(sorted(((k.base, k.local), v)
@@ -185,17 +185,7 @@ def holds_axiom(interp: PlainInterpretation, axiom: PlainAxiom) -> bool:
 
 def sigma_of(structure: StandpointStructure, e: StandpointExpr) -> frozenset[int]:
     """Standpoint expressions denote precisification sets, by set operations."""
-    if isinstance(e, Star):
-        return frozenset(range(structure.precisifications))
-    if isinstance(e, SpUnion):
-        return sigma_of(structure, e.lhs) | sigma_of(structure, e.rhs)
-    if isinstance(e, SpIntersection):
-        return sigma_of(structure, e.lhs) & sigma_of(structure, e.rhs)
-    if isinstance(e, SpMinus):
-        return sigma_of(structure, e.lhs) - sigma_of(structure, e.rhs)
-    if e.name not in structure.sigma:
-        raise UnknownName(f"standpoint {e.name!r} has no assignment")
-    return frozenset(structure.sigma[e.name])
+    return _sigma_set(e, structure.sigma)
 
 
 def holds_formula(structure: StandpointStructure, pi: int,
@@ -561,12 +551,7 @@ def _assignment_to_interp(asn: dict, signature: Signature, n: int) -> PlainInter
 
 
 def _occurring_signature(axioms) -> Signature:
-    concepts, roles, individuals = set(), set(), set()
-    for ax in axioms:
-        for name in entity_names_in(ax):
-            {"concept": concepts, "role": roles, "individual": individuals}[name.kind].add(name)
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals),
-                     frozenset())
+    return signature_of(StandpointKB(plain_axioms=tuple(axioms)))
 
 
 def find_plain_model(kb: PlainKB, max_domain: int,
@@ -640,7 +625,7 @@ def _sigma_set(e: StandpointExpr, sigma_sets: dict) -> frozenset[int]:
     if isinstance(e, SpMinus):
         return _sigma_set(e.lhs, sigma_sets) - _sigma_set(e.rhs, sigma_sets)
     if e.name not in sigma_sets:
-        raise UnknownName(f"standpoint {e.name!r} not in the signature")
+        raise UnknownName(f"standpoint {e.name!r} has no assignment")
     return sigma_sets[e.name]
 
 

@@ -19,7 +19,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     NamedStandpoint, Negation, Nominal, Not, Or, PlainAxiom,
                     PlainKB, Ria, RoleExpr, Some, SpIntersection, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UniversalRole, entity_names_in)
+                    Top, UniversalRole, entity_names_in, left_spine)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import RawDocument
 
@@ -67,18 +67,6 @@ def _role_str(role: RoleExpr, ns: _Namespaces) -> str:
     return ns.pname(role.name)
 
 
-def _left_spine(expr, ctor):
-    """Operands of a left-folded ctor chain, leftmost first; iterative, so
-    the width of an n-ary fold is not bounded by the recursion limit."""
-    parts = []
-    while isinstance(expr, ctor):
-        parts.append(expr.rhs)
-        expr = expr.lhs
-    parts.append(expr)
-    parts.reverse()
-    return parts
-
-
 def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
     if isinstance(c, Top):
         return "owl:Thing"
@@ -92,7 +80,7 @@ def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
         return f"ObjectComplementOf({_concept_str(c.arg, ns)})"
     if isinstance(c, (And, Or)):
         word = "ObjectIntersectionOf" if isinstance(c, And) else "ObjectUnionOf"
-        parts = _left_spine(c, type(c))
+        parts = left_spine(c, type(c))
         return f"{word}({' '.join(_concept_str(p, ns) for p in parts)})"
     if isinstance(c, All):
         return f"ObjectAllValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"

@@ -23,6 +23,8 @@ reused wherever it recurs.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     ConceptName, Conjunction, Diamond, Disjunction,
@@ -30,7 +32,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     Or, PlainKB, Ria, RoleExpr, Signature, Some,
                     SpIntersection, SpMinus, SpUnion, STAR, Star,
                     StandpointExpr, StandpointFormula, StandpointKB, TOP,
-                    UNIVERSAL, UniversalRole, standpoint_entity, walk_refs)
+                    UNIVERSAL, UniversalRole, fold, iter_nodes, left_spine,
+                    standpoint_entity, walk_refs)
 from .normalizer import _check_no_nesting, count_precisifications
 
 STAR_TOKEN = "STAR"
@@ -94,10 +97,10 @@ class _Interner:
             return self._wrap(Nominal, c.individual, pi)
         if isinstance(c, Not):
             return Not(self.concept(c.arg, pi))
-        if isinstance(c, And):
-            return And(self.concept(c.lhs, pi), self.concept(c.rhs, pi))
-        if isinstance(c, Or):
-            return Or(self.concept(c.lhs, pi), self.concept(c.rhs, pi))
+        if isinstance(c, (And, Or)):
+            # along the left spine, so no fold is too wide to translate
+            ctor = type(c)
+            return fold(ctor, map(self.concept, left_spine(c, ctor), repeat(pi)))
         if isinstance(c, All):
             return All(self.role(c.role, pi), self.concept(c.filler, pi))
         if isinstance(c, Some):
@@ -152,20 +155,13 @@ class _Interner:
             return Or(self.trans(pi, f.lhs, p), self.trans(pi, f.rhs, p))
         if isinstance(f, Box):
             _check_no_nesting(f.arg, True)
-            return _fold(And, [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
-                               for k in range(p)])
+            return fold(And, [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
+                              for k in range(p)])
         if isinstance(f, Diamond):
             _check_no_nesting(f.arg, True)
-            return _fold(Or, [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
-                              for k in range(p)])
+            return fold(Or, [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
+                             for k in range(p)])
         raise UnresolvedRef(f.name)
-
-
-def _fold(ctor, parts):
-    out = parts[0]
-    for part in parts[1:]:
-        out = ctor(out, part)
-    return out
 
 
 def trans_e(pi: int, e: StandpointExpr, base: str = "") -> ConceptExpr:
@@ -182,13 +178,7 @@ def trans(pi: int, f: StandpointFormula, p: int, base: str = "") -> ConceptExpr:
 def _has_bare_atom(f: StandpointFormula) -> bool:
     """True when some atom sits outside every modality, making the
     translation index-dependent."""
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Negation):
-        return _has_bare_atom(f.arg)
-    if isinstance(f, (Conjunction, Disjunction)):
-        return _has_bare_atom(f.lhs) or _has_bare_atom(f.rhs)
-    return False
+    return any(type(node) is Atom for node in iter_nodes(f, (Atom, Box, Diamond)))
 
 
 def output_iri(kb: StandpointKB) -> str:

@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines.
 """
 
+import os
 import shutil
 import subprocess
 import sys
 import time
 
+import standpoint_owl
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import assemble_kb, parse_document
 from standpoint_owl.model import (All, And, Atom, AtLeast, AtMost, Bottom,
@@ -197,6 +199,9 @@ def test_criterion_6_round_trip_and_determinism(tmp_path):
 
     forest = tmp_path / "forest.ofn"
     shutil.copy(FIXTURES / "forest.ofn", forest)
+    # the child imports the package this process tests, installed or not
+    package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for _ in range(2):
         proc = subprocess.run(
@@ -204,7 +209,7 @@ def test_criterion_6_round_trip_and_determinism(tmp_path):
              "import sys; from standpoint_owl.cli import main; "
              "sys.exit(main(['translate', sys.argv[1], '--dump']))",
              str(forest)],
-            capture_output=True)
+            capture_output=True, env={**os.environ, "PYTHONPATH": path})
         outputs.append(proc.stdout)
     byte_identical = outputs[0] == outputs[1] and proc.returncode == 0
     ok = stable and byte_identical and len(fixtures) >= 1

@@ -9,6 +9,7 @@ import pytest
 
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import parse_document
+from standpoint_owl.model import And, Gci, left_spine
 
 from conftest import FIXTURES
 
@@ -155,6 +156,25 @@ class TestImport:
         doc_a = write(tmp_path, "a.ofn", f"Ontology(<urn:a>\n{named}\n)")
         doc_b = write(tmp_path, "b.ofn", f"Ontology(<urn:b>\n{named}\n)")
         assert main(["import", doc_a, doc_b, "--standpoint", "s"]) == 2
+
+
+WIDE_DOC = ("Prefix(:=<urn:w#>)\nOntology(<urn:w>\nSubClassOf(ObjectIntersectionOf("
+            + " ".join(f":A{k}" for k in range(3000)) + ") :B)\n)\n")
+
+
+class TestWideOperands:
+    """An n-ary class expression wider than the recursion limit."""
+
+    @pytest.mark.parametrize("args", [["translate"],
+                                      ["import", "--standpoint", "s"],
+                                      ["import", "--standpoint", "s", "--translate"]])
+    def test_exit_0_and_output_parses_back(self, args, tmp_path, capsys):
+        path = write(tmp_path, "wide.ofn", WIDE_DOC)
+        files = [path] if args[0] == "translate" else [path, path]
+        assert main([args[0], *files, *args[1:], "--dump"]) == 0
+        doc = parse_document(capsys.readouterr().out)
+        assert any(len(left_spine(ax.lhs, And)) == 3000
+                   for ax, _ in doc.axioms if isinstance(ax, Gci))
 
 
 class TestQuery:

@@ -1,5 +1,6 @@
-"""Domain types, role validation, and signature extraction."""
+"""Domain types, traversal, role validation, and signature extraction."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import given, strategies as st
 
 from standpoint_owl.errors import (CyclicRoleOrder, MalformedRIA,
                                    NonSimpleInRestriction)
-from standpoint_owl.model import (AtLeast, Atom, Box, EntityName, Gci, Ria,
-                                  Signature, Some, Top, UNIVERSAL, make_kb,
-                                  role_name, signature_of, validate_roles)
+from standpoint_owl import model
+from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom, Box,
+                                  EntityName, Equiv, Gci, HasSelf, Not, Or,
+                                  Ria, Signature, Some, Top, UNIVERSAL,
+                                  entity_names_in, iter_nodes, make_kb,
+                                  rebase_names, role_name, signature_of,
+                                  transform, validate_roles)
 
-from conftest import C, R, Rinv, S
+from conftest import C, O, R, Rinv, S
 
 
 def simple_ria(chain, head):
@@ -34,6 +39,59 @@ class TestEntityName:
             EntityName("klass", "A")
 
 
+class TestTraversal:
+    def test_children_table_covers_every_node_class(self):
+        """A syntax dataclass lists its node-valued fields in _CHILDREN, in
+        declaration order; any other field holds plain data."""
+        containers = {Signature, model.StandpointKB, model.PlainKB,
+                      model.RoleValidationReport}
+        for cls in vars(model).values():
+            if (not isinstance(cls, type) or not dataclasses.is_dataclass(cls)
+                    or cls in containers):
+                continue
+            nodes = [f.name for f in dataclasses.fields(cls)
+                     if f.type not in ("str", "int")]
+            assert list(model._CHILDREN.get(cls, ())) == nodes, cls.__name__
+
+    @pytest.mark.parametrize("ctor", [Gci, Equiv])
+    def test_entity_names_order(self, ctor):
+        """First-occurrence order over every concept and role node kind; the
+        oracle's slot order, and so its first witness, rests on it."""
+        tree = ctor(And(Not(C("A")), Or(O("a"), Bottom())),
+                    Some(Rinv("r"), All(R("s"), AtMost(1, R("t"), And(
+                        AtLeast(2, UNIVERSAL, C("r")),
+                        Or(HasSelf(R("u")), Some(R("r"), And(Top(), C("A")))))))))
+        assert [(n.kind, n.local) for n in entity_names_in(tree)] == [
+            ("concept", "A"), ("individual", "a"), ("role", "r"), ("role", "s"),
+            ("role", "t"), ("concept", "r"), ("role", "u")]
+
+    def test_entity_names_chain_before_head(self):
+        ria = Ria((R("p"), Rinv("q"), UNIVERSAL, R("p")), role_name("h"))
+        assert [n.local for n in entity_names_in(ria)] == ["p", "q", "h"]
+
+    def test_iter_nodes_stop_is_yielded_not_entered(self):
+        f = Box(S("s"), Atom(Gci(C("A"), C("B"))))
+        assert [type(n).__name__ for n in iter_nodes(f, (Atom,))] == [
+            "Box", "NamedStandpoint", "Atom"]
+
+    def test_transform_keeps_unchanged_subtrees(self):
+        ax = Gci(And(C("A"), Top()), AtMost(2, R("r"), Not(C("B"))))
+        assert transform(ax, lambda n: None) is ax
+        moved = transform(ax, lambda n: C("X") if n == C("A") else None)
+        assert moved == Gci(And(C("X"), Top()), ax.rhs)
+        assert moved.rhs is ax.rhs
+
+    def test_wide_and_deep_trees(self):
+        """Neither walk is bounded by the recursion limit."""
+        wide = model.fold(And, [C(f"A{k}") for k in range(5000)])
+        deep = C("A")
+        for _ in range(5000):
+            deep = Not(deep)
+        for tree in (wide, deep):
+            rebased = rebase_names(Gci(tree, Top()), "urn:x#")
+            assert {n.base for n in entity_names_in(rebased)} == {"urn:x#"}
+
+
 class TestValidateRoles:
     def test_single_chain_acyclic(self):
         kb = make_kb(rias=[simple_ria(["r", "t"], "w")])
@@ -41,6 +99,13 @@ class TestValidateRoles:
         assert {x.local for x in report.non_simple} == {"w"}
         assert not report.is_simple(UNIVERSAL)
         assert {(a.local, b.local) for a, b in report.order} == {("r", "w"), ("t", "w")}
+
+    def test_order_is_transitive(self):
+        kb = make_kb(rias=[simple_ria(["a"], "b"), simple_ria(["b", "x"], "c"),
+                           simple_ria(["c"], "d")])
+        order = {(a.local, b.local) for a, b in validate_roles(kb).order}
+        assert order == {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                         ("b", "d"), ("c", "d"), ("x", "c"), ("x", "d")}
 
     def test_two_cycle_detected(self):
         kb = make_kb(rias=[simple_ria(["r", "t"], "w"), simple_ria(["w", "v"], "r")])
@@ -139,9 +204,8 @@ def test_well_formed_trees_validate(tree):
 
 @given(concept_trees("rw", 3))
 def test_trees_with_chain_head_restrictions_rejected(tree):
-    from standpoint_owl.model import AtMost, HasSelf, walk_restriction_roles
-    uses_w = any(getattr(role, "name", None) == R("w").name
-                 for role in walk_restriction_roles(tree))
+    uses_w = any(node.role == R("w") for node in iter_nodes(tree)
+                 if isinstance(node, (AtMost, HasSelf)))
     kb = make_kb(plain_axioms=[Gci(tree, Top())],
                  rias=[simple_ria(["r", "t"], "w")])
     if uses_w:

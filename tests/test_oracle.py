@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
-                                  Box, Diamond, Equiv, Gci, HasSelf, Not, Or,
+                                  Box, Diamond, Disjunction, Equiv, Gci,
+                                  HasSelf, Not, Or,
                                   PlainKB, Ria, Some, SpMinus, SpIntersection,
                                   SpUnion, Star, Top, UNIVERSAL, concept_name,
                                   individual_name, make_kb, role_name)
@@ -319,6 +320,28 @@ class TestEntailment:
         result = check_entailment_bounded(forest_kb, query, 2, 2, guard_bits=200)
         assert result.status == NOT_ENTAILED
         assert result.witness.sigma["LC"] == frozenset()
+
+    def test_forest_first_witness_golden(self, forest_kb):
+        """The canonical first countermodel is a contract: sigma and the
+        extension of every name at every precisification."""
+        base = forest_kb.base_iri + "#"
+        query = Disjunction(Box(S("LC"), Atom(Gci(C("Forest", base), Bottom()))),
+                            Box(S("LU"), Atom(Gci(Top(), Bottom()))))
+        result = check_entailment_bounded(forest_kb, query, 2, 2, guard_bits=200)
+        assert result.status == NOT_ENTAILED
+        w = result.witness
+        assert (w.domain_size, w.precisifications) == (1, 2)
+        assert w.sigma == {"*": {0, 1}, "BFO": {0, 1}, "LC": {0}, "LU": {1}}
+        concepts = {c.local for c in forest_kb.signature.concepts}
+        occupied = [{"Area05ha", "Ecosystem", "Forest", "ForestEcosystem",
+                     "TreeCanopy20"},
+                    {"Forest", "ForestEcosystem", "ForestlandUse", "Land", "MCON"}]
+        has_land = [{(0, 0)}, set()]
+        for g, full, pairs in zip(w.gamma, occupied, has_land):
+            assert {n.local: v for n, v in g.concept_ext.items()} == {
+                c: ({0} if c in full else set()) for c in concepts}
+            assert {n.local: v for n, v in g.role_ext.items()} == {"hasLand": pairs}
+            assert g.individual_map == {}
 
     def test_tautology_entailed(self):
         kb = make_kb(plain_axioms=[Gci(C("A"), C("B"))])

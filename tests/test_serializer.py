@@ -5,7 +5,8 @@ import pytest
 from standpoint_owl.frontend import assemble_kb, parse_document
 from standpoint_owl.model import (All, And, Atom, Box, Diamond, Equiv, Gci,
                                   Negation, Not, Or, PlainKB, Ria, Signature,
-                                  Some, Top, UNIVERSAL, make_kb, role_name)
+                                  Some, Top, UNIVERSAL, fold, make_kb,
+                                  role_name)
 from standpoint_owl.normalizer import normalize_kb
 from standpoint_owl.serializer import serialize_concept, serialize_kb
 from standpoint_owl.translator import translate_kb
@@ -55,15 +56,9 @@ class TestAxiomRendering:
     @pytest.mark.parametrize("ctor,word", [(And, "ObjectIntersectionOf"),
                                            (Or, "ObjectUnionOf")])
     def test_wide_left_fold(self, ctor, word):
-        # a left fold as deep as p guarded copies of a diamond; the signature
-        # is built by hand because the model's walkers recurse on depth
+        # a left fold as deep as p guarded copies of a diamond
         names = [C(f"A{k}__0", NS) for k in range(3000)]
-        fold = names[0]
-        for name in names[1:]:
-            fold = ctor(fold, name)
-        sig = Signature(frozenset(c.name for c in names), frozenset(),
-                        frozenset(), frozenset())
-        kb = PlainKB((Gci(fold, C("A0__0", NS)),), sig, "urn:o")
+        kb = plain_kb([Gci(fold(ctor, names), C("A0__0", NS))])
         operands = " ".join(f":A{k}__0" for k in range(3000))
         assert f"SubClassOf({word}({operands}) :A0__0)" in serialize_kb(kb).splitlines()
 

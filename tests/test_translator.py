@@ -12,11 +12,10 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
                                   Negation, Nominal, Not, Or, Ria, RoleName,
                                   Some, SpIntersection, SpMinus, SpUnion,
                                   Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, make_kb, rebase_names,
-                                  role_name, standpoint_entity,
+                                  individual_name, left_spine, make_kb,
+                                  rebase_names, role_name, standpoint_entity,
                                   validate_roles)
 from standpoint_owl.normalizer import normalize_kb
-from standpoint_owl.serializer import _left_spine
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
 from conftest import C, O, R, S
@@ -276,13 +275,13 @@ class TestSharing:
         out = translate_kb(kb)
         p = 2
         diamond, box, single = (ax.rhs for ax in out.axioms[p:p + 3])
-        diamond_guards = [part.lhs for part in _left_spine(diamond, Or)]
-        box_guards = [part.lhs.arg for part in _left_spine(box, And)]
+        diamond_guards = [part.lhs for part in left_spine(diamond, Or)]
+        box_guards = [part.lhs.arg for part in left_spine(box, And)]
         for k in range(p):
             assert diamond_guards[k] is box_guards[k]
             assert diamond_guards[k] == trans_e(k, union, "urn:o/translated#")
             # the marker inside the composite guard is the plain guard of s
-            assert diamond_guards[k].lhs is _left_spine(single, Or)[k].lhs
+            assert diamond_guards[k].lhs is left_spine(single, Or)[k].lhs
 
 
 class TestIsolation:
