@@ -147,6 +147,11 @@ def _run_external_reasoner(command: str, document: str) -> int:
 
 
 def cmd_query(args) -> int:
+    for flag, bound in (("--domain-bound", args.domain_bound),
+                        ("--prec-bound", args.prec_bound)):
+        if bound is not None and bound < 1:
+            print(f"error: {flag} must be at least 1, got {bound}", file=sys.stderr)
+            return 2
     doc, kb = _load(args.input)
     ns = doc.default_namespace
     if args.simple is not None:
@@ -243,6 +248,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Parsing and the per-node semantics recurse on expression depth.
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -19,8 +19,16 @@ structures are searched by splitting the problem at the atom level: the
 Boolean/modal layer only sees which TBox atoms hold at which
 precisification, so candidate truth vectors are enumerated propositionally
 and each distinct vector is realised (or refuted) once by a bounded
-interpretation search.  Exhaustion within bounds is evidence, not proof,
-of unsatisfiability.
+interpretation search.  The formulas are compiled once per search into
+closures that evaluate all precisifications at once: a formula's value
+under partial atom vectors is a pair of bitmasks (true, false) over the
+precisifications, where a set bit means definitely true (false) there.
+Atoms read fixed bit indices, standpoint expressions become |, & and & ~
+over the per-name member masks, negation swaps the pair, and a box or
+diamond is decided everywhere or nowhere from its member mask.  A vector is
+a candidate at a precisification when that bit of `false` stays clear, and
+a partial assignment survives when `false` is 0 for every formula.
+Exhaustion within bounds is evidence, not proof, of unsatisfiability.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    make_kb, signature_of, walk_atoms, walk_refs)
+                    left_spine, make_kb, signature_of, walk_atoms,
+                    walk_refs)
 from .normalizer import normalize_kb
 
 # ---------------------------------------------------------------------------
@@ -140,9 +149,15 @@ def eval_concept(interp: PlainInterpretation, c: ConceptExpr) -> frozenset[int]:
     if isinstance(c, Not):
         return dom - eval_concept(interp, c.arg)
     if isinstance(c, And):
-        return eval_concept(interp, c.lhs) & eval_concept(interp, c.rhs)
+        out = dom
+        for part in left_spine(c, And):
+            out &= eval_concept(interp, part)
+        return out
     if isinstance(c, Or):
-        return eval_concept(interp, c.lhs) | eval_concept(interp, c.rhs)
+        out = frozenset()
+        for part in left_spine(c, Or):
+            out |= eval_concept(interp, part)
+        return out
     if isinstance(c, All):
         ext = eval_role(interp, c.role)
         filler = eval_concept(interp, c.filler)
@@ -185,7 +200,17 @@ def holds_axiom(interp: PlainInterpretation, axiom: PlainAxiom) -> bool:
 
 def sigma_of(structure: StandpointStructure, e: StandpointExpr) -> frozenset[int]:
     """Standpoint expressions denote precisification sets, by set operations."""
-    return _sigma_set(e, structure.sigma)
+    if isinstance(e, Star):
+        return structure.sigma[UNIVERSAL_STANDPOINT]
+    if isinstance(e, SpUnion):
+        return sigma_of(structure, e.lhs) | sigma_of(structure, e.rhs)
+    if isinstance(e, SpIntersection):
+        return sigma_of(structure, e.lhs) & sigma_of(structure, e.rhs)
+    if isinstance(e, SpMinus):
+        return sigma_of(structure, e.lhs) - sigma_of(structure, e.rhs)
+    if e.name not in structure.sigma:
+        raise UnknownName(f"standpoint {e.name!r} has no assignment")
+    return structure.sigma[e.name]
 
 
 def holds_formula(structure: StandpointStructure, pi: int,
@@ -292,13 +317,19 @@ def _bounds(c: ConceptExpr, asn: dict, n: int) -> tuple[int, int]:
         lo, hi = _bounds(c.arg, asn, n)
         return full & ~hi, full & ~lo
     if isinstance(c, And):
-        lo1, hi1 = _bounds(c.lhs, asn, n)
-        lo2, hi2 = _bounds(c.rhs, asn, n)
-        return lo1 & lo2, hi1 & hi2
+        lo = hi = full
+        for part in left_spine(c, And):
+            plo, phi = _bounds(part, asn, n)
+            lo &= plo
+            hi &= phi
+        return lo, hi
     if isinstance(c, Or):
-        lo1, hi1 = _bounds(c.lhs, asn, n)
-        lo2, hi2 = _bounds(c.rhs, asn, n)
-        return lo1 | lo2, hi1 | hi2
+        lo = hi = 0
+        for part in left_spine(c, Or):
+            plo, phi = _bounds(part, asn, n)
+            lo |= plo
+            hi |= phi
+        return lo, hi
     row_mask = full
     if isinstance(c, Some):
         rlo, rhi = _role_bounds(c.role, asn, n)
@@ -372,10 +403,6 @@ def _and3(a, b):
     if a is True and b is True:
         return True
     return None
-
-
-def _or3(a, b):
-    return _not3(_and3(_not3(a), _not3(b)))
 
 
 class _Check:
@@ -582,51 +609,103 @@ def find_plain_model(kb: PlainKB, max_domain: int,
 # Standpoint-structure search (atom-vector decomposition)
 # ---------------------------------------------------------------------------
 
-def _tri_formula(f: StandpointFormula, pi: int, sigma_sets: dict,
-                 vectors: list, atom_index: dict) -> Optional[bool]:
-    if isinstance(f, Atom):
-        v = vectors[pi]
-        if v is None:
-            return None
-        return bool(v & (1 << atom_index[f.axiom]))
-    if isinstance(f, AxiomRef):
-        raise UnresolvedRef(f.name)
-    if isinstance(f, Negation):
-        return _not3(_tri_formula(f.arg, pi, sigma_sets, vectors, atom_index))
-    if isinstance(f, Conjunction):
-        return _and3(_tri_formula(f.lhs, pi, sigma_sets, vectors, atom_index),
-                     _tri_formula(f.rhs, pi, sigma_sets, vectors, atom_index))
-    if isinstance(f, Disjunction):
-        return _or3(_tri_formula(f.lhs, pi, sigma_sets, vectors, atom_index),
-                    _tri_formula(f.rhs, pi, sigma_sets, vectors, atom_index))
-    members = _sigma_set(f.standpoint, sigma_sets)
-    states = [_tri_formula(f.arg, pi2, sigma_sets, vectors, atom_index)
-              for pi2 in sorted(members)]
-    if isinstance(f, Box):
-        if any(s is False for s in states):
-            return False
-        if all(s is True for s in states):
-            return True
-        return None
-    if any(s is True for s in states):
-        return True
-    if all(s is False for s in states):
-        return False
-    return None
+# A modal's value does not depend on the precisification, so each of its
+# masks is 0 or _EVERY, which has every bit set and so needs no
+# precisification count.  Every mask is therefore _EVERY or a subset of the
+# m precisification bits, and `false == 0` means "nowhere false".
+_EVERY = -1
 
 
-def _sigma_set(e: StandpointExpr, sigma_sets: dict) -> frozenset[int]:
-    if isinstance(e, Star):
-        return sigma_sets[UNIVERSAL_STANDPOINT]
-    if isinstance(e, SpUnion):
-        return _sigma_set(e.lhs, sigma_sets) | _sigma_set(e.rhs, sigma_sets)
-    if isinstance(e, SpIntersection):
-        return _sigma_set(e.lhs, sigma_sets) & _sigma_set(e.rhs, sigma_sets)
-    if isinstance(e, SpMinus):
-        return _sigma_set(e.lhs, sigma_sets) - _sigma_set(e.rhs, sigma_sets)
-    if e.name not in sigma_sets:
-        raise UnknownName(f"standpoint {e.name!r} has no assignment")
-    return sigma_sets[e.name]
+def _compile(formulas, atom_index: dict, sp_names: list[str]):
+    """Compile the formulas once per search into bit-parallel evaluators.
+
+    Returns (evaluators, modals).  ``modals`` holds one function per modal
+    operator, mapping (sigma_tuple, full) to the operator's member mask,
+    where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]`` and
+    ``full`` the mask of all precisifications.  ``evaluators`` holds one
+    function per formula, mapping (at, af, members) to its (true, false)
+    masks, where ``at[i]``/``af[i]`` mask the precisifications at which atom
+    ``i`` is known true/false and ``members[j]`` is ``modals[j]``'s mask.
+    Bit pi of ``true`` (``false``) is set when the formula is definitely
+    true (false) at pi under those partial atom vectors.
+    This is pointwise the three-valued logic: negation swaps, conjunction
+    and disjunction combine bitwise, and a box over members M is false
+    everywhere when its argument is false somewhere in M, true everywhere
+    when it is true throughout M, and unknown otherwise (a diamond dually).
+    """
+    sp_pos = {name: j for j, name in enumerate(sp_names)}
+    modals: list = []
+
+    def members(e):
+        if isinstance(e, Star):
+            return lambda sig, full: full
+        if isinstance(e, (SpUnion, SpIntersection, SpMinus)):
+            a, b = members(e.lhs), members(e.rhs)
+            if isinstance(e, SpUnion):
+                return lambda sig, full: a(sig, full) | b(sig, full)
+            if isinstance(e, SpIntersection):
+                return lambda sig, full: a(sig, full) & b(sig, full)
+            return lambda sig, full: a(sig, full) & ~b(sig, full)
+        if e.name not in sp_pos:
+            raise UnknownName(f"standpoint {e.name!r} has no assignment")
+        j = sp_pos[e.name]
+        return lambda sig, full: sig[j]
+
+    def formula(f):
+        if isinstance(f, Atom):
+            i = atom_index[f.axiom]
+            return lambda at, af, ms: (at[i], af[i])
+        if isinstance(f, Negation):
+            g = formula(f.arg)
+
+            def negation(at, af, ms):
+                t, fl = g(at, af, ms)
+                return fl, t
+            return negation
+        if isinstance(f, (Conjunction, Disjunction)):
+            g, h = formula(f.lhs), formula(f.rhs)
+            if isinstance(f, Conjunction):
+                def conjunction(at, af, ms):
+                    t1, f1 = g(at, af, ms)
+                    t2, f2 = h(at, af, ms)
+                    return t1 & t2, f1 | f2
+                return conjunction
+
+            def disjunction(at, af, ms):
+                t1, f1 = g(at, af, ms)
+                t2, f2 = h(at, af, ms)
+                return t1 | t2, f1 & f2
+            return disjunction
+        j = len(modals)
+        modals.append(members(f.standpoint))
+        g = formula(f.arg)
+        if isinstance(f, Box):
+            def box(at, af, ms):
+                t, fl = g(at, af, ms)
+                if fl & ms[j]:
+                    return 0, _EVERY
+                if ms[j] & ~t == 0:
+                    return _EVERY, 0
+                return 0, 0
+            return box
+
+        def diamond(at, af, ms):
+            t, fl = g(at, af, ms)
+            if t & ms[j]:
+                return _EVERY, 0
+            if ms[j] & ~fl == 0:
+                return 0, _EVERY
+            return 0, 0
+        return diamond
+
+    return [formula(f) for f in formulas], modals
+
+
+def _fix_vector(v: int, bit: int, at: list, af: list) -> tuple[list, list]:
+    """The atom masks (at, af) after fixing atom vector ``v`` at the
+    precisification whose mask is ``bit``."""
+    return ([a | bit if v >> i & 1 else a for i, a in enumerate(at)],
+            [a if v >> i & 1 else a | bit for i, a in enumerate(af)])
 
 
 def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
@@ -652,6 +731,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 atom_index[atom.axiom] = len(atoms)
                 atoms.append(atom.axiom)
     k = len(atoms)
+    zeros = [0] * k
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
     signature = kb.signature.union(_occurring_signature(base_axioms + atoms))
@@ -659,6 +739,11 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
 
     base_checks = [_Check(ax) for ax in base_axioms]
+    # Both polarities of each atom's check; the slot order does not depend
+    # on polarity, so it is the same for every vector.
+    atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
+    slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
+    evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
@@ -666,10 +751,8 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         def realize(nu: tuple, v: int) -> Optional[PlainInterpretation]:
             key = (nu, v)
             if key not in realizable:
-                checks = list(base_checks)
-                for i, ax in enumerate(atoms):
-                    checks.append(_Check(ax, positive=bool(v & (1 << i))))
-                slots = _slot_order(checks, signature)
+                checks = base_checks + [pair[v >> i & 1]
+                                        for i, pair in enumerate(atom_checks)]
                 fixed = {("i", ind): nu[j] for j, ind in enumerate(individuals)}
                 asn = _search_assignment(n, slots, checks, fixed)
                 realizable[key] = (None if asn is None
@@ -681,53 +764,50 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
-            all_pis = frozenset(range(m))
+            full = (1 << m) - 1
+            # The atom masks of each vector alone at each position.
+            alone = [[_fix_vector(v, 1 << pi, zeros, zeros) for v in range(1 << k)]
+                     for pi in range(m)]
             for sigma_tuple in product(range(1 << m), repeat=len(sp_names)):
-                sigma_sets = {UNIVERSAL_STANDPOINT: all_pis}
-                for name, mask in zip(sp_names, sigma_tuple):
-                    sigma_sets[name] = frozenset(b for b in range(m) if mask & (1 << b))
+                ms = [mask_of(sigma_tuple, full) for mask_of in modals]
+                # Vectors propositionally viable at pi under this sigma, every
+                # other position unknown; the same for every placement nu.
+                viable = []
+                for pi in range(m):
+                    bit = 1 << pi
+                    viable.append([v for v, (at, af) in enumerate(alone[pi])
+                                   if all(not ev(at, af, ms)[1] & bit
+                                          for ev in evaluators)])
+                if not all(viable):
+                    continue
                 for nu in product(range(n), repeat=len(individuals)):
-                    # Vector candidates per position: propositionally viable
-                    # under this sigma and realisable by some interpretation.
-                    vectors: list = [None] * m
+                    # Viable vectors per position that some interpretation realises.
                     candidates: list[list[int]] = []
-                    feasible = True
                     for pi in range(m):
-                        cands = []
-                        for v in range(1 << k):
-                            vectors[pi] = v
-                            viable = all(
-                                _tri_formula(f, pi, sigma_sets, vectors, atom_index)
-                                is not False for f in kb.formulas)
-                            vectors[pi] = None
-                            if viable and realize(nu, v) is not None:
-                                cands.append(v)
+                        cands = [v for v in viable[pi] if realize(nu, v) is not None]
                         if not cands:
-                            feasible = False
                             break
                         candidates.append(cands)
-                    if not feasible:
+                    if len(candidates) < m:
                         continue
+                    vectors: list = [None] * m
 
-                    def descend(pi: int) -> Optional[StandpointStructure]:
+                    def descend(pi: int, at: list, af: list) -> Optional[StandpointStructure]:
                         if pi == m:
-                            gamma = tuple(realize(nu, vectors[q]) for q in range(m))
-                            return StandpointStructure(
-                                n, m, {s: sigma_sets[s] for s in sp_names}, gamma)
+                            gamma = tuple(realize(nu, v) for v in vectors)
+                            sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
+                                     for s, mask in zip(sp_names, sigma_tuple)}
+                            return StandpointStructure(n, m, sigma, gamma)
                         for v in candidates[pi]:
-                            vectors[pi] = v
-                            ok = all(
-                                _tri_formula(f, pi2, sigma_sets, vectors, atom_index)
-                                is not False
-                                for f in kb.formulas for pi2 in range(m))
-                            if ok:
-                                found = descend(pi + 1)
+                            at2, af2 = _fix_vector(v, 1 << pi, at, af)
+                            if all(ev(at2, af2, ms)[1] == 0 for ev in evaluators):
+                                vectors[pi] = v
+                                found = descend(pi + 1, at2, af2)
                                 if found is not None:
                                     return found
-                        vectors[pi] = None
                         return None
 
-                    structure = descend(0)
+                    structure = descend(0, zeros, zeros)
                     if structure is not None:
                         assert kb_holds(structure, kb)
                         return structure

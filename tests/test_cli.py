@@ -176,6 +176,24 @@ class TestWideOperands:
         assert any(len(left_spine(ax.lhs, And)) == 3000
                    for ax, _ in doc.axioms if isinstance(ax, Gci))
 
+    def test_query_decides(self, tmp_path, capsys):
+        # One repeated operand, so the search guard passes and the oracle
+        # evaluates the whole width.
+        text = WIDE_DOC.replace(" ".join(f":A{k}" for k in range(3000)),
+                                " ".join(":A" for _ in range(3000)))
+        path = write(tmp_path, "wide.ofn", text)
+        assert main(["query", path, "--simple", "[*](A sub B)"]) in (0, 3)
+
+
+class TestDeepNesting:
+    def test_exit_2_without_traceback(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf("
+                     + "ObjectComplementOf(" * 3000 + ":A" + ")" * 3000
+                     + " :B)\n)\n")
+        assert main(["translate", path, "--dump"]) == 2
+        assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
 
 class TestQuery:
     def test_entailed(self, forest_path, capsys):
@@ -205,6 +223,17 @@ class TestQuery:
                      "--domain-bound", "1", "--prec-bound", "1",
                      "--guard-bits", "200"])
         assert code == 0
+
+    @pytest.mark.parametrize("bound", [["--domain-bound", "0"],
+                                       ["--domain-bound", "-1"],
+                                       ["--prec-bound", "0"]])
+    def test_bound_below_1_is_usage_error(self, bound, tmp_path, capsys):
+        # B ⊑ A is not entailed by A ⊑ B; an empty bound must not say it is.
+        path = write(tmp_path, "sub.ofn",
+                     "Prefix(:=<urn:s#>)\nOntology(<urn:s>\nSubClassOf(:A :B)\n)\n")
+        assert main(["query", path, "--simple", "[*](B sub A)", *bound]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bound[0]} must be at least 1, got {bound[1]}\n"
 
     def test_malformed_query(self, forest_path, capsys):
         assert main(["query", forest_path, "--simple", "[s] Forest sub Land"]) == 2

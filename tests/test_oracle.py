@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName
+from standpoint_owl.frontend import (assemble_kb, parse_document,
+                                     parse_simple_query)
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
-                                  Box, Diamond, Disjunction, Equiv, Gci,
-                                  HasSelf, Not, Or,
+                                  Box, Conjunction, Diamond, Disjunction,
+                                  Equiv, Gci, HasSelf, Negation, Not, Or,
                                   PlainKB, Ria, Some, SpMinus, SpIntersection,
                                   SpUnion, Star, Top, UNIVERSAL, concept_name,
                                   individual_name, make_kb, role_name)
@@ -343,6 +345,39 @@ class TestEntailment:
             assert {n.local: v for n, v in g.role_ext.items()} == {"hasLand": pairs}
             assert g.individual_map == {}
 
+    def test_sharpening_chain_first_witness_golden(self):
+        """Four standpoints in a sharpening chain a ⊑ b ⊑ c ⊑ d, one
+        diamond: the canonical first countermodel, recorded before the
+        standpoint formulas were evaluated bit-parallel."""
+        def label(op, s):
+            return (f'Annotation(:standpointLabel "<standpointAxiom><{op}>'
+                    f'<Standpoint name=\\"{s}\\"/></{op}></standpointAxiom>")')
+
+        def sharpening(a, b):
+            return (f'Annotation(:standpointLabel "<Sharpening><Standpoint '
+                    f'name=\\"{a}\\"/><Standpoint name=\\"{b}\\"/></Sharpening>")')
+
+        doc = parse_document("\n".join([
+            "Prefix(:=<urn:chain#>)", "Ontology(<urn:chain>",
+            sharpening("a", "b"), sharpening("b", "c"), sharpening("c", "d"),
+            f"SubClassOf({label('Box', 'd')} :A :B)",
+            f"SubClassOf({label('Box', 'b')} :B ObjectIntersectionOf(:C :D))",
+            f"SubClassOf({label('Diamond', 'a')} :D ObjectComplementOf(:A))",
+            "SubClassOf(:C ObjectSomeValuesFrom(:r :D))", ")"]))
+        query = parse_simple_query("[c](A sub C)", doc.default_namespace)
+        result = check_entailment_bounded(assemble_kb(doc), query, 2, 2)
+        assert result.status == NOT_ENTAILED
+        w = result.witness
+        assert (w.domain_size, w.precisifications) == (1, 2)
+        assert w.sigma == {"*": {0, 1}, "a": {0}, "b": {0}, "c": {0, 1},
+                           "d": {0, 1}}
+        concepts = [{"A": set(), "B": set(), "C": set(), "D": set()},
+                    {"A": {0}, "B": {0}, "C": set(), "D": {0}}]
+        for g, exts in zip(w.gamma, concepts):
+            assert {n.local: v for n, v in g.concept_ext.items()} == exts
+            assert {n.local: v for n, v in g.role_ext.items()} == {"r": set()}
+            assert g.individual_map == {}
+
     def test_tautology_entailed(self):
         kb = make_kb(plain_axioms=[Gci(C("A"), C("B"))])
         query = Box(Star(), Atom(Gci(Top(), Top())))
@@ -457,3 +492,108 @@ def test_check_state_sound_on_partial_assignments(data, c, d):
         full = dict(partial)
         full.update(zip(free, combo))
         assert check.state(full, n) is verdict
+
+
+# --- the compiled (true, false) evaluation against a per-precisification walk -
+
+def _ref_not(v):
+    return None if v is None else not v
+
+
+def _ref_and(a, b):
+    if a is False or b is False:
+        return False
+    if a is True and b is True:
+        return True
+    return None
+
+
+def _ref_sigma(e, sigma_sets):
+    if isinstance(e, Star):
+        return sigma_sets["*"]
+    if isinstance(e, SpUnion):
+        return _ref_sigma(e.lhs, sigma_sets) | _ref_sigma(e.rhs, sigma_sets)
+    if isinstance(e, SpIntersection):
+        return _ref_sigma(e.lhs, sigma_sets) & _ref_sigma(e.rhs, sigma_sets)
+    if isinstance(e, SpMinus):
+        return _ref_sigma(e.lhs, sigma_sets) - _ref_sigma(e.rhs, sigma_sets)
+    return sigma_sets[e.name]
+
+
+def _ref_tri(f, pi, sigma_sets, vectors, atom_index):
+    """The three-valued check the search used before it compiled formulas:
+    the value at one precisification, None when the partial atom vectors
+    leave it open."""
+    if isinstance(f, Atom):
+        v = vectors[pi]
+        return None if v is None else bool(v & (1 << atom_index[f.axiom]))
+    if isinstance(f, Negation):
+        return _ref_not(_ref_tri(f.arg, pi, sigma_sets, vectors, atom_index))
+    if isinstance(f, Conjunction):
+        return _ref_and(_ref_tri(f.lhs, pi, sigma_sets, vectors, atom_index),
+                        _ref_tri(f.rhs, pi, sigma_sets, vectors, atom_index))
+    if isinstance(f, Disjunction):
+        return _ref_not(_ref_and(
+            _ref_not(_ref_tri(f.lhs, pi, sigma_sets, vectors, atom_index)),
+            _ref_not(_ref_tri(f.rhs, pi, sigma_sets, vectors, atom_index))))
+    states = [_ref_tri(f.arg, pi2, sigma_sets, vectors, atom_index)
+              for pi2 in sorted(_ref_sigma(f.standpoint, sigma_sets))]
+    if isinstance(f, Box):
+        if any(s is False for s in states):
+            return False
+        return True if all(s is True for s in states) else None
+    if any(s is True for s in states):
+        return True
+    return False if all(s is False for s in states) else None
+
+
+ATOMS = [Gci(C("A"), C("B")), Gci(C("B"), Bottom()), Gci(Top(), C("A"))]
+SP_NAMES = ["a", "b", "c"]
+
+
+def standpoint_exprs(depth):
+    leaf = st.one_of(st.just(Star()), st.sampled_from(SP_NAMES).map(S))
+    if depth == 0:
+        return leaf
+    sub = standpoint_exprs(depth - 1)
+    return st.one_of(leaf, st.builds(SpUnion, sub, sub),
+                     st.builds(SpIntersection, sub, sub),
+                     st.builds(SpMinus, sub, sub))
+
+
+def formulas(depth):
+    leaf = st.sampled_from(ATOMS).map(Atom)
+    if depth == 0:
+        return leaf
+    sub = formulas(depth - 1)
+    return st.one_of(leaf, st.builds(Negation, sub),
+                     st.builds(Conjunction, sub, sub),
+                     st.builds(Disjunction, sub, sub),
+                     st.builds(Box, standpoint_exprs(2), sub),
+                     st.builds(Diamond, standpoint_exprs(2), sub))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), formulas(3))
+def test_compiled_formulas_match_the_three_valued_walk(data, f):
+    from standpoint_owl.oracle import _compile, _fix_vector
+    m = data.draw(st.integers(1, 4))
+    k = len(ATOMS)
+    atom_index = {ax: i for i, ax in enumerate(ATOMS)}
+    sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
+    vectors = [data.draw(st.one_of(st.none(), st.integers(0, (1 << k) - 1)))
+               for _ in range(m)]
+    at = af = [0] * k
+    for pi, v in enumerate(vectors):
+        if v is not None:
+            at, af = _fix_vector(v, 1 << pi, at, af)
+    (evaluate,), modals = _compile([f], atom_index, SP_NAMES)
+    full = (1 << m) - 1
+    true, false = evaluate(at, af, [mask_of(sigma_tuple, full) for mask_of in modals])
+    sigma_sets = {"*": frozenset(range(m))}
+    for name, mask in zip(SP_NAMES, sigma_tuple):
+        sigma_sets[name] = frozenset(b for b in range(m) if mask >> b & 1)
+    for pi in range(m):
+        expected = _ref_tri(f, pi, sigma_sets, vectors, atom_index)
+        assert (bool(true >> pi & 1), bool(false >> pi & 1)) == \
+            (expected is True, expected is False)
