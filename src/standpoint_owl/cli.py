@@ -152,6 +152,11 @@ def cmd_query(args) -> int:
         if bound is not None and bound < 1:
             print(f"error: {flag} must be at least 1, got {bound}", file=sys.stderr)
             return 2
+    # NaN compares false with every budget, so it would switch the guard off.
+    if not args.guard_bits >= 0:
+        print(f"error: --guard-bits must be a non-negative number, got "
+              f"{args.guard_bits:g}", file=sys.stderr)
+        return 2
     doc, kb = _load(args.input)
     ns = doc.default_namespace
     if args.simple is not None:

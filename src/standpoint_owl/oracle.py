@@ -14,12 +14,17 @@ binary order, so the empty extension comes first).  After each assignment
 every affected constraint is evaluated three-valuedly via lower/upper
 bounds on extensions; branches whose constraints are definitely violated
 are cut.  The first surviving complete assignment is therefore the
-canonically least model, making witnesses reproducible.  Standpoint
-structures are searched by splitting the problem at the atom level: the
-Boolean/modal layer only sees which TBox atoms hold at which
-precisification, so candidate truth vectors are enumerated propositionally
-and each distinct vector is realised (or refuted) once by a bounded
-interpretation search.  The formulas are compiled once per search into
+canonically least model, making witnesses reproducible.  The constraints
+are compiled once per search and domain size into closures over a value
+list indexed by slot position (None while unassigned), so a probe neither
+dispatches on node types nor hashes names.  Conflict sets are sets of slot
+indices, and a conflict is minimised by releasing its slots in a fixed
+order, by (kind, base, local) of the name.  Standpoint structures are
+searched by splitting the problem at the atom level: the Boolean/modal
+layer only sees which TBox atoms hold at which precisification, so
+candidate truth vectors are enumerated propositionally and each distinct
+vector is realised (or refuted) once by a bounded interpretation search.
+The formulas are compiled once per search into
 closures that evaluate all precisifications at once: a formula's value
 under partial atom vectors is a pair of bitmasks (true, false) over the
 precisifications, where a set bit means definitely true (false) there.
@@ -253,9 +258,11 @@ def kb_holds(structure: StandpointStructure, kb: StandpointKB) -> bool:
 # ---------------------------------------------------------------------------
 # Three-valued evaluation over partial assignments (bitmask bounds)
 # ---------------------------------------------------------------------------
-# A partial assignment maps slots ("c", name) / ("r", name) / ("i", name) to
-# subset masks (row-major for roles) or domain elements.  Concept bounds are
-# (lo, hi) masks: any completion's extension E satisfies lo ⊆ E ⊆ hi.
+# A search assigns slots ("c", name) / ("r", name) / ("i", name) to subset
+# masks (row-major for roles) or domain elements.  Its checks are compiled
+# once per search and domain size into closures over a value list indexed
+# like the slot order, where None marks a slot not yet assigned.  Concept
+# bounds are (lo, hi) masks: any completion's extension E has lo ⊆ E ⊆ hi.
 
 def _converse(mask: int, n: int) -> int:
     out = 0
@@ -282,163 +289,244 @@ def _compose_masks(m1: int, m2: int, n: int) -> int:
     return out
 
 
-def _role_bounds(role: RoleExpr, asn: dict, n: int) -> tuple[int, int]:
-    full2 = (1 << (n * n)) - 1
-    if isinstance(role, UniversalRole):
-        return full2, full2
-    key = ("r", role.name)
-    if key in asn:
-        lo = hi = asn[key]
-    else:
-        lo, hi = 0, full2
-    if isinstance(role, InverseRole):
-        return _converse(lo, n), _converse(hi, n)
-    return lo, hi
-
-
-def _bounds(c: ConceptExpr, asn: dict, n: int) -> tuple[int, int]:
-    full = (1 << n) - 1
-    if isinstance(c, Top):
-        return full, full
-    if isinstance(c, Bottom):
-        return 0, 0
-    if isinstance(c, ConceptName):
-        key = ("c", c.name)
-        if key in asn:
-            return asn[key], asn[key]
-        return 0, full
-    if isinstance(c, Nominal):
-        key = ("i", c.individual)
-        if key in asn:
-            bit = 1 << asn[key]
-            return bit, bit
-        return 0, full
-    if isinstance(c, Not):
-        lo, hi = _bounds(c.arg, asn, n)
-        return full & ~hi, full & ~lo
-    if isinstance(c, And):
-        lo = hi = full
-        for part in left_spine(c, And):
-            plo, phi = _bounds(part, asn, n)
-            lo &= plo
-            hi &= phi
-        return lo, hi
-    if isinstance(c, Or):
-        lo = hi = 0
-        for part in left_spine(c, Or):
-            plo, phi = _bounds(part, asn, n)
-            lo |= plo
-            hi |= phi
-        return lo, hi
-    row_mask = full
-    if isinstance(c, Some):
-        rlo, rhi = _role_bounds(c.role, asn, n)
-        flo, fhi = _bounds(c.filler, asn, n)
-        lo = hi = 0
-        for d in range(n):
-            if ((rlo >> (d * n)) & row_mask) & flo:
-                lo |= 1 << d
-            if ((rhi >> (d * n)) & row_mask) & fhi:
-                hi |= 1 << d
-        return lo, hi
-    if isinstance(c, All):
-        rlo, rhi = _role_bounds(c.role, asn, n)
-        flo, fhi = _bounds(c.filler, asn, n)
-        lo = hi = 0
-        for d in range(n):
-            if ((rhi >> (d * n)) & row_mask) & ~flo & full == 0:
-                lo |= 1 << d
-            if ((rlo >> (d * n)) & row_mask) & ~fhi & full == 0:
-                hi |= 1 << d
-        return lo, hi
-    if isinstance(c, HasSelf):
-        rlo, rhi = _role_bounds(c.role, asn, n)
-        lo = hi = 0
-        for d in range(n):
-            bit = 1 << (d * n + d)
-            if rlo & bit:
-                lo |= 1 << d
-            if rhi & bit:
-                hi |= 1 << d
-        return lo, hi
-    if isinstance(c, AtLeast):
-        rlo, rhi = _role_bounds(c.role, asn, n)
-        flo, fhi = _bounds(c.filler, asn, n)
-        lo = hi = 0
-        for d in range(n):
-            if (((rlo >> (d * n)) & row_mask) & flo).bit_count() >= c.n:
-                lo |= 1 << d
-            if (((rhi >> (d * n)) & row_mask) & fhi).bit_count() >= c.n:
-                hi |= 1 << d
-        return lo, hi
-    # AtMost
-    rlo, rhi = _role_bounds(c.role, asn, n)
-    flo, fhi = _bounds(c.filler, asn, n)
-    lo = hi = 0
-    for d in range(n):
-        if (((rhi >> (d * n)) & row_mask) & fhi).bit_count() <= c.n:
-            lo |= 1 << d
-        if (((rlo >> (d * n)) & row_mask) & flo).bit_count() <= c.n:
-            hi |= 1 << d
-    return lo, hi
-
-
-def _gci_state(lhs, rhs, asn, n) -> Optional[bool]:
-    lo_l, hi_l = _bounds(lhs, asn, n)
-    lo_r, hi_r = _bounds(rhs, asn, n)
-    if lo_l & ~hi_r:
-        return False
-    if hi_l & ~lo_r == 0:
-        return True
-    return None
-
-
-def _not3(v):
-    return None if v is None else not v
-
-
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
+_SLOT_KIND = {"concept": "c", "role": "r", "individual": "i"}
 
 
 class _Check:
-    """One constraint: an axiom required true (or, for atom vectors, false)."""
+    """One constraint: an axiom required true (or, for atom vectors, false).
+
+    ``slots`` holds the slots of the axiom's names in first-occurrence order.
+    """
 
     __slots__ = ("axiom", "positive", "slots")
 
     def __init__(self, axiom: PlainAxiom, positive: bool = True):
         self.axiom = axiom
         self.positive = positive
-        self.slots = frozenset(
-            ({"concept": "c", "role": "r", "individual": "i"}[name.kind], name)
-            for name in entity_names_in(axiom))
+        self.slots = tuple((_SLOT_KIND[name.kind], name)
+                           for name in entity_names_in(axiom))
 
-    def state(self, asn: dict, n: int) -> Optional[bool]:
-        ax = self.axiom
+
+class _Compiled:
+    """A check compiled for one search and domain size.
+
+    ``state(vals)`` is the check's three-valued verdict (True, False or None
+    for open) on the slot-indexed values ``vals``; ``slots`` holds the
+    indices of the check's slots in the conflict minimisation order.
+    """
+
+    __slots__ = ("state", "slots")
+
+    def __init__(self, state, slots: tuple[int, ...]):
+        self.state = state
+        self.slots = slots
+
+
+def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_Compiled]:
+    """Compile the checks over the slot order for domain size ``n``.
+
+    Every slot a check names must be in ``slots``.  A name reads its value
+    from the list, or its widest bounds when the value is None; the
+    converse of each role mask is computed at most once per call.
+    """
+    index = {slot: i for i, slot in enumerate(slots)}
+    full = (1 << n) - 1
+    full2 = (1 << (n * n)) - 1
+    rows = [(d * n, 1 << d) for d in range(n)]
+    diagonal = [(1 << (d * n + d), 1 << d) for d in range(n)]
+    converse: dict[int, int] = {}
+
+    def constant(lo: int, hi: int):
+        both = (lo, hi)
+        return lambda vals: both
+
+    def role(r: RoleExpr):
+        if isinstance(r, UniversalRole):
+            return constant(full2, full2)
+        i = index[("r", r.name)]
+        if isinstance(r, InverseRole):
+            def inverse(vals):
+                x = vals[i]
+                if x is None:
+                    return 0, full2
+                y = converse.get(x)
+                if y is None:
+                    y = converse[x] = _converse(x, n)
+                return y, y
+            return inverse
+
+        def name(vals):
+            x = vals[i]
+            return (0, full2) if x is None else (x, x)
+        return name
+
+    def concept(c: ConceptExpr):
+        if isinstance(c, Top):
+            return constant(full, full)
+        if isinstance(c, Bottom):
+            return constant(0, 0)
+        if isinstance(c, ConceptName):
+            i = index[("c", c.name)]
+
+            def name(vals):
+                x = vals[i]
+                return (0, full) if x is None else (x, x)
+            return name
+        if isinstance(c, Nominal):
+            i = index[("i", c.individual)]
+
+            def nominal(vals):
+                x = vals[i]
+                if x is None:
+                    return 0, full
+                bit = 1 << x
+                return bit, bit
+            return nominal
+        if isinstance(c, Not):
+            g = concept(c.arg)
+
+            def complement(vals):
+                lo, hi = g(vals)
+                return full & ~hi, full & ~lo
+            return complement
+        if isinstance(c, And):
+            parts = [concept(part) for part in left_spine(c, And)]
+
+            def intersection(vals):
+                lo = hi = full
+                for part in parts:
+                    plo, phi = part(vals)
+                    lo &= plo
+                    hi &= phi
+                return lo, hi
+            return intersection
+        if isinstance(c, Or):
+            parts = [concept(part) for part in left_spine(c, Or)]
+
+            def union(vals):
+                lo = hi = 0
+                for part in parts:
+                    plo, phi = part(vals)
+                    lo |= plo
+                    hi |= phi
+                return lo, hi
+            return union
+        r = role(c.role)
+        if isinstance(c, HasSelf):
+            def has_self(vals):
+                rlo, rhi = r(vals)
+                lo = hi = 0
+                for pair, bit in diagonal:
+                    if rlo & pair:
+                        lo |= bit
+                    if rhi & pair:
+                        hi |= bit
+                return lo, hi
+            return has_self
+        f = concept(c.filler)
+        # The filler masks hold only the n low bits, so a shifted role mask
+        # needs no row mask before it is intersected with them.
+        if isinstance(c, Some):
+            def some(vals):
+                rlo, rhi = r(vals)
+                flo, fhi = f(vals)
+                lo = hi = 0
+                for shift, bit in rows:
+                    if rlo >> shift & flo:
+                        lo |= bit
+                    if rhi >> shift & fhi:
+                        hi |= bit
+                return lo, hi
+            return some
+        if isinstance(c, All):
+            def every(vals):
+                rlo, rhi = r(vals)
+                flo, fhi = f(vals)
+                not_flo, not_fhi = full & ~flo, full & ~fhi
+                lo = hi = 0
+                for shift, bit in rows:
+                    if rhi >> shift & not_flo == 0:
+                        lo |= bit
+                    if rlo >> shift & not_fhi == 0:
+                        hi |= bit
+                return lo, hi
+            return every
+        k = c.n
+        if isinstance(c, AtLeast):
+            def at_least(vals):
+                rlo, rhi = r(vals)
+                flo, fhi = f(vals)
+                lo = hi = 0
+                for shift, bit in rows:
+                    if (rlo >> shift & flo).bit_count() >= k:
+                        lo |= bit
+                    if (rhi >> shift & fhi).bit_count() >= k:
+                        hi |= bit
+                return lo, hi
+            return at_least
+
+        def at_most(vals):
+            rlo, rhi = r(vals)
+            flo, fhi = f(vals)
+            lo = hi = 0
+            for shift, bit in rows:
+                if (rhi >> shift & fhi).bit_count() <= k:
+                    lo |= bit
+                if (rlo >> shift & flo).bit_count() <= k:
+                    hi |= bit
+            return lo, hi
+        return at_most
+
+    def check_state(ax: PlainAxiom, positive: bool):
+        # Verdicts when the axiom holds in every completion, or in none.
+        yes, no = (True, False) if positive else (False, True)
         if isinstance(ax, Gci):
-            v = _gci_state(ax.lhs, ax.rhs, asn, n)
-        elif isinstance(ax, Equiv):
-            v = _and3(_gci_state(ax.lhs, ax.rhs, asn, n),
-                      _gci_state(ax.rhs, ax.lhs, asn, n))
-        else:
-            row_full = (1 << (n * n)) - 1
-            lo = hi = None
-            for r in ax.chain:
-                rlo, rhi = _role_bounds(r, asn, n)
-                lo = rlo if lo is None else _compose_masks(lo, rlo, n)
-                hi = rhi if hi is None else _compose_masks(hi, rhi, n)
-            hlo, hhi = _role_bounds(RoleName(ax.head), asn, n)
-            if lo & ~hhi & row_full:
-                v = False
-            elif hi & ~hlo & row_full == 0:
-                v = True
-            else:
-                v = None
-        return v if self.positive else _not3(v)
+            lhs, rhs = concept(ax.lhs), concept(ax.rhs)
+
+            def subsumption(vals):
+                lo_l, hi_l = lhs(vals)
+                lo_r, hi_r = rhs(vals)
+                if lo_l & ~hi_r:
+                    return no
+                if hi_l & ~lo_r == 0:
+                    return yes
+                return None
+            return subsumption
+        if isinstance(ax, Equiv):
+            lhs, rhs = concept(ax.lhs), concept(ax.rhs)
+
+            def equivalence(vals):
+                lo_l, hi_l = lhs(vals)
+                lo_r, hi_r = rhs(vals)
+                if lo_l & ~hi_r or lo_r & ~hi_l:
+                    return no
+                if hi_l & ~lo_r == 0 and hi_r & ~lo_l == 0:
+                    return yes
+                return None
+            return equivalence
+        first, *rest = [role(r) for r in ax.chain]
+        head = role(RoleName(ax.head))
+
+        def inclusion(vals):
+            lo, hi = first(vals)
+            for r in rest:
+                rlo, rhi = r(vals)
+                lo = _compose_masks(lo, rlo, n)
+                hi = _compose_masks(hi, rhi, n)
+            hlo, hhi = head(vals)
+            if lo & ~hhi & full2:
+                return no
+            if hi & ~hlo & full2 == 0:
+                return yes
+            return None
+        return inclusion
+
+    def minimisation_order(slot: tuple) -> tuple:
+        return (slot[0], slot[1].base, slot[1].local)
+
+    return [_Compiled(check_state(check.axiom, check.positive),
+                      tuple(index[s] for s in sorted(check.slots, key=minimisation_order)))
+            for check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +539,7 @@ def _slot_order(checks: list[_Check], signature: Signature) -> list[tuple]:
     order: list[tuple] = []
     seen = set()
     for check in checks:
-        for name in entity_names_in(check.axiom):
-            slot = ({"concept": "c", "role": "r", "individual": "i"}[name.kind], name)
+        for slot in check.slots:
             if slot not in seen:
                 seen.add(slot)
                 order.append(slot)
@@ -475,81 +562,96 @@ def _slot_value_count(slot: tuple, n: int) -> int:
     return n
 
 
-def _search_assignment(n: int, slots: list[tuple], checks: list[_Check],
-                       fixed: dict | None = None) -> dict | None:
+def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
+                       fixed: dict[int, int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
 
+    ``checks`` are compiled over ``slots`` for domain size ``n`` and read one
+    value list indexed like ``slots``; ``fixed`` maps slot indices to values
+    that are given, not searched.  The result maps each slot to its value,
+    fixed slots first, then the others in slot order.
+
     Backtracking is conflict-directed: when every value of a slot fails, the
-    union of the (greedily minimised) slot sets responsible for the failures
-    is propagated upward, and levels whose slot does not occur in that set
-    are skipped outright, since re-assigning them cannot repair the conflict.
-    This matters because the interval bounds cannot see contradictions
-    between far-apart slots until both are assigned.
+    union of the (greedily minimised) slot index sets responsible for the
+    failures is propagated upward, and levels whose slot does not occur in
+    that set are skipped outright, since re-assigning them cannot repair the
+    conflict.  This matters because the interval bounds cannot see
+    contradictions between far-apart slots until both are assigned.  A
+    conflict is minimised by unassigning the check's slots one at a time in
+    a fixed order, by (kind, base, local) of the name, so the search and its
+    first witness do not depend on how the slots are indexed.
     """
-    asn = dict(fixed or {})
-    touching: dict[tuple, list[_Check]] = {slot: [] for slot in slots}
+    fixed = fixed or {}
+    vals: list = [None] * len(slots)
+    for i, value in fixed.items():
+        vals[i] = value
+    counts = [_slot_value_count(slot, n) for slot in slots]
+    touching: list[list[_Compiled]] = [[] for _ in slots]
     for check in checks:
-        for slot in check.slots:
-            if slot in touching:
-                touching[slot].append(check)
+        for i in check.slots:
+            touching[i].append(check)
     for check in checks:
-        if check.state(asn, n) is False:
+        if check.state(vals) is False:
             return None
 
-    def minimised_conflict(check: _Check) -> frozenset:
+    def minimised_conflict(check: _Compiled) -> frozenset:
         """Assigned slots without which the check would no longer refute."""
-        involved = []
-        for slot in sorted(check.slots, key=lambda s: (s[0], s[1].base, s[1].local)):
-            if slot in asn:
-                value = asn.pop(slot)
-                if check.state(asn, n) is False:
-                    involved.append((slot, value, False))
+        needed = []
+        freed = []
+        for i in check.slots:
+            value = vals[i]
+            if value is not None:
+                vals[i] = None
+                if check.state(vals) is False:
+                    freed.append((i, value))
                 else:
-                    asn[slot] = value
-                    involved.append((slot, value, True))
-        for slot, value, needed in involved:
-            if not needed:
-                asn[slot] = value
-        return frozenset(slot for slot, _, needed in involved if needed)
+                    vals[i] = value
+                    needed.append(i)
+        for i, value in freed:
+            vals[i] = value
+        return frozenset(needed)
 
-    def complete(from_index: int) -> dict:
-        for slot in slots[from_index:]:
-            if slot not in asn:
-                asn[slot] = 0
-        return dict(asn)
+    def assignment() -> dict:
+        out = {slots[i]: value for i, value in fixed.items()}
+        for i, value in enumerate(vals):
+            if i not in fixed:
+                out[slots[i]] = value
+        return out
 
     def rec(k: int):
-        """Return ('model', assignment) or ('conflict', slot set)."""
+        """Return ('model', assignment) or ('conflict', slot index set)."""
         if k == len(slots):
             for check in checks:
-                if check.state(asn, n) is False:
+                if check.state(vals) is False:
                     return ("conflict", minimised_conflict(check))
-            return ("model", dict(asn))
-        slot = slots[k]
-        if slot in asn:
+            return ("model", assignment())
+        if vals[k] is not None:
             return rec(k + 1)
         conflict: set = set()
-        for value in range(_slot_value_count(slot, n)):
-            asn[slot] = value
+        for value in range(counts[k]):
+            vals[k] = value
             failed = None
-            for check in touching[slot]:
-                if check.state(asn, n) is False:
+            for check in touching[k]:
+                if check.state(vals) is False:
                     failed = check
                     break
             if failed is not None:
                 conflict |= minimised_conflict(failed)
                 continue
-            if all(check.state(asn, n) is True for check in checks):
-                return ("model", complete(k + 1))
+            if all(check.state(vals) is True for check in checks):
+                for i in range(k + 1, len(slots)):
+                    if vals[i] is None:
+                        vals[i] = 0
+                return ("model", assignment())
             kind, result = rec(k + 1)
             if kind == "model":
                 return (kind, result)
-            if slot not in result:
-                del asn[slot]
+            if k not in result:
+                vals[k] = None
                 return (kind, result)
             conflict |= result
-        del asn[slot]
-        conflict.discard(slot)
+        vals[k] = None
+        conflict.discard(k)
         return ("conflict", frozenset(conflict))
 
     kind, result = rec(0)
@@ -597,7 +699,7 @@ def find_plain_model(kb: PlainKB, max_domain: int,
             raise SearchSpaceTooLarge(
                 f"domain size {n} needs {_bits_needed(signature, n):.0f} bits "
                 f"of search space (guard: {guard_bits:.0f})")
-        asn = _search_assignment(n, slots, checks)
+        asn = _search_assignment(n, slots, _compile_checks(checks, slots, n))
         if asn is not None:
             interp = _assignment_to_interp(asn, signature, n)
             assert all(holds_axiom(interp, ax) for ax in kb.axioms)
@@ -743,18 +845,21 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     # on polarity, so it is the same for every vector.
     atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
     slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
+    individual_slots = [slots.index(("i", ind)) for ind in individuals]
     evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
+        compiled = _compile_checks(
+            base_checks + [check for pair in atom_checks for check in pair], slots, n)
+        base = compiled[:len(base_checks)]
+        atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
 
         def realize(nu: tuple, v: int) -> Optional[PlainInterpretation]:
             key = (nu, v)
             if key not in realizable:
-                checks = base_checks + [pair[v >> i & 1]
-                                        for i, pair in enumerate(atom_checks)]
-                fixed = {("i", ind): nu[j] for j, ind in enumerate(individuals)}
-                asn = _search_assignment(n, slots, checks, fixed)
+                checks = base + [pair[v >> i & 1] for i, pair in enumerate(atom_pairs)]
+                asn = _search_assignment(n, slots, checks, dict(zip(individual_slots, nu)))
                 realizable[key] = (None if asn is None
                                    else _assignment_to_interp(asn, signature, n))
             return realizable[key]

@@ -13,6 +13,9 @@ from standpoint_owl.model import And, Gci, left_spine
 
 from conftest import FIXTURES
 
+sys.path.insert(0, str(FIXTURES.parent.parent / "perfbench"))
+import run  # noqa: E402  (perfbench/run.py)
+
 MARKER = "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :SP__STAR__0))"
 
 # sha256 of `translate FIXTURE --dump` as emitted before the translator
@@ -235,6 +238,17 @@ class TestQuery:
         err = capsys.readouterr().err
         assert err == f"error: {bound[0]} must be at least 1, got {bound[1]}\n"
 
+    @pytest.mark.parametrize("bits", ["nan", "-1"])
+    def test_bad_guard_bits_is_usage_error(self, bits, tmp_path, capsys):
+        # NaN compares false with every budget, so it would switch the guard
+        # off; a negative budget would make every query inconclusive.
+        path = write(tmp_path, "sub.ofn",
+                     "Prefix(:=<urn:s#>)\nOntology(<urn:s>\nSubClassOf(:A :B)\n)\n")
+        assert main(["query", path, "--simple", "[*](B sub A)",
+                     "--guard-bits", bits]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --guard-bits must be a non-negative number, got {bits}\n"
+
     def test_malformed_query(self, forest_path, capsys):
         assert main(["query", forest_path, "--simple", "[s] Forest sub Land"]) == 2
 
@@ -265,6 +279,28 @@ class TestQuery:
         code = main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
                      "--domain-bound", "3", "--guard-bits", "5"])
         assert code == 4
+
+
+class TestEveryConstructor:
+    """`query` over a KB that uses every constructor the benchmark's query
+    workloads leave out: ∀, an inverse role, a nominal, a number
+    restriction, Self and a role chain."""
+
+    QUERIES = ["[*]({a} sub B)", "[s](inverse r some A sub B)",
+               "[*](r Self sub A)", "[*](A sub t only B)",
+               "<s>(B sub r max 1 A)", "[*](B sub r max 1 A)",
+               "[s](r some (t some B) sub r some B)"]
+
+    def test_verdicts_match_the_translation(self, capsys):
+        path = str(FIXTURES / "constructors.ofn")
+        # inf switches the search guard off on purpose.
+        codes = [main(["query", path, "--simple", q, "--domain-bound", "2",
+                       "--prec-bound", "2", "--guard-bits", "inf"])
+                 for q in self.QUERIES]
+        assert codes == run.reference_verdicts(
+            [{"path": path, "query": q, "domain_bound": 2, "prec_bound": 2}
+             for q in self.QUERIES])
+        assert set(codes) == {0, 3}
 
 
 def fake_reasoner(tmp_path, body):

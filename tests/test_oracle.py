@@ -1,6 +1,7 @@
 """Exact semantics and bounded model search."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,14 @@ from standpoint_owl.frontend import (assemble_kb, parse_document,
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
                                   Box, Conjunction, Diamond, Disjunction,
                                   Equiv, Gci, HasSelf, Negation, Not, Or,
-                                  PlainKB, Ria, Some, SpMinus, SpIntersection,
-                                  SpUnion, Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, make_kb, role_name)
+                                  PlainKB, Ria, Signature, Some, SpMinus,
+                                  SpIntersection, SpUnion, Star, Top,
+                                  UNIVERSAL, concept_name, individual_name,
+                                  make_kb, role_name)
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
-                                   StandpointStructure,
+                                   StandpointStructure, _Check,
+                                   _compile_checks, _slot_order,
                                    check_entailment_bounded, eval_concept,
                                    eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
@@ -411,10 +414,13 @@ def small_concepts(depth):
     if depth == 0:
         return leaf
     sub = small_concepts(depth - 1)
-    roles = st.sampled_from([R("r"), R("s"), Rinv("r"), UNIVERSAL])
+    roles = st.sampled_from([R("r"), R("s"), Rinv("r"), Rinv("s"), UNIVERSAL])
+    counts = st.integers(0, 3)
     return st.one_of(leaf, st.builds(Not, sub), st.builds(And, sub, sub),
                      st.builds(Or, sub, sub), st.builds(Some, roles, sub),
-                     st.builds(All, roles, sub))
+                     st.builds(All, roles, sub), st.builds(HasSelf, roles),
+                     st.builds(AtLeast, counts, roles, sub),
+                     st.builds(AtMost, counts, roles, sub))
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,14 +462,21 @@ def _assignment_of(interp):
     return asn
 
 
+def _state(check, asn, n):
+    """The compiled verdict of ``check`` on a dict assignment: the dict
+    becomes a value list over the check's slot order, None where unassigned."""
+    slots = _slot_order([check], Signature())
+    (compiled,) = _compile_checks([check], slots, n)
+    return compiled.state([asn.get(slot) for slot in slots])
+
+
 @settings(max_examples=200, deadline=None)
 @given(interps(3), small_concepts(2), small_concepts(2))
 def test_check_state_exact_on_complete_assignments(interp, c, d):
-    from standpoint_owl.oracle import _Check
     asn = _assignment_of(interp)
-    for axiom in (Gci(c, d), Equiv(c, d)):
+    for axiom in (Gci(c, d), Equiv(c, d), Ria((R("r"), R("s")), rR)):
         for positive in (True, False):
-            state = _Check(axiom, positive).state(asn, interp.domain_size)
+            state = _state(_Check(axiom, positive), asn, interp.domain_size)
             assert state is (holds_axiom(interp, axiom) is positive)
 
 
@@ -471,7 +484,6 @@ def test_check_state_exact_on_complete_assignments(interp, c, d):
 @given(st.data(), small_concepts(2), small_concepts(2))
 def test_check_state_sound_on_partial_assignments(data, c, d):
     """A definite verdict on a partial assignment holds in every completion."""
-    from standpoint_owl.oracle import _Check
     n = 2
     check = _Check(Gci(c, d))
     partial = {}
@@ -482,7 +494,7 @@ def test_check_state_sound_on_partial_assignments(data, c, d):
                 partial[slot] = data.draw(st.integers(0, n - 1))
             else:
                 partial[slot] = data.draw(st.integers(0, (1 << bits) - 1))
-    verdict = check.state(partial, n)
+    verdict = _state(check, partial, n)
     if verdict is None:
         return
     free = [slot for slot in check.slots if slot not in partial]
@@ -491,7 +503,70 @@ def test_check_state_sound_on_partial_assignments(data, c, d):
     for combo in itertools.product(*spaces):
         full = dict(partial)
         full.update(zip(free, combo))
-        assert check.state(full, n) is verdict
+        assert _state(check, full, n) is verdict
+
+
+# --- the canonical first witness against brute-force enumeration ------------
+
+def _interp_of(slots, values, n):
+    concepts, roles, individuals = {}, {}, {}
+    for (kind, name), value in zip(slots, values):
+        if kind == "c":
+            concepts[name] = frozenset(d for d in range(n) if value >> d & 1)
+        elif kind == "r":
+            roles[name] = frozenset((i, j) for i in range(n) for j in range(n)
+                                    if value >> (i * n + j) & 1)
+        else:
+            individuals[name] = value
+    return PlainInterpretation(n, concepts, roles, individuals)
+
+
+def _first_by_enumeration(axioms, max_domain):
+    """The first model in slot order with ascending values, found by trying
+    every assignment of every domain size in turn."""
+    kb = plain(axioms)
+    slots = _slot_order([_Check(ax) for ax in axioms], kb.signature)
+    for n in range(1, max_domain + 1):
+        spaces = [range(n) if kind == "i" else
+                  range(1 << (n if kind == "c" else n * n)) for kind, _ in slots]
+        for values in itertools.product(*spaces):
+            interp = _interp_of(slots, values, n)
+            if all(holds_axiom(interp, ax) for ax in axioms):
+                return interp
+    return None
+
+
+def plain_axioms():
+    """Small plain KBs over at most four slots (A, B, r, a): concepts, the
+    role and its inverse, a nominal, and optionally a role inclusion.  Global
+    "at least 2" demands make some of them need two elements."""
+    leaf = st.sampled_from([C("A"), C("B"), Top(), Bottom(), O("a")])
+    roles = st.sampled_from([R("r"), Rinv("r")])
+    concept = st.one_of(leaf, st.builds(Not, leaf), st.builds(And, leaf, leaf),
+                        st.builds(Or, leaf, leaf), st.builds(Some, roles, leaf),
+                        st.builds(All, roles, leaf),
+                        st.builds(AtLeast, st.just(2), roles, leaf))
+    axiom = st.one_of(st.builds(Gci, concept, concept),
+                      st.builds(Gci, st.just(Top()), concept),
+                      st.builds(Equiv, concept, concept))
+    rias = st.sampled_from([(), (Ria((R("r"), R("r")), rR),),
+                            (Ria((Rinv("r"),), rR),)])
+    return st.builds(lambda gcis, ria: list(gcis) + list(ria),
+                     st.lists(axiom, min_size=1, max_size=3), rias)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_axioms())
+def test_first_witness_is_the_first_by_enumeration(axioms):
+    model = find_plain_model(plain(axioms), 2, guard_bits=math.inf)
+    expected = _first_by_enumeration(axioms, 2)
+    if expected is None:
+        assert model is None
+        return
+    assert model is not None
+    assert (model.domain_size, model.concept_ext, model.role_ext,
+            model.individual_map) == (expected.domain_size, expected.concept_ext,
+                                      expected.role_ext, expected.individual_map)
 
 
 # --- the compiled (true, false) evaluation against a per-precisification walk -
