@@ -20,11 +20,11 @@ from .errors import BadName, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.functional import Annotation, Declaration, RawDocument
-from .model import (STANDPOINT_NAME_RE, Negation, Ria, StandpointKB, make_kb,
-                    rebase_names, validate_roles)
+from .model import (STANDPOINT_NAME_RE, Ria, StandpointKB, rebase_names,
+                    validate_roles)
 from .normalizer import count_precisifications, normalize_kb
-from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED,
-                     check_entailment_bounded)
+from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, negated_query_kb,
+                     search_countermodel)
 from .serializer import serialize_document, serialize_kb
 from .translator import translate_kb
 
@@ -164,11 +164,7 @@ def cmd_query(args) -> int:
     else:
         query = parse_query_document(_read(args.query_file), ns)
 
-    with_negation = make_kb(rias=kb.rias, plain_axioms=kb.plain_axioms,
-                            formulas=tuple(kb.formulas) + (Negation(query),),
-                            named_axioms=kb.named_axioms, base_iri=kb.base_iri,
-                            declared=kb.signature)
-    normalized = normalize_kb(with_negation)
+    normalized = negated_query_kb(kb, query)
     p = count_precisifications(normalized)
     print(f"p={p} (including the negated query)", file=sys.stderr)
 
@@ -177,8 +173,8 @@ def cmd_query(args) -> int:
         return _run_external_reasoner(args.reasoner_cmd, serialize_kb(plain))
 
     prec_bound = args.prec_bound if args.prec_bound is not None else p
-    result = check_entailment_bounded(kb, query, args.domain_bound, prec_bound,
-                                      guard_bits=args.guard_bits)
+    result = search_countermodel(normalized, args.domain_bound, prec_bound,
+                                 guard_bits=args.guard_bits)
     if result.status == ENTAILED_WITHIN_BOUNDS:
         print(f"entailed within bounds (no countermodel with domain ≤ "
               f"{args.domain_bound}, precisifications ≤ {prec_bound}); "

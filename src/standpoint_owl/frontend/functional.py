@@ -6,12 +6,23 @@ axioms, in that order.  Line comments run from ``#`` to end of line outside
 strings and IRIs.  Annotation literals are quoted strings with ``\\"`` and
 ``\\\\`` escapes and are kept verbatim (including inner whitespace) for
 error reporting and re-emission.
+
+One compiled regular expression tokenizes the whole text (`_lex`).  Tokens
+keep their offset; the line and column of an error or an annotation are
+derived from it where they are read.  Only ``\\n`` ends a line, and columns
+count code points, so a ``\\r`` is a column of its own.  Integers are
+``\\d+`` (Unicode decimal digits, which ``int`` reads); other characters
+that ``str.isdigit`` accepts, such as superscripts, are unexpected
+characters.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from ..errors import ParseError, UnsupportedConstruct
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
@@ -19,10 +30,6 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
                      Some, Top, UNIVERSAL, concept_name, fold,
                      individual_name, role_name)
-
-_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-
 
 @dataclass(frozen=True)
 class Annotation:
@@ -56,105 +63,98 @@ class RawDocument:
         return self.base_iri + "#"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ( ) := word pname iri string int eof
     value: str
-    line: int
-    col: int
-    prefix: str = ""
+    pos: int  # offset in the text; see _Lines for its line and column
+    prefix: str
+
+
+class _Lines:
+    """Maps a text offset to its 1-based (line, column).  Only ``\\n`` ends a
+    line, and columns count code points, so a ``\\r`` is one column."""
+
+    def __init__(self, text: str):
+        self.starts = [m.end() for m in _NEWLINE_RE.finditer(text)]
+
+    def __call__(self, pos: int) -> tuple[int, int]:
+        line = bisect_right(self.starts, pos)
+        return line + 1, pos + 1 - (self.starts[line - 1] if line else 0)
+
+
+_NEWLINE_RE = re.compile("\n")
+# A string literal up to its closing quote; escapes are \" and \\ only.
+_STRING = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
+# Every match is the whitespace and comments before one token plus the
+# token; the number of the group that matched gives the token's kind.  The
+# last two alternatives match at any position, so the scan never skips
+# text: the token after a gap is a bad character or the end of the text.
+_TOKEN_RE = re.compile(rf"""
+    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:
+        ([()])                                             # 1 ( or )
+      | (<[^>]*>)                                          # 2 IRI
+      | ({_STRING}")                                       # 3 string
+      | (:=)                                               # 4
+      | ((?:[A-Za-z][A-Za-z0-9]*)?:[A-Za-z_][A-Za-z0-9_]*)  # 5 prefixed name
+      | ((?:[A-Za-z][A-Za-z0-9]*)?:(?!=))                  # 6 no local name
+      | (\d+)                                              # 7 integer
+      | ([A-Za-z][A-Za-z0-9]*)                             # 8 word
+      | ()\Z                                               # 9 end of text
+      | (.)                                                # 10 anything else
+    )""", re.VERBOSE | re.DOTALL)
+_STRING_PREFIX_RE = re.compile(_STRING)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_unescape = itemgetter(1)  # the escaped character, without a Python-level call
+_new = tuple.__new__
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                advance(1)
-            continue
-        tline, tcol = line, col
-        if ch in "()":
-            tokens.append(_Token(ch, ch, tline, tcol))
-            advance(1)
-            continue
-        if ch == "<":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise ParseError("unterminated IRI", tline, tcol)
-            tokens.append(_Token("iri", text[i + 1:j], tline, tcol))
-            advance(j + 1 - i)
-            continue
-        if ch == '"':
-            advance(1)
-            out = []
-            while True:
-                if i >= len(text):
-                    raise ParseError("unterminated string literal", tline, tcol)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= len(text) or text[i + 1] not in '"\\':
-                        raise ParseError("unknown escape in string literal", line, col)
-                    out.append(text[i + 1])
-                    advance(2)
-                    continue
-                if c == '"':
-                    advance(1)
-                    break
-                out.append(c)
-                advance(1)
-            tokens.append(_Token("string", "".join(out), tline, tcol))
-            continue
-        if ch == ":":
-            if i + 1 < len(text) and text[i + 1] == "=":
-                tokens.append(_Token(":=", ":=", tline, tcol))
-                advance(2)
-                continue
-            m = _LOCAL_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("expected local name after ':'", tline, tcol)
-            tokens.append(_Token("pname", m.group(), tline, tcol, prefix=""))
-            advance(m.end() - i)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], tline, tcol))
-            advance(j - i)
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group()
-            j = m.end()
-            if j < len(text) and text[j] == ":" and (j + 1 >= len(text) or text[j + 1] != "="):
-                m2 = _LOCAL_RE.match(text, j + 1)
-                if not m2:
-                    raise ParseError(f"expected local name after '{word}:'", tline, tcol)
-                tokens.append(_Token("pname", m2.group(), tline, tcol, prefix=word))
-                advance(m2.end() - i)
-            else:
-                tokens.append(_Token("word", word, tline, tcol))
-                advance(j - i)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", tline, tcol)
-    tokens.append(_Token("eof", "", line, col))
+    add = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        value = m.group(group)
+        pos = m.start(group)
+        # _new(_Token, ...) skips the namedtuple's Python-level __new__.
+        if group == 1:
+            add(_new(_Token, (value, value, pos, "")))
+        elif group == 5:
+            prefix, _, local = value.partition(":")
+            add(_new(_Token, ("pname", local, pos, prefix)))
+        elif group == 8:
+            add(_new(_Token, ("word", value, pos, "")))
+        elif group == 3:
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(_unescape, value)
+            add(_new(_Token, ("string", value, pos, "")))
+        elif group == 2:
+            add(_new(_Token, ("iri", value[1:-1], pos, "")))
+        elif group == 7:
+            add(_new(_Token, ("int", value, pos, "")))
+        elif group == 4:
+            add(_new(_Token, (":=", value, pos, "")))
+        elif group == 9:
+            add(_new(_Token, ("eof", "", pos, "")))
+            break  # finditer would also match the empty end after trailing space
+        else:
+            raise _lex_error(text, group, value, pos)
     return tokens
+
+
+def _lex_error(text: str, group: int, value: str, pos: int) -> ParseError:
+    where = _Lines(text)
+    if group == 6:
+        return ParseError(f"expected local name after '{value}'", *where(pos))
+    if value == "<":
+        return ParseError("unterminated IRI", *where(pos))
+    if value == '"':
+        end = _STRING_PREFIX_RE.match(text, pos).end()
+        if end == len(text):
+            return ParseError("unterminated string literal", *where(pos))
+        return ParseError("unknown escape in string literal", *where(end))
+    return ParseError(f"unexpected character {value!r}", *where(pos))
 
 
 _AXIOM_WORDS = {"SubClassOf", "EquivalentClasses", "SubObjectPropertyOf",
@@ -163,14 +163,22 @@ _AXIOM_WORDS = {"SubClassOf", "EquivalentClasses", "SubObjectPropertyOf",
 _CE_WORDS = {"ObjectComplementOf", "ObjectIntersectionOf", "ObjectUnionOf",
              "ObjectAllValuesFrom", "ObjectSomeValuesFrom", "ObjectHasSelf",
              "ObjectMaxCardinality", "ObjectMinCardinality", "ObjectOneOf"}
+_OWL_CLASSES = {"Thing": Top, "Nothing": Bottom}
+_DECLARATION_KINDS = {"Class": ("concept", concept_name),
+                      "ObjectProperty": ("role", role_name),
+                      "NamedIndividual": ("individual", individual_name)}
 
 
 class _DocParser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
+        self.lines = _Lines(text)
         self.i = 0
         self.prefixes: dict[str, str] = {}
         self.base_iri = ""
+
+    def at(self, tok: _Token) -> tuple[int, int]:
+        return self.lines(tok.pos)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -184,14 +192,14 @@ class _DocParser:
     def expect(self, kind: str, what: str = "") -> _Token:
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col,
+            raise ParseError(f"got {tok.value!r}", *self.at(tok),
                              expected=what or kind)
         return tok
 
     def expect_word(self, word: str) -> _Token:
         tok = self.next()
         if tok.kind != "word" or tok.value != word:
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col, expected=word)
+            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected=word)
         return tok
 
     # -- entity references ------------------------------------------------
@@ -200,20 +208,17 @@ class _DocParser:
         if tok.prefix not in self.prefixes:
             if tok.prefix == "":
                 return self.base_iri + "#"
-            raise ParseError(f"undeclared prefix {tok.prefix!r}", tok.line, tok.col)
+            raise ParseError(f"undeclared prefix {tok.prefix!r}", *self.at(tok))
         return self.prefixes[tok.prefix]
 
-    def _name(self, kind: str, what: str) -> EntityName:
+    def _name(self, maker, what: str) -> EntityName:
         tok = self.next()
         if tok.kind != "pname":
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col, expected=what)
+            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected=what)
         if tok.prefix == "owl":
-            raise ParseError(f"owl:{tok.value} is not usable here", tok.line, tok.col,
+            raise ParseError(f"owl:{tok.value} is not usable here", *self.at(tok),
                              expected=what)
-        base = self._resolve(tok)
-        maker = {"concept": concept_name, "role": role_name,
-                 "individual": individual_name}[kind]
-        return maker(tok.value, base)
+        return maker(tok.value, self._resolve(tok))
 
     def _is_owl(self, tok: _Token, local: str) -> bool:
         return tok.kind == "pname" and tok.prefix == "owl" and tok.value == local
@@ -231,7 +236,7 @@ class _DocParser:
                 pname = tok.value
                 self.expect(":=")
             else:
-                raise ParseError(f"got {tok.value!r}", tok.line, tok.col,
+                raise ParseError(f"got {tok.value!r}", *self.at(tok),
                                  expected="prefix declaration")
             iri = self.expect("iri", "IRI").value
             self.expect(")")
@@ -251,8 +256,8 @@ class _DocParser:
         axioms = []
         while not (self.peek().kind == ")"):
             if self.peek().kind == "eof":
-                raise ParseError("unexpected end of document", self.peek().line,
-                                 self.peek().col, expected="axiom or ')'")
+                raise ParseError("unexpected end of document", *self.at(self.peek()),
+                                 expected="axiom or ')'")
             axioms.append(self.axiom())
         self.expect(")")
         self.expect("eof", "end of document")
@@ -267,26 +272,24 @@ class _DocParser:
         self.expect("(")
         prop = self.next()
         if prop.kind != "pname":
-            raise ParseError(f"got {prop.value!r}", prop.line, prop.col,
+            raise ParseError(f"got {prop.value!r}", *self.at(prop),
                              expected="annotation property")
         lit = self.expect("string", "string literal")
         self.expect(")")
-        return Annotation(prop.prefix, prop.value, lit.value, lit.line, lit.col)
+        return Annotation(prop.prefix, prop.value, lit.value, *self.at(lit))
 
     def declaration(self) -> Declaration:
         self.expect_word("Declaration")
         self.expect("(")
         tok = self.next()
-        kinds = {"Class": "concept", "ObjectProperty": "role",
-                 "NamedIndividual": "individual"}
-        if tok.kind != "word" or tok.value not in kinds:
+        if tok.kind != "word" or tok.value not in _DECLARATION_KINDS:
             if tok.kind == "word":
-                raise UnsupportedConstruct(tok.value, tok.line, tok.col)
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col,
+                raise UnsupportedConstruct(tok.value, *self.at(tok))
+            raise ParseError(f"got {tok.value!r}", *self.at(tok),
                              expected="declaration type")
-        kind = kinds[tok.value]
+        kind, maker = _DECLARATION_KINDS[tok.value]
         self.expect("(")
-        name = self._name(kind, "entity name")
+        name = self._name(maker, "entity name")
         self.expect(")")
         self.expect(")")
         return Declaration(kind, name)
@@ -294,9 +297,9 @@ class _DocParser:
     def axiom(self) -> tuple[PlainAxiom, tuple[Annotation, ...]]:
         tok = self.next()
         if tok.kind != "word":
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col, expected="axiom")
+            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected="axiom")
         if tok.value not in _AXIOM_WORDS:
-            raise UnsupportedConstruct(tok.value, tok.line, tok.col)
+            raise UnsupportedConstruct(tok.value, *self.at(tok))
         self.expect("(")
         annotations = []
         while self.peek().kind == "word" and self.peek().value == "Annotation":
@@ -307,16 +310,16 @@ class _DocParser:
         elif word == "EquivalentClasses":
             axiom = Equiv(self.concept(), self.concept())
         elif word == "TransitiveObjectProperty":
-            role = self._name("role", "role name")
+            role = self._name(role_name, "role name")
             axiom = Ria((RoleName(role), RoleName(role)), role)
         elif word == "ClassAssertion":
             ce = self.concept()
-            ind = self._name("individual", "individual name")
+            ind = self._name(individual_name, "individual name")
             axiom = Gci(Nominal(ind), ce)
         elif word == "ObjectPropertyAssertion":
-            role = self._name("role", "role name")
-            a = self._name("individual", "individual name")
-            b = self._name("individual", "individual name")
+            role = self._name(role_name, "role name")
+            a = self._name(individual_name, "individual name")
+            b = self._name(individual_name, "individual name")
             axiom = Gci(Nominal(a), Some(RoleName(role), Nominal(b)))
         else:  # SubObjectPropertyOf
             nxt = self.peek()
@@ -329,7 +332,7 @@ class _DocParser:
                 self.expect(")")
             else:
                 chain = [self.object_property()]
-            head = self._name("role", "role name")
+            head = self._name(role_name, "role name")
             axiom = Ria(tuple(chain), head)
         self.expect(")")
         return (axiom, tuple(annotations))
@@ -343,27 +346,24 @@ class _DocParser:
             if tok.value == "ObjectInverseOf":
                 self.next()
                 self.expect("(")
-                name = self._name("role", "role name")
+                name = self._name(role_name, "role name")
                 self.expect(")")
                 return InverseRole(name)
-            raise UnsupportedConstruct(tok.value, tok.line, tok.col)
-        return RoleName(self._name("role", "role name"))
+            raise UnsupportedConstruct(tok.value, *self.at(tok))
+        return RoleName(self._name(role_name, "role name"))
 
     def concept(self) -> ConceptExpr:
         tok = self.peek()
-        if self._is_owl(tok, "Thing"):
-            self.next()
-            return Top()
-        if self._is_owl(tok, "Nothing"):
-            self.next()
-            return Bottom()
         if tok.kind == "pname":
-            return ConceptName(self._name("concept", "class name"))
+            if tok.prefix == "owl" and tok.value in _OWL_CLASSES:
+                self.next()
+                return _OWL_CLASSES[tok.value]()
+            return ConceptName(self._name(concept_name, "class name"))
         if tok.kind != "word":
-            raise ParseError(f"got {tok.value!r}", tok.line, tok.col,
+            raise ParseError(f"got {tok.value!r}", *self.at(tok),
                              expected="class expression")
         if tok.value not in _CE_WORDS:
-            raise UnsupportedConstruct(tok.value, tok.line, tok.col)
+            raise UnsupportedConstruct(tok.value, *self.at(tok))
         self.next()
         self.expect("(")
         word = tok.value
@@ -387,7 +387,7 @@ class _DocParser:
             ctor2 = AtMost if word == "ObjectMaxCardinality" else AtLeast
             out = ctor2(int(n_tok.value), role, filler)
         else:  # ObjectOneOf
-            out = Nominal(self._name("individual", "individual name"))
+            out = Nominal(self._name(individual_name, "individual name"))
         self.expect(")")
         return out
 

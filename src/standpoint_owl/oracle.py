@@ -943,11 +943,22 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
     bounded evidence for it (not a proof); tripping the search guard is
     inconclusive.
     """
-    extended = make_kb(rias=kb.rias, plain_axioms=kb.plain_axioms,
-                       formulas=tuple(kb.formulas) + (Negation(query),),
-                       named_axioms=kb.named_axioms, base_iri=kb.base_iri,
-                       declared=kb.signature)
-    extended = normalize_kb(extended)
+    return search_countermodel(negated_query_kb(kb, query), max_domain,
+                               max_prec, guard_bits)
+
+
+def negated_query_kb(kb: StandpointKB, query: StandpointFormula) -> StandpointKB:
+    """The KB with the negated query added, normalized: the input of
+    `search_countermodel`."""
+    return normalize_kb(make_kb(rias=kb.rias, plain_axioms=kb.plain_axioms,
+                                formulas=tuple(kb.formulas) + (Negation(query),),
+                                named_axioms=kb.named_axioms, base_iri=kb.base_iri,
+                                declared=kb.signature))
+
+
+def search_countermodel(extended: StandpointKB, max_domain: int, max_prec: int,
+                        guard_bits: float = 40.0) -> EntailmentResult:
+    """`check_entailment_bounded` on a KB that `negated_query_kb` built."""
     try:
         witness = find_standpoint_model(extended, max_domain, max_prec, guard_bits)
     except SearchSpaceTooLarge:

@@ -198,6 +198,16 @@ class TestDeepNesting:
         assert capsys.readouterr().err == "error: expression nested too deeply\n"
 
 
+class TestSuperscriptCardinality:
+    def test_exit_2_without_traceback(self, tmp_path, capsys):
+        # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.
+        path = write(tmp_path, "sup.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     "SubClassOf(:A ObjectMinCardinality(\u00b2 :r :B))\n)\n")
+        assert main(["translate", path, "--dump"]) == 2
+        assert capsys.readouterr().err == "error: unexpected character '\u00b2' at 3:36\n"
+
+
 class TestQuery:
     def test_entailed(self, forest_path, capsys):
         code = main(["query", forest_path, "--simple", "[LU](Forest sub Land)",

@@ -1,14 +1,18 @@
 """Functional-style document parsing."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from standpoint_owl.errors import ParseError, UnsupportedConstruct
 from standpoint_owl.frontend import parse_document
+from standpoint_owl.frontend.functional import _lex, _Lines
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, Equiv,
                                   Gci, HasSelf, Not, Or, Ria, Some, Top,
                                   UNIVERSAL)
 
-from conftest import C, O, R, Rinv
+from conftest import FIXTURES, C, O, R, Rinv
 
 NS = "http://ex.org/o#"
 
@@ -94,6 +98,11 @@ class TestConceptGrammar:
         parsed = parse_document(doc("EquivalentClasses(:A :B)"))
         assert parsed.axioms[0][0] == Equiv(C("A", NS), C("B", NS))
 
+    def test_cardinality_in_other_decimal_digits(self):
+        # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit: int() reads 3.
+        parsed = parse_document(doc("SubClassOf(ObjectMinCardinality(\u0663 :r :A) :B)"))
+        assert parsed.axioms[0][0].lhs == AtLeast(3, R("r", NS), C("A", NS))
+
 
 class TestLexing:
     def test_comments_stripped_outside_strings(self):
@@ -140,3 +149,208 @@ class TestLexing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_document("Ontology(<http://ex.org/o>) extra")
+
+
+class TestPositions:
+    """Only a newline ends a line; columns count code points, so a carriage
+    return is a column of its own."""
+
+    @pytest.mark.parametrize("text, line, col", [
+        ("# one\n# two\n#three (\nOntology(<urn:o> # four\n# five\n"
+         "  SubClassOf(:A))", 6, 16),
+        ('Ontology(<urn:o>\nAnnotation(:a "x\ny\nzz") Annotation(:b "q") '
+         "SubClassOf(:A))", 4, 38),
+        ("Prefix(p:=<urn:a\nb#>) Ontology(<urn:o>\n  SubClassOf(:A))", 3, 16),
+        ('Ontology(<urn:o>\r\nAnnotation(:a "v")\r\n\r SubClassOf(:A))', 3, 16),
+    ], ids=["comment-lines", "multi-line-string", "multi-line-iri", "crlf"])
+    def test_parse_error_position(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"got ')' at {line}:{col} (expected class expression)"
+
+    def test_annotation_after_multi_line_string(self):
+        parsed = parse_document('Ontology(<urn:o>\nAnnotation(:a "x\ny\nzz") '
+                                'Annotation(:b "q"))')
+        assert [(a.literal, a.line, a.col) for a in parsed.ontology_annotations] == [
+            ("x\ny\nzz", 2, 15), ("q", 4, 20)]
+
+    def test_annotation_after_crlf(self):
+        parsed = parse_document('Ontology(<urn:o>\r\n\rAnnotation(:a "v"))')
+        annotation = parsed.ontology_annotations[0]
+        assert (annotation.line, annotation.col) == (2, 16)
+
+    @pytest.mark.parametrize("text, message", [
+        ("Ontology(<urn:o", "unterminated IRI at 1:10"),
+        ('Ontology(<urn:o>\nAnnotation(:a "x\n\\"', "unterminated string literal at 2:15"),
+        ('Ontology(<urn:o>\nAnnotation(:a "x\n\\q"))', "unknown escape in string literal at 3:1"),
+        ('Ontology(<urn:o> Annotation(:a "x\\', "unknown escape in string literal at 1:34"),
+        ("Ontology(<urn:o>\n SubClassOf(ab: :B))", "expected local name after 'ab:' at 2:13"),
+        ("Ontology(<urn:o>\n SubClassOf(: :B))", "expected local name after ':' at 2:13"),
+        ("Ontology(<urn:o>\r\n\tSubClassOf(:A \u00b2))", "unexpected character '\u00b2' at 2:16"),
+    ])
+    def test_lexer_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == message
+
+
+# -- the lexer against the per-character lexer it replaced ------------------
+
+def _reference_lex(text):
+    """The per-character lexer the regex lexer replaced, kept as the
+    reference: [(kind, value, line, col, prefix)], or ParseError."""
+    local_re = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    word_re = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+    tokens = []
+    i, line, col = 0, 1, 1
+
+    def advance(k):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                advance(1)
+            continue
+        tline, tcol = line, col
+        if ch in "()":
+            tokens.append((ch, ch, tline, tcol, ""))
+            advance(1)
+            continue
+        if ch == "<":
+            j = text.find(">", i + 1)
+            if j < 0:
+                raise ParseError("unterminated IRI", tline, tcol)
+            tokens.append(("iri", text[i + 1:j], tline, tcol, ""))
+            advance(j + 1 - i)
+            continue
+        if ch == '"':
+            advance(1)
+            out = []
+            while True:
+                if i >= len(text):
+                    raise ParseError("unterminated string literal", tline, tcol)
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= len(text) or text[i + 1] not in '"\\':
+                        raise ParseError("unknown escape in string literal", line, col)
+                    out.append(text[i + 1])
+                    advance(2)
+                    continue
+                if c == '"':
+                    advance(1)
+                    break
+                out.append(c)
+                advance(1)
+            tokens.append(("string", "".join(out), tline, tcol, ""))
+            continue
+        if ch == ":":
+            if i + 1 < len(text) and text[i + 1] == "=":
+                tokens.append((":=", ":=", tline, tcol, ""))
+                advance(2)
+                continue
+            m = local_re.match(text, i + 1)
+            if not m:
+                raise ParseError("expected local name after ':'", tline, tcol)
+            tokens.append(("pname", m.group(), tline, tcol, ""))
+            advance(m.end() - i)
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], tline, tcol, ""))
+            advance(j - i)
+            continue
+        m = word_re.match(text, i)
+        if m:
+            word = m.group()
+            j = m.end()
+            if j < len(text) and text[j] == ":" and (j + 1 >= len(text) or text[j + 1] != "="):
+                m2 = local_re.match(text, j + 1)
+                if not m2:
+                    raise ParseError(f"expected local name after '{word}:'", tline, tcol)
+                tokens.append(("pname", m2.group(), tline, tcol, word))
+                advance(m2.end() - i)
+            else:
+                tokens.append(("word", word, tline, tcol, ""))
+                advance(j - i)
+            continue
+        raise ParseError(f"unexpected character {ch!r}", tline, tcol)
+    tokens.append(("eof", "", line, col, ""))
+    return tokens
+
+
+def _regex_lex(text):
+    lines = _Lines(text)
+    return [(t.kind, t.value, *lines(t.pos), t.prefix) for t in _lex(text)]
+
+
+def _outcome(lex, text):
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.line, exc.col)
+
+
+FIXTURE_PATHS = sorted(FIXTURES.glob("*.ofn"))
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in FIXTURE_PATHS]
+# Characters that start or end tokens, escapes, line ends, and digits that
+# str.isdigit() and \d disagree on (superscript two) or agree on (Arabic-
+# Indic three).
+ALPHABET = '()<>":=#\\_ \t\r\nabzAZ09\u00b2\u0663'
+FRAGMENTS = ['"', '\\"', '\\\\', "\\x", "<", ">", "<a\nb>", ":", ":=", "owl:",
+             "x:y", ":_a1", "Ab9", "#", "# c (\n", "\n", "\r\n", "\r", " ", "\t",
+             "12", "\u00b2", "\u0663", "(", ")", '"s\nt"', "!"]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    at = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(ALPHABET))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        return text[:at] + ch + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + ch + text[at + 1:]
+
+
+lexer_inputs = st.one_of(
+    st.sampled_from(FIXTURE_TEXTS),
+    mutated_fixtures(),
+    st.text(alphabet=ALPHABET, max_size=40),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join))
+
+
+class TestLexerAgainstReference:
+    @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.name)
+    def test_fixtures_lex_identically(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _regex_lex(text) == _reference_lex(text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(lexer_inputs)
+    def test_same_tokens_or_same_error(self, text):
+        got, want = _outcome(_regex_lex, text), _outcome(_reference_lex, text)
+        if got == want:
+            return
+        # The one intended difference: integers are \d+, so a character that
+        # only str.isdigit() accepts is an unexpected character.
+        odd = {ch for ch in text if ch.isdigit() and not re.fullmatch(r"\d", ch)}
+        assert odd, (got, want)
+        assert got[0] is ParseError
+        assert any(got[1].startswith(f"unexpected character {ch!r} at ") for ch in odd)
