@@ -106,4 +106,4 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
                       base_iri=doc.base_iri)
     sig = signature_of(kb).union(declared)
     return StandpointKB(kb.rias, kb.plain_axioms, kb.formulas, named_axioms,
-                        sig, doc.base_iri)
+                        sig, doc.base_iri, base)

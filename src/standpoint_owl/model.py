@@ -340,6 +340,9 @@ class StandpointKB:
     (Boolean combinations, operator-annotated axioms and desugared
     sharpenings); ``named_axioms`` hold the referenceable standpoint axioms,
     which are only translated where a Boolean combination mentions them.
+    ``namespace`` is the default namespace of the source document (its
+    ``:`` prefix); the translation keeps the names there in the output
+    ontology's own namespace.
     """
 
     rias: tuple[Ria, ...] = ()
@@ -348,6 +351,7 @@ class StandpointKB:
     named_axioms: Mapping[str, StandpointFormula] = field(default_factory=dict)
     signature: Signature = Signature()
     base_iri: str = ""
+    namespace: str = ""
 
 
 @dataclass(frozen=True)
@@ -361,7 +365,8 @@ class PlainKB:
 
 
 def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
-            base_iri="", declared: Signature | None = None) -> StandpointKB:
+            base_iri="", declared: Signature | None = None,
+            namespace="") -> StandpointKB:
     """Build a StandpointKB with its signature computed from the contents
     (plus any explicitly declared names)."""
     named_axioms = dict(named_axioms or {})
@@ -372,7 +377,7 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
     if declared is not None:
         sig = sig.union(declared)
     return StandpointKB(kb.rias, kb.plain_axioms, kb.formulas,
-                        named_axioms, sig, base_iri)
+                        named_axioms, sig, base_iri, namespace)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ precisification bound computed from the diamond count.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import NestedModality, UnresolvedRef
 from .model import (Atom, AxiomRef, Bottom, Box, Conjunction, Diamond,
                     Disjunction, Equiv, Gci, Negation, SpMinus, StandpointExpr,
@@ -39,8 +41,7 @@ def resolve_refs(kb: StandpointKB) -> StandpointKB:
     the returned formulas contain no references."""
     named = dict(kb.named_axioms)
     formulas = tuple(_substitute(f, named) for f in kb.formulas)
-    return StandpointKB(kb.rias, kb.plain_axioms, formulas,
-                        kb.named_axioms, kb.signature, kb.base_iri)
+    return replace(kb, formulas=formulas)
 
 
 def to_nnf(f: StandpointFormula) -> StandpointFormula:
@@ -118,5 +119,4 @@ def normalize_kb(kb: StandpointKB) -> StandpointKB:
         g = to_nnf(f)
         _check_no_nesting(g)
         formulas.append(g)
-    return StandpointKB(kb.rias, kb.plain_axioms, tuple(formulas),
-                        kb.named_axioms, kb.signature, kb.base_iri)
+    return replace(kb, formulas=tuple(formulas))

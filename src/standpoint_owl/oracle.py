@@ -953,7 +953,7 @@ def negated_query_kb(kb: StandpointKB, query: StandpointFormula) -> StandpointKB
     return normalize_kb(make_kb(rias=kb.rias, plain_axioms=kb.plain_axioms,
                                 formulas=tuple(kb.formulas) + (Negation(query),),
                                 named_axioms=kb.named_axioms, base_iri=kb.base_iri,
-                                declared=kb.signature))
+                                declared=kb.signature, namespace=kb.namespace))
 
 
 def search_countermodel(extended: StandpointKB, max_domain: int, max_prec: int,

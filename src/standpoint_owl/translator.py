@@ -52,34 +52,51 @@ def mangle(name: EntityName, pi: int, base: str) -> EntityName:
     return EntityName(name.kind, f"{name.local}__{pi}", base)
 
 
+def output_namespaces(kb: StandpointKB, iri: str) -> dict:
+    """The output namespace of every input base other than the document's
+    default one: ``<iri>/ns<k>#``, numbered from 1 in sorted base order.
+    Names in the default namespace, and the markers, go to ``<iri>#``."""
+    sig = kb.signature
+    bases = {n.base for names in (sig.concepts, sig.roles, sig.individuals)
+             for n in names}
+    bases.discard(kb.namespace)
+    return {base: f"{iri}/ns{k}#" for k, base in enumerate(sorted(bases), start=1)}
+
+
 class _Interner:
     """The leaves one translation repeats, each built once.
 
-    Every box and diamond expands into p guarded copies, so the same mangled
+    Every box and diamond expands into guarded copies, so the same mangled
     names and guards recur across axioms and precisifications.  A
     table lives for one ``translate_kb`` call (or one call of a public
     helper) and hands out the same frozen node for equal requests, which
     keeps the output tree free of duplicate leaves without any state that
     outlives the call.  Entries are keyed on what the result depends on:
-    the kind and local part of a name (its input base never reaches the
-    output) and the index, which individuals ignore.
+    the kind, input base and local part of a name and the index, which
+    individuals ignore.  ``namespaces`` maps input bases to their output
+    namespace; every other base, and the markers, go to ``base``.
     """
 
-    def __init__(self, base: str):
+    def __init__(self, base: str, namespaces: dict | None = None):
         self.base = base
+        self.namespaces = namespaces or {}
         self.names: dict = {}
         self.wrappers: dict = {}
         self.guards: dict = {}
 
     def name(self, name: EntityName, pi: int) -> EntityName:
-        key = (name.kind, name.local, 0 if name.kind == "individual" else pi)
+        key = (name.kind, name.base, name.local,
+               0 if name.kind == "individual" else pi)
         out = self.names.get(key)
         if out is None:
-            out = self.names[key] = mangle(name, pi, self.base)
+            base = (self.base if name.kind == "standpoint"
+                    else self.namespaces.get(name.base, self.base))
+            out = self.names[key] = mangle(name, pi, base)
         return out
 
     def _wrap(self, ctor, name: EntityName, pi: int):
-        key = (ctor, name.kind, name.local, 0 if name.kind == "individual" else pi)
+        key = (ctor, name.kind, name.base, name.local,
+               0 if name.kind == "individual" else pi)
         out = self.wrappers.get(key)
         if out is None:
             out = self.wrappers[key] = ctor(self.name(name, pi))
@@ -190,7 +207,9 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     """Translate a validated, reference-free, normal-form KB.
 
     ``p`` may be forced upward (never below the computed bound) to study
-    growth; name bases move to the output ontology's namespace.  Output
+    growth.  Names in the KB's default namespace move to the output
+    ontology's namespace and every other input base to its own one (see
+    ``output_namespaces``), so distinct names stay distinct.  Output
     order is deterministic: universal-standpoint marker axioms first, then
     formula translations (one copy for purely modal formulas, p copies
     otherwise), then per-index plain axioms, then per-index role chains.
@@ -204,7 +223,7 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     elif p < p_min:
         raise ValueError(f"p={p} below the required bound {p_min}")
     iri = base_iri if base_iri is not None else output_iri(kb)
-    table = _Interner(iri + "#")
+    table = _Interner(iri + "#", output_namespaces(kb, iri))
 
     axioms: list = []
     for k in range(p):

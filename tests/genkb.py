@@ -1,6 +1,8 @@
 """Deterministic random knowledge bases in the small test fragment:
 at most three concept names, one role, two standpoints, three formulas of
-modal depth one, and a translation bound of at most three."""
+modal depth one, and a translation bound of at most three.  With a second
+namespace, D becomes the A of another namespace and the plain axioms use
+that namespace's r, so equal local names from two namespaces meet."""
 
 import random
 
@@ -9,12 +11,26 @@ from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
                                   Gci, NamedStandpoint, Negation, Not, Or,
                                   RoleName, Some, SpIntersection, SpMinus,
                                   SpUnion, Star, Top, concept_name, make_kb,
-                                  role_name)
+                                  rebase_names, role_name, transform)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 
 CONCEPTS = [ConceptName(concept_name(x)) for x in "ABD"]
 ROLE = RoleName(role_name("r"))
 STANDPOINTS = [NamedStandpoint("s"), NamedStandpoint("t")]
+SECOND_NS = "urn:gen2#"
+
+
+def _second_namespace(x, role_too):
+    """Copy of x with D renamed to SECOND_NS's A and, if role_too, every
+    role moved to SECOND_NS."""
+    def swap(node):
+        if node == CONCEPTS[2]:
+            return ConceptName(concept_name("A", SECOND_NS))
+        if role_too and type(node) is RoleName:
+            return rebase_names(node, SECOND_NS)
+        return None
+
+    return transform(x, swap)
 
 
 def _concept(rng, depth):
@@ -69,13 +85,17 @@ def _formula(rng):
                 _modal(rng) if rng.random() < 0.7 else _atom(rng))
 
 
-def random_kb(seed, normalized=True):
-    """One fragment KB per seed; redraws until the bound p is at most 3."""
+def random_kb(seed, normalized=True, two_namespaces=False):
+    """One fragment KB per seed; redraws until the bound p is at most 3.
+    The draws do not depend on ``two_namespaces``; only the names do."""
     rng = random.Random(seed)
     while True:
         formulas = [_formula(rng) for _ in range(rng.randrange(1, 4))]
         plain = [Gci(_concept(rng, 1), _concept(rng, 1))
                  for _ in range(rng.randrange(0, 3))]
+        if two_namespaces:
+            formulas = [_second_namespace(f, False) for f in formulas]
+            plain = [_second_namespace(ax, True) for ax in plain]
         kb = make_kb(formulas=formulas, plain_axioms=plain, base_iri="urn:gen")
         if count_precisifications(normalize_kb(kb)) <= 3:
             return normalize_kb(kb) if normalized else kb

@@ -9,7 +9,8 @@ import pytest
 
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import parse_document
-from standpoint_owl.model import And, Gci, left_spine
+from standpoint_owl.model import And, Gci, PlainKB, left_spine
+from standpoint_owl.oracle import find_plain_model
 
 from conftest import FIXTURES
 
@@ -87,6 +88,48 @@ class TestTranslate:
         assert main(["translate", str(FIXTURES / fixture), "--dump"]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[fixture]
+
+
+def plain_model(document):
+    """A model of a translated document at domain size 1."""
+    axioms = tuple(ax for ax, _ in parse_document(document).axioms)
+    return find_plain_model(PlainKB(axioms), 1)
+
+
+class TestNamespaces:
+    """Equal local names in different input namespaces stay different."""
+
+    def test_consistent_document_stays_consistent(self, tmp_path, capsys):
+        path = write(tmp_path, "two.ofn",
+                     "Prefix(:=<urn:a#>)\nPrefix(b:=<urn:b#>)\nOntology(<urn:a>\n"
+                     "SubClassOf(:Forest :Land)\n"
+                     "SubClassOf(b:Forest ObjectComplementOf(:Land))\n"
+                     "SubClassOf(owl:Thing b:Forest)\n)\n")
+        assert main(["translate", path, "--dump"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "Prefix(ns1:=<urn:a/translated/ns1#>)" in lines
+        assert "SubClassOf(:Forest__0 :Land__0)" in lines
+        assert "SubClassOf(ns1:Forest__0 ObjectComplementOf(:Land__0))" in lines
+        assert "SubClassOf(owl:Thing ns1:Forest__0)" in lines
+        assert plain_model(out) is not None
+
+    def test_imported_local_names_stay_apart(self, tmp_path, capsys):
+        main_doc = write(tmp_path, "main.ofn",
+                         "Prefix(:=<urn:m#>)\nOntology(<urn:m>\n"
+                         "SubClassOf(:Forest :Land)\n)\n")
+        source = write(tmp_path, "source.ofn",
+                       "Prefix(:=<urn:s#>)\nOntology(<urn:s>\n"
+                       "SubClassOf(:Forest ObjectComplementOf(:Land))\n"
+                       "SubClassOf(owl:Thing :Forest)\n)\n")
+        assert main(["import", main_doc, source, "--standpoint", "*",
+                     "--translate", "--dump"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "Prefix(ns1:=<urn:m/translated/ns1#>)" in lines
+        assert "Declaration(Class(:Forest__0))" in lines
+        assert "Declaration(Class(ns1:Forest__0))" in lines
+        assert plain_model(out) is not None
 
 
 SOURCE_DOC = """Prefix(:=<urn:src#>)

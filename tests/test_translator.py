@@ -15,10 +15,12 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
                                   individual_name, left_spine, make_kb,
                                   rebase_names, role_name, standpoint_entity,
                                   validate_roles)
-from standpoint_owl.normalizer import normalize_kb
+from standpoint_owl.normalizer import count_precisifications, normalize_kb
+from standpoint_owl.oracle import find_plain_model, find_standpoint_model
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
 from conftest import C, O, R, S
+from genkb import SECOND_NS, random_kb
 
 A, B, D = C("A"), C("B"), C("D")
 
@@ -313,3 +315,21 @@ class TestIsolation:
                  if not name.startswith("__")
                  and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))]
         assert state == []
+
+
+class TestDifferential:
+    """The translation against the oracle and against the reference
+    encoding, over generated fragment KBs."""
+
+    def test_two_namespaces_equisatisfiable(self):
+        agree, split = 0, 0
+        seeds = range(120)
+        for seed in seeds:
+            kb = random_kb(seed, two_namespaces=True)
+            p = count_precisifications(kb)
+            sp_sat = find_standpoint_model(kb, 3, p, guard_bits=1000) is not None
+            pl_sat = find_plain_model(translate_kb(kb), 3, guard_bits=1000) is not None
+            agree += sp_sat == pl_sat
+            split += {n.base for n in kb.signature.concepts} == {"", SECOND_NS}
+        assert agree == len(seeds)
+        assert split > len(seeds) // 2  # most KBs do mix the namespaces
