@@ -84,6 +84,11 @@ def to_nnf(f: StandpointFormula) -> StandpointFormula:
     return Box(g.standpoint, to_nnf(Negation(g.arg)))
 
 
+def diamond_count(f: StandpointFormula) -> int:
+    """Number of diamond occurrences in f."""
+    return sum(type(node) is Diamond for node in iter_nodes(f, (Atom,)))
+
+
 def count_precisifications(kb: StandpointKB) -> int:
     """Number of precisification copies the translation materialises.
 
@@ -91,8 +96,7 @@ def count_precisifications(kb: StandpointKB) -> int:
     is a diamond, so the bound is the diamond count, floored at one because
     the set of precisifications is never empty.
     """
-    return max(1, sum(type(node) is Diamond for f in kb.formulas
-                      for node in iter_nodes(f, (Atom,))))
+    return max(1, sum(map(diamond_count, kb.formulas)))
 
 
 def _modalities(f: StandpointFormula) -> list:

@@ -11,10 +11,16 @@ Membership guards translate standpoint expressions pointwise; formulas
 translate to concept expressions asserted under ⊤ ⊑ · : an inclusion C ⊑ D
 at π becomes ∀u.(¬C__π ⊔ D__π), its negation ∃u.(C__π ⊓ ¬D__π), a box
 becomes the conjunction over all indices of guard-implies-body, and a
-diamond the disjunction of guard-and-body.  Unannotated axioms and role
-chains are emitted once per index over the renamed vocabulary, which is
-equivalent to their guarded universal-standpoint translation because the
-universal marker is forced to be total.
+diamond the guard and body at its own witness index: ``translate_kb``
+numbers the diamond occurrences 0 … D-1 in preorder across the formulas,
+and every copy of a formula reuses them.  Each diamond needs only one
+witness precisification (which is why p = D), so the output is
+equisatisfiable with the input, though not index-equivalent to it; the
+public ``trans`` keeps the p-way disjunction ⊔_k guard_k ⊓ body_k as the
+reference encoding.  Unannotated axioms and role chains are emitted once
+per index over the renamed vocabulary, which is equivalent to their guarded
+universal-standpoint translation because the universal marker is forced to
+be total.
 
 A translated KB shares immutable subtrees: each mangled name, its wrappers,
 each marker and each guard is built once per ``translate_kb`` call and
@@ -23,7 +29,7 @@ reused wherever it recurs.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 
 from .errors import ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
@@ -34,7 +40,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     StandpointExpr, StandpointFormula, StandpointKB, TOP,
                     UNIVERSAL, UniversalRole, fold, iter_nodes, left_spine,
                     standpoint_entity, walk_refs)
-from .normalizer import _check_no_nesting, count_precisifications
+from .normalizer import _check_no_nesting, count_precisifications, diamond_count
 
 STAR_TOKEN = "STAR"
 
@@ -148,7 +154,10 @@ class _Interner:
         marker = standpoint_entity("*" if isinstance(e, Star) else e.name)
         return All(UNIVERSAL, self._wrap(ConceptName, marker, pi))
 
-    def trans(self, pi: int, f: StandpointFormula, p: int) -> ConceptExpr:
+    def trans(self, pi: int, f: StandpointFormula, p: int,
+              diamonds=None) -> ConceptExpr:
+        """``diamonds`` hands out the witness index of each diamond in
+        preorder; without it a diamond is the p-way reference disjunction."""
         if isinstance(f, Atom):
             ax = f.axiom
             if isinstance(ax, Equiv):
@@ -167,15 +176,20 @@ class _Interner:
                           self.trans(pi, Negation(Atom(Gci(b, a))), p))
             raise ValueError("formula is not in negation normal form")
         if isinstance(f, Conjunction):
-            return And(self.trans(pi, f.lhs, p), self.trans(pi, f.rhs, p))
+            return And(self.trans(pi, f.lhs, p, diamonds),
+                       self.trans(pi, f.rhs, p, diamonds))
         if isinstance(f, Disjunction):
-            return Or(self.trans(pi, f.lhs, p), self.trans(pi, f.rhs, p))
+            return Or(self.trans(pi, f.lhs, p, diamonds),
+                      self.trans(pi, f.rhs, p, diamonds))
         if isinstance(f, Box):
             _check_no_nesting(f.arg, True)
             return fold(And, [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
                               for k in range(p)])
         if isinstance(f, Diamond):
             _check_no_nesting(f.arg, True)
+            if diamonds is not None:
+                d = next(diamonds)
+                return And(self.guard(f.standpoint, d), self.trans(d, f.arg, p))
             return fold(Or, [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
                              for k in range(p)])
         raise UnresolvedRef(f.name)
@@ -188,7 +202,9 @@ def trans_e(pi: int, e: StandpointExpr, base: str = "") -> ConceptExpr:
 
 
 def trans(pi: int, f: StandpointFormula, p: int, base: str = "") -> ConceptExpr:
-    """Translate a normal-form standpoint formula at precisification pi."""
+    """Translate a normal-form standpoint formula at precisification pi,
+    each diamond as the disjunction over all p indices (the reference
+    encoding; ``translate_kb`` gives each diamond its own index)."""
     return _Interner(base).trans(pi, f, p)
 
 
@@ -213,6 +229,8 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     order is deterministic: universal-standpoint marker axioms first, then
     formula translations (one copy for purely modal formulas, p copies
     otherwise), then per-index plain axioms, then per-index role chains.
+    Diamond occurrence d, in preorder across the formulas, is translated
+    at index d only.
     """
     for f in kb.formulas:
         for ref in walk_refs(f):
@@ -228,12 +246,11 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     axioms: list = []
     for k in range(p):
         axioms.append(Gci(TOP, table.guard(STAR, k)))
+    first = 0  # the witness index of the formula's first diamond
     for f in kb.formulas:
-        if _has_bare_atom(f):
-            for k in range(p):
-                axioms.append(Gci(TOP, table.trans(k, f, p)))
-        else:
-            axioms.append(Gci(TOP, table.trans(0, f, p)))
+        for k in range(p) if _has_bare_atom(f) else range(1):
+            axioms.append(Gci(TOP, table.trans(k, f, p, count(first))))
+        first += diamond_count(f)
     for ax in kb.plain_axioms:
         ctor = Gci if isinstance(ax, Gci) else Equiv
         for k in range(p):

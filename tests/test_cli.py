@@ -342,7 +342,9 @@ class TestEveryConstructor:
     QUERIES = ["[*]({a} sub B)", "[s](inverse r some A sub B)",
                "[*](r Self sub A)", "[*](A sub t only B)",
                "<s>(B sub r max 1 A)", "[*](B sub r max 1 A)",
-               "[s](r some (t some B) sub r some B)"]
+               "[s](r some (t some B) sub r some B)",
+               "[*](r some (t some B) sub t some B)",
+               "[s](r some (t some B) sub t some B)"]
 
     def test_verdicts_match_the_translation(self, capsys):
         path = str(FIXTURES / "constructors.ofn")

@@ -12,8 +12,9 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
                                   Negation, Nominal, Not, Or, Ria, RoleName,
                                   Some, SpIntersection, SpMinus, SpUnion,
                                   Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, left_spine, make_kb,
-                                  rebase_names, role_name, standpoint_entity,
+                                  PlainKB, individual_name, iter_nodes,
+                                  left_spine, make_kb, rebase_names,
+                                  role_name, standpoint_entity,
                                   validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
@@ -277,13 +278,14 @@ class TestSharing:
         out = translate_kb(kb)
         p = 2
         diamond, box, single = (ax.rhs for ax in out.axioms[p:p + 3])
-        diamond_guards = [part.lhs for part in left_spine(diamond, Or)]
+        # each diamond is guard ⊓ body at its own index: 0, then 1
         box_guards = [part.lhs.arg for part in left_spine(box, And)]
-        for k in range(p):
-            assert diamond_guards[k] is box_guards[k]
-            assert diamond_guards[k] == trans_e(k, union, "urn:o/translated#")
-            # the marker inside the composite guard is the plain guard of s
-            assert diamond_guards[k].lhs is left_spine(single, Or)[k].lhs
+        assert diamond.lhs is box_guards[0]
+        assert diamond.lhs == trans_e(0, union, "urn:o/translated#")
+        assert single.lhs == trans_e(1, S("s"), "urn:o/translated#")
+        # the marker inside a composite guard is the plain guard of s
+        assert diamond.lhs.lhs is box_guards[0].lhs
+        assert single.lhs is box_guards[1].lhs
 
 
 class TestIsolation:
@@ -317,6 +319,19 @@ class TestIsolation:
         assert state == []
 
 
+def reference_translation(kb):
+    """The translation of a RIA-free KB with the public p-way ``trans``:
+    every formula and plain axiom at every index, each diamond as the
+    disjunction over all indices."""
+    assert not kb.rias
+    p = count_precisifications(kb)
+    axioms = [Gci(Top(), trans_e(k, Star())) for k in range(p)]
+    axioms += [Gci(Top(), trans(k, f, p)) for f in kb.formulas for k in range(p)]
+    axioms += [Gci(Top(), trans(k, Atom(ax), p))
+               for ax in kb.plain_axioms for k in range(p)]
+    return PlainKB(tuple(axioms))
+
+
 class TestDifferential:
     """The translation against the oracle and against the reference
     encoding, over generated fragment KBs."""
@@ -333,3 +348,22 @@ class TestDifferential:
             split += {n.base for n in kb.signature.concepts} == {"", SECOND_NS}
         assert agree == len(seeds)
         assert split > len(seeds) // 2  # most KBs do mix the namespaces
+
+    def test_witness_indices_agree_with_the_reference(self):
+        seeds = range(150)
+        for seed in seeds:
+            kb = random_kb(seed)
+            ours = find_plain_model(translate_kb(kb), 3, guard_bits=1000)
+            ref = find_plain_model(reference_translation(kb), 3, guard_bits=1000)
+            assert (ours is None) == (ref is None), seed
+
+    def test_one_guard_per_diamond(self):
+        n = 6
+        kb = make_kb(formulas=[Diamond(S("s"), Atom(Gci(C(f"A{i}"), C(f"B{i}"))))
+                               for i in range(n)], base_iri="urn:o")
+        out = translate_kb(kb)
+        guards = [node.filler.name.local for ax in out.axioms
+                  for node in iter_nodes(ax)
+                  if type(node) is All and type(node.filler) is ConceptName
+                  and node.filler.name.local.startswith("SP__s__")]
+        assert sorted(guards) == sorted(f"SP__s__{d}" for d in range(n))
