@@ -9,13 +9,12 @@ from standpoint_owl import translator
 from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
                                   Conjunction, Diamond, Disjunction,
                                   EntityName, Equiv, Gci, InverseRole,
-                                  Negation, Nominal, Not, Or, Ria, RoleName,
-                                  Some, SpIntersection, SpMinus, SpUnion,
-                                  Star, Top, UNIVERSAL, concept_name,
-                                  PlainKB, individual_name, iter_nodes,
-                                  left_spine, make_kb, rebase_names,
-                                  role_name, standpoint_entity,
-                                  validate_roles)
+                                  Negation, Nominal, Not, Or, PlainKB, Ria,
+                                  RoleName, Some, SpIntersection, SpMinus,
+                                  SpUnion, Star, Top, UNIVERSAL, concept_name,
+                                  individual_name, iter_nodes, left_spine,
+                                  make_kb, rebase_names, role_name,
+                                  standpoint_entity, validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
