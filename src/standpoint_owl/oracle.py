@@ -24,15 +24,12 @@ searched by splitting the problem at the atom level: the Boolean/modal
 layer only sees which TBox atoms hold at which precisification, so
 candidate truth vectors are enumerated propositionally and each distinct
 vector is realised (or refuted) once by a bounded interpretation search.
-The formulas are compiled once per search into
-closures that evaluate all precisifications at once: a formula's value
-under partial atom vectors is a pair of bitmasks (true, false) over the
-precisifications, where a set bit means definitely true (false) there.
-Atoms read fixed bit indices, standpoint expressions become |, & and & ~
-over the per-name member masks, negation swaps the pair, and a box or
-diamond is decided everywhere or nowhere from its member mask.  A vector is
-a candidate at a precisification when that bit of `false` stays clear, and
-a partial assignment survives when `false` is 0 for every formula.
+The formulas are compiled once per search into closures that evaluate
+every precisification and every atom vector of the probed position at
+once, as (true, false) masks with one plane of 2^k lanes per
+precisification (see `_compile`).  So the vectors viable at a position
+under one standpoint assignment, and the extensions of a partial vector
+assignment by one more position, each cost one evaluation.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability.
 """
 
@@ -553,15 +550,6 @@ def _slot_order(checks: list[_Check], signature: Signature) -> list[tuple]:
     return order
 
 
-def _slot_value_count(slot: tuple, n: int) -> int:
-    kind = slot[0]
-    if kind == "c":
-        return 1 << n
-    if kind == "r":
-        return 1 << (n * n)
-    return n
-
-
 def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                        fixed: dict[int, int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
@@ -585,7 +573,7 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
     vals: list = [None] * len(slots)
     for i, value in fixed.items():
         vals[i] = value
-    counts = [_slot_value_count(slot, n) for slot in slots]
+    counts = [{"c": 1 << n, "r": 1 << (n * n), "i": n}[kind] for kind, _ in slots]
     touching: list[list[_Compiled]] = [[] for _ in slots]
     for check in checks:
         for i in check.slots:
@@ -618,44 +606,49 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                 out[slots[i]] = value
         return out
 
-    def rec(k: int):
-        """Return ('model', assignment) or ('conflict', slot index set)."""
-        if k == len(slots):
-            for check in checks:
-                if check.state(vals) is False:
-                    return ("conflict", minimised_conflict(check))
-            return ("model", assignment())
-        if vals[k] is not None:
-            return rec(k + 1)
-        conflict: set = set()
-        for value in range(counts[k]):
-            vals[k] = value
-            failed = None
-            for check in touching[k]:
-                if check.state(vals) is False:
-                    failed = check
-                    break
-            if failed is not None:
-                conflict |= minimised_conflict(failed)
-                continue
-            if all(check.state(vals) is True for check in checks):
-                for i in range(k + 1, len(slots)):
-                    if vals[i] is None:
-                        vals[i] = 0
-                return ("model", assignment())
-            kind, result = rec(k + 1)
-            if kind == "model":
-                return (kind, result)
+    # One frame (slot index, conflict set) per slot being enumerated, whose
+    # current value is in vals; the stack replaces one recursion per slot.
+    frames: list = []
+    k, result = 0, None
+    while True:
+        if result is None:  # descend to the next unassigned slot
+            while k < len(slots) and vals[k] is not None:
+                k += 1
+            if k == len(slots):
+                failed = next((check for check in checks if check.state(vals) is False), None)
+                if failed is None:
+                    return assignment()
+                result = minimised_conflict(failed)
+            else:
+                frames.append((k, set()))
+        if not frames:
+            return None
+        k, conflict = frames[-1]
+        if result is not None:  # a conflict from below, or this level exhausted
             if k not in result:
                 vals[k] = None
-                return (kind, result)
+                frames.pop()
+                continue
             conflict |= result
-        vals[k] = None
-        conflict.discard(k)
-        return ("conflict", frozenset(conflict))
-
-    kind, result = rec(0)
-    return result if kind == "model" else None
+            result = None
+        for value in range(0 if vals[k] is None else vals[k] + 1, counts[k]):
+            vals[k] = value
+            for check in touching[k]:
+                if check.state(vals) is False:
+                    conflict |= minimised_conflict(check)
+                    break
+            else:  # no check refutes the value: finish early or descend
+                if all(check.state(vals) is True for check in checks):
+                    for i in range(k + 1, len(slots)):
+                        if vals[i] is None:
+                            vals[i] = 0
+                    return assignment()
+                break
+        else:
+            conflict.discard(k)
+            result = frozenset(conflict)
+            continue
+        k += 1
 
 
 def _bits_needed(signature: Signature, n: int) -> float:
@@ -711,31 +704,28 @@ def find_plain_model(kb: PlainKB, max_domain: int,
 # Standpoint-structure search (atom-vector decomposition)
 # ---------------------------------------------------------------------------
 
-# A modal's value does not depend on the precisification, so each of its
-# masks is 0 or _EVERY, which has every bit set and so needs no
-# precisification count.  Every mask is therefore _EVERY or a subset of the
-# m precisification bits, and `false == 0` means "nowhere false".
-_EVERY = -1
-
-
-def _compile(formulas, atom_index: dict, sp_names: list[str]):
-    """Compile the formulas once per search into bit-parallel evaluators.
+def _compile(formulas, atom_index: dict, sp_names: list[str], planes: int):
+    """Compile the formulas once per search into lane-parallel evaluators.
 
     Returns (evaluators, modals).  ``modals`` holds one function per modal
     operator, mapping (sigma_tuple, full) to the operator's member mask,
     where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]`` and
     ``full`` the mask of all precisifications.  ``evaluators`` holds one
     function per formula, mapping (at, af, members) to its (true, false)
-    masks, where ``at[i]``/``af[i]`` mask the precisifications at which atom
-    ``i`` is known true/false and ``members[j]`` is ``modals[j]``'s mask.
-    Bit pi of ``true`` (``false``) is set when the formula is definitely
-    true (false) at pi under those partial atom vectors.
-    This is pointwise the three-valued logic: negation swaps, conjunction
-    and disjunction combine bitwise, and a box over members M is false
-    everywhere when its argument is false somewhere in M, true everywhere
-    when it is true throughout M, and unknown otherwise (a diamond dually).
+    masks: bit ``pi * 2**k + v`` (lane v of plane pi, k atoms) is set when
+    the formula is definitely true (false) at pi if the probed position
+    takes vector v.  ``at[i]``/``af[i]`` mask the lanes where atom ``i`` is
+    known true/false; ``members[j]`` holds the shifts ``pi * 2**k`` of
+    modal ``j``'s members.  Lanewise this is the three-valued logic:
+    negation swaps, conjunction and disjunction combine bitwise, and a box
+    over members M is false in a lane when its argument is false there at
+    some plane in M, true when it is true there throughout M, and unknown
+    otherwise (a diamond dually), copied to all ``planes`` planes.
     """
     sp_pos = {name: j for j, name in enumerate(sp_names)}
+    width = 1 << len(atom_index)
+    lanes = (1 << width) - 1
+    spread = sum(1 << (pi * width) for pi in range(planes))
     modals: list = []
 
     def members(e):
@@ -784,30 +774,23 @@ def _compile(formulas, atom_index: dict, sp_names: list[str]):
         if isinstance(f, Box):
             def box(at, af, ms):
                 t, fl = g(at, af, ms)
-                if fl & ms[j]:
-                    return 0, _EVERY
-                if ms[j] & ~t == 0:
-                    return _EVERY, 0
-                return 0, 0
+                yes, no = lanes, 0
+                for shift in ms[j]:
+                    yes &= t >> shift
+                    no |= fl >> shift
+                return yes * spread, (no & lanes) * spread
             return box
 
         def diamond(at, af, ms):
             t, fl = g(at, af, ms)
-            if t & ms[j]:
-                return _EVERY, 0
-            if ms[j] & ~fl == 0:
-                return 0, _EVERY
-            return 0, 0
+            yes, no = 0, lanes
+            for shift in ms[j]:
+                yes |= t >> shift
+                no &= fl >> shift
+            return (yes & lanes) * spread, no * spread
         return diamond
 
     return [formula(f) for f in formulas], modals
-
-
-def _fix_vector(v: int, bit: int, at: list, af: list) -> tuple[list, list]:
-    """The atom masks (at, af) after fixing atom vector ``v`` at the
-    precisification whose mask is ``bit``."""
-    return ([a | bit if v >> i & 1 else a for i, a in enumerate(at)],
-            [a if v >> i & 1 else a | bit for i, a in enumerate(af)])
 
 
 def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
@@ -834,6 +817,10 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 atoms.append(atom.axiom)
     k = len(atoms)
     zeros = [0] * k
+    width = 1 << k
+    lanes = (1 << width) - 1
+    # Bit v of probes[i] is set when vector v makes atom i true.
+    probes = [sum(1 << v for v in range(width) if v >> i & 1) for i in range(k)]
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
     signature = kb.signature.union(_occurring_signature(base_axioms + atoms))
@@ -846,7 +833,21 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
     slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
     individual_slots = [slots.index(("i", ind)) for ind in individuals]
-    evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
+    evaluators, modals = _compile(kb.formulas, atom_index, sp_names, max_prec)
+
+    def refuted(pi: int, m: int, at: list, af: list, ms: list) -> int:
+        """The lanes v in which some formula is false at some of the m
+        planes when position ``pi`` takes vector v on top of (at, af)."""
+        shift = pi * width
+        at = [a | p << shift for a, p in zip(at, probes)]
+        af = [a | (lanes ^ p) << shift for a, p in zip(af, probes)]
+        false = 0
+        for ev in evaluators:
+            false |= ev(at, af, ms)[1]
+        out = 0
+        for plane in range(m):
+            out |= false >> (plane * width)
+        return out & lanes
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
@@ -870,26 +871,21 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
             full = (1 << m) - 1
-            # The atom masks of each vector alone at each position.
-            alone = [[_fix_vector(v, 1 << pi, zeros, zeros) for v in range(1 << k)]
-                     for pi in range(m)]
+            shifts = [tuple(pi * width for pi in range(m) if mask >> pi & 1)
+                      for mask in range(1 << m)]
             for sigma_tuple in product(range(1 << m), repeat=len(sp_names)):
-                ms = [mask_of(sigma_tuple, full) for mask_of in modals]
-                # Vectors propositionally viable at pi under this sigma, every
-                # other position unknown; the same for every placement nu.
-                viable = []
-                for pi in range(m):
-                    bit = 1 << pi
-                    viable.append([v for v, (at, af) in enumerate(alone[pi])
-                                   if all(not ev(at, af, ms)[1] & bit
-                                          for ev in evaluators)])
+                ms = [shifts[mask_of(sigma_tuple, full)] for mask_of in modals]
+                # The lanes of the vectors propositionally viable at pi under
+                # this sigma, every other position unknown; the same for every nu.
+                viable = [lanes & ~refuted(pi, m, zeros, zeros, ms) for pi in range(m)]
                 if not all(viable):
                     continue
                 for nu in product(range(n), repeat=len(individuals)):
                     # Viable vectors per position that some interpretation realises.
                     candidates: list[list[int]] = []
                     for pi in range(m):
-                        cands = [v for v in viable[pi] if realize(nu, v) is not None]
+                        cands = [v for v in range(width)
+                                 if viable[pi] >> v & 1 and realize(nu, v) is not None]
                         if not cands:
                             break
                         candidates.append(cands)
@@ -903,11 +899,14 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                             sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
                                      for s, mask in zip(sp_names, sigma_tuple)}
                             return StandpointStructure(n, m, sigma, gamma)
+                        bad = refuted(pi, m, at, af, ms)
+                        fill = lanes << (pi * width)
                         for v in candidates[pi]:
-                            at2, af2 = _fix_vector(v, 1 << pi, at, af)
-                            if all(ev(at2, af2, ms)[1] == 0 for ev in evaluators):
+                            if not bad >> v & 1:
                                 vectors[pi] = v
-                                found = descend(pi + 1, at2, af2)
+                                bits = [v >> i & 1 for i in range(k)]
+                                found = descend(pi + 1, [a | fill * b for a, b in zip(at, bits)],
+                                                [a | fill * (1 - b) for a, b in zip(af, bits)])
                                 if found is not None:
                                     return found
                         return None

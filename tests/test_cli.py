@@ -1,11 +1,14 @@
 """Command-line behaviour: exit codes, outputs, external reasoner protocol."""
 
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import parse_document
@@ -241,6 +244,18 @@ class TestDeepNesting:
         assert capsys.readouterr().err == "error: expression nested too deeply\n"
 
 
+class TestLongFlatChain:
+    def test_refuted_query_exits_3(self, tmp_path, capsys):
+        # 1201 concept slots, more than the recursion limit, none nested.
+        path = write(tmp_path, "chain.ofn",
+                     "Prefix(:=<urn:c#>)\nOntology(<urn:c>\n"
+                     + "".join(f"SubClassOf(:X{i} :X{i + 1})\n" for i in range(1200))
+                     + ")\n")
+        assert main(["query", path, "--simple", "[*](X5 sub X0)",
+                     "--guard-bits", "inf", "--domain-bound", "1"]) == 3
+        assert "not entailed; countermodel: domain size 1" in capsys.readouterr().err
+
+
 class TestSuperscriptCardinality:
     def test_exit_2_without_traceback(self, tmp_path, capsys):
         # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.
@@ -356,6 +371,70 @@ class TestEveryConstructor:
             [{"path": path, "query": q, "domain_bound": 2, "prec_bound": 2}
              for q in self.QUERIES])
         assert set(codes) == {0, 3}
+
+
+QUERY_TOKENS = ["[", "]", "<", ">", "(", ")", "{", "}", "*", "sub", "eq",
+                "and", "or", "not", "some", "only", "min", "max", "exactly",
+                "Self", "inverse", "0", "1", "2", "A", "Forest", "r", "a"]
+CLASS_NAMES = ["A", "B", "Forest", "Land", "Accepted", "Draft", "Reviewed",
+               "owl:Thing", "owl:Nothing", "{a}", "{paper1}", "Undeclared"]
+ROLE_NAMES = ["r", "t", "hasLand", "cites", "influences", "inverse r"]
+STANDPOINTS = ["*", "s", "LU", "LC", "BFO", "strict", "lenient", "other", ""]
+
+
+def class_expressions():
+    return st.recursive(
+        st.sampled_from(CLASS_NAMES),
+        lambda sub: st.one_of(
+            st.builds("({} and {})".format, sub, sub),
+            st.builds("({} or {})".format, sub, sub),
+            st.builds("not {}".format, sub),
+            st.builds("({} {} {})".format, st.sampled_from(ROLE_NAMES),
+                      st.sampled_from(["some", "only", "min 1", "max 1",
+                                       "exactly 2"]), sub),
+            st.builds("({} Self)".format, st.sampled_from(ROLE_NAMES))),
+        max_leaves=4)
+
+
+def simple_queries():
+    """Well-formed queries over the fixtures' names, and malformed ones."""
+    def query(heads, body):
+        head = st.builds(str.format, st.sampled_from(heads), st.sampled_from(STANDPOINTS))
+        return st.builds("{}({} {} {})".format, head, body,
+                         st.sampled_from(["sub", "eq"]), body)
+    soup = st.lists(st.sampled_from(QUERY_TOKENS), max_size=6).map(" ".join)
+    return st.one_of(query(["[{}]", "<{}>"], class_expressions()),
+                     query(["[{}]", "<{}>", "[{}>", "{}"], st.one_of(class_expressions(), soup)),
+                     soup, st.text(max_size=20))
+
+
+def mutated_fixtures():
+    """(name, text) of a fixture with one character replaced or deleted."""
+    def mutate(data, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        at = data.draw(st.integers(0, len(text) - 1))
+        new = data.draw(st.one_of(st.just(""), st.sampled_from(sorted(set(text))),
+                                  st.characters(max_codepoint=0x2ff)))
+        return name, text[:at] + new + text[at + 1:]
+    return st.builds(mutate, st.data(),
+                     st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.ofn"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures(), simple_queries())
+def test_query_exit_code_contract(tmp_path_factory, fixture, query):
+    """Any one-character mutation of a fixture and any query string: the
+    exit code is one of 0, 2, 3, 4 and stderr has no traceback (in process,
+    an exception that escapes `main` fails the test as well)."""
+    name, text = fixture
+    path = tmp_path_factory.mktemp("mutated") / name
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["query", str(path), f"--simple={query}",
+                     "--domain-bound", "1", "--prec-bound", "1"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def fake_reasoner(tmp_path, body):

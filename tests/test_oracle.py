@@ -276,6 +276,17 @@ class TestFindStandpointModel:
         assert D.sigma["s"] == {0, 1}
         assert kb_holds(D, kb)
 
+    def test_bare_atom_holds_at_every_later_precisification(self):
+        # A top-level formula without a modal is checked at each position on
+        # its own: the vector of position 1 must make ⊤ ⊑ B true there too.
+        kb = make_kb(formulas=[Diamond(S("s"), Atom(Gci(C("A"), Bottom()))),
+                               Diamond(S("s"), Atom(Gci(Top(), C("A")))),
+                               Disjunction(Atom(Gci(Top(), C("B"))),
+                                           Atom(Gci(Top(), Bottom())))])
+        D = find_standpoint_model(kb, 1, 2)
+        assert D.precisifications == 2
+        assert [g.concept_ext[cB] for g in D.gamma] == [{0}, {0}]
+
     def test_forest_minimal(self, forest_kb):
         from standpoint_owl.normalizer import normalize_kb
         D = find_standpoint_model(normalize_kb(forest_kb), 2, 2, guard_bits=200)
@@ -379,6 +390,32 @@ class TestEntailment:
         for g, exts in zip(w.gamma, concepts):
             assert {n.local: v for n, v in g.concept_ext.items()} == exts
             assert {n.local: v for n, v in g.role_ext.items()} == {"r": set()}
+            assert g.individual_map == {}
+
+    def test_three_precisifications_first_witness_golden(self):
+        """Box and diamond over ∪, ∩ and ∖ standpoint expressions, one
+        Boolean combination, three precisifications needed: the canonical
+        first countermodel, recorded before the standpoint formulas were
+        evaluated over all atom vectors at once."""
+        A, B, D = C("A"), C("B"), C("D")
+        c_minus_a = SpMinus(S("c"), S("a"))
+        kb = make_kb(plain_axioms=[Gci(D, Some(R("r"), A))], formulas=[
+            Diamond(SpUnion(S("a"), S("b")), Atom(Gci(Top(), And(A, Not(B))))),
+            Conjunction(Diamond(c_minus_a, Atom(Gci(Top(), Not(A)))),
+                        Negation(Box(S("b"), Atom(Gci(D, Bottom())))))])
+        query = Box(SpIntersection(S("a"), S("c")), Atom(Gci(B, Bottom())))
+        result = check_entailment_bounded(kb, query, 2, 3)
+        assert result.status == NOT_ENTAILED
+        w = result.witness
+        assert (w.domain_size, w.precisifications) == (1, 3)
+        assert w.sigma == {"*": {0, 1, 2}, "a": {0}, "b": {1}, "c": {0, 2}}
+        concepts = [{"A": {0}, "B": {0}, "D": {0}},
+                    {"A": {0}, "B": set(), "D": {0}},
+                    {"A": set(), "B": {0}, "D": set()}]
+        roles = [{(0, 0)}, {(0, 0)}, set()]
+        for g, exts, pairs in zip(w.gamma, concepts, roles):
+            assert {n.local: v for n, v in g.concept_ext.items()} == exts
+            assert {n.local: v for n, v in g.role_ext.items()} == {"r": pairs}
             assert g.individual_map == {}
 
     def test_tautology_entailed(self):
@@ -651,24 +688,44 @@ def formulas(depth):
 @settings(max_examples=400, deadline=None)
 @given(st.data(), formulas(3))
 def test_compiled_formulas_match_the_three_valued_walk(data, f):
-    from standpoint_owl.oracle import _compile, _fix_vector
+    """Every lane and every plane of the compiled masks against the walk:
+    lane v of plane pi holds the value at pi when the probed position takes
+    vector v and the other positions keep their partial vectors."""
+    from standpoint_owl.oracle import _compile
     m = data.draw(st.integers(1, 4))
+    planes = data.draw(st.integers(m, 5))
     k = len(ATOMS)
+    width = 1 << k
+    lanes = (1 << width) - 1
     atom_index = {ax: i for i, ax in enumerate(ATOMS)}
     sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
-    vectors = [data.draw(st.one_of(st.none(), st.integers(0, (1 << k) - 1)))
+    vectors = [data.draw(st.one_of(st.none(), st.integers(0, width - 1)))
                for _ in range(m)]
-    at = af = [0] * k
-    for pi, v in enumerate(vectors):
-        if v is not None:
-            at, af = _fix_vector(v, 1 << pi, at, af)
-    (evaluate,), modals = _compile([f], atom_index, SP_NAMES)
+    probed = data.draw(st.integers(0, m - 1))
+    at, af = [0] * k, [0] * k
+    for i in range(k):
+        for pi, v in enumerate(vectors):
+            if pi == probed:
+                probe = sum(1 << w for w in range(width) if w >> i & 1)
+                at[i] |= probe << (pi * width)
+                af[i] |= (lanes ^ probe) << (pi * width)
+            elif v is not None:
+                if v >> i & 1:
+                    at[i] |= lanes << (pi * width)
+                else:
+                    af[i] |= lanes << (pi * width)
+    (evaluate,), modals = _compile([f], atom_index, SP_NAMES, planes)
     full = (1 << m) - 1
-    true, false = evaluate(at, af, [mask_of(sigma_tuple, full) for mask_of in modals])
+    members = [mask_of(sigma_tuple, full) for mask_of in modals]
+    true, false = evaluate(at, af, [[pi * width for pi in range(m) if mask >> pi & 1]
+                                    for mask in members])
     sigma_sets = {"*": frozenset(range(m))}
     for name, mask in zip(SP_NAMES, sigma_tuple):
         sigma_sets[name] = frozenset(b for b in range(m) if mask >> b & 1)
-    for pi in range(m):
-        expected = _ref_tri(f, pi, sigma_sets, vectors, atom_index)
-        assert (bool(true >> pi & 1), bool(false >> pi & 1)) == \
-            (expected is True, expected is False)
+    for v in range(width):
+        lane_vectors = vectors[:probed] + [v] + vectors[probed + 1:]
+        for pi in range(m):
+            expected = _ref_tri(f, pi, sigma_sets, lane_vectors, atom_index)
+            bit = pi * width + v
+            assert (bool(true >> bit & 1), bool(false >> bit & 1)) == \
+                (expected is True, expected is False)
