@@ -550,6 +550,15 @@ def _slot_order(checks: list[_Check], signature: Signature) -> list[tuple]:
     return order
 
 
+def _slot_value_count(slot: tuple, n: int) -> int:
+    kind = slot[0]
+    if kind == "c":
+        return 1 << n
+    if kind == "r":
+        return 1 << (n * n)
+    return n
+
+
 def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                        fixed: dict[int, int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
@@ -573,7 +582,7 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
     vals: list = [None] * len(slots)
     for i, value in fixed.items():
         vals[i] = value
-    counts = [{"c": 1 << n, "r": 1 << (n * n), "i": n}[kind] for kind, _ in slots]
+    counts = [_slot_value_count(slot, n) for slot in slots]
     touching: list[list[_Compiled]] = [[] for _ in slots]
     for check in checks:
         for i in check.slots:
@@ -606,28 +615,28 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                 out[slots[i]] = value
         return out
 
-    # One frame (slot index, conflict set) per slot being enumerated, whose
-    # current value is in vals; the stack replaces one recursion per slot.
-    frames: list = []
-    k, result = 0, None
+    # The slots searched, in order, and one conflict set per slot being
+    # enumerated, whose value is in vals: the stack replaces one recursion
+    # per slot.
+    free = [i for i in range(len(slots)) if i not in fixed]
+    conflicts: list[set] = []
+    result = None
     while True:
-        if result is None:  # descend to the next unassigned slot
-            while k < len(slots) and vals[k] is not None:
-                k += 1
-            if k == len(slots):
+        if result is None:  # descend to the next free slot
+            if len(conflicts) == len(free):
                 failed = next((check for check in checks if check.state(vals) is False), None)
                 if failed is None:
                     return assignment()
                 result = minimised_conflict(failed)
             else:
-                frames.append((k, set()))
-        if not frames:
+                conflicts.append(set())
+        if not conflicts:
             return None
-        k, conflict = frames[-1]
-        if result is not None:  # a conflict from below, or this level exhausted
+        k, conflict = free[len(conflicts) - 1], conflicts[-1]
+        if result is not None:  # a conflict from the level below
             if k not in result:
                 vals[k] = None
-                frames.pop()
+                conflicts.pop()
                 continue
             conflict |= result
             result = None
@@ -639,16 +648,15 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                     break
             else:  # no check refutes the value: finish early or descend
                 if all(check.state(vals) is True for check in checks):
-                    for i in range(k + 1, len(slots)):
-                        if vals[i] is None:
-                            vals[i] = 0
+                    for i in free[len(conflicts):]:
+                        vals[i] = 0
                     return assignment()
                 break
-        else:
+        else:  # every value failed: pass the conflict up
+            conflicts.pop()
+            vals[k] = None
             conflict.discard(k)
             result = frozenset(conflict)
-            continue
-        k += 1
 
 
 def _bits_needed(signature: Signature, n: int) -> float:
@@ -818,9 +826,6 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     k = len(atoms)
     zeros = [0] * k
     width = 1 << k
-    lanes = (1 << width) - 1
-    # Bit v of probes[i] is set when vector v makes atom i true.
-    probes = [sum(1 << v for v in range(width) if v >> i & 1) for i in range(k)]
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
     signature = kb.signature.union(_occurring_signature(base_axioms + atoms))
@@ -833,11 +838,12 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
     slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
     individual_slots = [slots.index(("i", ind)) for ind in individuals]
-    evaluators, modals = _compile(kb.formulas, atom_index, sp_names, max_prec)
+    # The lane masks have 2**k bits, so they are built once the guard passes.
+    evaluators = None
 
-    def refuted(pi: int, m: int, at: list, af: list, ms: list) -> int:
-        """The lanes v in which some formula is false at some of the m
-        planes when position ``pi`` takes vector v on top of (at, af)."""
+    def clear(pi: int, m: int, at: list, af: list, ms: list) -> list[int]:
+        """The vectors v, ascending, for which no formula is false at any of
+        the m planes when position ``pi`` takes v on top of (at, af)."""
         shift = pi * width
         at = [a | p << shift for a, p in zip(at, probes)]
         af = [a | (lanes ^ p) << shift for a, p in zip(af, probes)]
@@ -847,7 +853,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         out = 0
         for plane in range(m):
             out |= false >> (plane * width)
-        return out & lanes
+        return [v for v, bit in enumerate(reversed(bin(lanes & ~out))) if bit == "1"]
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
@@ -870,22 +876,28 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
+            if evaluators is None:
+                lanes = (1 << width) - 1
+                # Bit v of probes[i] is set when vector v makes atom i true:
+                # the upper half of every period of 2 << i lanes.
+                probes = [lanes // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                          for i in range(k)]
+                evaluators, modals = _compile(kb.formulas, atom_index, sp_names, max_prec)
             full = (1 << m) - 1
             shifts = [tuple(pi * width for pi in range(m) if mask >> pi & 1)
                       for mask in range(1 << m)]
             for sigma_tuple in product(range(1 << m), repeat=len(sp_names)):
                 ms = [shifts[mask_of(sigma_tuple, full)] for mask_of in modals]
-                # The lanes of the vectors propositionally viable at pi under
-                # this sigma, every other position unknown; the same for every nu.
-                viable = [lanes & ~refuted(pi, m, zeros, zeros, ms) for pi in range(m)]
+                # The vectors propositionally viable at pi under this sigma,
+                # every other position unknown; the same for every nu.
+                viable = [clear(pi, m, zeros, zeros, ms) for pi in range(m)]
                 if not all(viable):
                     continue
                 for nu in product(range(n), repeat=len(individuals)):
                     # Viable vectors per position that some interpretation realises.
                     candidates: list[list[int]] = []
                     for pi in range(m):
-                        cands = [v for v in range(width)
-                                 if viable[pi] >> v & 1 and realize(nu, v) is not None]
+                        cands = [v for v in viable[pi] if realize(nu, v) is not None]
                         if not cands:
                             break
                         candidates.append(cands)
@@ -899,10 +911,10 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                             sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
                                      for s, mask in zip(sp_names, sigma_tuple)}
                             return StandpointStructure(n, m, sigma, gamma)
-                        bad = refuted(pi, m, at, af, ms)
+                        ok = set(clear(pi, m, at, af, ms))
                         fill = lanes << (pi * width)
                         for v in candidates[pi]:
-                            if not bad >> v & 1:
+                            if v in ok:
                                 vectors[pi] = v
                                 bits = [v >> i & 1 for i in range(k)]
                                 found = descend(pi + 1, [a | fill * b for a, b in zip(at, bits)],

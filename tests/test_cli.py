@@ -256,6 +256,21 @@ class TestLongFlatChain:
         assert "not entailed; countermodel: domain size 1" in capsys.readouterr().err
 
 
+class TestManyAtoms:
+    def test_over_the_guard_exits_4(self, tmp_path, capsys):
+        # 70 annotated axioms over 71 concepts: the guard trips at domain
+        # size 1, before the search builds masks of 2**71 bits.
+        box = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
+               '<Standpoint name=\\"s\\"/></Box></standpointAxiom>")')
+        path = write(tmp_path, "atoms.ofn",
+                     "Prefix(:=<urn:a#>)\nOntology(<urn:a>\n"
+                     + "".join(f"SubClassOf({box} :X{i} :X{i + 1})\n" for i in range(70))
+                     + ")\n")
+        assert main(["query", path, "--simple", "[*](X5 sub X0)"]) == 4
+        assert capsys.readouterr().err.endswith(
+            "inconclusive: the bounded search guard was exceeded\n")
+
+
 class TestSuperscriptCardinality:
     def test_exit_2_without_traceback(self, tmp_path, capsys):
         # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.

@@ -287,6 +287,14 @@ class TestFindStandpointModel:
         assert D.precisifications == 2
         assert [g.concept_ext[cB] for g in D.gamma] == [{0}, {0}]
 
+    def test_guard_trips_before_the_lane_masks_are_built(self):
+        # 43 concepts exceed the default guard at n = m = 1, and 70 atoms
+        # would need lane masks of 2**70 bits.
+        atoms = [Atom(Gci(C(f"X{i}"), C(f"X{i + d}"))) for i in range(35) for d in (1, 8)]
+        kb = make_kb(formulas=[Box(S("s"), atom) for atom in atoms])
+        with pytest.raises(SearchSpaceTooLarge):
+            find_standpoint_model(kb, 1, 1)
+
     def test_forest_minimal(self, forest_kb):
         from standpoint_owl.normalizer import normalize_kb
         D = find_standpoint_model(normalize_kb(forest_kb), 2, 2, guard_bits=200)
