@@ -36,7 +36,7 @@ Exhaustion within bounds is evidence, not proof, of unsatisfiability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Optional
 
@@ -48,8 +48,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    left_spine, make_kb, signature_of, walk_atoms,
-                    walk_refs)
+                    left_spine, signature_of, walk_atoms, walk_refs)
 from .normalizer import normalize_kb
 
 # ---------------------------------------------------------------------------
@@ -960,11 +959,13 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
 
 def negated_query_kb(kb: StandpointKB, query: StandpointFormula) -> StandpointKB:
     """The KB with the negated query added, normalized: the input of
-    `search_countermodel`."""
-    return normalize_kb(make_kb(rias=kb.rias, plain_axioms=kb.plain_axioms,
-                                formulas=tuple(kb.formulas) + (Negation(query),),
-                                named_axioms=kb.named_axioms, base_iri=kb.base_iri,
-                                declared=kb.signature, namespace=kb.namespace))
+    `search_countermodel`.  ``kb.signature`` must cover the KB, as
+    `make_kb` and `assemble_kb` build it; only the query's names are
+    added to it."""
+    negated = Negation(query)
+    signature = kb.signature.union(signature_of(StandpointKB(formulas=(negated,))))
+    return normalize_kb(replace(kb, formulas=(*kb.formulas, negated),
+                                signature=signature))
 
 
 def search_countermodel(extended: StandpointKB, max_domain: int, max_prec: int,

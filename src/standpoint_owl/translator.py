@@ -10,15 +10,24 @@ shared by all precisifications and are rebased but not indexed.
 Membership guards translate standpoint expressions pointwise; formulas
 translate to concept expressions asserted under ⊤ ⊑ · : an inclusion C ⊑ D
 at π becomes ∀u.(¬C__π ⊔ D__π), its negation ∃u.(C__π ⊓ ¬D__π), a box
-becomes the conjunction over all indices of guard-implies-body, and a
-diamond the guard and body at its own witness index: ``translate_kb``
-numbers the diamond occurrences 0 … D-1 in preorder across the formulas,
-and every copy of a formula reuses them.  Each diamond needs only one
-witness precisification (which is why p = D), so the output is
-equisatisfiable with the input, though not index-equivalent to it; the
-public ``trans`` keeps the p-way disjunction ⊔_k guard_k ⊓ body_k as the
-reference encoding.  Unannotated axioms and role chains are emitted once
-per index over the renamed vocabulary, which is equivalent to their guarded
+inside a Boolean combination the conjunction over all indices of
+guard-implies-body, and a diamond the guard and body at its own witness
+index: ``translate_kb`` numbers the diamond occurrences 0 … D-1 in
+preorder across the formulas, and every copy of a formula reuses them.
+Each diamond needs only one witness precisification (which is why p = D),
+so the output is equisatisfiable with the input, though not
+index-equivalent to it; the public ``trans`` keeps the p-way disjunction
+⊔_k guard_k ⊓ body_k as the reference encoding.
+
+A top-level box or bare atom is asserted as one ordinary axiom per index
+instead: a box [e]φ is G_k ⊑ trans(k, φ), with G_k the guard of e at k,
+and over an atom C ⊑ D the absorbable GCI C__k ⊓ G_k ⊑ D__k (an equivalence
+C ≡ D gives C__k ⊓ G_k ≡ D__k ⊓ G_k).  This says the same as the guarded
+conjunction because G_k is built from ∀u markers, so it holds everywhere
+or nowhere.  The guard of a bare ``*`` is dropped and ⊤ ⊓ X folds to X,
+so ``[*](C ⊑ D)`` and a bare atom become C__k ⊑ D__k and a sharpening
+G_k ⊑ ⊥.  Unannotated axioms and role chains are emitted once per index
+over the renamed vocabulary, which is equivalent to their guarded
 universal-standpoint translation because the universal marker is forced to
 be total.
 
@@ -37,7 +46,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     EntityName, Equiv, Gci, HasSelf, Negation, Nominal, Not,
                     Or, PlainKB, Ria, RoleExpr, Signature, Some,
                     SpIntersection, SpMinus, SpUnion, STAR, Star,
-                    StandpointExpr, StandpointFormula, StandpointKB, TOP,
+                    StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
                     UNIVERSAL, UniversalRole, fold, iter_nodes, left_spine,
                     standpoint_entity, walk_refs)
 from .normalizer import _check_no_nesting, count_precisifications, diamond_count
@@ -214,6 +223,32 @@ def _has_bare_atom(f: StandpointFormula) -> bool:
     return any(type(node) is Atom for node in iter_nodes(f, (Atom, Box, Diamond)))
 
 
+def _per_index_axioms(table: _Interner, f: StandpointFormula, p: int):
+    """The axiom a top-level box or bare atom asserts at each index 0 … p-1
+    (see the module docstring)."""
+    e = None
+    if type(f) is Box:
+        _check_no_nesting(f.arg, True)
+        e = None if type(f.standpoint) is Star else f.standpoint
+        f = f.arg
+    for k in range(p):
+        g = None if e is None else table.guard(e, k)
+        if type(f) is not Atom:
+            yield Gci(TOP if g is None else g, table.trans(k, f, p))
+            continue
+        ax = f.axiom
+        lhs, rhs = table.concept(ax.lhs, k), table.concept(ax.rhs, k)
+        if g is not None:
+            lhs = _meet(lhs, g)
+            if type(ax) is Equiv:
+                rhs = _meet(rhs, g)
+        yield type(ax)(lhs, rhs)
+
+
+def _meet(c: ConceptExpr, guard: ConceptExpr) -> ConceptExpr:
+    return guard if type(c) is Top else And(c, guard)
+
+
 def output_iri(kb: StandpointKB) -> str:
     return kb.base_iri + "/translated" if kb.base_iri else "translated"
 
@@ -227,8 +262,9 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     ontology's namespace and every other input base to its own one (see
     ``output_namespaces``), so distinct names stay distinct.  Output
     order is deterministic: universal-standpoint marker axioms first, then
-    formula translations (one copy for purely modal formulas, p copies
-    otherwise), then per-index plain axioms, then per-index role chains.
+    formula translations (p per-index axioms for a top-level box or atom,
+    one copy for other purely modal formulas, p copies otherwise), then
+    per-index plain axioms, then per-index role chains.
     Diamond occurrence d, in preorder across the formulas, is translated
     at index d only.
     """
@@ -248,6 +284,9 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
         axioms.append(Gci(TOP, table.guard(STAR, k)))
     first = 0  # the witness index of the formula's first diamond
     for f in kb.formulas:
+        if type(f) in (Atom, Box):  # no diamond inside, so ``first`` stays
+            axioms.extend(_per_index_axioms(table, f, p))
+            continue
         for k in range(p) if _has_bare_atom(f) else range(1):
             axioms.append(Gci(TOP, table.trans(k, f, p, count(first))))
         first += diamond_count(f)

@@ -2,7 +2,10 @@
 at most three concept names, one role, two standpoints, three formulas of
 modal depth one, and a translation bound of at most three.  With a second
 namespace, D becomes the A of another namespace and the plain axioms use
-that namespace's r, so equal local names from two namespaces meet."""
+that namespace's r, so equal local names from two namespaces meet.
+``top_level_kb`` draws the top-level shapes that ``translate_kb`` emits
+as per-index axioms: boxes and bare atoms, next to sharpening chains and
+diamonds."""
 
 import random
 
@@ -12,7 +15,8 @@ from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
                                   RoleName, Some, SpIntersection, SpMinus,
                                   SpUnion, Star, Top, concept_name, make_kb,
                                   rebase_names, role_name, transform)
-from standpoint_owl.normalizer import count_precisifications, normalize_kb
+from standpoint_owl.normalizer import (count_precisifications,
+                                       desugar_sharpening, normalize_kb)
 
 CONCEPTS = [ConceptName(concept_name(x)) for x in "ABD"]
 ROLE = RoleName(role_name("r"))
@@ -99,3 +103,69 @@ def random_kb(seed, normalized=True, two_namespaces=False):
         kb = make_kb(formulas=formulas, plain_axioms=plain, base_iri="urn:gen")
         if count_precisifications(normalize_kb(kb)) <= 3:
             return normalize_kb(kb) if normalized else kb
+
+
+SHARPENED = STANDPOINTS + [NamedStandpoint("v")]
+
+
+def _side(rng):
+    """A concept of depth at most one that is not ⊤ and holds no ¬⊤."""
+    k = rng.randrange(7)
+    if k <= 2:
+        return rng.choice(CONCEPTS)
+    if k == 3:
+        return Bottom()
+    if k == 4:
+        return Not(rng.choice(CONCEPTS))
+    if k == 5:
+        return rng.choice([And, Or])(rng.choice(CONCEPTS), rng.choice(CONCEPTS))
+    return Some(ROLE, rng.choice(CONCEPTS))
+
+
+def _top_level_atom(rng, top_lhs=0.0):
+    lhs = Top() if rng.random() < top_lhs else _side(rng)
+    ctor = Equiv if rng.random() < 0.3 else Gci
+    return Atom(ctor(lhs, _side(rng)))
+
+
+def _named_expr(rng):
+    """A standpoint expression over the named standpoints only."""
+    if rng.random() < 0.6:
+        return rng.choice(SHARPENED)
+    ctor = rng.choice([SpUnion, SpIntersection, SpMinus])
+    return ctor(rng.choice(SHARPENED), rng.choice(SHARPENED))
+
+
+def _combination(rng):
+    parts = [Negation(_top_level_atom(rng)) if rng.random() < 0.3
+             else _top_level_atom(rng) for _ in range(2)]
+    return rng.choice([Conjunction, Disjunction])(*parts)
+
+
+def _box_or_atom(rng):
+    k = rng.randrange(6)
+    if k == 0:
+        return _top_level_atom(rng, top_lhs=0.2)
+    if k == 1:
+        return Box(Star(), _top_level_atom(rng, top_lhs=0.2))
+    if k == 2:
+        return Box(_named_expr(rng), Atom(Equiv(_side(rng), _side(rng))))
+    if k == 3:
+        return Box(rng.choice([Star(), _named_expr(rng)]), _combination(rng))
+    return Box(_named_expr(rng), _top_level_atom(rng, top_lhs=0.2))
+
+
+def top_level_kb(seed):
+    """A normalized KB of one to three top-level boxes or bare atoms, a
+    sharpening chain over up to three standpoints and one or two diamonds
+    (so p is one or two).  ``*`` occurs only as the whole standpoint of a
+    box, and ⊤ only as the left side of a top-level box or atom, so the
+    translation's constant folds and dropped ``*`` guards cover all of it."""
+    rng = random.Random(seed)
+    chain = rng.sample(SHARPENED, rng.randrange(4))
+    formulas = [desugar_sharpening(a, b) for a, b in zip(chain, chain[1:])]
+    formulas += [_box_or_atom(rng) for _ in range(rng.randrange(1, 4))]
+    formulas += [Diamond(_named_expr(rng), rng.choice([Negation, lambda f: f])(
+                     _top_level_atom(rng))) for _ in range(rng.randrange(1, 3))]
+    rng.shuffle(formulas)
+    return normalize_kb(make_kb(formulas=formulas, base_iri="urn:gen"))

@@ -10,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import standpoint_owl
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import parse_document
 from standpoint_owl.model import And, Gci, PlainKB, left_spine
@@ -22,11 +23,11 @@ import run  # noqa: E402  (perfbench/run.py)
 
 MARKER = "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :SP__STAR__0))"
 
-# sha256 of `translate FIXTURE --dump` as emitted before the translator
-# shared its leaves; sharing must not change a byte.
+# sha256 of `translate FIXTURE --dump` since top-level boxes became
+# per-index GCIs; a refactor of the translator must not change a byte.
 GOLDEN_SHA256 = {
-    "forest.ofn": "244de316819f35fbc8e801167806c8e78588ea0a3d099ff58abf14312347ad71",
-    "mixed.ofn": "7e3945cb267ff0bdb0f93a503cc1766c7538bbe40f4e9c9715eba76674c75d84",
+    "forest.ofn": "097d763a1c2db4cce91d6bc058bfd6cec5adf64321e672615a752e8672e0b0ef",
+    "mixed.ofn": "1d9cb4580942f4073b3996b31741af5c2bd160c49e20af14f4ce75cd1ac73fed",
 }
 
 
@@ -423,6 +424,9 @@ def simple_queries():
                      soup, st.text(max_size=20))
 
 
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.ofn"))
+
+
 def mutated_fixtures():
     """(name, text) of a fixture with one character replaced or deleted."""
     def mutate(data, name):
@@ -431,8 +435,7 @@ def mutated_fixtures():
         new = data.draw(st.one_of(st.just(""), st.sampled_from(sorted(set(text))),
                                   st.characters(max_codepoint=0x2ff)))
         return name, text[:at] + new + text[at + 1:]
-    return st.builds(mutate, st.data(),
-                     st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.ofn"))))
+    return st.builds(mutate, st.data(), st.sampled_from(FIXTURE_NAMES))
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,13 +455,73 @@ def test_query_exit_code_contract(tmp_path_factory, fixture, query):
     assert "Traceback" not in err.getvalue()
 
 
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures(), st.sampled_from(FIXTURE_NAMES),
+       st.sampled_from([["translate"], ["import", "--standpoint", "s"],
+                        ["import", "--standpoint", "*", "--translate"]]),
+       st.booleans())
+def test_translate_and_import_exit_code_contract(tmp_path_factory, fixture, other,
+                                                 command, source_mutated):
+    """Any one-character mutation of a fixture, translated, or imported
+    into an unmutated fixture or from one: the exit code is 0 or 2 and
+    stderr has no traceback."""
+    name, text = fixture
+    path = tmp_path_factory.mktemp("mutated") / name
+    path.write_text(text, encoding="utf-8")
+    files = [str(path)]
+    if command[0] == "import":
+        files.append(str(FIXTURES / other))
+        if source_mutated:
+            files.reverse()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command[0], *files, *command[1:], "--dump"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def fake_reasoner(tmp_path, body):
     path = tmp_path / "reasoner.py"
     path.write_text(body, encoding="utf-8")
     return f"{sys.executable} {path}"
 
 
+# A stand-in OWL reasoner: the bounded plain-model search on the translated
+# document, at the domain bound given before the document's path.
+STAND_IN_REASONER = """\
+import sys
+sys.path.insert(0, {src!r})
+from standpoint_owl.frontend import parse_document
+from standpoint_owl.model import PlainKB
+from standpoint_owl.oracle import find_plain_model
+
+bound, path = int(sys.argv[1]), sys.argv[2]
+with open(path, encoding="utf-8") as handle:
+    axioms = tuple(ax for ax, _ in parse_document(handle.read()).axioms)
+model = find_plain_model(PlainKB(axioms), bound, guard_bits=float("inf"))
+print("inconsistent" if model is None else "consistent")
+"""
+
+
 class TestExternalReasoner:
+    @pytest.mark.parametrize("fixture, query, verdict", [
+        ("constructors.ofn", "[*]({a} sub B)", 3),
+        ("constructors.ofn", "[s](inverse r some A sub B)", 0),
+        ("constructors.ofn", "[*](B sub r max 1 A)", 3),
+        ("constructors.ofn", "[s](r some (t some B) sub t some B)", 0),
+        ("forest.ofn", "[LU](Forest sub Land)", 0),
+        ("forest.ofn", "<LC>(Forest sub Forest)", 3),
+        ("forest.ofn", "[LU](Forest sub ForestEcosystem)", 3),
+        ("forest.ofn", "[BFO](Land and Ecosystem sub owl:Nothing)", 0)])
+    def test_stand_in_reasoner_agrees_with_the_oracle(self, fixture, query, verdict,
+                                                      tmp_path, capsys):
+        src = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+        cmd = fake_reasoner(tmp_path, STAND_IN_REASONER.format(src=src)) + " 2"
+        args = ["query", str(FIXTURES / fixture), "--simple", query,
+                "--domain-bound", "2"]
+        assert main([*args, "--reasoner-cmd", cmd]) == verdict
+        assert main([*args, "--guard-bits", "inf"]) == verdict
+
     def test_inconsistent_means_entailed(self, forest_path, tmp_path, capsys):
         cmd = fake_reasoner(tmp_path, "print('inconsistent')\n")
         code = main(["query", forest_path, "--simple", "[LU](Forest sub Land)",

@@ -6,21 +6,22 @@ import pytest
 
 from standpoint_owl.errors import NestedModality, ReservedName, UnresolvedRef
 from standpoint_owl import translator
-from standpoint_owl.model import (All, And, Atom, AxiomRef, Box, ConceptName,
-                                  Conjunction, Diamond, Disjunction,
-                                  EntityName, Equiv, Gci, InverseRole,
-                                  Negation, Nominal, Not, Or, PlainKB, Ria,
-                                  RoleName, Some, SpIntersection, SpMinus,
-                                  SpUnion, Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, iter_nodes, left_spine,
-                                  make_kb, rebase_names, role_name,
-                                  standpoint_entity, validate_roles)
+from standpoint_owl.model import (All, And, Atom, AxiomRef, Bottom, Box,
+                                  ConceptName, Conjunction, Diamond,
+                                  Disjunction, EntityName, Equiv, Gci,
+                                  InverseRole, Negation, Nominal, Not, Or,
+                                  PlainKB, Ria, RoleName, Some,
+                                  SpIntersection, SpMinus, SpUnion, Star, Top,
+                                  UNIVERSAL, concept_name, individual_name,
+                                  iter_nodes, make_kb, rebase_names,
+                                  role_name, standpoint_entity,
+                                  validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
 from conftest import C, O, R, S
-from genkb import SECOND_NS, random_kb
+from genkb import SECOND_NS, random_kb, top_level_kb
 
 A, B, D = C("A"), C("B"), C("D")
 
@@ -276,9 +277,10 @@ class TestSharing:
                      base_iri="urn:o")
         out = translate_kb(kb)
         p = 2
-        diamond, box, single = (ax.rhs for ax in out.axioms[p:p + 3])
-        # each diamond is guard ⊓ body at its own index: 0, then 1
-        box_guards = [part.lhs.arg for part in left_spine(box, And)]
+        diamond, single = out.axioms[p].rhs, out.axioms[p + 1 + p].rhs
+        # each diamond is guard ⊓ body at its own index: 0, then 1; the box
+        # is one GCI B__k ⊓ guard_k ⊑ D__k per index k
+        box_guards = [ax.lhs.rhs for ax in out.axioms[p + 1:p + 1 + p]]
         assert diamond.lhs is box_guards[0]
         assert diamond.lhs == trans_e(0, union, "urn:o/translated#")
         assert single.lhs == trans_e(1, S("s"), "urn:o/translated#")
@@ -366,3 +368,57 @@ class TestDifferential:
                   if type(node) is All and type(node.filler) is ConceptName
                   and node.filler.name.local.startswith("SP__s__")]
         assert sorted(guards) == sorted(f"SP__s__{d}" for d in range(n))
+
+
+class TestTopLevelAxioms:
+    """Top-level boxes and bare atoms as per-index axioms, against the
+    reference encoding and the oracle: sharpening chains, ``[*]`` boxes,
+    boxes over equivalences and over Boolean combinations, and bare
+    inclusions and equivalences, next to diamonds (see ``top_level_kb``)."""
+
+    SEEDS = range(200)
+
+    def test_verdicts_agree_with_the_reference_and_the_oracle(self):
+        models = 0
+        for seed in self.SEEDS:
+            kb = top_level_kb(seed)
+            p = count_precisifications(kb)
+            ours = find_plain_model(translate_kb(kb), 2, guard_bits=1000) is not None
+            ref = find_plain_model(reference_translation(kb), 2, guard_bits=1000) is not None
+            oracle = find_standpoint_model(kb, 2, p, guard_bits=1000) is not None
+            assert ours == ref == oracle, seed
+            models += ours
+        # both verdicts are common, so a wrong guard shows in either direction
+        assert len(self.SEEDS) // 4 < models < len(self.SEEDS) * 3 // 4
+
+    def test_no_constant_wrapping_and_no_star_guard(self):
+        for seed in self.SEEDS:
+            kb = top_level_kb(seed)
+            p = count_precisifications(kb)
+            out = translate_kb(kb)
+            assert out.axioms[:p] == tuple(Gci(Top(), trans_e(k, Star(), "urn:gen/translated#"))
+                                           for k in range(p))
+            for ax in out.axioms[p:]:
+                for node in iter_nodes(ax):
+                    assert node != Not(Top()), seed
+                    assert not (type(node) is EntityName
+                                and node.local.startswith("SP__STAR")), seed
+
+    def test_shapes(self):
+        ns = "urn:o/translated#"
+        s0, t0 = u_all(C("SP__s__0", ns)), u_all(C("SP__t__0", ns))
+        a0, b0 = C("A__0", ns), C("B__0", ns)
+        kb = normalize_kb(make_kb(formulas=[
+            Box(SpMinus(S("s"), S("t")), Atom(Gci(Top(), Bottom()))),
+            Box(Star(), Atom(Gci(A, B))),
+            Box(S("s"), Atom(Gci(A, B))),
+            Box(S("s"), Atom(Equiv(A, B))),
+            Box(S("t"), Disjunction(Atom(Gci(A, B)), Negation(Atom(Gci(B, A))))),
+            Atom(Equiv(A, B))], base_iri="urn:o"))
+        assert translate_kb(kb).axioms[1:] == (
+            Gci(And(s0, Not(t0)), Bottom()),
+            Gci(a0, b0),
+            Gci(And(a0, s0), b0),
+            Equiv(And(a0, s0), And(b0, s0)),
+            Gci(t0, Or(u_all(Or(Not(a0), b0)), u_some(And(b0, Not(a0))))),
+            Equiv(a0, b0))
