@@ -16,11 +16,11 @@ import subprocess
 import sys
 import tempfile
 
-from .errors import BadName, StandpointOwlError
+from .errors import StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.functional import Annotation, Declaration, RawDocument
-from .model import (STANDPOINT_NAME_RE, Ria, StandpointKB, rebase_names,
+from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
                     validate_roles)
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, negated_query_kb,
@@ -58,20 +58,21 @@ def _load(path: str):
     return doc, kb
 
 
-def _translate_pipeline(kb: StandpointKB, rebase: str | None):
+def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> int:
+    """Translate the KB, report p and the axiom count on standard error,
+    and emit the translated document."""
     kb = normalize_kb(kb)
     p = count_precisifications(kb)
     plain = translate_kb(kb, base_iri=rebase if rebase else None)
-    return plain, p
-
-
-def cmd_translate(args) -> int:
-    _, kb = _load(args.input)
-    plain, p = _translate_pipeline(kb, args.rebase)
     text = serialize_kb(plain)
     print(f"p={p}; axioms={len(plain.axioms)}", file=sys.stderr)
     _emit(text, args.out, args.dump, _default_out(args.input, ".translated.ofn"))
     return 0
+
+
+def cmd_translate(args) -> int:
+    _, kb = _load(args.input)
+    return _translate_and_emit(kb, args, args.rebase)
 
 
 def _box_annotation(standpoint: str) -> Annotation:
@@ -81,8 +82,7 @@ def _box_annotation(standpoint: str) -> Annotation:
 
 
 def cmd_import(args) -> int:
-    if args.standpoint != "*" and not STANDPOINT_NAME_RE.match(args.standpoint):
-        raise BadName(f"bad standpoint name {args.standpoint!r}")
+    standpoint_expr(args.standpoint)  # raises BadName on a bad name
     doc_in = parse_document(_read(args.input))
     doc_src = parse_document(_read(args.source))
 
@@ -108,11 +108,7 @@ def cmd_import(args) -> int:
     print(f"imported {n_annotated} axioms under standpoint "
           f"{args.standpoint!r}", file=sys.stderr)
     if args.translate:
-        plain, p = _translate_pipeline(kb, None)
-        text = serialize_kb(plain)
-        print(f"p={p}; axioms={len(plain.axioms)}", file=sys.stderr)
-        _emit(text, args.out, args.dump, _default_out(args.input, ".translated.ofn"))
-        return 0
+        return _translate_and_emit(kb, args)
     _emit(serialize_document(merged), args.out, args.dump,
           _default_out(args.input, ".merged.ofn"))
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..errors import (DuplicateAxiomName, GrammarViolation, ReservedName,
                       SPAxiomOnRIA, StandpointOwlError)
 from ..model import (Atom, Box, Diamond, Equiv, Gci, Ria, Signature,
-                     StandpointKB, entity_names_in, signature_of)
+                     StandpointKB, entity_names_in, make_kb)
 from ..normalizer import desugar_sharpening
 from .functional import Annotation, RawDocument
 from .labels import (BoolCombLabel, SharpeningLabel, SpAxiomLabel,
@@ -101,9 +101,5 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
         roles=frozenset(d.name for d in doc.declarations if d.kind == "role"),
         individuals=frozenset(d.name for d in doc.declarations if d.kind == "individual"),
     )
-    kb = StandpointKB(rias=tuple(rias), plain_axioms=tuple(plain_axioms),
-                      formulas=tuple(formulas), named_axioms=named_axioms,
-                      base_iri=doc.base_iri)
-    sig = signature_of(kb).union(declared)
-    return StandpointKB(kb.rias, kb.plain_axioms, kb.formulas, named_axioms,
-                        sig, doc.base_iri, base)
+    return make_kb(rias, plain_axioms, formulas, named_axioms, doc.base_iri,
+                   declared, base)

@@ -18,9 +18,9 @@ from typing import Optional
 
 from ..errors import BadName, GrammarViolation, XmlSyntaxError
 from ..model import (STANDPOINT_NAME_RE, Atom, AxiomRef, Box, Conjunction,
-                     Diamond, Disjunction, Equiv, Gci, NamedStandpoint,
-                     Negation, SpIntersection, SpMinus, SpUnion, Star,
-                     StandpointExpr, StandpointFormula, fold)
+                     Diamond, Disjunction, Equiv, Gci, Negation,
+                     SpIntersection, SpMinus, SpUnion, StandpointExpr,
+                     StandpointFormula, fold, standpoint_expr)
 from .manchester import parse_manchester_class
 
 # Axiom names follow the standpoint-name rule after their leading §.
@@ -68,22 +68,15 @@ def _children(elem) -> list:
     return kids
 
 
-def _sp_name(elem) -> str:
-    value = _attr(elem, "name")
-    if value is None:
-        raise GrammarViolation("<Standpoint> requires a name attribute")
-    if value != "*" and not STANDPOINT_NAME_RE.match(value):
-        raise BadName(f"bad standpoint name {value!r}")
-    return value
-
-
 def _parse_sp_expr(elem) -> StandpointExpr:
     tag = _tag(elem)
     if tag == "standpoint":
         if _children(elem):
             raise GrammarViolation("<Standpoint> must be empty")
-        name = _sp_name(elem)
-        return Star() if name == "*" else NamedStandpoint(name)
+        name = _attr(elem, "name")
+        if name is None:
+            raise GrammarViolation("<Standpoint> requires a name attribute")
+        return standpoint_expr(name)
     kids = _children(elem)
     if tag in ("intersection", "union"):
         # The operator is binary in the logic; two or more children are

@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-from ..errors import BadName, GrammarViolation, ParseError, XmlSyntaxError
-from ..model import (STANDPOINT_NAME_RE, Atom, Box, Diamond, Equiv, Gci,
-                     NamedStandpoint, Star, StandpointFormula)
+from ..errors import GrammarViolation, ParseError, XmlSyntaxError
+from ..model import (Atom, Box, Diamond, Equiv, Gci, StandpointFormula,
+                     standpoint_expr)
 from .labels import _parse_formula, _tag, _children
 from .manchester import parse_manchester_class
 
@@ -40,9 +40,7 @@ def parse_simple_query(text: str, base: str = "") -> StandpointFormula:
     if not m:
         raise ParseError("query must look like [s](C sub D) or <s>(C eq D)")
     name = m.group("box") if m.group("box") is not None else m.group("dia")
-    if name != "*" and not STANDPOINT_NAME_RE.match(name):
-        raise BadName(f"bad standpoint name {name!r} in query")
-    expr = Star() if name == "*" else NamedStandpoint(name)
+    expr = standpoint_expr(name)
     lhs_text, op, rhs_text = _split_body(m.group("body"))
     lhs = parse_manchester_class(lhs_text, base)
     rhs = parse_manchester_class(rhs_text, base)

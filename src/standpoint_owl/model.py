@@ -25,7 +25,8 @@ from itertools import islice
 from operator import is_
 from typing import Iterator, Mapping, Union
 
-from .errors import CyclicRoleOrder, MalformedRIA, NonSimpleInRestriction
+from .errors import (BadName, CyclicRoleOrder, MalformedRIA,
+                     NonSimpleInRestriction)
 
 # The one rule for standpoint names, which every parser checks: a letter,
 # then letters and digits.  Axiom names follow it after their leading §.
@@ -263,6 +264,16 @@ class SpMinus:
 
 StandpointExpr = Union[Star, NamedStandpoint, SpUnion, SpIntersection, SpMinus]
 STAR = Star()
+
+
+def standpoint_expr(name: str) -> Star | NamedStandpoint:
+    """The standpoint a parsed name denotes: ``*`` is STAR, any other name
+    must follow the standpoint-name rule or raises BadName."""
+    if name == UNIVERSAL_STANDPOINT:
+        return STAR
+    if not STANDPOINT_NAME_RE.match(name):
+        raise BadName(f"bad standpoint name {name!r}")
+    return NamedStandpoint(name)
 
 
 @dataclass(frozen=True)

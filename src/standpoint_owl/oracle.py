@@ -17,13 +17,15 @@ are cut.  The first surviving complete assignment is therefore the
 canonically least model, making witnesses reproducible.  The constraints
 are compiled once per search and domain size into closures over a value
 list indexed by slot position (None while unassigned), so a probe neither
-dispatches on node types nor hashes names.  Conflict sets are sets of slot
-indices, and a conflict is minimised by releasing its slots in a fixed
-order, by (kind, base, local) of the name.  Standpoint structures are
-searched by splitting the problem at the atom level: the Boolean/modal
-layer only sees which TBox atoms hold at which precisification, so
-candidate truth vectors are enumerated propositionally and each distinct
-vector is realised (or refuted) once by a bounded interpretation search.
+dispatches on node types nor hashes names; ∃ and ∀ compile to the two
+cardinality kernels (≥1 r.C, ≤0 r.¬C) and C ≡ D to a two-way C ⊑ D.
+Conflict sets are sets of slot indices, and a conflict is minimised by
+releasing its slots in a fixed order, by (kind, base, local) of the name.
+Standpoint structures are searched by splitting the problem at the atom
+level: the Boolean/modal layer only sees which TBox atoms hold at which
+precisification, so candidate truth vectors are enumerated propositionally
+and each distinct vector is realised (or refuted) once by a bounded
+interpretation search.
 The formulas are compiled once per search into closures that evaluate
 every precisification and every atom vector of the probed position at
 once, as (true, false) masks with one plane of 2^k lanes per
@@ -419,35 +421,15 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
                         hi |= bit
                 return lo, hi
             return has_self
+        # ∃r.C is ≥1 r.C and ∀r.C is ≤0 r.¬C, with the same bounds.
+        if isinstance(c, Some):
+            c = AtLeast(1, c.role, c.filler)
+        elif isinstance(c, All):
+            c = AtMost(0, c.role, Not(c.filler))
         f = concept(c.filler)
+        k = c.n
         # The filler masks hold only the n low bits, so a shifted role mask
         # needs no row mask before it is intersected with them.
-        if isinstance(c, Some):
-            def some(vals):
-                rlo, rhi = r(vals)
-                flo, fhi = f(vals)
-                lo = hi = 0
-                for shift, bit in rows:
-                    if rlo >> shift & flo:
-                        lo |= bit
-                    if rhi >> shift & fhi:
-                        hi |= bit
-                return lo, hi
-            return some
-        if isinstance(c, All):
-            def every(vals):
-                rlo, rhi = r(vals)
-                flo, fhi = f(vals)
-                not_flo, not_fhi = full & ~flo, full & ~fhi
-                lo = hi = 0
-                for shift, bit in rows:
-                    if rhi >> shift & not_flo == 0:
-                        lo |= bit
-                    if rlo >> shift & not_fhi == 0:
-                        hi |= bit
-                return lo, hi
-            return every
-        k = c.n
         if isinstance(c, AtLeast):
             def at_least(vals):
                 rlo, rhi = r(vals)
@@ -476,34 +458,24 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
     def check_state(ax: PlainAxiom, positive: bool):
         # Verdicts when the axiom holds in every completion, or in none.
         yes, no = (True, False) if positive else (False, True)
-        if isinstance(ax, Gci):
+        if isinstance(ax, (Gci, Equiv)):
+            # C ≡ D is C ⊑ D and D ⊑ C.
             lhs, rhs = concept(ax.lhs), concept(ax.rhs)
+            both = isinstance(ax, Equiv)
 
-            def subsumption(vals):
+            def inclusion(vals):
                 lo_l, hi_l = lhs(vals)
                 lo_r, hi_r = rhs(vals)
-                if lo_l & ~hi_r:
+                if lo_l & ~hi_r or both and lo_r & ~hi_l:
                     return no
-                if hi_l & ~lo_r == 0:
+                if hi_l & ~lo_r == 0 and not (both and hi_r & ~lo_l):
                     return yes
                 return None
-            return subsumption
-        if isinstance(ax, Equiv):
-            lhs, rhs = concept(ax.lhs), concept(ax.rhs)
-
-            def equivalence(vals):
-                lo_l, hi_l = lhs(vals)
-                lo_r, hi_r = rhs(vals)
-                if lo_l & ~hi_r or lo_r & ~hi_l:
-                    return no
-                if hi_l & ~lo_r == 0 and hi_r & ~lo_l == 0:
-                    return yes
-                return None
-            return equivalence
+            return inclusion
         first, *rest = [role(r) for r in ax.chain]
         head = role(RoleName(ax.head))
 
-        def inclusion(vals):
+        def role_inclusion(vals):
             lo, hi = first(vals)
             for r in rest:
                 rlo, rhi = r(vals)
@@ -515,7 +487,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
             if hi & ~hlo & full2 == 0:
                 return yes
             return None
-        return inclusion
+        return role_inclusion
 
     def minimisation_order(slot: tuple) -> tuple:
         return (slot[0], slot[1].base, slot[1].local)
@@ -805,11 +777,13 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     """Search for the canonically first standpoint structure modelling the KB
     within the given domain and precisification bounds.
 
-    The formulas must be reference-free.  Enumeration order: domain size,
-    precisification count, standpoint assignment, shared individual
-    placement, then per-precisification atom-truth vectors, each vector
-    realised by the canonically first interpretation satisfying the plain
-    axioms, role axioms and required atom polarities.
+    The formulas must be reference-free, and ``kb.signature`` must cover
+    the KB, as `make_kb`, `assemble_kb` and `negated_query_kb` build it; it
+    is taken as given.  Enumeration order: domain size, precisification
+    count, standpoint assignment, shared individual placement, then
+    per-precisification atom-truth vectors, each vector realised by the
+    canonically first interpretation satisfying the plain axioms, role
+    axioms and required atom polarities.
     """
     for f in kb.formulas:
         for ref in walk_refs(f):
@@ -827,7 +801,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     width = 1 << k
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
-    signature = kb.signature.union(_occurring_signature(base_axioms + atoms))
+    signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
 

@@ -179,10 +179,6 @@ class _Interner:
             if isinstance(g, Atom) and isinstance(g.axiom, Gci):
                 return Some(UNIVERSAL, And(self.concept(g.axiom.lhs, pi),
                                            Not(self.concept(g.axiom.rhs, pi))))
-            if isinstance(g, Atom) and isinstance(g.axiom, Equiv):
-                a, b = g.axiom.lhs, g.axiom.rhs
-                return Or(self.trans(pi, Negation(Atom(Gci(a, b))), p),
-                          self.trans(pi, Negation(Atom(Gci(b, a))), p))
             raise ValueError("formula is not in negation normal form")
         if isinstance(f, Conjunction):
             return And(self.trans(pi, f.lhs, p, diamonds),

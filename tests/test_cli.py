@@ -118,6 +118,22 @@ class TestNamespaces:
         assert "SubClassOf(owl:Thing ns1:Forest__0)" in lines
         assert plain_model(out) is not None
 
+    def test_twelve_namespaces_stay_apart(self, tmp_path, capsys):
+        # The serializer numbers prefixes in sorted IRI order, so from ten
+        # namespaces on `ns<k>:` need not name `<output-iri>/ns<k>#`.
+        prefixes = "".join(f"Prefix(p{k}:=<urn:p{k}#>)\n" for k in range(12))
+        axioms = "".join(f"SubClassOf(p{k}:Forest :Land)\n" for k in range(12))
+        path = write(tmp_path, "twelve.ofn",
+                     f"Prefix(:=<urn:a#>)\n{prefixes}Ontology(<urn:a>\n{axioms})\n")
+        assert main(["translate", path, "--dump"]) == 0
+        out = capsys.readouterr().out
+        assert "Prefix(ns2:=<urn:a/translated/ns10#>)" in out.splitlines()
+        doc = parse_document(out)
+        expected = {f"urn:a/translated/ns{k}#" for k in range(1, 13)}
+        assert {d.name.base for d in doc.declarations
+                if d.name.local == "Forest__0"} == expected
+        assert {ax.lhs.name.base for ax, _ in doc.axioms[1:]} == expected
+
     def test_imported_local_names_stay_apart(self, tmp_path, capsys):
         main_doc = write(tmp_path, "main.ofn",
                          "Prefix(:=<urn:m#>)\nOntology(<urn:m>\n"

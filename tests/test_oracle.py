@@ -528,27 +528,32 @@ def test_check_state_exact_on_complete_assignments(interp, c, d):
 @settings(max_examples=120, deadline=None)
 @given(st.data(), small_concepts(2), small_concepts(2))
 def test_check_state_sound_on_partial_assignments(data, c, d):
-    """A definite verdict on a partial assignment holds in every completion."""
+    """A definite verdict on a partial assignment holds in every completion,
+    for an inclusion and an equivalence over the same slots, required true
+    or false."""
     n = 2
-    check = _Check(Gci(c, d))
+    slots = _Check(Gci(c, d)).slots
     partial = {}
-    for slot in sorted(check.slots, key=repr):
+    for slot in sorted(slots, key=repr):
         if data.draw(st.booleans()):
             bits = n if slot[0] == "c" else n * n
             if slot[0] == "i":
                 partial[slot] = data.draw(st.integers(0, n - 1))
             else:
                 partial[slot] = data.draw(st.integers(0, (1 << bits) - 1))
-    verdict = _state(check, partial, n)
-    if verdict is None:
-        return
-    free = [slot for slot in check.slots if slot not in partial]
+    free = [slot for slot in slots if slot not in partial]
     spaces = [range(n) if slot[0] == "i" else
               range(1 << (n if slot[0] == "c" else n * n)) for slot in free]
-    for combo in itertools.product(*spaces):
-        full = dict(partial)
-        full.update(zip(free, combo))
-        assert _state(check, full, n) is verdict
+    for axiom in (Gci(c, d), Equiv(c, d)):
+        for positive in (True, False):
+            check = _Check(axiom, positive)
+            verdict = _state(check, partial, n)
+            if verdict is None:
+                continue
+            for combo in itertools.product(*spaces):
+                full = dict(partial)
+                full.update(zip(free, combo))
+                assert _state(check, full, n) is verdict
 
 
 # --- the canonical first witness against brute-force enumeration ------------

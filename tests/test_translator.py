@@ -88,6 +88,11 @@ class TestTrans:
         assert trans(0, Negation(Atom(Gci(C("CC"), D))), 1) == \
             u_some(And(C("CC__0"), Not(C("D__0"))))
 
+    def test_negated_equivalence_is_not_in_normal_form(self):
+        # to_nnf rewrites ¬(C ≡ D) into two negated inclusions beforehand.
+        with pytest.raises(ValueError, match="not in negation normal form"):
+            trans(0, Negation(Atom(Equiv(A, B))), 1)
+
     def test_equiv_as_conjunction(self):
         assert trans(0, Atom(Equiv(A, B)), 1) == \
             And(u_all(Or(Not(C("A__0")), C("B__0"))),
