@@ -65,7 +65,8 @@ def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> in
     p = count_precisifications(kb)
     plain = translate_kb(kb, base_iri=rebase if rebase else None)
     text = serialize_kb(plain)
-    print(f"p={p}; axioms={len(plain.axioms)}", file=sys.stderr)
+    axioms = sum(family.copies for family in plain.families)
+    print(f"p={p}; axioms={axioms}", file=sys.stderr)
     _emit(text, args.out, args.dump, _default_out(args.input, ".translated.ofn"))
     return 0
 
@@ -235,9 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: ``parse_args`` reads the parser without changing it and fills
+# a fresh namespace, so every call of ``main`` starts from the defaults.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except StandpointOwlError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import islice
 from operator import is_
 from typing import Iterator, Mapping, Union
@@ -365,14 +366,53 @@ class StandpointKB:
     namespace: str = ""
 
 
+# Stands for a family's own index in the names of its template (see
+# Family).  No local name may hold it: ``mangle`` rejects it, and document
+# names are made of letters, digits and underscores.
+INDEX_SENTINEL = "\x00"
+
+
+@dataclass(frozen=True)
+class Family:
+    """``copies`` axioms of one shape: copy k is ``template`` with every
+    INDEX_SENTINEL in its names read as k.  A template without the
+    sentinel repeats as it is."""
+    template: PlainAxiom
+    copies: int = 1
+
+    def render(self, template_text: str) -> Iterator[str]:
+        """The text of each copy, given the text of the template: its pieces
+        around every INDEX_SENTINEL joined with the index.  Digits in the
+        text are never rewritten, so fixed indices keep their numbers."""
+        pieces = template_text.split(INDEX_SENTINEL)
+        return (str(k).join(pieces) for k in range(self.copies))
+
+
 @dataclass(frozen=True)
 class PlainKB:
-    """Standpoint-free output of the translation: axioms over the mangled
-    per-precisification signature plus the universal role."""
+    """Standpoint-free output of the translation: axiom families over the
+    mangled per-precisification signature plus the universal role.  A
+    plain axiom given in ``families`` becomes a family of one copy."""
 
-    axioms: tuple[PlainAxiom, ...] = ()
+    families: tuple[Family, ...] = ()
     signature: Signature = Signature()
     base_iri: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "families", tuple(
+            f if type(f) is Family else Family(f) for f in self.families))
+
+    @cached_property
+    def axioms(self) -> tuple[PlainAxiom, ...]:
+        """Every copy of every family, in order, built on first use.  The
+        copies at one index share every node they have in common."""
+        copies: list[list] = [[] for _ in self.families]
+        for k in range(max((f.copies for f in self.families), default=0)):
+            memo: dict = {}
+            for out, f in zip(copies, self.families):
+                if k < f.copies:
+                    out.append(_instantiate(f.template, str(k), memo))
+        return tuple(ax for out in copies for ax in out)
 
 
 def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
@@ -411,9 +451,13 @@ _CHILDREN: dict[type, tuple[str, ...]] = {
     Atom: ("axiom",), Negation: ("arg",),
     Conjunction: ("lhs", "rhs"), Disjunction: ("lhs", "rhs"),
     Box: ("standpoint", "arg"), Diamond: ("standpoint", "arg"),
+    Family: ("template",),
 }
 # Every constructor argument of each compound class, for positional rebuilds.
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILDREN}
+# The classes whose constructor takes exactly their children, one each.
+_CHILDREN_ONLY = frozenset(cls for cls in _CHILDREN
+                           if _FIELDS[cls] == _CHILDREN[cls] and cls is not Ria)
 # Child fields last to first, the order in which a stack takes them;
 # iter_nodes reads them inline, since a _children call per node doubled
 # the cost of entity_names_in and signature_of.
@@ -450,6 +494,8 @@ def iter_nodes(x, stop=()) -> Iterator:
 
 
 def _rebuild(node, kids: list):
+    if type(node) in _CHILDREN_ONLY:
+        return type(node)(*kids)
     it = iter(kids)
     child_fields = _CHILDREN[type(node)]
     args = []
@@ -484,6 +530,32 @@ def transform(x, replace):
         else:
             done.append(item if new is None else new)
     return done[0]
+
+
+def _instantiate(template, index: str, memo: dict):
+    """``template`` with every INDEX_SENTINEL in its names replaced by
+    ``index``.  ``memo`` maps the id of each node done so far to its copy,
+    so a shared node is copied once; a node without the sentinel below it
+    is its own copy.  The walk keeps an explicit stack."""
+    stack: list = [template]  # nodes to visit, and (node, children) to copy
+    while stack:
+        item = stack.pop()
+        if type(item) is not tuple:
+            if id(item) not in memo:
+                kids = _children(item)
+                stack.append((item, kids))
+                stack.extend(kid for kid in kids if id(kid) not in memo)
+            continue
+        node, kids = item
+        if id(node) in memo:  # reached twice before it was done
+            continue
+        if type(node) is EntityName and INDEX_SENTINEL in node.local:
+            memo[id(node)] = EntityName(
+                node.kind, node.local.replace(INDEX_SENTINEL, index), node.base)
+        else:
+            new = [memo[id(kid)] for kid in kids]
+            memo[id(node)] = node if all(map(is_, new, kids)) else _rebuild(node, new)
+    return memo[id(template)]
 
 
 def fold(ctor, parts):

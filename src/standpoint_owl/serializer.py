@@ -4,10 +4,13 @@ Output is byte-stable: prefixes are derived from name bases in sorted
 order, declarations are sorted within each kind, and axioms keep their
 canonical order.  Nested conjunctions/disjunctions flatten along their left
 spine into the n-ary syntax, which the parser folds back to the identical
-tree.  Standpoint content re-emits as annotation literals: top-level
-formulas as booleanCombination payloads on the ontology, named standpoint
-axioms as operator annotations on their carrier axiom.  Every output is
-itself valid input.
+tree.  A translated KB is rendered one family at a time: the template is
+rendered once and ``Family.render`` fills in each copy's index, so p
+copies cost one rendering and p joins; ``axioms`` is never built.
+Standpoint content re-emits as annotation literals: top-level formulas as
+booleanCombination payloads on the ontology, named standpoint axioms as
+operator annotations on their carrier axiom.  Every output is itself
+valid input.
 """
 
 from __future__ import annotations
@@ -288,8 +291,8 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
             lines.append(_axiom_str(ria, ns))
     else:
         lines.extend(_declaration_lines(kb.signature, ns))
-        for ax in kb.axioms:
-            lines.append(_axiom_str(ax, ns))
+        for family in kb.families:
+            lines.extend(family.render(_axiom_str(family.template, ns)))
 
     lines.append(")")
     return "\n".join(lines) + "\n"

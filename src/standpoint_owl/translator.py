@@ -31,9 +31,17 @@ over the renamed vocabulary, which is equivalent to their guarded
 universal-standpoint translation because the universal marker is forced to
 be total.
 
+Every per-index group of axioms (the universal markers, a top-level box
+or bare atom, a formula with a bare atom, a plain axiom, a role chain) is
+one ``Family``: its template is translated once, at INDEX_SENTINEL in
+place of the index, and copy k reads k there.  Witness indices of
+diamonds are fixed numbers inside the template.  A purely modal formula
+is a family of one copy.  ``PlainKB.axioms`` expands the families; the
+serializer renders each template once.
+
 A translated KB shares immutable subtrees: each mangled name, its wrappers,
 each marker and each guard is built once per ``translate_kb`` call and
-reused wherever it recurs.
+reused wherever it recurs in the families.
 """
 
 from __future__ import annotations
@@ -43,9 +51,9 @@ from itertools import count, repeat
 from .errors import ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     ConceptName, Conjunction, Diamond, Disjunction,
-                    EntityName, Equiv, Gci, HasSelf, Negation, Nominal, Not,
-                    Or, PlainKB, Ria, RoleExpr, Signature, Some,
-                    SpIntersection, SpMinus, SpUnion, STAR, Star,
+                    EntityName, Equiv, Family, Gci, HasSelf, INDEX_SENTINEL,
+                    Negation, Nominal, Not, Or, PlainKB, Ria, RoleExpr,
+                    Signature, Some, SpIntersection, SpMinus, SpUnion, STAR, Star,
                     StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
                     UNIVERSAL, UniversalRole, fold, iter_nodes, left_spine,
                     standpoint_entity, walk_refs)
@@ -54,11 +62,14 @@ from .normalizer import _check_no_nesting, count_precisifications, diamond_count
 STAR_TOKEN = "STAR"
 
 
-def mangle(name: EntityName, pi: int, base: str) -> EntityName:
+def mangle(name: EntityName, pi: int | str, base: str) -> EntityName:
     """Fresh per-precisification name: concepts/roles get an __π suffix,
-    standpoints become SP__ marker concepts, individuals are rebased only."""
+    standpoints become SP__ marker concepts, individuals are rebased only.
+    ``pi`` is an index or INDEX_SENTINEL."""
     if "__" in name.local:
         raise ReservedName(f"{name.local!r} already contains '__'")
+    if INDEX_SENTINEL in name.local:
+        raise ReservedName(f"{name.local!r} contains the index sentinel")
     if name.kind == "standpoint":
         token = STAR_TOKEN if name.local == "*" else name.local
         return EntityName("concept", f"SP__{token}__{pi}", base)
@@ -87,9 +98,10 @@ class _Interner:
     helper) and hands out the same frozen node for equal requests, which
     keeps the output tree free of duplicate leaves without any state that
     outlives the call.  Entries are keyed on what the result depends on:
-    the kind, input base and local part of a name and the index, which
-    individuals ignore.  ``namespaces`` maps input bases to their output
-    namespace; every other base, and the markers, go to ``base``.
+    the kind, input base and local part of a name and the index (a number
+    or INDEX_SENTINEL), which individuals ignore.  ``namespaces`` maps
+    input bases to their output namespace; every other base, and the
+    markers, go to ``base``.
     """
 
     def __init__(self, base: str, namespaces: dict | None = None):
@@ -219,26 +231,24 @@ def _has_bare_atom(f: StandpointFormula) -> bool:
     return any(type(node) is Atom for node in iter_nodes(f, (Atom, Box, Diamond)))
 
 
-def _per_index_axioms(table: _Interner, f: StandpointFormula, p: int):
-    """The axiom a top-level box or bare atom asserts at each index 0 … p-1
-    (see the module docstring)."""
-    e = None
+def _per_index_axiom(table: _Interner, f: StandpointFormula, p: int):
+    """The template of the axioms a top-level box or bare atom asserts at
+    each index (see the module docstring)."""
+    k, g = INDEX_SENTINEL, None
     if type(f) is Box:
         _check_no_nesting(f.arg, True)
-        e = None if type(f.standpoint) is Star else f.standpoint
+        if type(f.standpoint) is not Star:
+            g = table.guard(f.standpoint, k)
         f = f.arg
-    for k in range(p):
-        g = None if e is None else table.guard(e, k)
-        if type(f) is not Atom:
-            yield Gci(TOP if g is None else g, table.trans(k, f, p))
-            continue
-        ax = f.axiom
-        lhs, rhs = table.concept(ax.lhs, k), table.concept(ax.rhs, k)
-        if g is not None:
-            lhs = _meet(lhs, g)
-            if type(ax) is Equiv:
-                rhs = _meet(rhs, g)
-        yield type(ax)(lhs, rhs)
+    if type(f) is not Atom:
+        return Gci(TOP if g is None else g, table.trans(k, f, p))
+    ax = f.axiom
+    lhs, rhs = table.concept(ax.lhs, k), table.concept(ax.rhs, k)
+    if g is not None:
+        lhs = _meet(lhs, g)
+        if type(ax) is Equiv:
+            rhs = _meet(rhs, g)
+    return type(ax)(lhs, rhs)
 
 
 def _meet(c: ConceptExpr, guard: ConceptExpr) -> ConceptExpr:
@@ -256,11 +266,12 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     ``p`` may be forced upward (never below the computed bound) to study
     growth.  Names in the KB's default namespace move to the output
     ontology's namespace and every other input base to its own one (see
-    ``output_namespaces``), so distinct names stay distinct.  Output
-    order is deterministic: universal-standpoint marker axioms first, then
-    formula translations (p per-index axioms for a top-level box or atom,
-    one copy for other purely modal formulas, p copies otherwise), then
-    per-index plain axioms, then per-index role chains.
+    ``output_namespaces``), so distinct names stay distinct.  The
+    families come in a deterministic order: the p universal-standpoint
+    markers first, then one family per formula (p per-index axioms for a
+    top-level box or atom, one copy for other purely modal formulas, p
+    copies otherwise), then p copies of each plain axiom, then p copies of
+    each role chain.
     Diamond occurrence d, in preorder across the formulas, is translated
     at index d only.
     """
@@ -275,25 +286,22 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     iri = base_iri if base_iri is not None else output_iri(kb)
     table = _Interner(iri + "#", output_namespaces(kb, iri))
 
-    axioms: list = []
-    for k in range(p):
-        axioms.append(Gci(TOP, table.guard(STAR, k)))
+    k = INDEX_SENTINEL  # every family is built once, at the sentinel index
+    families = [Family(Gci(TOP, table.guard(STAR, k)), p)]
     first = 0  # the witness index of the formula's first diamond
     for f in kb.formulas:
         if type(f) in (Atom, Box):  # no diamond inside, so ``first`` stays
-            axioms.extend(_per_index_axioms(table, f, p))
+            families.append(Family(_per_index_axiom(table, f, p), p))
             continue
-        for k in range(p) if _has_bare_atom(f) else range(1):
-            axioms.append(Gci(TOP, table.trans(k, f, p, count(first))))
+        template = Gci(TOP, table.trans(k, f, p, count(first)))
+        families.append(Family(template, p if _has_bare_atom(f) else 1))
         first += diamond_count(f)
     for ax in kb.plain_axioms:
-        ctor = Gci if isinstance(ax, Gci) else Equiv
-        for k in range(p):
-            axioms.append(ctor(table.concept(ax.lhs, k), table.concept(ax.rhs, k)))
+        families.append(Family(type(ax)(table.concept(ax.lhs, k),
+                                        table.concept(ax.rhs, k)), p))
     for ria in kb.rias:
-        for k in range(p):
-            axioms.append(Ria(tuple(table.role(r, k) for r in ria.chain),
-                              table.name(ria.head, k)))
+        families.append(Family(Ria(tuple(table.role(r, k) for r in ria.chain),
+                                   table.name(ria.head, k)), p))
 
     concepts = {table.name(c, k) for c in kb.signature.concepts for k in range(p)}
     concepts |= {table.name(standpoint_entity(s), k)
@@ -303,4 +311,4 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     signature = Signature(concepts=frozenset(concepts), roles=frozenset(roles),
                           individuals=frozenset(individuals),
                           standpoints=frozenset())
-    return PlainKB(axioms=tuple(axioms), signature=signature, base_iri=iri)
+    return PlainKB(families=tuple(families), signature=signature, base_iri=iri)

@@ -5,16 +5,19 @@ namespace, D becomes the A of another namespace and the plain axioms use
 that namespace's r, so equal local names from two namespaces meet.
 ``top_level_kb`` draws the top-level shapes that ``translate_kb`` emits
 as per-index axioms: boxes and bare atoms, next to sharpening chains and
-diamonds."""
+diamonds.  ``widened`` adds role chains, inverse roles, nominals and
+individuals to any of them."""
 
 import random
 
-from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
-                                  ConceptName, Diamond, Disjunction, Equiv,
-                                  Gci, NamedStandpoint, Negation, Not, Or,
-                                  RoleName, Some, SpIntersection, SpMinus,
-                                  SpUnion, Star, Top, concept_name, make_kb,
-                                  rebase_names, role_name, transform)
+from standpoint_owl.model import (All, And, AtMost, Atom, Bottom, Box,
+                                  Conjunction, ConceptName, Diamond,
+                                  Disjunction, Equiv, Gci, InverseRole,
+                                  NamedStandpoint, Negation, Nominal, Not, Or,
+                                  Ria, RoleName, Some, SpIntersection,
+                                  SpMinus, SpUnion, Star, Top, concept_name,
+                                  individual_name, make_kb, rebase_names,
+                                  role_name, transform)
 from standpoint_owl.normalizer import (count_precisifications,
                                        desugar_sharpening, normalize_kb)
 
@@ -169,3 +172,20 @@ def top_level_kb(seed):
                      _top_level_atom(rng))) for _ in range(rng.randrange(1, 3))]
     rng.shuffle(formulas)
     return normalize_kb(make_kb(formulas=formulas, base_iri="urn:gen"))
+
+
+def widened(kb):
+    """``kb`` plus what the draws above lack: two role chains (one over an
+    inverse), a second role, nominals of two individuals (one in
+    SECOND_NS), a plain equivalence and a disjunction of a bare atom with
+    a diamond.  Normalized; the diamond raises p by one."""
+    r, t = ROLE, RoleName(role_name("t"))
+    a = Nominal(individual_name("a"))
+    b = Nominal(individual_name("b", SECOND_NS))
+    A, B, D = CONCEPTS
+    plain = (Gci(a, Some(r, b)), Equiv(Some(InverseRole(t.name), a), A))
+    formulas = (Disjunction(Atom(Gci(A, B)),
+                            Diamond(STANDPOINTS[0], Atom(Gci(b, AtMost(1, t, D))))),)
+    rias = (Ria((r, t), role_name("w")), Ria((InverseRole(t.name),), role_name("v")))
+    return normalize_kb(make_kb(rias=rias, plain_axioms=kb.plain_axioms + plain,
+                                formulas=kb.formulas + formulas, base_iri=kb.base_iri))

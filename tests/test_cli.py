@@ -381,6 +381,36 @@ class TestQuery:
         assert code == 4
 
 
+class TestRepeatedCalls:
+    """``main`` parses every call with one parser built at import, so no
+    flag or default of one call may reach the next."""
+
+    def test_no_state_leaks_between_calls(self, forest_path, tmp_path, capsys):
+        source = write(tmp_path, "src.ofn",
+                       "Prefix(:=<urn:src#>)\nOntology(<urn:src>\nSubClassOf(:X :Y)\n)\n")
+        assert main(["translate", forest_path, "--dump", "--rebase", "urn:out"]) == 0
+        assert "Ontology(<urn:out>" in capsys.readouterr().out
+        assert main(["translate", forest_path]) == 0
+        assert capsys.readouterr().out == ""  # neither --dump
+        text = (tmp_path / "forest.translated.ofn").read_text(encoding="utf-8")
+        assert "urn:out" not in text and MARKER in text.splitlines()  # nor --rebase
+        assert main(["import", forest_path, source, "--standpoint", "s",
+                     "--translate", "--dump"]) == 0
+        assert "SP__s__0" in capsys.readouterr().out
+        merged = str(tmp_path / "merged.ofn")
+        assert main(["import", forest_path, source, "--standpoint", "t",
+                     "--out", merged]) == 0
+        assert capsys.readouterr().out == ""  # nor --translate
+        assert "SP__" not in open(merged, encoding="utf-8").read()
+        query = ["query", forest_path, "--simple", "[LU](Forest sub Land)"]
+        assert main([*query, "--domain-bound", "3", "--guard-bits", "5"]) == 4
+        assert main([*query, "--domain-bound", "1", "--prec-bound", "1"]) == 0
+        err = capsys.readouterr().err  # the default guard and bounds are back
+        assert "domain ≤ 1, precisifications ≤ 1" in err
+        assert main([*query, "--reasoner-cmd", "/nonexistent/reasoner"]) == 4
+        assert main([*query, "--domain-bound", "1"]) == 0  # no reasoner left
+
+
 class TestEveryConstructor:
     """`query` over a KB that uses every constructor the benchmark's query
     workloads leave out: ∀, an inverse role, a nominal, a number

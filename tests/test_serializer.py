@@ -3,15 +3,16 @@
 import pytest
 
 from standpoint_owl.frontend import assemble_kb, parse_document
-from standpoint_owl.model import (All, And, Atom, Box, Diamond, Equiv, Gci,
-                                  Negation, Not, Or, PlainKB, Ria, Signature,
-                                  Some, Top, UNIVERSAL, fold, make_kb,
-                                  role_name)
-from standpoint_owl.normalizer import normalize_kb
+from standpoint_owl.model import (All, And, Atom, Box, Diamond, Disjunction,
+                                  Equiv, Gci, INDEX_SENTINEL, Negation, Not,
+                                  Or, PlainKB, Ria, Signature, Some, Top,
+                                  UNIVERSAL, fold, make_kb, role_name)
+from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.serializer import serialize_concept, serialize_kb
 from standpoint_owl.translator import translate_kb
 
 from conftest import C, O, R, S
+from genkb import random_kb, top_level_kb, widened
 
 NS = "urn:o#"
 
@@ -123,3 +124,43 @@ class TestRoundTrips:
         kb = make_kb(formulas=formulas, base_iri="urn:o")
         kb2 = assemble_kb(parse_document(serialize_kb(kb)))
         assert kb2.formulas == tuple(formulas)
+
+
+def one_axiom_at_a_time(plain):
+    """The document of a translated KB with every axiom of ``axioms``
+    rendered on its own, each a family of one copy."""
+    return serialize_kb(PlainKB(plain.axioms, plain.signature, plain.base_iri))
+
+
+class TestFamilies:
+    """A translated KB renders each family's template once and joins the
+    pieces around the index; the bytes must be those of its axioms."""
+
+    def test_generated_kbs_render_as_their_axioms(self):
+        ps, copies = set(), set()
+        for seed in range(40):
+            for kb in (random_kb(seed), random_kb(seed, two_namespaces=True),
+                       top_level_kb(seed)):
+                for kb in (kb, widened(kb)):
+                    for p in (None, 5):
+                        plain = translate_kb(kb, p=p)
+                        text = serialize_kb(plain)
+                        assert text == one_axiom_at_a_time(plain), seed
+                        assert INDEX_SENTINEL not in text
+                        ps.add(p or count_precisifications(kb))
+                        copies.update(f.copies for f in plain.families)
+        assert ps == {1, 2, 3, 4, 5}
+        assert {1, 5} <= copies
+
+    def test_witness_index_renders_as_itself(self):
+        kb = normalize_kb(make_kb(formulas=[Disjunction(
+            Atom(Gci(C("A"), C("B"))), Diamond(S("s"), Atom(Gci(C("B"), C("A")))))],
+            base_iri="urn:o"))
+        plain = translate_kb(kb, p=12)
+        u = "ObjectAllValuesFrom(owl:topObjectProperty"
+        assert serialize_kb(plain).splitlines()[-13:-1] == [
+            f"SubClassOf(owl:Thing ObjectUnionOf({u} ObjectUnionOf("
+            f"ObjectComplementOf(:A__{k}) :B__{k})) ObjectIntersectionOf("
+            f"{u} :SP__s__0) {u} ObjectUnionOf(ObjectComplementOf(:B__0) :A__0)))))"
+            for k in range(12)]
+        assert serialize_kb(plain) == one_axiom_at_a_time(plain)

@@ -9,13 +9,13 @@ from standpoint_owl import translator
 from standpoint_owl.model import (All, And, Atom, AxiomRef, Bottom, Box,
                                   ConceptName, Conjunction, Diamond,
                                   Disjunction, EntityName, Equiv, Gci,
-                                  InverseRole, Negation, Nominal, Not, Or,
-                                  PlainKB, Ria, RoleName, Some,
-                                  SpIntersection, SpMinus, SpUnion, Star, Top,
-                                  UNIVERSAL, concept_name, individual_name,
-                                  iter_nodes, make_kb, rebase_names,
-                                  role_name, standpoint_entity,
-                                  validate_roles)
+                                  INDEX_SENTINEL, InverseRole, Negation,
+                                  Nominal, Not, Or, PlainKB, Ria, RoleName,
+                                  Some, SpIntersection, SpMinus, SpUnion,
+                                  Star, Top, UNIVERSAL, concept_name,
+                                  individual_name, iter_nodes, left_spine,
+                                  make_kb, rebase_names, role_name,
+                                  standpoint_entity, validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
@@ -57,6 +57,10 @@ class TestMangle:
     def test_reserved(self):
         with pytest.raises(ReservedName):
             mangle(concept_name("A__x"), 0, "ns#")
+
+    def test_index_sentinel_reserved(self):
+        with pytest.raises(ReservedName):
+            mangle(concept_name("A" + INDEX_SENTINEL), 0, "ns#")
 
 
 class TestTransE:
@@ -182,6 +186,19 @@ class TestTranslateKb:
         with pytest.raises(UnresolvedRef):
             translate_kb(kb)
 
+    @pytest.mark.parametrize("name", [C("A" + INDEX_SENTINEL),
+                                      O(INDEX_SENTINEL + "a"),
+                                      R("r" + INDEX_SENTINEL)])
+    @pytest.mark.parametrize("place", [
+        lambda ax: {"plain_axioms": [ax]},
+        lambda ax: {"formulas": [Box(S("s"), Atom(ax))]},
+        lambda ax: {"formulas": [Diamond(S("s"), Atom(ax))]}])
+    def test_index_sentinel_in_a_name_rejected(self, name, place):
+        # no name made through the library may split a family's template
+        ax = Gci(Some(name, A) if isinstance(name, RoleName) else name, B)
+        with pytest.raises(ReservedName):
+            translate_kb(make_kb(**place(ax)))
+
     def test_forced_p_below_bound_rejected(self):
         kb = make_kb(formulas=[Diamond(S("s"), Atom(Gci(A, B))),
                                Diamond(S("s"), Atom(Gci(B, A)))])
@@ -278,20 +295,28 @@ class TestSharing:
         union = SpUnion(S("s"), S("t"))
         kb = make_kb(formulas=[Diamond(union, Atom(Gci(A, B))),
                                Box(SpUnion(S("s"), S("t")), Atom(Gci(B, D))),
-                               Diamond(S("s"), Atom(Gci(D, A)))],
+                               Box(S("s"), Atom(Gci(D, A))),
+                               Disjunction(Box(union, Atom(Gci(A, D))),
+                                           Diamond(S("s"), Atom(Gci(D, B))))],
                      base_iri="urn:o")
         out = translate_kb(kb)
-        p = 2
-        diamond, single = out.axioms[p].rhs, out.axioms[p + 1 + p].rhs
-        # each diamond is guard ⊓ body at its own index: 0, then 1; the box
-        # is one GCI B__k ⊓ guard_k ⊑ D__k per index k
-        box_guards = [ax.lhs.rhs for ax in out.axioms[p + 1:p + 1 + p]]
-        assert diamond.lhs is box_guards[0]
-        assert diamond.lhs == trans_e(0, union, "urn:o/translated#")
-        assert single.lhs == trans_e(1, S("s"), "urn:o/translated#")
+        ns = "urn:o/translated#"
+        _, diamond, box, single, mixed = (f.template for f in out.families)
+        # the first diamond is guard ⊓ body at index 0; each box is one
+        # template B__⋆ ⊓ guard_⋆ ⊑ D__⋆ (⋆ the sentinel) for its p axioms
+        assert diamond.rhs.lhs == trans_e(0, union, ns)
+        assert box.lhs.rhs == trans_e(INDEX_SENTINEL, union, ns)
+        # the boxed disjunct is the conjunction of guard_k ⇒ body over k,
+        # and the second diamond is guard ⊓ body at index 1
+        box_guards = [part.lhs.arg for part in left_spine(mixed.rhs.lhs, And)]
+        assert box_guards[0] is diamond.rhs.lhs
+        assert mixed.rhs.rhs.lhs == trans_e(1, S("s"), ns)
         # the marker inside a composite guard is the plain guard of s
-        assert diamond.lhs.lhs is box_guards[0].lhs
-        assert single.lhs is box_guards[1].lhs
+        assert box_guards[1].lhs is mixed.rhs.rhs.lhs
+        assert box.lhs.rhs.lhs is single.lhs.rhs
+        # a copy keeps the template's subtrees that hold no family index
+        assert out.axioms[2] is diamond
+        assert out.axioms[4].lhs.rhs == trans_e(1, union, ns)
 
 
 class TestIsolation:
