@@ -15,8 +15,8 @@ from ..model import (Atom, Box, Diamond, Equiv, Gci, Ria, Signature,
                      StandpointKB, entity_names_in, make_kb)
 from ..normalizer import desugar_sharpening
 from .functional import Annotation, RawDocument
-from .labels import (BoolCombLabel, SharpeningLabel, SpAxiomLabel,
-                     parse_standpoint_label)
+from .labels import (BoolCombLabel, LabeledConstruct, SharpeningLabel,
+                     SpAxiomLabel, parse_standpoint_label)
 
 STANDPOINT_LABEL = "standpointLabel"
 
@@ -25,16 +25,32 @@ def _standpoint_labels(annotations):
     return [a for a in annotations if a.property_local == STANDPOINT_LABEL]
 
 
-def _parse_label(ann: Annotation, base: str):
-    """Parse one annotation payload, pinning errors to their source."""
-    try:
-        return parse_standpoint_label(ann.literal, base)
-    except StandpointOwlError as exc:
-        raise type(exc)(f"{exc} (standpointLabel at {ann.line}:{ann.col}, "
-                        f"payload: {ann.literal!r})") from None
+def _parse_label(ann: Annotation, base: str,
+                 parsed: dict[str, LabeledConstruct]) -> LabeledConstruct:
+    """Parse one annotation payload, pinning errors to their source.
+    ``parsed`` keeps each literal's construct: the document's base is fixed,
+    so the literal alone determines it.  A failed parse is not kept, so the
+    error names the first occurrence of a bad literal."""
+    construct = parsed.get(ann.literal)
+    if construct is None:
+        try:
+            construct = parse_standpoint_label(ann.literal, base)
+        except StandpointOwlError as exc:
+            raise type(exc)(f"{exc} (standpointLabel at {ann.line}:{ann.col}, "
+                            f"payload: {ann.literal!r})") from None
+        parsed[ann.literal] = construct
+    return construct
 
 
-def _check_locals(doc: RawDocument):
+def _check_locals(doc: RawDocument, signature: Signature):
+    """Reject a local name holding the mangling separator.  The signature
+    holds every name of the document (label payloads cannot hold ``__``),
+    so the walk in document order, which finds the first such name, runs
+    only when there is one."""
+    if not any("__" in name.local for names in
+               (signature.concepts, signature.roles, signature.individuals)
+               for name in names):
+        return
     names = [d.name for d in doc.declarations]
     for axiom, _ in doc.axioms:
         names.extend(entity_names_in(axiom))
@@ -48,19 +64,21 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
     """Build a StandpointKB from a parsed document.
 
     Raises DuplicateAxiomName if two named standpoint axioms collide,
-    SPAxiomOnRIA if a role axiom carries a standpoint annotation, and
-    ReservedName if any entity local uses the mangling separator.
-    Unresolved references are deliberately left to the normalizer.
+    SPAxiomOnRIA if a role axiom carries a standpoint annotation, and,
+    only when no such error and no bad label is found, ReservedName if any
+    entity local uses the mangling separator.
+    Unresolved references are deliberately left to the normalizer.  Each
+    distinct label literal is parsed once.
     """
-    _check_locals(doc)
     base = doc.default_namespace
     formulas = []
     named_axioms: dict = {}
     plain_axioms = []
     rias = []
+    parsed: dict[str, LabeledConstruct] = {}
 
     for ann in _standpoint_labels(doc.ontology_annotations):
-        construct = _parse_label(ann, base)
+        construct = _parse_label(ann, base, parsed)
         if isinstance(construct, BoolCombLabel):
             formulas.append(construct.formula)
         elif isinstance(construct, SharpeningLabel):
@@ -82,7 +100,7 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
             plain_axioms.append(axiom)
             continue
         for ann in labels:
-            construct = _parse_label(ann, base)
+            construct = _parse_label(ann, base, parsed)
             if not isinstance(construct, SpAxiomLabel):
                 raise GrammarViolation(
                     "only standpointAxiom annotations may be attached to axioms")
@@ -101,5 +119,7 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
         roles=frozenset(d.name for d in doc.declarations if d.kind == "role"),
         individuals=frozenset(d.name for d in doc.declarations if d.kind == "individual"),
     )
-    return make_kb(rias, plain_axioms, formulas, named_axioms, doc.base_iri,
-                   declared, base)
+    kb = make_kb(rias, plain_axioms, formulas, named_axioms, doc.base_iri,
+                 declared, base)
+    _check_locals(doc, kb.signature)
+    return kb

@@ -176,6 +176,9 @@ class _DocParser:
         self.i = 0
         self.prefixes: dict[str, str] = {}
         self.base_iri = ""
+        # One EntityName per (maker, namespace, local) of the document; the
+        # prefixes are fixed before the first name is read.
+        self.names: dict[tuple, EntityName] = {}
 
     def at(self, tok: _Token) -> tuple[int, int]:
         return self.lines(tok.pos)
@@ -218,7 +221,11 @@ class _DocParser:
         if tok.prefix == "owl":
             raise ParseError(f"owl:{tok.value} is not usable here", *self.at(tok),
                              expected=what)
-        return maker(tok.value, self._resolve(tok))
+        key = (maker, self.prefixes.get(tok.prefix), tok.value)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = maker(tok.value, self._resolve(tok))
+        return name
 
     def _is_owl(self, tok: _Token, local: str) -> bool:
         return tok.kind == "pname" and tok.prefix == "owl" and tok.value == local

@@ -1,10 +1,12 @@
 """Shared fixtures and AST shorthand for the test suite."""
 
+import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
 
-from standpoint_owl.frontend import assemble_kb, parse_document
+from standpoint_owl.frontend import assemble, assemble_kb, parse_document
 from standpoint_owl.model import (ConceptName, InverseRole, NamedStandpoint,
                                   Nominal, RoleName, Star, concept_name,
                                   individual_name, role_name)
@@ -46,3 +48,40 @@ def forest_doc(forest_text):
 @pytest.fixture(scope="session")
 def forest_kb(forest_doc):
     return assemble_kb(forest_doc)
+
+
+@pytest.fixture
+def label_parses(monkeypatch):
+    """The payloads that ``assemble_kb`` hands to the label parser while the
+    test runs, in call order."""
+    parsed = []
+    parse = assemble.parse_standpoint_label
+
+    def recording(payload, base=""):
+        parsed.append(payload)
+        return parse(payload, base)
+
+    monkeypatch.setattr(assemble, "parse_standpoint_label", recording)
+    return parsed
+
+
+def assembled_label_by_label(doc):
+    """``assemble_kb`` of ``doc`` with every annotation literal made unique by
+    its own amount of trailing whitespace, which the XML parser ignores, so
+    that each annotation is parsed on its own."""
+    pad = itertools.count(1)
+
+    def spread(annotations):
+        return tuple(dataclasses.replace(a, literal=a.literal + " " * next(pad))
+                     for a in annotations)
+
+    return assemble_kb(dataclasses.replace(
+        doc, ontology_annotations=spread(doc.ontology_annotations),
+        axioms=tuple((axiom, spread(anns)) for axiom, anns in doc.axioms)))
+
+
+def label_literals(doc):
+    """Every standpointLabel literal of ``doc``, in document order."""
+    return [a.literal for a in (*doc.ontology_annotations,
+                                *(a for _, anns in doc.axioms for a in anns))
+            if a.property_local == assemble.STANDPOINT_LABEL]

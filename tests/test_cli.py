@@ -288,6 +288,16 @@ class TestManyAtoms:
             "inconclusive: the bounded search guard was exceeded\n")
 
 
+class TestUniversalRoleRestriction:
+    def test_self_over_the_universal_role_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "self.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     "SubClassOf(:A ObjectHasSelf(owl:topObjectProperty))\n)\n")
+        assert main(["translate", path, "--dump"]) == 2
+        assert capsys.readouterr().err == \
+            "error: Self/number restriction over a non-simple role\n"
+
+
 class TestSuperscriptCardinality:
     def test_exit_2_without_traceback(self, tmp_path, capsys):
         # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.

@@ -1,15 +1,23 @@
 """Document-to-KB assembly."""
 
+import contextlib
+
 import pytest
 
 from standpoint_owl.errors import (DuplicateAxiomName, GrammarViolation,
                                    ReservedName, SPAxiomOnRIA)
-from standpoint_owl.frontend import assemble_kb, parse_document
+from standpoint_owl.frontend import (Annotation, RawDocument, assemble_kb,
+                                     parse_document)
+from standpoint_owl.frontend.assemble import STANDPOINT_LABEL
 from standpoint_owl.model import (And, Atom, Bottom, Box, Conjunction,
                                   Diamond, Equiv, Gci, SpMinus, Some, Star,
-                                  Top)
+                                  Top, rebase_names)
+from standpoint_owl.serializer import (_bool_comb_payload, _sp_axiom_payload,
+                                       serialize_document)
 
-from conftest import C, FOREST_BASE, R, S
+from conftest import (C, FOREST_BASE, R, S, assembled_label_by_label,
+                      label_literals)
+from genkb import random_kb, top_level_kb
 
 NS = "http://ex.org/o#"
 
@@ -18,6 +26,10 @@ def kb_from(body):
     return assemble_kb(parse_document(
         f"Prefix(:=<{NS[:-1]}>)\nOntology(<http://ex.org/o>\n{body}\n)"
         .replace(NS[:-1], NS)))
+
+
+BOX_S = ('<standpointAxiom><Box><Standpoint name="s"/></Box>'
+         "</standpointAxiom>")
 
 
 def annotated(axiom_text, payload):
@@ -130,3 +142,101 @@ class TestForestFixture:
             C("Forest", B),
             And(C("ForestEcosystem", B),
                 Some(R("hasLand", B), C("Area05ha", B))))))
+
+
+def genkb_document(kb):
+    """A ``tests/genkb.py`` KB as document text in NS: a top-level box or
+    diamond of an atom annotates its axiom, every other formula is an
+    ontology-level booleanCombination, and plain axioms stay unannotated.
+    A formula the payload grammar cannot write (a box over a Boolean
+    combination) is left out."""
+    ontology, axioms = [], []
+    for f in (rebase_names(f, NS) for f in kb.formulas):
+        if type(f) in (Box, Diamond) and type(f.arg) is Atom:
+            payload = _sp_axiom_payload(None, f)
+            axioms.append((f.arg.axiom, (Annotation("", STANDPOINT_LABEL, payload),)))
+            continue
+        with contextlib.suppress(GrammarViolation):
+            payload = _bool_comb_payload(f, NS)
+            ontology.append(Annotation("", STANDPOINT_LABEL, payload))
+    axioms += [(rebase_names(ax, NS), ()) for ax in kb.plain_axioms]
+    return serialize_document(RawDocument(NS[:-1], (("", NS),), tuple(ontology),
+                                          (), tuple(axioms)))
+
+
+class TestOneParsePerLiteral:
+    """Assembly parses each distinct label literal once, and the KB equals
+    the one built by parsing every annotation on its own."""
+
+    def check(self, doc, label_parses):
+        literals = label_literals(doc)
+        kb = assemble_kb(doc)
+        assert sorted(label_parses) == sorted(set(literals))
+        assert kb == assembled_label_by_label(doc)
+        assert len(label_parses) == len(set(literals)) + len(literals)
+
+    def test_forest(self, forest_doc, label_parses):
+        self.check(forest_doc, label_parses)
+
+    def test_generated_documents(self, label_parses):
+        repeated = 0
+        for seed in range(40):
+            for kb in (random_kb(seed, normalized=False), top_level_kb(seed)):
+                doc = parse_document(genkb_document(kb))
+                label_parses.clear()
+                self.check(doc, label_parses)
+                literals = label_literals(doc)
+                repeated += len(literals) - len(set(literals))
+        assert repeated > 0  # some literals are shared, so the sharing is tested
+
+    def test_shared_label_of_duplicate_named_axioms(self, label_parses):
+        payload = ('<standpointAxiom name="§ax1"><Box>'
+                   '<Standpoint name="s"/></Box></standpointAxiom>')
+        body = "\n".join([annotated("SubClassOf(:A :B)", payload),
+                          annotated("SubClassOf(:B :A)", payload)])
+        with pytest.raises(DuplicateAxiomName):
+            kb_from(body)
+        assert label_parses == [payload]
+
+    def test_bad_literal_reports_its_first_occurrence(self, label_parses):
+        bad = "<standpointAxiom><Box></Box></standpointAxiom>"
+        lines = ["SubClassOf(:A :B)"] + [annotated(f"SubClassOf(:A{i} :B)", bad)
+                                         for i in range(3)]
+        col = lines[1].index('"') + 1
+        with pytest.raises(GrammarViolation) as info:
+            kb_from("\n".join(lines))
+        assert f"(standpointLabel at 4:{col}, " in str(info.value)
+        assert label_parses == [bad]  # the later occurrences are not reached
+
+
+class TestReservedNames:
+    """The ``__`` check reads the KB's signature, and walks the document in
+    order only when a name there holds the separator."""
+
+    @pytest.mark.parametrize("kind", ["Class", "ObjectProperty", "NamedIndividual"])
+    def test_name_in_a_declaration_only(self, kind):
+        with pytest.raises(ReservedName, match="'Unused__x'"):
+            kb_from(f"Declaration({kind}(:Unused__x))\nSubClassOf(:A :B)")
+
+    @pytest.mark.parametrize("body, first", [
+        ("SubClassOf(ObjectSomeValuesFrom(:r__x :B) :Z__z)\nSubClassOf(:A__a :B)",
+         "r__x"),
+        ("Declaration(NamedIndividual(:b__b))\nSubClassOf(:A__a :B)", "b__b"),
+        ("SubClassOf(:Z__z :B)\nSubClassOf(:A__a :B)", "Z__z"),
+    ])
+    def test_message_names_the_first_in_document_order(self, body, first):
+        with pytest.raises(ReservedName) as info:
+            kb_from(body)
+        assert str(info.value) == f"{first!r} contains the reserved separator '__'"
+
+    @pytest.mark.parametrize("body, error", [
+        (annotated("SubClassOf(:A__a :B)", "<standpointAxiom><Box></Box></standpointAxiom>"),
+         GrammarViolation),
+        ("\n".join([annotated("SubClassOf(:A__a :B)", BOX_S.replace(
+            "<standpointAxiom>", '<standpointAxiom name="§n">'))] * 2),
+         DuplicateAxiomName),
+        (annotated("SubObjectPropertyOf(:r__r :t)", BOX_S), SPAxiomOnRIA),
+    ])
+    def test_other_assembly_errors_come_first(self, body, error):
+        with pytest.raises(error):
+            kb_from(body)

@@ -151,6 +151,37 @@ class TestLexing:
             parse_document("Ontology(<http://ex.org/o>) extra")
 
 
+class TestNames:
+    """The parser hands out one name object per kind, namespace and local
+    name."""
+
+    def test_equal_names_are_one_object(self):
+        parsed = parse_document(doc("SubClassOf(:A o:A)\nSubClassOf(:B :A)",
+                                    prefix=f"Prefix(:=<{NS}>)\nPrefix(o:=<{NS}>)\n"))
+        (first, _), (second, _) = parsed.axioms
+        assert first.lhs.name is first.rhs.name is second.rhs.name
+
+    def test_kinds_and_namespaces_stay_apart(self):
+        parsed = parse_document(doc(
+            "SubClassOf(ObjectSomeValuesFrom(:A :A) x:A)\nClassAssertion(:A :A)",
+            prefix=f"Prefix(:=<{NS}>)\nPrefix(x:=<urn:x#>)\n"))
+        (some, _), (assertion, _) = parsed.axioms
+        names = [some.lhs.role.name, some.lhs.filler.name, some.rhs.name,
+                 assertion.lhs.individual, assertion.rhs.name]
+        assert [(n.kind, n.base) for n in names] == [
+            ("role", NS), ("concept", NS), ("concept", "urn:x#"),
+            ("individual", NS), ("concept", NS)]
+        assert len({id(n) for n in names}) == 4
+        assert some.lhs.filler.name is assertion.rhs.name
+
+    def test_owl_prefix_rejected_after_an_alias(self):
+        owl = "http://www.w3.org/2002/07/owl#"
+        with pytest.raises(ParseError, match="owl:A is not usable here") as err:
+            parse_document(doc("SubClassOf(o:A :B)\nSubClassOf(owl:A :B)",
+                               prefix=f"Prefix(:=<{NS}>)\nPrefix(o:=<{owl}>)\n"))
+        assert (err.value.line, err.value.col) == (5, 12)
+
+
 class TestPositions:
     """Only a newline ends a line; columns count code points, so a carriage
     return is a column of its own."""

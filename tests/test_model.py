@@ -118,6 +118,16 @@ class TestValidateRoles:
         with pytest.raises(NonSimpleInRestriction):
             validate_roles(kb)
 
+    @pytest.mark.parametrize("restriction", [
+        AtMost(1, UNIVERSAL, Top()), AtLeast(2, UNIVERSAL, Top()), HasSelf(UNIVERSAL)])
+    def test_universal_role_in_restriction_rejected(self, restriction):
+        # The universal role is non-simple with no RIA in the KB at all.
+        plain = make_kb(plain_axioms=[Gci(restriction, Bottom())])
+        boxed = make_kb(formulas=[Box(S("s"), Atom(Gci(C("A"), restriction)))])
+        for kb in (plain, boxed):
+            with pytest.raises(NonSimpleInRestriction):
+                validate_roles(kb)
+
     def test_transitivity_shape_allowed(self):
         kb = make_kb(rias=[simple_ria(["r", "r"], "r")])
         report = validate_roles(kb)
