@@ -89,13 +89,14 @@ def cmd_import(args) -> int:
 
     token = "STAR" if args.standpoint == "*" else args.standpoint
     imported_ns = f"{doc_in.base_iri}/imported/{token}#"
+    names: dict = {}  # each source name, rebased once
     declarations = list(doc_in.declarations)
     for decl in doc_src.declarations:
-        declarations.append(Declaration(decl.kind, rebase_names(decl.name, imported_ns)))
+        declarations.append(Declaration(decl.kind, rebase_names(decl.name, imported_ns, names)))
     axioms = list(doc_in.axioms)
     box_ann = _box_annotation(args.standpoint)
     for axiom, annotations in doc_src.axioms:
-        rebased = rebase_names(axiom, imported_ns)
+        rebased = rebase_names(axiom, imported_ns, names)
         if isinstance(rebased, Ria):
             axioms.append((rebased, ()))
         else:

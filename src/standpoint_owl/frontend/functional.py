@@ -28,7 +28,7 @@ from ..errors import ParseError, UnsupportedConstruct
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
-                     Some, Top, UNIVERSAL, concept_name, fold,
+                     Some, Top, UNIVERSAL, concept_name,
                      individual_name, role_name)
 
 @dataclass(frozen=True)
@@ -380,7 +380,7 @@ class _DocParser:
             parts = [self.concept(), self.concept()]
             while self.peek().kind != ")":
                 parts.append(self.concept())
-            out = fold(And if word == "ObjectIntersectionOf" else Or, parts)
+            out = (And if word == "ObjectIntersectionOf" else Or)(*parts)
         elif word == "ObjectAllValuesFrom":
             out = All(self.object_property(), self.concept())
         elif word == "ObjectSomeValuesFrom":

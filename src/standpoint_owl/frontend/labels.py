@@ -14,13 +14,14 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from ..errors import BadName, GrammarViolation, XmlSyntaxError
 from ..model import (STANDPOINT_NAME_RE, Atom, AxiomRef, Box, Conjunction,
                      Diamond, Disjunction, Equiv, Gci, Negation,
                      SpIntersection, SpMinus, SpUnion, StandpointExpr,
-                     StandpointFormula, fold, standpoint_expr)
+                     StandpointFormula, standpoint_expr)
 from .manchester import parse_manchester_class
 
 # Axiom names follow the standpoint-name rule after their leading §.
@@ -80,11 +81,11 @@ def _parse_sp_expr(elem) -> StandpointExpr:
     kids = _children(elem)
     if tag in ("intersection", "union"):
         # The operator is binary in the logic; two or more children are
-        # accepted and folded from the left.
+        # accepted and combined from the left.
         if len(kids) < 2:
             raise GrammarViolation(f"<{elem.tag}> needs at least two operands")
         ctor = SpIntersection if tag == "intersection" else SpUnion
-        return fold(ctor, [_parse_sp_expr(k) for k in kids])
+        return reduce(ctor, map(_parse_sp_expr, kids))
     if tag == "minus":
         if len(kids) != 2:
             raise GrammarViolation("<MINUS> needs exactly two operands")

@@ -75,18 +75,18 @@ class _Parser:
         return expr
 
     def or_expr(self) -> ConceptExpr:
-        expr = self.and_expr()
+        parts = [self.and_expr()]
         while self.at_keyword("or"):
             self.next()
-            expr = Or(expr, self.and_expr())
-        return expr
+            parts.append(self.and_expr())
+        return Or(*parts) if len(parts) > 1 else parts[0]
 
     def and_expr(self) -> ConceptExpr:
-        expr = self.unary()
+        parts = [self.unary()]
         while self.at_keyword("and"):
             self.next()
-            expr = And(expr, self.unary())
-        return expr
+            parts.append(self.unary())
+        return And(*parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> ConceptExpr:
         if self.at_keyword("not"):

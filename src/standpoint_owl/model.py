@@ -136,16 +136,31 @@ class Not:
     arg: "ConceptExpr"
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "ConceptExpr"
-    rhs: "ConceptExpr"
+class _NAry:
+    """The constructor And and Or share (see And)."""
+
+    def __init__(self, *parts):
+        if len(parts) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        if type(parts[0]) is type(self):
+            parts = parts[0].parts + parts[1:]
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "ConceptExpr"
-    rhs: "ConceptExpr"
+@dataclass(frozen=True, init=False)
+class And(_NAry):
+    """``And(a, b, …)``: the intersection of two or more ``parts``.  A first
+    operand that is itself an And is spliced in, so ``And(And(a, b), c) ==
+    And(a, b, c)`` and ``parts[0]`` is never an And; a later operand stays
+    nested.  Written with its parts in order, a tree and its n-ary text
+    determine each other."""
+    parts: tuple["ConceptExpr", ...]
+
+
+@dataclass(frozen=True, init=False)
+class Or(_NAry):
+    """``Or(a, b, …)``: the union of two or more ``parts``, spliced as And."""
+    parts: tuple["ConceptExpr", ...]
 
 
 @dataclass(frozen=True)
@@ -442,7 +457,7 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
 _CHILDREN: dict[type, tuple[str, ...]] = {
     RoleName: ("name",), InverseRole: ("name",),
     ConceptName: ("name",), Nominal: ("individual",), Not: ("arg",),
-    And: ("lhs", "rhs"), Or: ("lhs", "rhs"),
+    And: ("parts",), Or: ("parts",),
     All: ("role", "filler"), Some: ("role", "filler"), HasSelf: ("role",),
     AtMost: ("role", "filler"), AtLeast: ("role", "filler"),
     Gci: ("lhs", "rhs"), Equiv: ("lhs", "rhs"), Ria: ("chain", "head"),
@@ -558,28 +573,6 @@ def _instantiate(template, index: str, memo: dict):
     return memo[id(template)]
 
 
-def fold(ctor, parts):
-    """Left fold of the operands under a binary constructor:
-    ``ctor(ctor(a, b), c)``; a single operand is returned as it is."""
-    it = iter(parts)
-    out = next(it)
-    for part in it:
-        out = ctor(out, part)
-    return out
-
-
-def left_spine(expr, ctor) -> list:
-    """Operands of a left-folded ``ctor`` chain, leftmost first (the inverse
-    of ``fold``); iterative, so no fold is too wide for it."""
-    parts = []
-    while isinstance(expr, ctor):
-        parts.append(expr.rhs)
-        expr = expr.lhs
-    parts.append(expr)
-    parts.reverse()
-    return parts
-
-
 def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:
     return (n for n in iter_nodes(f, (Atom,)) if type(n) is Atom)
 
@@ -588,10 +581,18 @@ def walk_refs(f: StandpointFormula) -> Iterator[AxiomRef]:
     return (n for n in iter_nodes(f, (Atom,)) if type(n) is AxiomRef)
 
 
-def rebase_names(x, base: str):
-    """Copy of an axiom/expression with every entity name moved to ``base``."""
-    return transform(x, lambda n: EntityName(n.kind, n.local, base)
-                     if type(n) is EntityName else None)
+def rebase_names(x, base: str, names: dict | None = None):
+    """Copy of an axiom/expression with every entity name moved to ``base``.
+    ``names`` maps each source name to its copy; calls that share it copy
+    each distinct name once between them."""
+    names = {} if names is None else names
+
+    def rebased(n):
+        if type(n) is EntityName:
+            if n not in names:
+                names[n] = EntityName(n.kind, n.local, base)
+            return names[n]
+    return transform(x, rebased)
 
 
 def entity_names_in(x) -> Iterator[EntityName]:

@@ -50,7 +50,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    left_spine, signature_of, walk_atoms, walk_refs)
+                    signature_of, walk_atoms, walk_refs)
 from .normalizer import normalize_kb
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ def eval_concept(interp: PlainInterpretation, c: ConceptExpr) -> frozenset[int]:
         return dom - eval_concept(interp, c.arg)
     if isinstance(c, And):
         out = dom
-        for part in left_spine(c, And):
+        for part in c.parts:
             out &= eval_concept(interp, part)
         return out
     if isinstance(c, Or):
         out = frozenset()
-        for part in left_spine(c, Or):
+        for part in c.parts:
             out |= eval_concept(interp, part)
         return out
     if isinstance(c, All):
@@ -388,7 +388,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
                 return full & ~hi, full & ~lo
             return complement
         if isinstance(c, And):
-            parts = [concept(part) for part in left_spine(c, And)]
+            parts = [concept(part) for part in c.parts]
 
             def intersection(vals):
                 lo = hi = full
@@ -399,7 +399,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
                 return lo, hi
             return intersection
         if isinstance(c, Or):
-            parts = [concept(part) for part in left_spine(c, Or)]
+            parts = [concept(part) for part in c.parts]
 
             def union(vals):
                 lo = hi = 0

@@ -2,11 +2,11 @@
 
 Output is byte-stable: prefixes are derived from name bases in sorted
 order, declarations are sorted within each kind, and axioms keep their
-canonical order.  Nested conjunctions/disjunctions flatten along their left
-spine into the n-ary syntax, which the parser folds back to the identical
-tree.  A translated KB is rendered one family at a time: the template is
-rendered once and ``Family.render`` fills in each copy's index, so p
-copies cost one rendering and p joins; ``axioms`` is never built.
+canonical order.  A conjunction or disjunction writes its parts in order
+into the n-ary syntax, and the parser builds the identical tree back.  A
+translated KB is rendered one family at a time: the template is rendered
+once and ``Family.render`` fills in each copy's index, so p copies cost
+one rendering and p joins; ``axioms`` is never built.
 Standpoint content re-emits as annotation literals: top-level formulas as
 booleanCombination payloads on the ontology, named standpoint axioms as
 operator annotations on their carrier axiom.  Every output is itself
@@ -22,7 +22,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     NamedStandpoint, Negation, Nominal, Not, Or, PlainAxiom,
                     PlainKB, Ria, RoleExpr, Some, SpIntersection, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UniversalRole, entity_names_in, left_spine)
+                    Top, UniversalRole, entity_names_in)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import RawDocument
 
@@ -83,8 +83,7 @@ def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
         return f"ObjectComplementOf({_concept_str(c.arg, ns)})"
     if isinstance(c, (And, Or)):
         word = "ObjectIntersectionOf" if isinstance(c, And) else "ObjectUnionOf"
-        parts = left_spine(c, type(c))
-        return f"{word}({' '.join(_concept_str(p, ns) for p in parts)})"
+        return f"{word}({' '.join(_concept_str(p, ns) for p in c.parts)})"
     if isinstance(c, All):
         return f"ObjectAllValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"
     if isinstance(c, Some):
@@ -152,14 +151,10 @@ def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
     if isinstance(c, Nominal):
         _check_manchester_base(c.individual, ns_base)
         return "{" + c.individual.local + "}"
-    if isinstance(c, Or):
-        text = (f"{_manchester(c.lhs, _MANCHESTER_OR, ns_base)} or "
-                f"{_manchester(c.rhs, _MANCHESTER_AND, ns_base)}")
-        return wrap(text, _MANCHESTER_OR)
-    if isinstance(c, And):
-        text = (f"{_manchester(c.lhs, _MANCHESTER_AND, ns_base)} and "
-                f"{_manchester(c.rhs, _MANCHESTER_UNARY, ns_base)}")
-        return wrap(text, _MANCHESTER_AND)
+    if isinstance(c, (And, Or)):
+        own, word = ((_MANCHESTER_AND, " and ") if isinstance(c, And)
+                     else (_MANCHESTER_OR, " or "))
+        return wrap(word.join(_manchester(p, own + 1, ns_base) for p in c.parts), own)
     if isinstance(c, Not):
         return wrap(f"not {_manchester(c.arg, _MANCHESTER_UNARY + 1, ns_base)}",
                     _MANCHESTER_UNARY)

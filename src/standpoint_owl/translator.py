@@ -46,7 +46,7 @@ reused wherever it recurs in the families.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import count
 
 from .errors import ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
@@ -55,7 +55,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     Negation, Nominal, Not, Or, PlainKB, Ria, RoleExpr,
                     Signature, Some, SpIntersection, SpMinus, SpUnion, STAR, Star,
                     StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
-                    UNIVERSAL, UniversalRole, fold, iter_nodes, left_spine,
+                    UNIVERSAL, UniversalRole, iter_nodes,
                     standpoint_entity, walk_refs)
 from .normalizer import _check_no_nesting, count_precisifications, diamond_count
 
@@ -142,9 +142,8 @@ class _Interner:
         if isinstance(c, Not):
             return Not(self.concept(c.arg, pi))
         if isinstance(c, (And, Or)):
-            # along the left spine, so no fold is too wide to translate
-            ctor = type(c)
-            return fold(ctor, map(self.concept, left_spine(c, ctor), repeat(pi)))
+            # each part keeps its class, so the copy keeps the shape
+            return type(c)(*[self.concept(part, pi) for part in c.parts])
         if isinstance(c, All):
             return All(self.role(c.role, pi), self.concept(c.filler, pi))
         if isinstance(c, Some):
@@ -200,15 +199,17 @@ class _Interner:
                       self.trans(pi, f.rhs, p, diamonds))
         if isinstance(f, Box):
             _check_no_nesting(f.arg, True)
-            return fold(And, [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
-                              for k in range(p)])
+            parts = [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
+                     for k in range(p)]
+            return And(*parts) if p > 1 else parts[0]
         if isinstance(f, Diamond):
             _check_no_nesting(f.arg, True)
             if diamonds is not None:
                 d = next(diamonds)
                 return And(self.guard(f.standpoint, d), self.trans(d, f.arg, p))
-            return fold(Or, [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
-                             for k in range(p)])
+            parts = [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
+                     for k in range(p)]
+            return Or(*parts) if p > 1 else parts[0]
         raise UnresolvedRef(f.name)
 
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import standpoint_owl
+from standpoint_owl import cli
 from standpoint_owl.cli import main
 from standpoint_owl.frontend import parse_document
-from standpoint_owl.model import And, Gci, PlainKB, left_spine
+from standpoint_owl.model import And, EntityName, Gci, PlainKB, iter_nodes
 from standpoint_owl.oracle import find_plain_model
 
 from conftest import FIXTURES
@@ -25,9 +26,13 @@ MARKER = "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :SP__ST
 
 # sha256 of `translate FIXTURE --dump` since top-level boxes became
 # per-index GCIs; a refactor of the translator must not change a byte.
+# nested.ofn pins which nested conjunctions and disjunctions render flat
+# (a leading operand of the same kind) and which stay nested.
 GOLDEN_SHA256 = {
+    "constructors.ofn": "a122a8f76febc22fc458fc740ffcd304152528d1110cd8a34f36d88eccbd338a",
     "forest.ofn": "097d763a1c2db4cce91d6bc058bfd6cec5adf64321e672615a752e8672e0b0ef",
     "mixed.ofn": "1d9cb4580942f4073b3996b31741af5c2bd160c49e20af14f4ce75cd1ac73fed",
+    "nested.ofn": "502d055d76f24b1dbc1ec7f4639015d7903a29a202e8f633e491ab881f1290f2",
 }
 
 
@@ -205,6 +210,20 @@ class TestImport:
         out = capsys.readouterr().out
         assert out.count('<Box><Standpoint name=\\"*\\"/></Box>') == 2
 
+    def test_each_source_name_rebased_once(self, forest_path, tmp_path, capsys,
+                                           monkeypatch):
+        merged = []
+        serialize = cli.serialize_document
+        monkeypatch.setattr(cli, "serialize_document",
+                            lambda doc: merged.append(doc) or serialize(doc))
+        assert main(["import", forest_path, forest_path, "--standpoint", "LC",
+                     "--dump"]) == 0
+        names = [n for d in merged[0].declarations for n in iter_nodes(d.name)]
+        names += [n for ax, _ in merged[0].axioms for n in iter_nodes(ax)]
+        imported = [n for n in names
+                    if type(n) is EntityName and "/imported/" in n.base]
+        assert len({id(n) for n in imported}) == len(set(imported)) < len(imported)
+
     def test_bad_standpoint_name(self, forest_path, tmp_path, capsys):
         src = write(tmp_path, "src.ofn", SOURCE_DOC)
         assert main(["import", forest_path, src, "--standpoint", "9x"]) == 2
@@ -239,7 +258,7 @@ class TestWideOperands:
         files = [path] if args[0] == "translate" else [path, path]
         assert main([args[0], *files, *args[1:], "--dump"]) == 0
         doc = parse_document(capsys.readouterr().out)
-        assert any(len(left_spine(ax.lhs, And)) == 3000
+        assert any(type(ax.lhs) is And and len(ax.lhs.parts) == 3000
                    for ax, _ in doc.axioms if isinstance(ax, Gci))
 
     def test_query_decides(self, tmp_path, capsys):

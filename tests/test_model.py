@@ -39,6 +39,18 @@ class TestEntityName:
             EntityName("klass", "A")
 
 
+class TestNAry:
+    @pytest.mark.parametrize("ctor", [And, Or])
+    def test_leading_operand_spliced_later_ones_kept(self, ctor):
+        a, b, c = C("A"), C("B"), C("D")
+        assert ctor(ctor(a, b), c).parts == (a, b, c)
+        assert ctor(a, ctor(b, c)).parts == (a, ctor(b, c))
+        other = Or if ctor is And else And
+        assert ctor(other(a, b), c).parts == (other(a, b), c)
+        with pytest.raises(ValueError):
+            ctor(a)
+
+
 class TestTraversal:
     def test_children_table_covers_every_node_class(self):
         """A syntax dataclass lists its node-valued fields in _CHILDREN, in
@@ -83,11 +95,12 @@ class TestTraversal:
 
     def test_wide_and_deep_trees(self):
         """Neither walk is bounded by the recursion limit."""
-        wide = model.fold(And, [C(f"A{k}") for k in range(5000)])
-        deep = C("A")
-        for _ in range(5000):
+        wide = And(*[C(f"A{k}") for k in range(5000)])
+        deep, nested = C("A"), C("A")
+        for k in range(5000):
             deep = Not(deep)
-        for tree in (wide, deep):
+            nested = Or(C(f"A{k}"), nested)  # a trailing operand stays nested
+        for tree in (wide, deep, nested):
             rebased = rebase_names(Gci(tree, Top()), "urn:x#")
             assert {n.base for n in entity_names_in(rebased)} == {"urn:x#"}
 

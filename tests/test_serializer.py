@@ -2,13 +2,15 @@
 
 import pytest
 
-from standpoint_owl.frontend import assemble_kb, parse_document
+from standpoint_owl.frontend import (assemble_kb, parse_document,
+                                     parse_manchester_class)
 from standpoint_owl.model import (All, And, Atom, Box, Diamond, Disjunction,
                                   Equiv, Gci, INDEX_SENTINEL, Negation, Not,
                                   Or, PlainKB, Ria, Signature, Some, Top,
-                                  UNIVERSAL, fold, make_kb, role_name)
+                                  UNIVERSAL, make_kb, role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
-from standpoint_owl.serializer import serialize_concept, serialize_kb
+from standpoint_owl.serializer import (render_manchester, serialize_concept,
+                                       serialize_kb)
 from standpoint_owl.translator import translate_kb
 
 from conftest import C, O, R, S
@@ -57,9 +59,9 @@ class TestAxiomRendering:
     @pytest.mark.parametrize("ctor,word", [(And, "ObjectIntersectionOf"),
                                            (Or, "ObjectUnionOf")])
     def test_wide_left_fold(self, ctor, word):
-        # a left fold as deep as p guarded copies of a diamond
+        # as many operands as p guarded copies of a diamond
         names = [C(f"A{k}__0", NS) for k in range(3000)]
-        kb = plain_kb([Gci(fold(ctor, names), C("A0__0", NS))])
+        kb = plain_kb([Gci(ctor(*names), C("A0__0", NS))])
         operands = " ".join(f":A{k}__0" for k in range(3000))
         assert f"SubClassOf({word}({operands}) :A0__0)" in serialize_kb(kb).splitlines()
 
@@ -121,6 +123,17 @@ class TestRoundTrips:
         formulas = [Negation(Box(S("s"), Atom(Equiv(C("A", NS), C("B", NS))))),
                     Diamond(S("t"), Atom(Gci(C("A", NS),
                                              Some(R("r", NS), C("B", NS)))))]
+        kb = make_kb(formulas=formulas, base_iri="urn:o")
+        kb2 = assemble_kb(parse_document(serialize_kb(kb)))
+        assert kb2.formulas == tuple(formulas)
+
+    @pytest.mark.parametrize("word", ["and", "or"])
+    def test_wide_manchester_round_trip(self, word):
+        # more operands than the recursion limit
+        text = f" {word} ".join(f"A{k}" for k in range(3000))
+        wide = parse_manchester_class(text, NS)
+        assert render_manchester(wide, NS) == text
+        formulas = [Box(S("s"), Atom(Gci(wide, C("B", NS))))]
         kb = make_kb(formulas=formulas, base_iri="urn:o")
         kb2 = assemble_kb(parse_document(serialize_kb(kb)))
         assert kb2.formulas == tuple(formulas)

@@ -13,7 +13,7 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Bottom, Box,
                                   Nominal, Not, Or, PlainKB, Ria, RoleName,
                                   Some, SpIntersection, SpMinus, SpUnion,
                                   Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, iter_nodes, left_spine,
+                                  individual_name, iter_nodes,
                                   make_kb, rebase_names, role_name,
                                   standpoint_entity, validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
@@ -304,19 +304,20 @@ class TestSharing:
         _, diamond, box, single, mixed = (f.template for f in out.families)
         # the first diamond is guard ⊓ body at index 0; each box is one
         # template B__⋆ ⊓ guard_⋆ ⊑ D__⋆ (⋆ the sentinel) for its p axioms
-        assert diamond.rhs.lhs == trans_e(0, union, ns)
-        assert box.lhs.rhs == trans_e(INDEX_SENTINEL, union, ns)
+        assert diamond.rhs.parts[0] == trans_e(0, union, ns)
+        assert box.lhs.parts[1] == trans_e(INDEX_SENTINEL, union, ns)
         # the boxed disjunct is the conjunction of guard_k ⇒ body over k,
         # and the second diamond is guard ⊓ body at index 1
-        box_guards = [part.lhs.arg for part in left_spine(mixed.rhs.lhs, And)]
-        assert box_guards[0] is diamond.rhs.lhs
-        assert mixed.rhs.rhs.lhs == trans_e(1, S("s"), ns)
+        boxed, second = mixed.rhs.parts
+        box_guards = [part.parts[0].arg for part in boxed.parts]
+        assert box_guards[0] is diamond.rhs.parts[0]
+        assert second.parts[0] == trans_e(1, S("s"), ns)
         # the marker inside a composite guard is the plain guard of s
-        assert box_guards[1].lhs is mixed.rhs.rhs.lhs
-        assert box.lhs.rhs.lhs is single.lhs.rhs
+        assert box_guards[1].parts[0] is second.parts[0]
+        assert box.lhs.parts[1].parts[0] is single.lhs.parts[1]
         # a copy keeps the template's subtrees that hold no family index
         assert out.axioms[2] is diamond
-        assert out.axioms[4].lhs.rhs == trans_e(1, union, ns)
+        assert out.axioms[4].lhs.parts[1] == trans_e(1, union, ns)
 
 
 class TestIsolation:
