@@ -116,15 +116,16 @@ def cmd_import(args) -> int:
     return 0
 
 
-def _run_external_reasoner(command: str, document: str) -> int:
+def _run_external_reasoner(command: list[str], document: str) -> int:
     handle = tempfile.NamedTemporaryFile(mode="w", suffix=".ofn",
                                          delete=False, encoding="utf-8")
     try:
         handle.write(document)
         handle.close()
-        argv = shlex.split(command) + [handle.name]
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            # Undecodable output becomes U+FFFD, an unrecognised verdict.
+            proc = subprocess.run(command + [handle.name], capture_output=True,
+                                  encoding="utf-8", errors="replace")
         except OSError as exc:
             print(f"reasoner failed to start: {exc}", file=sys.stderr)
             return 4
@@ -167,8 +168,13 @@ def cmd_query(args) -> int:
     print(f"p={p} (including the negated query)", file=sys.stderr)
 
     if args.reasoner_cmd:
+        try:
+            command = shlex.split(args.reasoner_cmd)
+        except ValueError as exc:
+            print(f"error: --reasoner-cmd: {exc}", file=sys.stderr)
+            return 2
         plain = translate_kb(normalized)
-        return _run_external_reasoner(args.reasoner_cmd, serialize_kb(plain))
+        return _run_external_reasoner(command, serialize_kb(plain))
 
     prec_bound = args.prec_bound if args.prec_bound is not None else p
     result = search_countermodel(normalized, args.domain_bound, prec_bound,

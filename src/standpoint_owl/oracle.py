@@ -15,10 +15,13 @@ every affected constraint is evaluated three-valuedly via lower/upper
 bounds on extensions; branches whose constraints are definitely violated
 are cut.  The first surviving complete assignment is therefore the
 canonically least model, making witnesses reproducible.  The constraints
-are compiled once per search and domain size into closures over a value
-list indexed by slot position (None while unassigned), so a probe neither
-dispatches on node types nor hashes names; ∃ and ∀ compile to the two
-cardinality kernels (≥1 r.C, ≤0 r.¬C) and C ≡ D to a two-way C ⊑ D.
+are compiled once per search into closures over a value list indexed by
+slot position (None while unassigned) and over the domain size, which is
+set before each size is searched, so a probe neither dispatches on node
+types nor hashes names; ∃ and ∀ compile to the two cardinality kernels
+(≥1 r.C, ≤0 r.¬C) and C ≡ D to a two-way C ⊑ D.  The search counts the
+constraints not yet definitely true, so it sees a finished model without
+evaluating every constraint at every node.
 Conflict sets are sets of slot indices, and a conflict is minimised by
 releasing its slots in a fixed order, by (kind, base, local) of the name.
 Standpoint structures are searched by splitting the problem at the atom
@@ -258,8 +261,9 @@ def kb_holds(structure: StandpointStructure, kb: StandpointKB) -> bool:
 # ---------------------------------------------------------------------------
 # A search assigns slots ("c", name) / ("r", name) / ("i", name) to subset
 # masks (row-major for roles) or domain elements.  Its checks are compiled
-# once per search and domain size into closures over a value list indexed
-# like the slot order, where None marks a slot not yet assigned.  Concept
+# once per search into closures over a value list indexed like the slot
+# order, where None marks a slot not yet assigned; the domain size is a
+# cell of those closures, set before each size is searched.  Concept
 # bounds are (lo, hi) masks: any completion's extension E has lo ⊆ E ⊆ hi.
 
 def _converse(mask: int, n: int) -> int:
@@ -306,11 +310,12 @@ class _Check:
 
 
 class _Compiled:
-    """A check compiled for one search and domain size.
+    """A check compiled for one search.
 
     ``state(vals)`` is the check's three-valued verdict (True, False or None
-    for open) on the slot-indexed values ``vals``; ``slots`` holds the
-    indices of the check's slots in the conflict minimisation order.
+    for open) on the slot-indexed values ``vals`` at the domain size last
+    set; ``slots`` holds the indices of the check's slots in the conflict
+    minimisation order.
     """
 
     __slots__ = ("state", "slots")
@@ -320,27 +325,37 @@ class _Compiled:
         self.slots = slots
 
 
-def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_Compiled]:
-    """Compile the checks over the slot order for domain size ``n``.
+def _compile_checks(checks: list[_Check], slots: list[tuple]):
+    """Compile the checks over the slot order; return (compiled, resize).
 
-    Every slot a check names must be in ``slots``.  A name reads its value
-    from the list, or its widest bounds when the value is None; the
-    converse of each role mask is computed at most once per call.
+    Every slot a check names must be in ``slots``.  ``resize(n)`` sets the
+    domain size the compiled checks evaluate at, and must be called before
+    they are.  A name reads its value from the list, or its widest bounds
+    when the value is None; a name operand of an intersection or a union is
+    read in place.  The converse of each role mask is computed at most once
+    per domain size.
     """
     index = {slot: i for i, slot in enumerate(slots)}
-    full = (1 << n) - 1
-    full2 = (1 << (n * n)) - 1
-    rows = [(d * n, 1 << d) for d in range(n)]
-    diagonal = [(1 << (d * n + d), 1 << d) for d in range(n)]
+    # Cells that depend on the domain size, rebound by resize.
+    n = full = full2 = 0
+    top = universal = (0, 0)
+    rows: list[tuple[int, int]] = []
+    diagonal: list[tuple[int, int]] = []
     converse: dict[int, int] = {}
 
-    def constant(lo: int, hi: int):
-        both = (lo, hi)
-        return lambda vals: both
+    def resize(size: int) -> None:
+        nonlocal n, full, full2, top, universal, rows, diagonal, converse
+        n = size
+        full = (1 << n) - 1
+        full2 = (1 << (n * n)) - 1
+        top, universal = (full, full), (full2, full2)
+        rows = [(d * n, 1 << d) for d in range(n)]
+        diagonal = [(1 << (d * n + d), 1 << d) for d in range(n)]
+        converse = {}
 
     def role(r: RoleExpr):
         if isinstance(r, UniversalRole):
-            return constant(full2, full2)
+            return lambda vals: universal
         i = index[("r", r.name)]
         if isinstance(r, InverseRole):
             def inverse(vals):
@@ -360,9 +375,9 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
 
     def concept(c: ConceptExpr):
         if isinstance(c, Top):
-            return constant(full, full)
+            return lambda vals: top
         if isinstance(c, Bottom):
-            return constant(0, 0)
+            return lambda vals: (0, 0)
         if isinstance(c, ConceptName):
             i = index[("c", c.name)]
 
@@ -387,22 +402,38 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
                 lo, hi = g(vals)
                 return full & ~hi, full & ~lo
             return complement
-        if isinstance(c, And):
-            parts = [concept(part) for part in c.parts]
-
-            def intersection(vals):
-                lo = hi = full
-                for part in parts:
-                    plo, phi = part(vals)
-                    lo &= plo
-                    hi &= phi
-                return lo, hi
-            return intersection
-        if isinstance(c, Or):
-            parts = [concept(part) for part in c.parts]
+        if isinstance(c, (And, Or)):
+            # Bounds combine bitwise, so name operands can go first.
+            names = [index[("c", part.name)] for part in c.parts
+                     if isinstance(part, ConceptName)]
+            parts = [concept(part) for part in c.parts
+                     if not isinstance(part, ConceptName)]
+            if isinstance(c, And):
+                def intersection(vals):
+                    lo = hi = full
+                    for i in names:
+                        x = vals[i]
+                        if x is None:
+                            lo = 0
+                        else:
+                            lo &= x
+                            hi &= x
+                    for part in parts:
+                        plo, phi = part(vals)
+                        lo &= plo
+                        hi &= phi
+                    return lo, hi
+                return intersection
 
             def union(vals):
                 lo = hi = 0
+                for i in names:
+                    x = vals[i]
+                    if x is None:
+                        hi = full
+                    else:
+                        lo |= x
+                        hi |= x
                 for part in parts:
                     plo, phi = part(vals)
                     lo |= plo
@@ -494,7 +525,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple], n: int) -> list[_C
 
     return [_Compiled(check_state(check.axiom, check.positive),
                       tuple(index[s] for s in sorted(check.slots, key=minimisation_order)))
-            for check in checks]
+            for check in checks], resize
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +565,10 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                        fixed: dict[int, int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
 
-    ``checks`` are compiled over ``slots`` for domain size ``n`` and read one
-    value list indexed like ``slots``; ``fixed`` maps slot indices to values
-    that are given, not searched.  The result maps each slot to its value,
-    fixed slots first, then the others in slot order.
+    ``checks`` are compiled over ``slots``, resized to domain size ``n``,
+    and read one value list indexed like ``slots``; ``fixed`` maps slot
+    indices to values that are given, not searched.  The result maps each
+    slot to its value, fixed slots first, then the others in slot order.
 
     Backtracking is conflict-directed: when every value of a slot fails, the
     union of the (greedily minimised) slot index sets responsible for the
@@ -548,19 +579,33 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
     conflict is minimised by unassigning the check's slots one at a time in
     a fixed order, by (kind, base, local) of the name, so the search and its
     first witness do not depend on how the slots are indexed.
+
+    The search finishes early once every check is definitely true, which it
+    sees from a count of the checks not yet settled.  Bounds only tighten as
+    slots are assigned, so a check first settles when one of its slots is
+    assigned, and the evaluations of the checks touching that slot see it.
+    Each level keeps the checks its current value settled and releases them
+    when that value changes or the level is left.
     """
     fixed = fixed or {}
     vals: list = [None] * len(slots)
     for i, value in fixed.items():
         vals[i] = value
     counts = [_slot_value_count(slot, n) for slot in slots]
-    touching: list[list[_Compiled]] = [[] for _ in slots]
-    for check in checks:
+    states = [check.state for check in checks]
+    touching: list[list[int]] = [[] for _ in slots]
+    for j, check in enumerate(checks):
         for i in check.slots:
-            touching[i].append(check)
-    for check in checks:
-        if check.state(vals) is False:
+            touching[i].append(j)
+    settled = [False] * len(checks)
+    unsettled = len(checks)
+    for j, state in enumerate(states):
+        verdict = state(vals)
+        if verdict is False:
             return None
+        if verdict:
+            settled[j] = True
+            unsettled -= 1
 
     def minimised_conflict(check: _Compiled) -> frozenset:
         """Assigned slots without which the check would no longer refute."""
@@ -579,6 +624,14 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
             vals[i] = value
         return frozenset(needed)
 
+    def release(level: list[int]) -> None:
+        """Unsettle the checks that a level's value settled."""
+        nonlocal unsettled
+        for j in level:
+            settled[j] = False
+        unsettled += len(level)
+        level.clear()
+
     def assignment() -> dict:
         out = {slots[i]: value for i, value in fixed.items()}
         for i, value in enumerate(vals):
@@ -586,11 +639,12 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                 out[slots[i]] = value
         return out
 
-    # The slots searched, in order, and one conflict set per slot being
-    # enumerated, whose value is in vals: the stack replaces one recursion
-    # per slot.
+    # The slots searched, in order, and per slot being enumerated, whose
+    # value is in vals, one conflict set and the checks its value settled:
+    # the stack replaces one recursion per slot.
     free = [i for i in range(len(slots)) if i not in fixed]
     conflicts: list[set] = []
+    settles: list[list[int]] = []
     result = None
     while True:
         if result is None:  # descend to the next free slot
@@ -601,30 +655,42 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
                 result = minimised_conflict(failed)
             else:
                 conflicts.append(set())
+                settles.append([])
         if not conflicts:
             return None
-        k, conflict = free[len(conflicts) - 1], conflicts[-1]
+        k, conflict, mine = free[len(conflicts) - 1], conflicts[-1], settles[-1]
         if result is not None:  # a conflict from the level below
             if k not in result:
                 vals[k] = None
+                release(mine)
                 conflicts.pop()
+                settles.pop()
                 continue
             conflict |= result
             result = None
         for value in range(0 if vals[k] is None else vals[k] + 1, counts[k]):
             vals[k] = value
-            for check in touching[k]:
-                if check.state(vals) is False:
-                    conflict |= minimised_conflict(check)
+            if mine:
+                release(mine)
+            for j in touching[k]:
+                verdict = states[j](vals)
+                if verdict is False:
+                    conflict |= minimised_conflict(checks[j])
                     break
+                if verdict and not settled[j]:
+                    settled[j] = True
+                    mine.append(j)
+                    unsettled -= 1
             else:  # no check refutes the value: finish early or descend
-                if all(check.state(vals) is True for check in checks):
+                if not unsettled:
                     for i in free[len(conflicts):]:
                         vals[i] = 0
                     return assignment()
                 break
         else:  # every value failed: pass the conflict up
+            release(mine)
             conflicts.pop()
+            settles.pop()
             vals[k] = None
             conflict.discard(k)
             result = frozenset(conflict)
@@ -666,12 +732,14 @@ def find_plain_model(kb: PlainKB, max_domain: int,
     signature = _occurring_signature(kb.axioms).union(kb.signature)
     checks = [_Check(ax) for ax in kb.axioms]
     slots = _slot_order(checks, signature)
+    compiled, resize = _compile_checks(checks, slots)
     for n in range(1, max_domain + 1):
         if _bits_needed(signature, n) > guard_bits:
             raise SearchSpaceTooLarge(
                 f"domain size {n} needs {_bits_needed(signature, n):.0f} bits "
                 f"of search space (guard: {guard_bits:.0f})")
-        asn = _search_assignment(n, slots, _compile_checks(checks, slots, n))
+        resize(n)
+        asn = _search_assignment(n, slots, compiled)
         if asn is not None:
             interp = _assignment_to_interp(asn, signature, n)
             assert all(holds_axiom(interp, ax) for ax in kb.axioms)
@@ -811,6 +879,10 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
     slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
     individual_slots = [slots.index(("i", ind)) for ind in individuals]
+    compiled, resize = _compile_checks(
+        base_checks + [check for pair in atom_checks for check in pair], slots)
+    base = compiled[:len(base_checks)]
+    atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
     # The lane masks have 2**k bits, so they are built once the guard passes.
     evaluators = None
 
@@ -830,10 +902,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
-        compiled = _compile_checks(
-            base_checks + [check for pair in atom_checks for check in pair], slots, n)
-        base = compiled[:len(base_checks)]
-        atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
+        resize(n)
 
         def realize(nu: tuple, v: int) -> Optional[PlainInterpretation]:
             key = (nu, v)

@@ -629,3 +629,17 @@ class TestExternalReasoner:
         cmd = fake_reasoner(tmp_path, "raise SystemExit(9)\n")
         assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
                      "--reasoner-cmd", cmd]) == 4
+
+    def test_output_that_is_not_utf8_is_an_unrecognised_verdict(self, forest_path,
+                                                                 tmp_path, capsys):
+        cmd = fake_reasoner(tmp_path, "import sys\n"
+                                      "sys.stdout.buffer.write(b'\\xff\\xfeconsistent\\n')\n")
+        assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
+                     "--reasoner-cmd", cmd]) == 4
+        assert "unrecognised reasoner verdict" in capsys.readouterr().err
+
+    def test_unbalanced_command_is_a_usage_error(self, forest_path, capsys):
+        code = main(["query", forest_path, "--simple", "[*](Land sub Land)",
+                     "--reasoner-cmd", '"unbalanced'])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: --reasoner-cmd")

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName
 from standpoint_owl.frontend import (assemble_kb, parse_document,
@@ -19,7 +19,8 @@ from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
                                    StandpointStructure, _Check,
-                                   _compile_checks, _slot_order,
+                                   _compile_checks, _search_assignment,
+                                   _slot_order,
                                    check_entailment_bounded, eval_concept,
                                    eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
@@ -511,7 +512,8 @@ def _state(check, asn, n):
     """The compiled verdict of ``check`` on a dict assignment: the dict
     becomes a value list over the check's slot order, None where unassigned."""
     slots = _slot_order([check], Signature())
-    (compiled,) = _compile_checks([check], slots, n)
+    (compiled,), resize = _compile_checks([check], slots)
+    resize(n)
     return compiled.state([asn.get(slot) for slot in slots])
 
 
@@ -586,27 +588,44 @@ def _first_by_enumeration(axioms, max_domain):
     return None
 
 
-def plain_axioms():
-    """Small plain KBs over at most four slots (A, B, r, a): concepts, the
-    role and its inverse, a nominal, and optionally a role inclusion.  Global
-    "at least 2" demands make some of them need two elements."""
-    leaf = st.sampled_from([C("A"), C("B"), Top(), Bottom(), O("a")])
+def plain_axioms(concepts="AB", max_axioms=3):
+    """Small plain KBs over the given concept names, a role r and an
+    individual a: concepts, the role and its inverse, a nominal, and
+    optionally a role inclusion.  Global "at least 2" demands make some of
+    them need two elements.  Three-operand intersections and unions mix
+    names with compound operands, also a name after a compound operand."""
+    names = st.sampled_from([C(local) for local in concepts])
+    leaf = st.one_of(names, st.sampled_from([Top(), Bottom(), O("a")]))
     roles = st.sampled_from([R("r"), Rinv("r")])
+    compound = st.one_of(st.builds(Not, leaf), st.builds(Some, roles, leaf),
+                         st.builds(Or, leaf, leaf), st.builds(And, leaf, leaf))
     concept = st.one_of(leaf, st.builds(Not, leaf), st.builds(And, leaf, leaf),
                         st.builds(Or, leaf, leaf), st.builds(Some, roles, leaf),
                         st.builds(All, roles, leaf),
-                        st.builds(AtLeast, st.just(2), roles, leaf))
+                        st.builds(AtLeast, st.just(2), roles, leaf),
+                        *(st.builds(ctor, *operands) for ctor in (And, Or)
+                          for operands in ((compound, names, leaf),
+                                           (names, compound, names))))
     axiom = st.one_of(st.builds(Gci, concept, concept),
                       st.builds(Gci, st.just(Top()), concept),
                       st.builds(Equiv, concept, concept))
     rias = st.sampled_from([(), (Ria((R("r"), R("r")), rR),),
                             (Ria((Rinv("r"),), rR),)])
     return st.builds(lambda gcis, ria: list(gcis) + list(ria),
-                     st.lists(axiom, min_size=1, max_size=3), rias)
+                     st.lists(axiom, min_size=1, max_size=max_axioms), rias)
 
 
+# Slots A, B, C at one element.  Both KBs refute every value of C while A is
+# empty, by a conflict on A alone, so the search jumps back over B, whose
+# value settled ⊤ ⊑ B.  In the second, ⊤ ⊑ C settles at the refuted value
+# C = {0}.  A check settled at a level stays settled only while that level
+# keeps its value, or the search stops early at a non-model.
 @settings(max_examples=300, deadline=None)
 @given(plain_axioms())
+@example([Gci(Top(), Or(And(C("A"), Bottom()), C("B"))),
+          Gci(Top(), Or(C("A"), C("C"))), Gci(C("C"), C("A"))])
+@example([Gci(Top(), Or(And(C("A"), Bottom()), C("B"))),
+          Gci(Top(), Or(And(C("A"), Bottom()), C("C"))), Gci(C("C"), C("A"))])
 def test_first_witness_is_the_first_by_enumeration(axioms):
     model = find_plain_model(plain(axioms), 2, guard_bits=math.inf)
     expected = _first_by_enumeration(axioms, 2)
@@ -617,6 +636,41 @@ def test_first_witness_is_the_first_by_enumeration(axioms):
     assert (model.domain_size, model.concept_ext, model.role_ext,
             model.individual_map) == (expected.domain_size, expected.concept_ext,
                                       expected.role_ext, expected.individual_map)
+
+
+@pytest.mark.parametrize("n, concepts, max_axioms", [
+    (2, "AB", 3),
+    # One element and more names: deeper searches that backjump.
+    (1, "ABCDEF", 6)])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_search_with_fixed_individuals_and_required_false_checks(n, concepts, max_axioms,
+                                                                 data):
+    """The search as realising an atom vector runs it: the individual slot
+    fixed, each axiom required true or false.  Its result is the first
+    assignment of the other slots, by enumeration in slot order, under which
+    every axiom holds exactly when it is required to."""
+    axioms = data.draw(plain_axioms(concepts, max_axioms))
+    element = data.draw(st.integers(0, n - 1))
+    positive = [data.draw(st.booleans()) for _ in axioms]
+    signature = Signature(frozenset(concept_name(c) for c in concepts),
+                          frozenset({rR}), frozenset({iA}))
+    slots = _slot_order([_Check(ax) for ax in axioms], signature)
+    fixed = {slots.index(("i", iA)): element}
+    compiled, resize = _compile_checks(
+        [_Check(ax, pos) for ax, pos in zip(axioms, positive)], slots)
+    resize(n)
+    found = _search_assignment(n, slots, compiled, fixed)
+    free = [slot for slot in slots if slot[0] != "i"]
+    spaces = [range(1 << (n if kind == "c" else n * n)) for kind, _ in free]
+    expected = None
+    for values in itertools.product(*spaces):
+        asn = dict(zip(free, values)) | {("i", iA): element}
+        interp = _interp_of(list(asn), list(asn.values()), n)
+        if all(holds_axiom(interp, ax) is pos for ax, pos in zip(axioms, positive)):
+            expected = asn
+            break
+    assert found == expected
 
 
 # --- the compiled (true, false) evaluation against a per-precisification walk -
