@@ -167,11 +167,14 @@ def cmd_query(args) -> int:
     p = count_precisifications(normalized)
     print(f"p={p} (including the negated query)", file=sys.stderr)
 
-    if args.reasoner_cmd:
+    if args.reasoner_cmd is not None:
         try:
             command = shlex.split(args.reasoner_cmd)
         except ValueError as exc:
             print(f"error: --reasoner-cmd: {exc}", file=sys.stderr)
+            return 2
+        if not command:
+            print("error: --reasoner-cmd names no program", file=sys.stderr)
             return 2
         plain = translate_kb(normalized)
         return _run_external_reasoner(command, serialize_kb(plain))

@@ -638,8 +638,9 @@ class TestExternalReasoner:
                      "--reasoner-cmd", cmd]) == 4
         assert "unrecognised reasoner verdict" in capsys.readouterr().err
 
-    def test_unbalanced_command_is_a_usage_error(self, forest_path, capsys):
+    @pytest.mark.parametrize("command", ['"unbalanced', "", " "])
+    def test_unusable_command_is_a_usage_error(self, forest_path, command, capsys):
         code = main(["query", forest_path, "--simple", "[*](Land sub Land)",
-                     "--reasoner-cmd", '"unbalanced'])
+                     "--reasoner-cmd", command])
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: --reasoner-cmd")

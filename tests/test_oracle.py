@@ -640,7 +640,7 @@ def test_first_witness_is_the_first_by_enumeration(axioms):
 
 @pytest.mark.parametrize("n, concepts, max_axioms", [
     (2, "AB", 3),
-    # One element and more names: deeper searches that backjump.
+    # One element and more names: longer searches over more slots.
     (1, "ABCDEF", 6)])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
