@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import shlex
-import subprocess
 import sys
-import tempfile
 
 from .errors import StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
@@ -117,6 +114,11 @@ def cmd_import(args) -> int:
 
 
 def _run_external_reasoner(command: list[str], document: str) -> int:
+    # Imported here: only --reasoner-cmd needs them, and every other
+    # command would pay their import at start-up.
+    import subprocess
+    import tempfile
+
     handle = tempfile.NamedTemporaryFile(mode="w", suffix=".ofn",
                                          delete=False, encoding="utf-8")
     try:
@@ -168,6 +170,8 @@ def cmd_query(args) -> int:
     print(f"p={p} (including the negated query)", file=sys.stderr)
 
     if args.reasoner_cmd is not None:
+        import shlex
+
         try:
             command = shlex.split(args.reasoner_cmd)
         except ValueError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,9 +28,9 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
                      Some, Top, UNIVERSAL, concept_name,
-                     individual_name, role_name)
+                     individual_name, record, role_name)
 
-@dataclass(frozen=True)
+@record
 class Annotation:
     """One annotation as written: property name parts plus the raw literal."""
     property_prefix: str
@@ -41,13 +40,13 @@ class Annotation:
     col: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Declaration:
     kind: str  # concept | role | individual
     name: EntityName
 
 
-@dataclass(frozen=True)
+@record
 class RawDocument:
     base_iri: str
     prefixes: tuple[tuple[str, str], ...]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
@@ -21,25 +20,25 @@ from ..errors import BadName, GrammarViolation, XmlSyntaxError
 from ..model import (STANDPOINT_NAME_RE, Atom, AxiomRef, Box, Conjunction,
                      Diamond, Disjunction, Equiv, Gci, Negation,
                      SpIntersection, SpMinus, SpUnion, StandpointExpr,
-                     StandpointFormula, standpoint_expr)
+                     StandpointFormula, record, standpoint_expr)
 from .manchester import parse_manchester_class
 
 # Axiom names follow the standpoint-name rule after their leading §.
 _AX_NAME_RE = re.compile("§" + STANDPOINT_NAME_RE.pattern)
 
 
-@dataclass(frozen=True)
+@record
 class BoolCombLabel:
     formula: StandpointFormula
 
 
-@dataclass(frozen=True)
+@record
 class SharpeningLabel:
     narrower: StandpointExpr
     wider: StandpointExpr
 
 
-@dataclass(frozen=True)
+@record
 class SpAxiomLabel:
     """A box/diamond operator to prepend to the annotated axiom."""
     name: Optional[str]

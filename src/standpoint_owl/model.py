@@ -14,13 +14,14 @@ to e", ``Diamond(e, f)`` "conceivable according to e", where ``e`` is a
 standpoint expression built from names with union, intersection and
 difference.
 
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction and safe to share across threads:
+they are records (see `record`), frozen value types over their annotated
+fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
 from operator import is_
@@ -37,7 +38,135 @@ UNIVERSAL_STANDPOINT = "*"
 _KINDS = ("concept", "role", "individual", "standpoint")
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete an attribute of a record."""
+
+
+class _Factory:
+    """A field default made afresh for every instance (see `field`)."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+# The parameter default of a field whose value a factory makes.
+_HAS_DEFAULT_FACTORY = object()
+
+
+def field(*, default_factory):
+    """The default of a record field that ``default_factory()`` makes anew
+    for each instance, as a mutable value needs."""
+    return _Factory(default_factory)
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, init=True):
+    """Make ``cls`` a frozen value type over its annotated fields, in the
+    order they are declared; ``record(init=False)`` keeps the ``__init__``
+    that ``cls`` inherits.
+
+    One source text per class, compiled once, defines ``__init__`` (the
+    class attribute of a field is its default; then ``__post_init__``, if
+    the class has one), ``__eq__`` (between instances of one class),
+    ``__hash__`` (the hash of the tuple of the fields) and ``__repr__``.  A
+    method the class body defines is kept.  The bodies are those that
+    ``dataclasses`` writes for ``frozen=True``, so a record builds,
+    compares and hashes as fast, and to the same hash values, as the
+    dataclass did; what is saved is compiling each method on its own at
+    start-up.  ``__init__`` sets the fields with ``object.__setattr__``;
+    any other assignment or deletion raises FrozenInstanceError.
+    """
+    if cls is None:
+        return lambda cls: record(cls, init=init)
+    own = cls.__dict__
+    names = dict(own.get("__annotations__", {}))
+    env = {"__record_object__": object, "_HAS_DEFAULT_FACTORY": _HAS_DEFAULT_FACTORY}
+    params, body = ["self"], []
+    for name in names:
+        value = name
+        if name in own:
+            default = own[name]
+            if type(default) is _Factory:
+                delattr(cls, name)
+                env[f"_make_{name}"] = default.make
+                default = _HAS_DEFAULT_FACTORY
+                value = f"_make_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
+            env[f"_dflt_{name}"] = default
+            params.append(f"{name}=_dflt_{name}")
+        else:
+            params.append(name)
+        body.append(f"__record_object__.__setattr__(self,{name!r},{value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+
+    def fields_of(obj: str) -> str:
+        return "(" + "".join(f"{obj}.{name}," for name in names) + ")"
+
+    methods = {
+        "__init__": [f"def __init__({','.join(params)}):", *(body or ["pass"])],
+        "__eq__": ["def __eq__(self,other):",
+                   "if other.__class__ is self.__class__:",
+                   f" return {fields_of('self')}=={fields_of('other')}",
+                   "return NotImplemented"],
+        "__hash__": ["def __hash__(self):", f"return hash({fields_of('self')})"],
+        "__repr__": ["def __repr__(self):",
+                     'return self.__class__.__qualname__ + f"(' + ", ".join(
+                         f"{n}={{self.{n}!r}}" for n in names) + ')"'],
+    }
+    if not init:
+        del methods["__init__"]
+    wanted = [m for m in methods if own.get(m) is None]
+    # Compiled for this class alone: the interpreter specialises attribute
+    # reads per code object, so methods shared between classes would run
+    # slower.
+    lines = [f"def __create_fn__({', '.join(env)}):"]
+    for m in wanted:
+        head, *rest = methods[m]
+        lines += [" " + head, *("  " + line for line in rest)]
+    lines.append(f" return ({''.join(m + ',' for m in wanted)})")
+    ns: dict = {}
+    exec("\n".join(lines), {}, ns)
+    for fn in ns["__create_fn__"](**env):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__record_fields__ = names
+    return cls
+
+
+def is_record(x) -> bool:
+    """Whether ``x`` is a record class or an instance of one."""
+    return hasattr(x, "__record_fields__")
+
+
+def fields(x) -> dict[str, str]:
+    """The fields of a record class or instance, in declaration order, each
+    mapped to its annotation."""
+    return x.__record_fields__
+
+
+def replace(obj, /, **changes):
+    """A copy of the record ``obj`` with the named fields changed.  The copy
+    is built by the class, so its ``__post_init__`` checks run again."""
+    for name in obj.__record_fields__:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)
+
+
+@record
 class EntityName:
     """A named entity: kind, local name, and namespace IRI prefix.
 
@@ -87,18 +216,18 @@ def standpoint_entity(local: str) -> EntityName:
 # Role expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RoleName:
     name: EntityName
 
 
-@dataclass(frozen=True)
+@record
 class InverseRole:
     """Inverse of a named role; only simple roles may be inverted."""
     name: EntityName
 
 
-@dataclass(frozen=True)
+@record
 class UniversalRole:
     """The universal role, interpreted as the full binary relation."""
 
@@ -111,27 +240,27 @@ UNIVERSAL = UniversalRole()
 # Concept expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ConceptName:
     name: EntityName
 
 
-@dataclass(frozen=True)
+@record
 class Nominal:
     individual: EntityName
 
 
-@dataclass(frozen=True)
+@record
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     arg: "ConceptExpr"
 
@@ -147,7 +276,7 @@ class _NAry:
         object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class And(_NAry):
     """``And(a, b, …)``: the intersection of two or more ``parts``.  A first
     operand that is itself an And is spliced in, so ``And(And(a, b), c) ==
@@ -157,30 +286,30 @@ class And(_NAry):
     parts: tuple["ConceptExpr", ...]
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class Or(_NAry):
     """``Or(a, b, …)``: the union of two or more ``parts``, spliced as And."""
     parts: tuple["ConceptExpr", ...]
 
 
-@dataclass(frozen=True)
+@record
 class All:
     role: RoleExpr
     filler: "ConceptExpr"
 
 
-@dataclass(frozen=True)
+@record
 class Some:
     role: RoleExpr
     filler: "ConceptExpr"
 
 
-@dataclass(frozen=True)
+@record
 class HasSelf:
     role: RoleExpr
 
 
-@dataclass(frozen=True)
+@record
 class AtMost:
     n: int
     role: RoleExpr
@@ -191,7 +320,7 @@ class AtMost:
             raise ValueError("cardinality must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class AtLeast:
     n: int
     role: RoleExpr
@@ -212,14 +341,14 @@ BOTTOM = Bottom()
 # Axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Gci:
     """General concept inclusion lhs ⊑ rhs."""
     lhs: ConceptExpr
     rhs: ConceptExpr
 
 
-@dataclass(frozen=True)
+@record
 class Equiv:
     """Concept equivalence, kept as its own variant so the translator can
     expand it to two inclusions and the serializer can round-trip it."""
@@ -227,7 +356,7 @@ class Equiv:
     rhs: ConceptExpr
 
 
-@dataclass(frozen=True)
+@record
 class Ria:
     """Role inclusion axiom chain[0] ∘ … ∘ chain[-1] ⊑ head."""
     chain: tuple[RoleExpr, ...]
@@ -246,12 +375,12 @@ TBoxAxiom = Union[Gci, Equiv]
 # Standpoint expressions and formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Star:
     """The universal standpoint, comprising all precisifications."""
 
 
-@dataclass(frozen=True)
+@record
 class NamedStandpoint:
     name: str
 
@@ -260,19 +389,19 @@ class NamedStandpoint:
             raise ValueError(f"bad standpoint name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SpUnion:
     lhs: "StandpointExpr"
     rhs: "StandpointExpr"
 
 
-@dataclass(frozen=True)
+@record
 class SpIntersection:
     lhs: "StandpointExpr"
     rhs: "StandpointExpr"
 
 
-@dataclass(frozen=True)
+@record
 class SpMinus:
     lhs: "StandpointExpr"
     rhs: "StandpointExpr"
@@ -292,7 +421,7 @@ def standpoint_expr(name: str) -> Star | NamedStandpoint:
     return NamedStandpoint(name)
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """A plain TBox axiom used as a propositional atom."""
     axiom: TBoxAxiom
@@ -302,36 +431,36 @@ class Atom:
             raise ValueError("role axioms cannot appear inside standpoint formulas")
 
 
-@dataclass(frozen=True)
+@record
 class AxiomRef:
     """Reference to a named standpoint axiom (the leading § is stripped)."""
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Negation:
     arg: "StandpointFormula"
 
 
-@dataclass(frozen=True)
+@record
 class Conjunction:
     lhs: "StandpointFormula"
     rhs: "StandpointFormula"
 
 
-@dataclass(frozen=True)
+@record
 class Disjunction:
     lhs: "StandpointFormula"
     rhs: "StandpointFormula"
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     standpoint: StandpointExpr
     arg: "StandpointFormula"
 
 
-@dataclass(frozen=True)
+@record
 class Diamond:
     standpoint: StandpointExpr
     arg: "StandpointFormula"
@@ -344,7 +473,7 @@ StandpointFormula = Union[Atom, AxiomRef, Negation, Conjunction, Disjunction, Bo
 # Signatures and knowledge bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Signature:
     concepts: frozenset[EntityName] = frozenset()
     roles: frozenset[EntityName] = frozenset()
@@ -358,7 +487,7 @@ class Signature:
                          self.standpoints | other.standpoints)
 
 
-@dataclass(frozen=True)
+@record
 class StandpointKB:
     """A standpoint-annotated knowledge base.
 
@@ -387,7 +516,7 @@ class StandpointKB:
 INDEX_SENTINEL = "\x00"
 
 
-@dataclass(frozen=True)
+@record
 class Family:
     """``copies`` axioms of one shape: copy k is ``template`` with every
     INDEX_SENTINEL in its names read as k.  A template without the
@@ -403,7 +532,7 @@ class Family:
         return (str(k).join(pieces) for k in range(self.copies))
 
 
-@dataclass(frozen=True)
+@record
 class PlainKB:
     """Standpoint-free output of the translation: axiom families over the
     mangled per-precisification signature plus the universal role.  A
@@ -469,7 +598,7 @@ _CHILDREN: dict[type, tuple[str, ...]] = {
     Family: ("template",),
 }
 # Every constructor argument of each compound class, for positional rebuilds.
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILDREN}
+_FIELDS = {cls: tuple(fields(cls)) for cls in _CHILDREN}
 # The classes whose constructor takes exactly their children, one each.
 _CHILDREN_ONLY = frozenset(cls for cls in _CHILDREN
                            if _FIELDS[cls] == _CHILDREN[cls] and cls is not Ria)
@@ -625,7 +754,7 @@ def signature_of(kb: StandpointKB) -> Signature:
 # Role validation: simplicity and regularity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RoleValidationReport:
     """Simple/non-simple partition plus the strict order induced by RIAs.
 

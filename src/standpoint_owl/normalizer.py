@@ -8,12 +8,11 @@ precisification bound computed from the diamond count.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import NestedModality, UnresolvedRef
 from .model import (Atom, AxiomRef, Bottom, Box, Conjunction, Diamond,
                     Disjunction, Equiv, Gci, Negation, SpMinus, StandpointExpr,
-                    StandpointFormula, StandpointKB, Top, iter_nodes, transform)
+                    StandpointFormula, StandpointKB, Top, iter_nodes, replace,
+                    transform)
 
 
 def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointFormula:

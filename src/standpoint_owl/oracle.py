@@ -41,7 +41,6 @@ Exhaustion within bounds is evidence, not proof, of unsatisfiability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Optional
 
@@ -53,7 +52,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    signature_of, walk_atoms, walk_refs)
+                    field, record, replace, signature_of, walk_atoms,
+                    walk_refs)
 from .normalizer import normalize_kb
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ from .normalizer import normalize_kb
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PlainInterpretation:
     """A finite interpretation over the domain {0, …, domain_size-1}.
 
@@ -83,7 +83,7 @@ class PlainInterpretation:
         return frozenset(range(self.domain_size))
 
 
-@dataclass(frozen=True)
+@record
 class StandpointStructure:
     """A standpoint model: shared domain, precisifications {0, …, m-1},
     standpoint membership sets, and one interpretation per precisification.
@@ -297,16 +297,18 @@ _SLOT_KIND = {"concept": "c", "role": "r", "individual": "i"}
 class _Check:
     """One constraint: an axiom required true (or, for atom vectors, false).
 
-    ``slots`` holds the slots of the axiom's names in first-occurrence order.
+    ``slots`` holds the slots of the axiom's names in first-occurrence order;
+    a check of the same axiom may pass its own, which saves the walk.
     """
 
     __slots__ = ("axiom", "positive", "slots")
 
-    def __init__(self, axiom: PlainAxiom, positive: bool = True):
+    def __init__(self, axiom: PlainAxiom, positive: bool = True,
+                 slots: tuple | None = None):
         self.axiom = axiom
         self.positive = positive
-        self.slots = tuple((_SLOT_KIND[name.kind], name)
-                           for name in entity_names_in(axiom))
+        self.slots = slots if slots is not None else tuple(
+            (_SLOT_KIND[name.kind], name) for name in entity_names_in(axiom))
 
 
 class _Compiled:
@@ -874,9 +876,11 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
 
     base_checks = [_Check(ax) for ax in base_axioms]
-    # Both polarities of each atom's check; the slot order does not depend
-    # on polarity, so it is the same for every vector.
-    atom_checks = [(_Check(ax, positive=False), _Check(ax)) for ax in atoms]
+    # Both polarities of each atom's check, sharing one walk's slots; the
+    # slot order does not depend on polarity, so it is the same for every
+    # vector.
+    atom_checks = [(_Check(pos.axiom, False, pos.slots), pos)
+                   for pos in map(_Check, atoms)]
     slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
     individual_slots = [slots.index(("i", ind)) for ind in individuals]
     compiled, resize = _compile_checks(
@@ -981,7 +985,7 @@ NOT_ENTAILED = "NOT_ENTAILED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
+@record
 class EntailmentResult:
     status: str
     witness: Optional[StandpointStructure] = None

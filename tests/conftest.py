@@ -1,6 +1,5 @@
 """Shared fixtures and AST shorthand for the test suite."""
 
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import pytest
 from standpoint_owl.frontend import assemble, assemble_kb, parse_document
 from standpoint_owl.model import (ConceptName, InverseRole, NamedStandpoint,
                                   Nominal, RoleName, Star, concept_name,
-                                  individual_name, role_name)
+                                  individual_name, replace, role_name)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FOREST_BASE = "http://example.org/forestry#"
@@ -72,10 +71,10 @@ def assembled_label_by_label(doc):
     pad = itertools.count(1)
 
     def spread(annotations):
-        return tuple(dataclasses.replace(a, literal=a.literal + " " * next(pad))
+        return tuple(replace(a, literal=a.literal + " " * next(pad))
                      for a in annotations)
 
-    return assemble_kb(dataclasses.replace(
+    return assemble_kb(replace(
         doc, ontology_annotations=spread(doc.ontology_annotations),
         axioms=tuple((axiom, spread(anns)) for axiom, anns in doc.axioms)))
 

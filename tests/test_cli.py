@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -644,3 +645,26 @@ class TestExternalReasoner:
                      "--reasoner-cmd", command])
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: --reasoner-cmd")
+
+
+class TestStartup:
+    def test_cli_import_loads_no_dataclasses_inspect_or_subprocess(self):
+        """Every command pays for what importing the CLI module loads.
+        ``dataclasses`` (which loads ``inspect``) is not used, and
+        ``subprocess`` only by --reasoner-cmd.  Modules that a bare
+        interpreter loads, such as those its site hook imports, are
+        subtracted, so the environment cannot trip the check."""
+        package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+        def loaded(statement: str) -> set[str]:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 f"{statement}\nimport sys\nprint(*sys.modules, sep='\\n')"],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path})
+            return set(proc.stdout.split())
+
+        added = loaded("import standpoint_owl.cli") - loaded("pass")
+        assert "standpoint_owl.cli" in added
+        assert not added & {"dataclasses", "inspect", "subprocess"}

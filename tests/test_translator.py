@@ -1,7 +1,5 @@
 """Name mangling and the precisification-copy translation."""
 
-import dataclasses
-
 import pytest
 
 from standpoint_owl.errors import NestedModality, ReservedName, UnresolvedRef
@@ -13,8 +11,8 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Bottom, Box,
                                   Nominal, Not, Or, PlainKB, Ria, RoleName,
                                   Some, SpIntersection, SpMinus, SpUnion,
                                   Star, Top, UNIVERSAL, concept_name,
-                                  individual_name, iter_nodes,
-                                  make_kb, rebase_names, role_name,
+                                  fields, individual_name, is_record,
+                                  iter_nodes, make_kb, rebase_names, role_name,
                                   standpoint_entity, validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
@@ -261,15 +259,15 @@ class TestInvariants:
 
 
 def _nodes(root):
-    """Every dataclass node under root, through tuples and frozensets."""
+    """Every record node under root, through tuples and frozensets."""
     stack, seen = [root], []
     while stack:
         node = stack.pop()
         if isinstance(node, (tuple, frozenset)):
             stack.extend(node)
-        elif dataclasses.is_dataclass(node):
+        elif is_record(node):
             seen.append(node)
-            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+            stack.extend(getattr(node, name) for name in fields(node))
     return seen
 
 
