@@ -536,27 +536,54 @@ class Family:
 class PlainKB:
     """Standpoint-free output of the translation: axiom families over the
     mangled per-precisification signature plus the universal role.  A
-    plain axiom given in ``families`` becomes a family of one copy."""
+    plain axiom given in ``families`` becomes a family of one copy.
+
+    ``names`` declares the signature the way a family holds its axioms:
+    copy k of a name reads k for every INDEX_SENTINEL in it, for k below
+    ``copies``, and a name without the sentinel is its own only copy."""
 
     families: tuple[Family, ...] = ()
-    signature: Signature = Signature()
+    names: Signature = Signature()
     base_iri: str = ""
+    copies: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(
             f if type(f) is Family else Family(f) for f in self.families))
 
-    @cached_property
+    @property
     def axioms(self) -> tuple[PlainAxiom, ...]:
-        """Every copy of every family, in order, built on first use.  The
-        copies at one index share every node they have in common."""
+        """Every copy of every family, in order, built on first use."""
+        return self._expanded[0]
+
+    @property
+    def signature(self) -> Signature:
+        """Every copy of every name, built on first use."""
+        return self._expanded[1]
+
+    @cached_property
+    def _expanded(self) -> tuple[tuple[PlainAxiom, ...], Signature]:
+        """The axioms and the signature, built together.  The copies at one
+        index share every node they have in common, and each name is one
+        object throughout: the copy of a name at k is the name that some
+        template already holds at the fixed index k, if one does."""
+        shared = {node: node for f in self.families
+                  for node in iter_nodes(f.template) if type(node) is EntityName}
         copies: list[list] = [[] for _ in self.families]
-        for k in range(max((f.copies for f in self.families), default=0)):
-            memo: dict = {}
+        kinds = ("concepts", "roles", "individuals")
+        names: dict[str, set] = {kind: set() for kind in kinds}
+        for k in range(max([self.copies, *(f.copies for f in self.families)])):
+            index, memo = str(k), {}
             for out, f in zip(copies, self.families):
                 if k < f.copies:
-                    out.append(_instantiate(f.template, str(k), memo))
-        return tuple(ax for out in copies for ax in out)
+                    out.append(_instantiate(f.template, index, memo, shared))
+            if k < self.copies:
+                for kind in kinds:
+                    names[kind].update(_instantiate(name, index, memo, shared)
+                                       for name in getattr(self.names, kind))
+        signature = Signature(*(frozenset(names[kind]) for kind in kinds),
+                              self.names.standpoints)
+        return tuple(ax for out in copies for ax in out), signature
 
 
 def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
@@ -676,11 +703,12 @@ def transform(x, replace):
     return done[0]
 
 
-def _instantiate(template, index: str, memo: dict):
+def _instantiate(template, index: str, memo: dict, names: dict):
     """``template`` with every INDEX_SENTINEL in its names replaced by
     ``index``.  ``memo`` maps the id of each node done so far to its copy,
     so a shared node is copied once; a node without the sentinel below it
-    is its own copy.  The walk keeps an explicit stack."""
+    is its own copy.  ``names`` maps each name copied so far to its one
+    object.  The walk keeps an explicit stack."""
     stack: list = [template]  # nodes to visit, and (node, children) to copy
     while stack:
         item = stack.pop()
@@ -694,8 +722,9 @@ def _instantiate(template, index: str, memo: dict):
         if id(node) in memo:  # reached twice before it was done
             continue
         if type(node) is EntityName and INDEX_SENTINEL in node.local:
-            memo[id(node)] = EntityName(
+            name = EntityName(
                 node.kind, node.local.replace(INDEX_SENTINEL, index), node.base)
+            memo[id(node)] = names.setdefault(name, name)
         else:
             new = [memo[id(kid)] for kid in kids]
             memo[id(node)] = node if all(map(is_, new, kids)) else _rebuild(node, new)

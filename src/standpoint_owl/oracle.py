@@ -56,6 +56,11 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     walk_refs)
 from .normalizer import normalize_kb
 
+# The most distinct atoms the standpoint search takes on: its lane masks
+# have 2**k bits per precisification for k atoms.  Unlike the bit guard,
+# this cap holds under any ``guard_bits``, infinity included.
+MAX_ATOMS = 20
+
 # ---------------------------------------------------------------------------
 # Semantic objects
 # ---------------------------------------------------------------------------
@@ -854,6 +859,9 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     per-precisification atom-truth vectors, each vector realised by the
     canonically first interpretation satisfying the plain axioms, role
     axioms and required atom polarities.
+
+    Raises SearchSpaceTooLarge when the guard trips, or when the formulas
+    have more than MAX_ATOMS distinct atoms, whatever the guard.
     """
     for f in kb.formulas:
         for ref in walk_refs(f):
@@ -923,6 +931,9 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
             if evaluators is None:
+                if k > MAX_ATOMS:
+                    raise SearchSpaceTooLarge(
+                        f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
                 lanes = (1 << width) - 1
                 # Bit v of probes[i] is set when vector v makes atom i true:
                 # the upper half of every period of 2 << i lanes.

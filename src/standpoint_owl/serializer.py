@@ -6,7 +6,9 @@ canonical order.  A conjunction or disjunction writes its parts in order
 into the n-ary syntax, and the parser builds the identical tree back.  A
 translated KB is rendered one family at a time: the template is rendered
 once and ``Family.render`` fills in each copy's index, so p copies cost
-one rendering and p joins; ``axioms`` is never built.
+one rendering and p joins; ``axioms`` is never built.  Its declarations
+are made from the name templates in the same way, as strings, so neither
+is ``signature``.
 Standpoint content re-emits as annotation literals: top-level formulas as
 booleanCombination payloads on the ontology, named standpoint axioms as
 operator annotations on their carrier axiom.  Every output is itself
@@ -18,11 +20,11 @@ from __future__ import annotations
 from .errors import GrammarViolation
 from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     ConceptExpr, ConceptName, Conjunction, Diamond,
-                    Disjunction, EntityName, Gci, HasSelf, InverseRole,
-                    NamedStandpoint, Negation, Nominal, Not, Or, PlainAxiom,
-                    PlainKB, Ria, RoleExpr, Some, SpIntersection, SpUnion,
-                    StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UniversalRole, entity_names_in)
+                    Disjunction, EntityName, Gci, HasSelf, INDEX_SENTINEL,
+                    InverseRole, NamedStandpoint, Negation, Nominal, Not, Or,
+                    PlainAxiom, PlainKB, Ria, RoleExpr, Some, SpIntersection,
+                    SpUnion, StandpointExpr, StandpointFormula, StandpointKB,
+                    Star, Top, UniversalRole, entity_names_in)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import RawDocument
 
@@ -44,10 +46,13 @@ class _Namespaces:
         ns.table = dict(iri_to_pname)
         return ns
 
+    def prefix(self, base: str) -> str:
+        if base not in self.table:
+            raise GrammarViolation(f"no prefix covers namespace {base!r}")
+        return self.table[base]
+
     def pname(self, name: EntityName) -> str:
-        if name.base not in self.table:
-            raise GrammarViolation(f"no prefix covers namespace {name.base!r}")
-        return f"{self.table[name.base]}:{name.local}"
+        return f"{self.prefix(name.base)}:{name.local}"
 
     def prefix_lines(self) -> list[str]:
         items = sorted(self.table.items(), key=lambda kv: kv[1])
@@ -244,12 +249,26 @@ def _sp_axiom_payload(name: str | None, f: StandpointFormula) -> str:
 # Whole documents
 # ---------------------------------------------------------------------------
 
-def _declaration_lines(signature, ns: _Namespaces) -> list[str]:
+def _declaration_lines(names, copies: int, ns: _Namespaces) -> list[str]:
+    """One declaration per copy of each name (see ``PlainKB.names``),
+    sorted by namespace and then by local name within each kind.  The
+    copies are made as strings; no name is built."""
+    indices = [str(k) for k in range(copies)]
     lines = []
     for kind, word in (("concepts", "Class"), ("roles", "ObjectProperty"),
                        ("individuals", "NamedIndividual")):
-        for name in sorted(getattr(signature, kind), key=lambda e: (e.base, e.local)):
-            lines.append(f"Declaration({word}({ns.pname(name)}))")
+        by_base: dict[str, list[str]] = {}
+        for name in getattr(names, kind):
+            group = by_base.setdefault(name.base, [])
+            if INDEX_SENTINEL in name.local:
+                pieces = name.local.split(INDEX_SENTINEL)
+                group.extend(k.join(pieces) for k in indices)
+            else:
+                group.append(name.local)
+        for base in sorted(by_base):
+            prefix = ns.prefix(base)
+            lines.extend(f"Declaration({word}({prefix}:{local}))"
+                         for local in sorted(by_base[base]))
     return lines
 
 
@@ -265,7 +284,11 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
     Pure and deterministic: equal inputs give byte-identical output.
     """
     default_ns = kb.base_iri + "#"
-    ns = _Namespaces(default_ns, _bases_of_signature(kb.signature))
+    if isinstance(kb, StandpointKB):
+        names, copies = kb.signature, 1
+    else:
+        names, copies = kb.names, kb.copies
+    ns = _Namespaces(default_ns, _bases_of_signature(names))
     lines = ns.prefix_lines()
     lines.append(f"Ontology(<{kb.base_iri}>")
 
@@ -273,7 +296,7 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
         for f in kb.formulas:
             payload = _bool_comb_payload(f, default_ns)
             lines.append(f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")')
-        lines.extend(_declaration_lines(kb.signature, ns))
+        lines.extend(_declaration_lines(names, copies, ns))
         for ax in kb.plain_axioms:
             lines.append(_axiom_str(ax, ns))
         for name, formula in kb.named_axioms.items():
@@ -285,7 +308,7 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
         for ria in kb.rias:
             lines.append(_axiom_str(ria, ns))
     else:
-        lines.extend(_declaration_lines(kb.signature, ns))
+        lines.extend(_declaration_lines(names, copies, ns))
         for family in kb.families:
             lines.extend(family.render(_axiom_str(family.template, ns)))
 

@@ -36,8 +36,10 @@ or bare atom, a formula with a bare atom, a plain axiom, a role chain) is
 one ``Family``: its template is translated once, at INDEX_SENTINEL in
 place of the index, and copy k reads k there.  Witness indices of
 diamonds are fixed numbers inside the template.  A purely modal formula
-is a family of one copy.  ``PlainKB.axioms`` expands the families; the
-serializer renders each template once.
+is a family of one copy.  The signature is held the same way: each input
+name once, at the sentinel, with p copies.  ``PlainKB.axioms`` and
+``PlainKB.signature`` expand them; the serializer renders each template
+once and makes each declared copy as a string.
 
 A translated KB shares immutable subtrees: each mangled name, its wrappers,
 each marker and each guard is built once per ``translate_kb`` call and
@@ -272,7 +274,8 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     markers first, then one family per formula (p per-index axioms for a
     top-level box or atom, one copy for other purely modal formulas, p
     copies otherwise), then p copies of each plain axiom, then p copies of
-    each role chain.
+    each role chain.  The declared names are the input names at the
+    sentinel, with p copies (see ``PlainKB``).
     Diamond occurrence d, in preorder across the formulas, is translated
     at index d only.
     """
@@ -304,12 +307,11 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
         families.append(Family(Ria(tuple(table.role(r, k) for r in ria.chain),
                                    table.name(ria.head, k)), p))
 
-    concepts = {table.name(c, k) for c in kb.signature.concepts for k in range(p)}
-    concepts |= {table.name(standpoint_entity(s), k)
-                 for s in kb.signature.standpoints for k in range(p)}
-    roles = {table.name(r, k) for r in kb.signature.roles for k in range(p)}
-    individuals = {table.name(i, 0) for i in kb.signature.individuals}
-    signature = Signature(concepts=frozenset(concepts), roles=frozenset(roles),
-                          individuals=frozenset(individuals),
-                          standpoints=frozenset())
-    return PlainKB(families=tuple(families), signature=signature, base_iri=iri)
+    sig = kb.signature
+    markers = [table.name(standpoint_entity(s), k) for s in sig.standpoints]
+    names = Signature(
+        concepts=frozenset([table.name(c, k) for c in sig.concepts] + markers),
+        roles=frozenset(table.name(r, k) for r in sig.roles),
+        individuals=frozenset(table.name(i, k) for i in sig.individuals),
+        standpoints=frozenset())
+    return PlainKB(tuple(families), names, iri, copies=p)

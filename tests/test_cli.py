@@ -307,6 +307,29 @@ class TestManyAtoms:
         assert capsys.readouterr().err.endswith(
             "inconclusive: the bounded search guard was exceeded\n")
 
+    @pytest.mark.parametrize("guard", ["40", "inf"])
+    @pytest.mark.parametrize("pairs", [21, 10])
+    def test_over_the_atom_cap_exits_4(self, tmp_path, capsys, pairs, guard):
+        # [s](Ci sub Cj) or [s](Cj sub Ci) over pairs of 7 concepts: 7 guard
+        # bits at domain size 1, but 2 atoms a pair plus the query's, 43 or
+        # 21, over the cap of 20 atoms (2**k lanes in every mask for k atoms).
+        def box(i, j):
+            return (f'<Box><Standpoint name=\\"s\\"/><subClassOf><LHS>C{i}</LHS>'
+                    f'<RHS>C{j}</RHS></subClassOf></Box>')
+        combinations = [(i, j) for i in range(7) for j in range(i + 1, 7)][:pairs]
+        path = write(tmp_path, "atoms.ofn",
+                     "Prefix(:=<urn:a#>)\nOntology(<urn:a>\n"
+                     + "".join('Annotation(:standpointLabel "<booleanCombination>'
+                               f'<OR>{box(i, j)}{box(j, i)}</OR></booleanCombination>")\n'
+                               for i, j in combinations)
+                     + "".join(f"Declaration(Class(:C{i}))\n" for i in range(7))
+                     + ")\n")
+        assert main(["query", path, "--simple", "[*](C0 sub C0)",
+                     "--domain-bound", "1", "--guard-bits", guard]) == 4
+        assert capsys.readouterr().err == (
+            "p=1 (including the negated query)\n"
+            "inconclusive: the bounded search guard was exceeded\n")
+
 
 class TestUniversalRoleRestriction:
     def test_self_over_the_universal_role_exits_2(self, tmp_path, capsys):

@@ -177,3 +177,30 @@ class TestFamilies:
             f"{u} :SP__s__0) {u} ObjectUnionOf(ObjectComplementOf(:B__0) :A__0)))))"
             for k in range(12)]
         assert serialize_kb(plain) == one_axiom_at_a_time(plain)
+
+
+class TestDeclarations:
+    """A translated KB declares each copy of each name as a string made from
+    the name's template; the block must sort as the names themselves do."""
+
+    def test_two_digit_indices_sort_among_longer_names(self):
+        other = "urn:other#"
+        kb = normalize_kb(make_kb(
+            formulas=[Box(S("s"), Atom(Gci(C("A"), C("A1")))),
+                      Box(S("S"), Atom(Gci(C("A10"), Some(R("r"), O("a10"))))),
+                      Box(S("s1"), Atom(Gci(C("SP"), Some(R("r1"), O("a"))))),
+                      Atom(Gci(C("SPx"), Some(R("r10", other), O("a1")))),
+                      Atom(Gci(C("B", other), Some(R("r"), O("b", other))))],
+            plain_axioms=[Gci(C("A1", other), C("A"))], base_iri="urn:o"))
+        plain = translate_kb(kb, p=12)
+        text = serialize_kb(plain)
+        assert text == one_axiom_at_a_time(plain)
+        classes = [line for line in text.splitlines()
+                   if line.startswith("Declaration(Class(")]
+        indices = sorted(str(k) for k in range(12))  # 0, 1, 10, 11, 2, …
+        assert classes[:36] == [f"Declaration(Class(:{name}__{k}))"
+                                for name in ("A10", "A1", "A") for k in indices]
+        assert classes[-24:] == [f"Declaration(Class(ns1:{name}__{k}))"
+                                 for name in ("A1", "B") for k in indices]
+        assert len(classes) == 12 * (len(kb.signature.concepts)
+                                     + len(kb.signature.standpoints))

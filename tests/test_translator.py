@@ -9,17 +9,18 @@ from standpoint_owl.model import (All, And, Atom, AxiomRef, Bottom, Box,
                                   Disjunction, EntityName, Equiv, Gci,
                                   INDEX_SENTINEL, InverseRole, Negation,
                                   Nominal, Not, Or, PlainKB, Ria, RoleName,
-                                  Some, SpIntersection, SpMinus, SpUnion,
-                                  Star, Top, UNIVERSAL, concept_name,
+                                  Signature, Some, SpIntersection, SpMinus,
+                                  SpUnion, Star, Top, UNIVERSAL, concept_name,
                                   fields, individual_name, is_record,
                                   iter_nodes, make_kb, rebase_names, role_name,
                                   standpoint_entity, validate_roles)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import find_plain_model, find_standpoint_model
+from standpoint_owl.serializer import serialize_kb
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
 from conftest import C, O, R, S
-from genkb import SECOND_NS, random_kb, top_level_kb
+from genkb import SECOND_NS, random_kb, top_level_kb, widened
 
 A, B, D = C("A"), C("B"), C("D")
 
@@ -451,3 +452,59 @@ class TestTopLevelAxioms:
             Equiv(And(a0, s0), And(b0, s0)),
             Gci(t0, Or(u_all(Or(Not(a0), b0)), u_some(And(b0, Not(a0))))),
             Equiv(a0, b0))
+
+
+class TestSignature:
+    """The translation declares each input name once, at the sentinel, and
+    ``plain.signature`` expands the copies on first use."""
+
+    KB = normalize_kb(make_kb(
+        formulas=[Box(S("s"), Atom(Gci(A, B))), Box(Star(), Atom(Equiv(B, D))),
+                  Box(SpUnion(S("s"), S("t")), Atom(Gci(D, Some(R("r"), O("x"))))),
+                  Atom(Gci(B, A))],
+        plain_axioms=[Gci(A, D)], rias=[Ria((R("r"), R("q")), role_name("w"))],
+        declared=Signature(frozenset({concept_name("Unused")}),
+                           frozenset({role_name("idle")}), frozenset(),
+                           frozenset({"u"})),
+        base_iri="urn:o"))
+
+    def test_name_count_does_not_depend_on_p(self, monkeypatch):
+        built = []
+        check = EntityName.__post_init__
+
+        def counting(name):
+            built.append(name)
+            check(name)
+
+        monkeypatch.setattr(EntityName, "__post_init__", counting)
+        counts = {}
+        for p in (8, 64):
+            built.clear()
+            text = serialize_kb(translate_kb(self.KB, p=p))
+            counts[p] = len(built)
+            sig = self.KB.signature
+            assert text.count("Declaration(Class(") == p * (len(sig.concepts)
+                                                            + len(sig.standpoints))
+            assert text.count("Declaration(ObjectProperty(") == p * len(sig.roles)
+        assert 0 < counts[8] == counts[64]
+
+    def test_signature_is_every_copy_of_every_name(self):
+        ns = "urn:o/translated#"
+        out = translate_kb(self.KB, p=3)
+        assert out.copies == 3
+        assert out.signature == Signature(
+            frozenset(concept_name(f"{local}__{k}", ns) for k in range(3)
+                      for local in ("A", "B", "D", "Unused", "SP__STAR",
+                                    "SP__s", "SP__t", "SP__u")),
+            frozenset(role_name(f"{local}__{k}", ns) for k in range(3)
+                      for local in ("r", "q", "w", "idle")),
+            frozenset({individual_name("x", ns)}), frozenset())
+
+    def test_every_generated_translation_passes_validate_roles(self):
+        chains = 0
+        for seed in range(300):
+            for kb in (random_kb(seed), top_level_kb(seed)):
+                for kb in (kb, widened(kb)):
+                    report = validate_roles(translate_kb(kb))
+                    chains += bool(report.non_simple)
+        assert chains == 600  # every widened KB has a non-simple role
