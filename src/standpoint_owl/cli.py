@@ -13,27 +13,26 @@ import argparse
 import os
 import sys
 
-from .errors import StandpointOwlError
+from .errors import ParseError, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
+from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import Annotation, Declaration, RawDocument
 from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
                     validate_roles)
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, negated_query_kb,
                      search_countermodel)
-from .serializer import serialize_document, serialize_kb
-from .translator import translate_kb
+from .serializer import _sp_axiom_payload, serialize_document, serialize_kb
+from .translator import STAR_TOKEN, translate_kb
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _default_out(path: str, suffix: str) -> str:
@@ -45,7 +44,8 @@ def _emit(text: str, out_path: str | None, dump: bool, default_path: str) -> Non
     if dump:
         sys.stdout.write(text)
         return
-    _write(out_path or default_path, text)
+    with open(out_path or default_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _load(path: str):
@@ -58,40 +58,35 @@ def _load(path: str):
 def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> int:
     """Translate the KB, report p and the axiom count on standard error,
     and emit the translated document."""
-    kb = normalize_kb(kb)
-    p = count_precisifications(kb)
-    plain = translate_kb(kb, base_iri=rebase if rebase else None)
+    plain = translate_kb(normalize_kb(kb), base_iri=rebase if rebase else None)
     text = serialize_kb(plain)
     axioms = sum(family.copies for family in plain.families)
-    print(f"p={p}; axioms={axioms}", file=sys.stderr)
+    print(f"p={plain.copies}; axioms={axioms}", file=sys.stderr)
     _emit(text, args.out, args.dump, _default_out(args.input, ".translated.ofn"))
     return 0
 
 
 def cmd_translate(args) -> int:
+    if args.rebase and ">" in args.rebase:  # a read IRI ends at its first '>'
+        print(f"error: --rebase: an IRI cannot hold '>': {args.rebase!r}", file=sys.stderr)
+        return 2
     _, kb = _load(args.input)
     return _translate_and_emit(kb, args, args.rebase)
 
 
-def _box_annotation(standpoint: str) -> Annotation:
-    payload = (f'<standpointAxiom><Box><Standpoint name="{standpoint}"/>'
-               f"</Box></standpointAxiom>")
-    return Annotation("", "standpointLabel", payload)
-
-
 def cmd_import(args) -> int:
-    standpoint_expr(args.standpoint)  # raises BadName on a bad name
+    standpoint = standpoint_expr(args.standpoint)  # raises BadName on a bad name
     doc_in = parse_document(_read(args.input))
     doc_src = parse_document(_read(args.source))
 
-    token = "STAR" if args.standpoint == "*" else args.standpoint
+    token = STAR_TOKEN if args.standpoint == "*" else args.standpoint
     imported_ns = f"{doc_in.base_iri}/imported/{token}#"
     names: dict = {}  # each source name, rebased once
     declarations = list(doc_in.declarations)
     for decl in doc_src.declarations:
         declarations.append(Declaration(decl.kind, rebase_names(decl.name, imported_ns, names)))
     axioms = list(doc_in.axioms)
-    box_ann = _box_annotation(args.standpoint)
+    box_ann = Annotation("", STANDPOINT_LABEL, _sp_axiom_payload(None, "Box", standpoint))
     for axiom, annotations in doc_src.axioms:
         rebased = rebase_names(axiom, imported_ns, names)
         if isinstance(rebased, Ria):
@@ -164,6 +159,8 @@ def cmd_query(args) -> int:
         query = parse_simple_query(args.simple, ns)
     else:
         query = parse_query_document(_read(args.query_file), ns)
+    # The KB's role rules bind the query too; ``_load`` checked the KB itself.
+    validate_roles(StandpointKB(rias=kb.rias, formulas=(query,)))
 
     normalized = negated_query_kb(kb, query)
     p = count_precisifications(normalized)
@@ -259,10 +256,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except StandpointOwlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StandpointOwlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -188,10 +188,6 @@ class EntityName:
                 and not STANDPOINT_NAME_RE.match(self.local):
             raise ValueError(f"bad standpoint name {self.local!r}")
 
-    @property
-    def iri(self) -> str:
-        return self.base + self.local
-
     def __repr__(self):
         return f"{self.kind[0]}:{self.local}"
 
@@ -569,6 +565,15 @@ class PlainKB:
         template already holds at the fixed index k, if one does."""
         shared = {node: node for f in self.families
                   for node in iter_nodes(f.template) if type(node) is EntityName}
+
+        def instantiated(node):  # a name at the loop's current ``index``
+            if type(node) is EntityName:
+                if INDEX_SENTINEL in node.local:
+                    name = EntityName(node.kind,
+                                      node.local.replace(INDEX_SENTINEL, index), node.base)
+                    return shared.setdefault(name, name)
+                return node
+
         copies: list[list] = [[] for _ in self.families]
         kinds = ("concepts", "roles", "individuals")
         names: dict[str, set] = {kind: set() for kind in kinds}
@@ -576,10 +581,10 @@ class PlainKB:
             index, memo = str(k), {}
             for out, f in zip(copies, self.families):
                 if k < f.copies:
-                    out.append(_instantiate(f.template, index, memo, shared))
+                    out.append(transform(f.template, instantiated, memo))
             if k < self.copies:
                 for kind in kinds:
-                    names[kind].update(_instantiate(name, index, memo, shared)
+                    names[kind].update(transform(name, instantiated, memo)
                                        for name in getattr(self.names, kind))
         signature = Signature(*(frozenset(names[kind]) for kind in kinds),
                               self.names.standpoints)
@@ -678,11 +683,15 @@ def _rebuild(node, kids: list):
     return type(node)(*args)
 
 
-def transform(x, replace):
+def transform(x, replace, memo: dict | None = None):
     """Copy of ``x`` in which every node for which ``replace`` returns a
     value (not None) is swapped for that value, which is not entered.  The
     copy is rebuilt bottom-up with an explicit stack; a node none of whose
-    children changed is kept as the same object."""
+    children changed is kept as the same object.  ``memo`` maps the id of
+    each node done so far to its copy, so a node shared within ``x`` is
+    copied once, and calls that pass one memo share their copies; the
+    trees of such calls must outlive the memo, or an id is reused."""
+    memo = {} if memo is None else memo
     done: list = []  # finished subtrees, children before their parent
     stack: list = [x]  # nodes to visit, and (node, children) to rebuild
     while stack:
@@ -691,44 +700,21 @@ def transform(x, replace):
             node, kids = item
             built = done[-len(kids):]
             del done[-len(kids):]
-            done.append(node if all(map(is_, built, kids)) else _rebuild(node, built))
+            new = node if all(map(is_, built, kids)) else _rebuild(node, built)
+            memo[id(node)] = new
+            done.append(new)
             continue
-        new = replace(item)
+        new = memo.get(id(item))
+        if new is None:
+            new = replace(item)
         kids = _children(item) if new is None else None
         if kids:
             stack.append((item, kids))
             stack.extend(reversed(kids))
         else:
-            done.append(item if new is None else new)
+            new = memo[id(item)] = item if new is None else new
+            done.append(new)
     return done[0]
-
-
-def _instantiate(template, index: str, memo: dict, names: dict):
-    """``template`` with every INDEX_SENTINEL in its names replaced by
-    ``index``.  ``memo`` maps the id of each node done so far to its copy,
-    so a shared node is copied once; a node without the sentinel below it
-    is its own copy.  ``names`` maps each name copied so far to its one
-    object.  The walk keeps an explicit stack."""
-    stack: list = [template]  # nodes to visit, and (node, children) to copy
-    while stack:
-        item = stack.pop()
-        if type(item) is not tuple:
-            if id(item) not in memo:
-                kids = _children(item)
-                stack.append((item, kids))
-                stack.extend(kid for kid in kids if id(kid) not in memo)
-            continue
-        node, kids = item
-        if id(node) in memo:  # reached twice before it was done
-            continue
-        if type(node) is EntityName and INDEX_SENTINEL in node.local:
-            name = EntityName(
-                node.kind, node.local.replace(INDEX_SENTINEL, index), node.base)
-            memo[id(node)] = names.setdefault(name, name)
-        else:
-            new = [memo[id(kid)] for kid in kids]
-            memo[id(node)] = node if all(map(is_, new, kids)) else _rebuild(node, new)
-    return memo[id(template)]
 
 
 def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:

@@ -51,36 +51,31 @@ def to_nnf(f: StandpointFormula) -> StandpointFormula:
     equivalence expands into the disjunction of the two negated inclusions.
     Positive equivalence atoms are left intact.
     """
-    if isinstance(f, AxiomRef):
+    return _nnf(f, False)
+
+
+# The dual of each connective: under a negation, each turns into its dual
+# and the negation moves on to its arguments.
+_DUAL = {Conjunction: Disjunction, Disjunction: Conjunction, Box: Diamond, Diamond: Box}
+
+
+def _nnf(f: StandpointFormula, negated: bool) -> StandpointFormula:
+    """The NNF of ``f``, or of ¬f when ``negated``."""
+    while type(f) is Negation:
+        f, negated = f.arg, not negated
+    if type(f) is AxiomRef:
         raise UnresolvedRef(f.name)
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Conjunction):
-        return Conjunction(to_nnf(f.lhs), to_nnf(f.rhs))
-    if isinstance(f, Disjunction):
-        return Disjunction(to_nnf(f.lhs), to_nnf(f.rhs))
-    if isinstance(f, Box):
-        return Box(f.standpoint, to_nnf(f.arg))
-    if isinstance(f, Diamond):
-        return Diamond(f.standpoint, to_nnf(f.arg))
-    # f is a negation
-    g = f.arg
-    if isinstance(g, AxiomRef):
-        raise UnresolvedRef(g.name)
-    if isinstance(g, Atom):
-        if isinstance(g.axiom, Equiv):
-            a, b = g.axiom.lhs, g.axiom.rhs
+    if type(f) is Atom:
+        if not negated:
+            return f
+        if type(f.axiom) is Equiv:
+            a, b = f.axiom.lhs, f.axiom.rhs
             return Disjunction(Negation(Atom(Gci(a, b))), Negation(Atom(Gci(b, a))))
-        return f
-    if isinstance(g, Negation):
-        return to_nnf(g.arg)
-    if isinstance(g, Conjunction):
-        return Disjunction(to_nnf(Negation(g.lhs)), to_nnf(Negation(g.rhs)))
-    if isinstance(g, Disjunction):
-        return Conjunction(to_nnf(Negation(g.lhs)), to_nnf(Negation(g.rhs)))
-    if isinstance(g, Box):
-        return Diamond(g.standpoint, to_nnf(Negation(g.arg)))
-    return Box(g.standpoint, to_nnf(Negation(g.arg)))
+        return Negation(f)
+    ctor = _DUAL[type(f)] if negated else type(f)
+    if ctor in (Box, Diamond):
+        return ctor(f.standpoint, _nnf(f.arg, negated))
+    return ctor(_nnf(f.lhs, negated), _nnf(f.rhs, negated))
 
 
 def diamond_count(f: StandpointFormula) -> int:

@@ -895,8 +895,19 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         base_checks + [check for pair in atom_checks for check in pair], slots)
     base = compiled[:len(base_checks)]
     atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
-    # The lane masks have 2**k bits, so they are built once the guard passes.
-    evaluators = None
+    # The lane masks have 2**k bits, so they are built once the cap passes.
+    if k > MAX_ATOMS:
+        raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
+    lanes = (1 << width) - 1
+    # Bit v of probes[i] is set when vector v makes atom i true: the upper
+    # half of every period of 2 << i lanes.
+    probes = [lanes // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+              for i in range(k)]
+    # No search gets past the guard at more precisifications than at domain
+    # size 1, so the formulas need no more planes than the guard allows there.
+    bits = _bits_needed(signature, 1)
+    planes = next((m for m in range(max_prec) if bits * (m + 1) > guard_bits), max_prec)
+    evaluators, modals = _compile(kb.formulas, atom_index, sp_names, planes)
 
     def clear(pi: int, m: int, at: list, af: list, ms: list) -> list[int]:
         """The vectors v, ascending, for which no formula is false at any of
@@ -930,16 +941,6 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
-            if evaluators is None:
-                if k > MAX_ATOMS:
-                    raise SearchSpaceTooLarge(
-                        f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
-                lanes = (1 << width) - 1
-                # Bit v of probes[i] is set when vector v makes atom i true:
-                # the upper half of every period of 2 << i lanes.
-                probes = [lanes // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-                          for i in range(k)]
-                evaluators, modals = _compile(kb.formulas, atom_index, sp_names, max_prec)
             full = (1 << m) - 1
             shifts = [tuple(pi * width for pi in range(m) if mask >> pi & 1)
                       for mask in range(1 << m)]

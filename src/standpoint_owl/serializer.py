@@ -238,10 +238,11 @@ def _bool_comb_payload(f: StandpointFormula, ns_base: str) -> str:
     return f"<booleanCombination>{_formula_xml(f, ns_base)}</booleanCombination>"
 
 
-def _sp_axiom_payload(name: str | None, f: StandpointFormula) -> str:
-    op = "Box" if isinstance(f, Box) else "Diamond"
+def _sp_axiom_payload(name: str | None, op: str, e: StandpointExpr) -> str:
+    """The label of a standpoint axiom: ``op`` ("Box" or "Diamond") over
+    ``e``, named ``§name`` when a name is given."""
     attr = f' name="§{_xml_attr(name)}"' if name else ""
-    return (f"<standpointAxiom{attr}><{op}>{_sp_expr_xml(f.standpoint)}"
+    return (f"<standpointAxiom{attr}><{op}>{_sp_expr_xml(e)}"
             f"</{op}></standpointAxiom>")
 
 
@@ -302,7 +303,8 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
         for name, formula in kb.named_axioms.items():
             if not isinstance(formula, (Box, Diamond)) or not isinstance(formula.arg, Atom):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
-            payload = _sp_axiom_payload(name, formula)
+            op = "Box" if isinstance(formula, Box) else "Diamond"
+            payload = _sp_axiom_payload(name, op, formula.standpoint)
             ann = f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}") '
             lines.append(_axiom_str(formula.arg.axiom, ns, ann))
         for ria in kb.rias:

@@ -100,47 +100,43 @@ class _Interner:
     helper) and hands out the same frozen node for equal requests, which
     keeps the output tree free of duplicate leaves without any state that
     outlives the call.  Entries are keyed on what the result depends on:
-    the kind, input base and local part of a name and the index (a number
-    or INDEX_SENTINEL), which individuals ignore.  ``namespaces`` maps
-    input bases to their output namespace; every other base, and the
-    markers, go to ``base``.
+    the wrapper class (None for a bare name), the kind, input base and
+    local part of a name and the index (a number or INDEX_SENTINEL), which
+    individuals ignore.  ``namespaces`` maps input bases to their output
+    namespace; every other base, and the markers, go to ``base``.
     """
 
     def __init__(self, base: str, namespaces: dict | None = None):
         self.base = base
         self.namespaces = namespaces or {}
         self.names: dict = {}
-        self.wrappers: dict = {}
         self.guards: dict = {}
 
-    def name(self, name: EntityName, pi: int) -> EntityName:
-        key = (name.kind, name.base, name.local,
+    def name(self, name: EntityName, pi: int, ctor=None):
+        """The mangled name, or ``ctor`` of it, such as its ConceptName."""
+        key = (ctor, name.kind, name.base, name.local,
                0 if name.kind == "individual" else pi)
         out = self.names.get(key)
         if out is None:
-            base = (self.base if name.kind == "standpoint"
-                    else self.namespaces.get(name.base, self.base))
-            out = self.names[key] = mangle(name, pi, base)
-        return out
-
-    def _wrap(self, ctor, name: EntityName, pi: int):
-        key = (ctor, name.kind, name.base, name.local,
-               0 if name.kind == "individual" else pi)
-        out = self.wrappers.get(key)
-        if out is None:
-            out = self.wrappers[key] = ctor(self.name(name, pi))
+            if ctor is not None:
+                out = ctor(self.name(name, pi))
+            else:
+                base = (self.base if name.kind == "standpoint"
+                        else self.namespaces.get(name.base, self.base))
+                out = mangle(name, pi, base)
+            self.names[key] = out
         return out
 
     def role(self, role: RoleExpr, pi: int) -> RoleExpr:
         if isinstance(role, UniversalRole):
             return role
-        return self._wrap(type(role), role.name, pi)
+        return self.name(role.name, pi, type(role))
 
     def concept(self, c: ConceptExpr, pi: int) -> ConceptExpr:
         if isinstance(c, ConceptName):
-            return self._wrap(ConceptName, c.name, pi)
+            return self.name(c.name, pi, ConceptName)
         if isinstance(c, Nominal):
-            return self._wrap(Nominal, c.individual, pi)
+            return self.name(c.individual, pi, Nominal)
         if isinstance(c, Not):
             return Not(self.concept(c.arg, pi))
         if isinstance(c, (And, Or)):
@@ -174,7 +170,7 @@ class _Interner:
             return And(self.guard(e.lhs, pi), Not(self.guard(e.rhs, pi)))
         # a standpoint name: its marker ∀u.SP__s__π
         marker = standpoint_entity("*" if isinstance(e, Star) else e.name)
-        return All(UNIVERSAL, self._wrap(ConceptName, marker, pi))
+        return All(UNIVERSAL, self.name(marker, pi, ConceptName))
 
     def trans(self, pi: int, f: StandpointFormula, p: int,
               diamonds=None) -> ConceptExpr:

@@ -57,7 +57,7 @@ class TestTranslate:
         assert "p=1" in err
         out_path = str(tmp_path / "forest.translated.ofn")
         assert os.path.exists(out_path)
-        text = open(out_path, encoding="utf-8").read()
+        text = (tmp_path / "forest.translated.ofn").read_text(encoding="utf-8")
         assert MARKER in text.splitlines()
 
     def test_dump_writes_stdout_only(self, forest_path, tmp_path, capsys):
@@ -85,6 +85,16 @@ class TestTranslate:
         out = capsys.readouterr().out
         assert "Ontology(<urn:out>" in out
         assert "Prefix(:=<urn:out#>)" in out
+
+    def test_rebase_that_would_not_read_back_exit_2(self, forest_path, tmp_path, capsys):
+        # The reader's IRI ends at the first '>', so Prefix(:=<urn:x>y#>)
+        # would not parse; nothing is written.
+        out = tmp_path / "out.ofn"
+        assert main(["translate", forest_path, "--rebase", "urn:x>y",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --rebase: an IRI cannot hold '>': 'urn:x>y'\n"
+        assert not out.exists()
 
     def test_idempotent_effect(self, forest_path, tmp_path, capsys):
         main(["translate", forest_path, "--dump"])
@@ -341,6 +351,67 @@ class TestUniversalRoleRestriction:
             "error: Self/number restriction over a non-simple role\n"
 
 
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error (exit 2) naming the file,
+    whichever command reads it."""
+
+    BAD = b"Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf(:A :B\xff)\n)\n"
+
+    def assert_names(self, path, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_translate(self, tmp_path, capsys):
+        path = write_bytes(tmp_path, "bad.ofn", self.BAD)
+        assert main(["translate", path, "--dump"]) == 2
+        self.assert_names(path, capsys)
+
+    @pytest.mark.parametrize("which", ["input", "source"])
+    def test_import(self, forest_path, tmp_path, capsys, which):
+        bad = write_bytes(tmp_path, "bad.ofn", self.BAD)
+        files = [bad, forest_path] if which == "input" else [forest_path, bad]
+        assert main(["import", *files, "--standpoint", "s", "--dump"]) == 2
+        self.assert_names(bad, capsys)
+        assert capsys.readouterr().out == ""
+
+    def test_query(self, tmp_path, capsys):
+        path = write_bytes(tmp_path, "bad.ofn", self.BAD)
+        assert main(["query", path, "--simple", "[*](A sub B)"]) == 2
+        self.assert_names(path, capsys)
+
+    def test_query_file(self, forest_path, tmp_path, capsys):
+        q = write_bytes(tmp_path, "q.xml", b'<Box><Standpoint name="LU"/><subClassOf>'
+                        b"<LHS>Forest</LHS><RHS>Land\xff</RHS></subClassOf></Box>")
+        assert main(["query", forest_path, "--query-file", q]) == 2
+        self.assert_names(q, capsys)
+
+
+class TestQueryRoleRules:
+    """A query obeys the role rules the KB does: with r transitive, it is
+    non-simple, so neither a number restriction nor an inverse may use it."""
+
+    @pytest.mark.parametrize("query, message", [
+        ("[*](r min 2 A sub A)", "Self/number restriction over a non-simple role"),
+        ("[*](inverse r some A sub A)", "inverse of non-simple role 'r'"),
+    ])
+    def test_non_simple_role_exits_2(self, tmp_path, capsys, query, message):
+        path = write(tmp_path, "trans.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     "TransitiveObjectProperty(:r)\nSubClassOf(:A :B)\n)\n")
+        assert main(["query", path, "--simple", query, "--domain-bound", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # the same restriction over a simple role is decided
+        simple = query.replace("r ", "s ", 1)
+        assert main(["query", path, "--simple", simple, "--domain-bound", "1"]) == 0
+
+
 class TestSuperscriptCardinality:
     def test_exit_2_without_traceback(self, tmp_path, capsys):
         # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.
@@ -454,7 +525,7 @@ class TestRepeatedCalls:
         assert main(["import", forest_path, source, "--standpoint", "t",
                      "--out", merged]) == 0
         assert capsys.readouterr().out == ""  # nor --translate
-        assert "SP__" not in open(merged, encoding="utf-8").read()
+        assert "SP__" not in (tmp_path / "merged.ofn").read_text(encoding="utf-8")
         query = ["query", forest_path, "--simple", "[LU](Forest sub Land)"]
         assert main([*query, "--domain-bound", "3", "--guard-bits", "5"]) == 4
         assert main([*query, "--domain-bound", "1", "--prec-bound", "1"]) == 0

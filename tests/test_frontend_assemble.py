@@ -153,7 +153,7 @@ def genkb_document(kb):
     ontology, axioms = [], []
     for f in (rebase_names(f, NS) for f in kb.formulas):
         if type(f) in (Box, Diamond) and type(f.arg) is Atom:
-            payload = _sp_axiom_payload(None, f)
+            payload = _sp_axiom_payload(None, type(f).__name__, f.standpoint)
             axioms.append((f.arg.axiom, (Annotation("", STANDPOINT_LABEL, payload),)))
             continue
         with contextlib.suppress(GrammarViolation):

@@ -97,6 +97,21 @@ class TestTraversal:
         assert moved == Gci(And(C("X"), Top()), ax.rhs)
         assert moved.rhs is ax.rhs
 
+    def test_transform_copies_a_shared_node_once(self):
+        n = Not(C("A"))
+        moved = transform(Gci(n, Some(R("r"), n)),
+                          lambda node: C("X") if node == C("A") else None)
+        assert moved == Gci(Not(C("X")), Some(R("r"), Not(C("X"))))
+        assert moved.lhs is moved.rhs.filler
+
+    def test_transform_calls_that_share_a_memo_share_copies(self):
+        n = Not(C("A"))
+        rename = lambda node: C("X") if node == C("A") else None  # noqa: E731
+        trees, memo = (Gci(n, Top()), Some(R("r"), n)), {}  # held while memo is used
+        first, second = (transform(tree, rename, memo) for tree in trees)
+        assert first.lhs == Not(C("X")) and first.lhs is second.filler
+        assert transform(n, rename) is not first.lhs  # a fresh memo copies anew
+
     def test_wide_and_deep_trees(self):
         """Neither walk is bounded by the recursion limit."""
         wide = And(*[C(f"A{k}") for k in range(5000)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName
+from standpoint_owl import oracle
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_simple_query)
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
@@ -295,6 +296,24 @@ class TestFindStandpointModel:
         kb = make_kb(formulas=[Box(S("s"), atom) for atom in atoms])
         with pytest.raises(SearchSpaceTooLarge):
             find_standpoint_model(kb, 1, 1)
+
+    @pytest.mark.parametrize("guard, planes", [(40.0, 5), (0.0, 0), (math.inf, 300)])
+    def test_formulas_get_the_planes_the_guard_allows(self, monkeypatch, guard, planes):
+        # 7 concepts are 7 guard bits at domain size 1, so the default guard
+        # stops every search by 5 precisifications, whatever the bound.
+        seen, compile_ = [], oracle._compile
+
+        def recording(formulas, atom_index, sp_names, planes):
+            seen.append(planes)
+            return compile_(formulas, atom_index, sp_names, planes)
+        monkeypatch.setattr(oracle, "_compile", recording)
+        kb = make_kb(formulas=[Box(S("s"), Atom(Gci(C(f"X{i}"), C(f"X{i + 1}"))))
+                               for i in range(6)])
+        try:
+            find_standpoint_model(kb, 1, 300, guard_bits=guard)
+        except SearchSpaceTooLarge:
+            assert planes == 0
+        assert seen == [planes]
 
     def test_forest_minimal(self, forest_kb):
         from standpoint_owl.normalizer import normalize_kb
