@@ -11,7 +11,8 @@ from .oracle import (PlainInterpretation, StandpointStructure,
                      check_entailment_bounded, eval_concept,
                      find_plain_model, find_standpoint_model, holds_axiom,
                      holds_formula, kb_holds)
-from .serializer import serialize_concept, serialize_document, serialize_kb
+from .serializer import (document_pieces, kb_pieces, serialize_concept,
+                         serialize_document, serialize_kb)
 from .translator import mangle, trans, trans_e, translate_kb
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Iterable
 
 from .errors import ParseError, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
@@ -23,7 +24,7 @@ from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, negated_query_kb,
                      search_countermodel)
-from .serializer import _sp_axiom_payload, serialize_document, serialize_kb
+from .serializer import _sp_axiom_payload, document_pieces, kb_pieces
 from .translator import STAR_TOKEN, translate_kb
 
 
@@ -40,12 +41,17 @@ def _default_out(path: str, suffix: str) -> str:
     return stem + suffix
 
 
-def _emit(text: str, out_path: str | None, dump: bool, default_path: str) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None, dump: bool,
+          default_path: str) -> None:
+    """Write a document piece by piece as the serializer makes them, so
+    memory holds one piece, not the document.  Callers pass pieces only
+    after every step that can fail on the input, so a failed run leaves
+    the destination as it was."""
     if dump:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     with open(out_path or default_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(pieces)
 
 
 def _load(path: str):
@@ -59,10 +65,10 @@ def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> in
     """Translate the KB, report p and the axiom count on standard error,
     and emit the translated document."""
     plain = translate_kb(normalize_kb(kb), base_iri=rebase if rebase else None)
-    text = serialize_kb(plain)
     axioms = sum(family.copies for family in plain.families)
     print(f"p={plain.copies}; axioms={axioms}", file=sys.stderr)
-    _emit(text, args.out, args.dump, _default_out(args.input, ".translated.ofn"))
+    _emit(kb_pieces(plain), args.out, args.dump,
+          _default_out(args.input, ".translated.ofn"))
     return 0
 
 
@@ -103,12 +109,18 @@ def cmd_import(args) -> int:
           f"{args.standpoint!r}", file=sys.stderr)
     if args.translate:
         return _translate_and_emit(kb, args)
-    _emit(serialize_document(merged), args.out, args.dump,
+    _emit(document_pieces(merged), args.out, args.dump,
           _default_out(args.input, ".merged.ofn"))
     return 0
 
 
-def _run_external_reasoner(command: list[str], document: str) -> int:
+# ``subprocess`` waits on ``poll``, which takes at most 2**31 - 1 ms; a
+# longer limit is no limit.
+_LONGEST_WAIT_S = 2**31 // 1000
+
+
+def _run_external_reasoner(command: list[str], pieces: Iterable[str],
+                           timeout: float | None) -> int:
     # Imported here: only --reasoner-cmd needs them, and every other
     # command would pay their import at start-up.
     import subprocess
@@ -117,12 +129,16 @@ def _run_external_reasoner(command: list[str], document: str) -> int:
     handle = tempfile.NamedTemporaryFile(mode="w", suffix=".ofn",
                                          delete=False, encoding="utf-8")
     try:
-        handle.write(document)
-        handle.close()
+        with handle:
+            handle.writelines(pieces)
+        wait = timeout if timeout is not None and timeout < _LONGEST_WAIT_S else None
         try:
             # Undecodable output becomes U+FFFD, an unrecognised verdict.
             proc = subprocess.run(command + [handle.name], capture_output=True,
-                                  encoding="utf-8", errors="replace")
+                                  encoding="utf-8", errors="replace", timeout=wait)
+        except subprocess.TimeoutExpired:  # ``run`` has killed the reasoner
+            print(f"reasoner timed out after {timeout:g} s", file=sys.stderr)
+            return 4
         except OSError as exc:
             print(f"reasoner failed to start: {exc}", file=sys.stderr)
             return 4
@@ -153,6 +169,14 @@ def cmd_query(args) -> int:
         print(f"error: --guard-bits must be a non-negative number, got "
               f"{args.guard_bits:g}", file=sys.stderr)
         return 2
+    if args.reasoner_timeout is not None:
+        if not args.reasoner_timeout > 0:  # NaN included
+            print(f"error: --reasoner-timeout must be a positive number of "
+                  f"seconds, got {args.reasoner_timeout:g}", file=sys.stderr)
+            return 2
+        if args.reasoner_cmd is None:
+            print("error: --reasoner-timeout needs --reasoner-cmd", file=sys.stderr)
+            return 2
     doc, kb = _load(args.input)
     ns = doc.default_namespace
     if args.simple is not None:
@@ -178,7 +202,7 @@ def cmd_query(args) -> int:
             print("error: --reasoner-cmd names no program", file=sys.stderr)
             return 2
         plain = translate_kb(normalized)
-        return _run_external_reasoner(command, serialize_kb(plain))
+        return _run_external_reasoner(command, kb_pieces(plain), args.reasoner_timeout)
 
     prec_bound = args.prec_bound if args.prec_bound is not None else p
     result = search_countermodel(normalized, args.domain_bound, prec_bound,
@@ -238,6 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--reasoner-cmd", metavar="CMD",
                      help="external reasoner command; it receives the translated "
                           "file path and must print 'consistent' or 'inconsistent'")
+    p_q.add_argument("--reasoner-timeout", type=float, default=None, metavar="SECONDS",
+                     help="stop the reasoner after this many seconds and exit 4 "
+                          "(default: no limit)")
     p_q.add_argument("--domain-bound", type=int, default=3, metavar="N")
     p_q.add_argument("--prec-bound", type=int, default=None, metavar="M",
                      help="precisification bound (default: computed p)")

@@ -9,6 +9,11 @@ once and ``Family.render`` fills in each copy's index, so p copies cost
 one rendering and p joins; ``axioms`` is never built.  Its declarations
 are made from the name templates in the same way, as strings, so neither
 is ``signature``.
+``kb_pieces`` and ``document_pieces`` hand a document out in pieces (the
+header, the declarations of each kind and namespace, one family or axiom
+each, the closing line), made one at a time, so a writer that takes them
+in turn holds one piece and its memory does not grow with the output;
+``serialize_kb`` and ``serialize_document`` join the same pieces.
 Standpoint content re-emits as annotation literals: top-level formulas as
 booleanCombination payloads on the ontology, named standpoint axioms as
 operator annotations on their carrier axiom.  Every output is itself
@@ -16,6 +21,8 @@ valid input.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import GrammarViolation
 from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
@@ -88,7 +95,12 @@ def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
         return f"ObjectComplementOf({_concept_str(c.arg, ns)})"
     if isinstance(c, (And, Or)):
         word = "ObjectIntersectionOf" if isinstance(c, And) else "ObjectUnionOf"
-        return f"{word}({' '.join(_concept_str(p, ns) for p in c.parts)})"
+        # A loop, not a generator: one frame per level, as the parser
+        # uses, so what parses and translates also renders.
+        parts = []
+        for p in c.parts:
+            parts.append(_concept_str(p, ns))
+        return f"{word}({' '.join(parts)})"
     if isinstance(c, All):
         return f"ObjectAllValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"
     if isinstance(c, Some):
@@ -250,12 +262,12 @@ def _sp_axiom_payload(name: str | None, op: str, e: StandpointExpr) -> str:
 # Whole documents
 # ---------------------------------------------------------------------------
 
-def _declaration_lines(names, copies: int, ns: _Namespaces) -> list[str]:
+def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
     """One declaration per copy of each name (see ``PlainKB.names``),
-    sorted by namespace and then by local name within each kind.  The
-    copies are made as strings; no name is built."""
+    sorted by namespace and then by local name within each kind, one piece
+    per kind and namespace.  The copies are made as strings; no name is
+    built."""
     indices = [str(k) for k in range(copies)]
-    lines = []
     for kind, word in (("concepts", "Class"), ("roles", "ObjectProperty"),
                        ("individuals", "NamedIndividual")):
         by_base: dict[str, list[str]] = {}
@@ -267,10 +279,11 @@ def _declaration_lines(names, copies: int, ns: _Namespaces) -> list[str]:
             else:
                 group.append(name.local)
         for base in sorted(by_base):
-            prefix = ns.prefix(base)
-            lines.extend(f"Declaration({word}({prefix}:{local}))"
-                         for local in sorted(by_base[base]))
-    return lines
+            opening = f"Declaration({word}({ns.prefix(base)}:"
+            group = by_base.pop(base)
+            group.sort()
+            if group:  # empty when its names have no copies
+                yield opening + f"))\n{opening}".join(group) + "))\n"
 
 
 def _bases_of_signature(signature) -> set[str]:
@@ -279,47 +292,60 @@ def _bases_of_signature(signature) -> set[str]:
             | {n.base for n in signature.individuals})
 
 
-def serialize_kb(kb: PlainKB | StandpointKB) -> str:
-    """Emit a knowledge base as a functional-style document.
-
-    Pure and deterministic: equal inputs give byte-identical output.
-    """
+def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
+    """The document of ``serialize_kb`` in pieces, each ending in a
+    newline: the header (prefixes, the ``Ontology(`` line and the ontology
+    annotations), the declarations of each kind and namespace, one piece
+    per family or axiom, and the closing ``)``.  Each piece is made only
+    when the one before it has been taken, so a writer that takes them one
+    at a time holds one piece, not the document."""
     default_ns = kb.base_iri + "#"
     if isinstance(kb, StandpointKB):
         names, copies = kb.signature, 1
     else:
         names, copies = kb.names, kb.copies
     ns = _Namespaces(default_ns, _bases_of_signature(names))
-    lines = ns.prefix_lines()
-    lines.append(f"Ontology(<{kb.base_iri}>")
-
+    head = ns.prefix_lines()
+    head.append(f"Ontology(<{kb.base_iri}>")
     if isinstance(kb, StandpointKB):
         for f in kb.formulas:
             payload = _bool_comb_payload(f, default_ns)
-            lines.append(f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")')
-        lines.extend(_declaration_lines(names, copies, ns))
+            head.append(f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")')
+    yield "\n".join(head) + "\n"
+    yield from _declaration_pieces(names, copies, ns)
+
+    if isinstance(kb, StandpointKB):
         for ax in kb.plain_axioms:
-            lines.append(_axiom_str(ax, ns))
+            yield _axiom_str(ax, ns) + "\n"
         for name, formula in kb.named_axioms.items():
             if not isinstance(formula, (Box, Diamond)) or not isinstance(formula.arg, Atom):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
             op = "Box" if isinstance(formula, Box) else "Diamond"
             payload = _sp_axiom_payload(name, op, formula.standpoint)
             ann = f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}") '
-            lines.append(_axiom_str(formula.arg.axiom, ns, ann))
+            yield _axiom_str(formula.arg.axiom, ns, ann) + "\n"
         for ria in kb.rias:
-            lines.append(_axiom_str(ria, ns))
+            yield _axiom_str(ria, ns) + "\n"
     else:
-        lines.extend(_declaration_lines(names, copies, ns))
         for family in kb.families:
-            lines.extend(family.render(_axiom_str(family.template, ns)))
-
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+            yield "".join(family.render(_axiom_str(family.template, ns) + "\n"))
+    yield ")\n"
 
 
-def serialize_document(doc: RawDocument) -> str:
-    """Emit a raw document, re-emitting annotation literals verbatim."""
+def serialize_kb(kb: PlainKB | StandpointKB) -> str:
+    """Emit a knowledge base as a functional-style document: the pieces of
+    ``kb_pieces`` joined.
+
+    Pure and deterministic: equal inputs give byte-identical output.
+    """
+    return "".join(kb_pieces(kb))
+
+
+def document_pieces(doc: RawDocument) -> Iterator[str]:
+    """The document of ``serialize_document`` in pieces, each ending in a
+    newline: the header (prefixes, the ``Ontology(`` line, the ontology
+    annotations and the declarations), one piece per axiom, and the
+    closing ``)``."""
     covered = {iri for _, iri in doc.prefixes}
     bases = {d.name.base for d in doc.declarations}
     for axiom, _ in doc.axioms:
@@ -339,20 +365,27 @@ def serialize_document(doc: RawDocument) -> str:
         reverse.setdefault(iri, pname)
     ns = _Namespaces.from_table(reverse)
 
-    lines = [f"Prefix({pname}:=<{iri}>)" for pname, iri in table.items()]
-    lines.append(f"Ontology(<{doc.base_iri}>")
+    head = [f"Prefix({pname}:=<{iri}>)" for pname, iri in table.items()]
+    head.append(f"Ontology(<{doc.base_iri}>")
     for ann in doc.ontology_annotations:
         prop = f"{ann.property_prefix}:{ann.property_local}"
-        lines.append(f'Annotation({prop} "{_escape_literal(ann.literal)}")')
+        head.append(f'Annotation({prop} "{_escape_literal(ann.literal)}")')
     kind_words = {"concept": "Class", "role": "ObjectProperty",
                   "individual": "NamedIndividual"}
     for decl in doc.declarations:
-        lines.append(f"Declaration({kind_words[decl.kind]}({ns.pname(decl.name)}))")
+        head.append(f"Declaration({kind_words[decl.kind]}({ns.pname(decl.name)}))")
+    yield "\n".join(head) + "\n"
+
     for axiom, annotations in doc.axioms:
         ann_text = "".join(
             f'Annotation({a.property_prefix}:{a.property_local} '
             f'"{_escape_literal(a.literal)}") '
             for a in annotations)
-        lines.append(_axiom_str(axiom, ns, ann_text))
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+        yield _axiom_str(axiom, ns, ann_text) + "\n"
+    yield ")\n"
+
+
+def serialize_document(doc: RawDocument) -> str:
+    """Emit a raw document, re-emitting annotation literals verbatim: the
+    pieces of ``document_pieces`` joined."""
+    return "".join(document_pieces(doc))

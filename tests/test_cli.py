@@ -7,6 +7,9 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +17,16 @@ from hypothesis import given, settings, strategies as st
 import standpoint_owl
 from standpoint_owl import cli
 from standpoint_owl.cli import main
-from standpoint_owl.frontend import parse_document
+from standpoint_owl.frontend import assemble_kb, parse_document, parse_simple_query
 from standpoint_owl.model import And, EntityName, Gci, PlainKB, iter_nodes
-from standpoint_owl.oracle import find_plain_model
+from standpoint_owl.oracle import find_plain_model, negated_query_kb
+from standpoint_owl.serializer import serialize_document, serialize_kb
+from standpoint_owl.translator import translate_kb
 
 from conftest import FIXTURES
 
 sys.path.insert(0, str(FIXTURES.parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py)
 import run  # noqa: E402  (perfbench/run.py)
 
 MARKER = "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :SP__STAR__0))"
@@ -224,9 +230,9 @@ class TestImport:
     def test_each_source_name_rebased_once(self, forest_path, tmp_path, capsys,
                                            monkeypatch):
         merged = []
-        serialize = cli.serialize_document
-        monkeypatch.setattr(cli, "serialize_document",
-                            lambda doc: merged.append(doc) or serialize(doc))
+        pieces = cli.document_pieces
+        monkeypatch.setattr(cli, "document_pieces",
+                            lambda doc: merged.append(doc) or pieces(doc))
         assert main(["import", forest_path, forest_path, "--standpoint", "LC",
                      "--dump"]) == 0
         names = [n for d in merged[0].declarations for n in iter_nodes(d.name)]
@@ -289,6 +295,18 @@ class TestDeepNesting:
                      + " :B)\n)\n")
         assert main(["translate", path, "--dump"]) == 2
         assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+    def test_what_translates_also_renders(self, tmp_path, capsys):
+        """400 nested intersections parse and translate; the serializer
+        takes one frame per level as well, so it renders them instead of
+        failing after the output file was opened."""
+        path = write(tmp_path, "deep.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf("
+                     + "ObjectIntersectionOf(:C " * 400 + ":A" + ")" * 400
+                     + " :B)\n)\n")
+        out = tmp_path / "deep.translated.ofn"
+        assert main(["translate", path]) == 0
+        assert out.read_text(encoding="utf-8").count("ObjectIntersectionOf(") == 400
 
 
 class TestLongFlatChain:
@@ -535,6 +553,86 @@ class TestRepeatedCalls:
         assert main([*query, "--domain-bound", "1"]) == 0  # no reasoner left
 
 
+class TestStreaming:
+    """Documents go to their destination piece by piece as the serializer
+    makes them: the bytes are those of ``serialize_kb`` or
+    ``serialize_document``, memory holds one piece, not the document, and
+    the destination is opened only once nothing can fail on the input."""
+
+    @pytest.fixture
+    def ladder(self, tmp_path):
+        """Two generated documents: p = 10 and p = 30."""
+        return [write(tmp_path, name, text) for name, text in gen.translate_ladder(0)[:2]]
+
+    @pytest.mark.parametrize("command", [["translate"], ["import", "--standpoint", "s"],
+                                         ["import", "--standpoint", "s", "--translate"]])
+    def test_dump_out_and_serializer_agree(self, command, ladder, tmp_path, capsys,
+                                           monkeypatch):
+        argv = [command[0], *(ladder if command[0] == "import" else ladder[:1]),
+                *command[1:]]
+        seen = []
+        for name in ("kb_pieces", "document_pieces"):
+            pieces = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda x, pieces=pieces: seen.append(x) or pieces(x))
+        out = tmp_path / "out.ofn"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--dump"]) == 0
+        dumped = capsys.readouterr().out
+        first, second = seen
+        assert type(first) is type(second)
+        joined = (serialize_kb(first) if isinstance(first, PlainKB)
+                  else serialize_document(first))
+        translated = "import" not in argv or "--translate" in argv
+        assert isinstance(first, PlainKB) == translated
+        assert out.read_text(encoding="utf-8") == dumped == joined
+
+    def test_translate_holds_less_than_its_output(self, tmp_path, capsys):
+        """The traced peak of a p = 80 translation stays below the size of
+        the document it writes; holding the document as one string takes
+        about four times that."""
+        name, text = gen.translate_ladder(0)[3]
+        path, out = write(tmp_path, name, text), tmp_path / "out.ofn"
+        argv = ["translate", path, "--out", str(out)]
+        assert main(argv) == 0  # loads what a first call loads
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err.startswith("p=80;")
+        assert peak < out.stat().st_size
+
+    KEEP = b"an existing file\x00\n"
+
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize("case", ["parse error", "rebase", "name collision"])
+    def test_failed_run_leaves_the_destination_alone(self, case, existing, tmp_path,
+                                                     capsys):
+        good = write(tmp_path, "good.ofn",
+                     "Prefix(:=<urn:g#>)\nOntology(<urn:g>\nSubClassOf(:A :B)\n)\n")
+        named = ('SubClassOf(Annotation(:standpointLabel "<standpointAxiom '
+                 'name=\\"\u00a7ax1\\"><Box><Standpoint name=\\"s\\"/></Box>'
+                 '</standpointAxiom>") :A :B)')
+        argv = {
+            "parse error": ["translate", write(tmp_path, "bad.ofn", "Ontology(<urn:b>\n(")],
+            "rebase": ["translate", good, "--rebase", "urn:x>y"],
+            "name collision": ["import",
+                               write(tmp_path, "a.ofn", f"Ontology(<urn:a>\n{named}\n)"),
+                               write(tmp_path, "b.ofn", f"Ontology(<urn:b>\n{named}\n)"),
+                               "--standpoint", "s"],
+        }[case]
+        out = tmp_path / "out.ofn"
+        if existing:
+            out.write_bytes(self.KEEP)
+        before = sorted(os.listdir(tmp_path))
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == before
+        assert out.read_bytes() == self.KEEP if existing else not out.exists()
+
+
 class TestEveryConstructor:
     """`query` over a KB that uses every constructor the benchmark's query
     workloads leave out: ∀, an inverse role, a nominal, a number
@@ -710,10 +808,57 @@ class TestExternalReasoner:
                             "import shutil, sys\n"
                             f"shutil.copy(sys.argv[1], {str(echo)!r})\n"
                             "print('consistent')\n")
-        main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
-              "--reasoner-cmd", cmd])
+        query = "[LU](Forest sub Land)"
+        main(["query", forest_path, "--simple", query, "--reasoner-cmd", cmd])
         doc = parse_document(echo.read_text(encoding="utf-8"))
         assert any(True for _ in doc.axioms)
+        # the streamed document is the translation of the negated query
+        source = parse_document((tmp_path / "forest.ofn").read_text(encoding="utf-8"))
+        negated = negated_query_kb(assemble_kb(source),
+                                   parse_simple_query(query, source.default_namespace))
+        assert echo.read_text(encoding="utf-8") == serialize_kb(translate_kb(negated))
+
+    def test_timeout_stops_the_reasoner(self, forest_path, tmp_path, capsys, monkeypatch):
+        seen, inputs = tmp_path / "seen.txt", tmp_path / "inputs"
+        inputs.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(inputs))  # the reasoner's input
+        cmd = fake_reasoner(tmp_path,
+                            "import os, time\n"
+                            f"with open({str(seen)!r}, 'w') as h:\n"
+                            "    h.write(str(os.getpid()))\n"
+                            "time.sleep(120)\n"
+                            "print('consistent')\n")
+        start = time.monotonic()
+        assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
+                     "--reasoner-cmd", cmd, "--reasoner-timeout", "0.5"]) == 4
+        assert time.monotonic() - start < 60
+        assert capsys.readouterr().err.endswith("reasoner timed out after 0.5 s\n")
+        assert os.listdir(inputs) == []
+        # On a loaded host the limit may pass before the stand-in starts.
+        if seen.exists():
+            with pytest.raises(ProcessLookupError):  # killed and reaped
+                os.kill(int(seen.read_text(encoding="utf-8")), 0)
+
+    @pytest.mark.parametrize("limit", ["30", "inf"])
+    def test_reasoner_within_the_timeout_decides(self, forest_path, tmp_path, limit):
+        cmd = fake_reasoner(tmp_path, "print('inconsistent')\n")
+        assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
+                     "--reasoner-cmd", cmd, "--reasoner-timeout", limit]) == 0
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_bad_timeout_is_a_usage_error(self, forest_path, tmp_path, limit, capsys):
+        cmd = fake_reasoner(tmp_path, "print('inconsistent')\n")
+        assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
+                     "--reasoner-cmd", cmd, "--reasoner-timeout", limit]) == 2
+        assert capsys.readouterr().err == (
+            "error: --reasoner-timeout must be a positive number of seconds, "
+            f"got {float(limit):g}\n")
+
+    def test_timeout_without_a_reasoner_is_a_usage_error(self, forest_path, capsys):
+        assert main(["query", forest_path, "--simple", "[LU](Forest sub Land)",
+                     "--reasoner-timeout", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --reasoner-timeout needs --reasoner-cmd\n"
 
     def test_garbage_verdict(self, forest_path, tmp_path):
         cmd = fake_reasoner(tmp_path, "print('maybe?')\n")

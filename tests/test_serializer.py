@@ -9,11 +9,12 @@ from standpoint_owl.model import (All, And, Atom, Box, Diamond, Disjunction,
                                   Or, PlainKB, Ria, Signature, Some, Top,
                                   UNIVERSAL, make_kb, role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
-from standpoint_owl.serializer import (render_manchester, serialize_concept,
-                                       serialize_kb)
+from standpoint_owl.serializer import (document_pieces, kb_pieces,
+                                       render_manchester, serialize_concept,
+                                       serialize_document, serialize_kb)
 from standpoint_owl.translator import translate_kb
 
-from conftest import C, O, R, S
+from conftest import FIXTURES, C, O, R, S
 from genkb import random_kb, top_level_kb, widened
 
 NS = "urn:o#"
@@ -204,3 +205,42 @@ class TestDeclarations:
                                  for name in ("A1", "B") for k in indices]
         assert len(classes) == 12 * (len(kb.signature.concepts)
                                      + len(kb.signature.standpoints))
+
+
+class TestPieces:
+    """A document comes in pieces made one at a time: the header, the
+    declarations of each kind and namespace, one piece per family (or per
+    axiom of a parsed document), and the closing line.  The whole document
+    is their join."""
+
+    def test_translated_kb(self):
+        other = "urn:other#"
+        kb = normalize_kb(make_kb(
+            formulas=[Box(S("s"), Atom(Gci(C("A"), Some(R("r"), O("a"))))),
+                      Diamond(S("s"), Atom(Gci(C("B", other), Some(R("r", other),
+                                                                   O("b", other)))))],
+            plain_axioms=[Gci(C("A1", other), C("A"))], base_iri="urn:o"))
+        plain = translate_kb(kb, p=3)
+        pieces = list(kb_pieces(plain))
+        assert "".join(pieces) == serialize_kb(plain) == one_axiom_at_a_time(plain)
+        assert all(piece.endswith("\n") for piece in pieces)
+        n = len(plain.families)
+        header, declarations, families = pieces[0], pieces[1:-1 - n], pieces[-1 - n:-1]
+        assert header.splitlines()[-1] == f"Ontology(<{plain.base_iri}>"
+        assert pieces[-1] == ")\n"
+        kinds = [{line.split(":")[0] for line in piece.splitlines()}
+                 for piece in declarations]
+        assert kinds == [{"Declaration(Class("}, {"Declaration(Class(ns1"},
+                         {"Declaration(ObjectProperty("},
+                         {"Declaration(ObjectProperty(ns1"},
+                         {"Declaration(NamedIndividual("},
+                         {"Declaration(NamedIndividual(ns1"}]
+        assert [piece.count("\n") for piece in families] == [
+            f.copies for f in plain.families]
+
+    def test_parsed_document(self):
+        doc = parse_document((FIXTURES / "forest.ofn").read_text(encoding="utf-8"))
+        pieces = list(document_pieces(doc))
+        assert "".join(pieces) == serialize_document(doc)
+        assert len(pieces) == len(doc.axioms) + 2 and pieces[-1] == ")\n"
+        assert all(piece.count("\n") == 1 for piece in pieces[1:])
