@@ -516,8 +516,15 @@ INDEX_SENTINEL = "\x00"
 class Family:
     """``copies`` axioms of one shape: copy k is ``template`` with every
     INDEX_SENTINEL in its names read as k.  A template without the
-    sentinel repeats as it is."""
-    template: PlainAxiom
+    sentinel repeats as it is.
+
+    A family may also sit inside a concept of another family's template,
+    with a concept as its template.  It stands for the intersection of its
+    copies, ``And(copy 0, copy 1, …)``, spliced into an And whose first
+    part it is, as And splices an And there.  Its sentinel is its own
+    index: its copies do not depend on the outer family's index, and they
+    are filled in first."""
+    template: PlainAxiom | ConceptExpr
     copies: int = 1
 
     def render(self, template_text: str) -> Iterator[str]:
@@ -562,23 +569,34 @@ class PlainKB:
         """The axioms and the signature, built together.  The copies at one
         index share every node they have in common, and each name is one
         object throughout: the copy of a name at k is the name that some
-        template already holds at the fixed index k, if one does."""
+        template already holds at the fixed index k, if one does.  A family
+        inside a concept becomes the And of its copies, built once."""
         shared = {node: node for f in self.families
                   for node in iter_nodes(f.template) if type(node) is EntityName}
+        nested: dict = {}  # id of a family inside a concept: its copies' And
 
-        def instantiated(node):  # a name at the loop's current ``index``
-            if type(node) is EntityName:
-                if INDEX_SENTINEL in node.local:
-                    name = EntityName(node.kind,
-                                      node.local.replace(INDEX_SENTINEL, index), node.base)
-                    return shared.setdefault(name, name)
-                return node
+        def at(index: str):
+            def instantiated(node):
+                if type(node) is EntityName:
+                    if INDEX_SENTINEL in node.local:
+                        name = EntityName(node.kind, node.local.replace(
+                            INDEX_SENTINEL, index), node.base)
+                        return shared.setdefault(name, name)
+                    return node
+                if type(node) is Family:
+                    out = nested.get(id(node))
+                    if out is None:
+                        out = nested[id(node)] = And(*[
+                            transform(node.template, at(str(j)))
+                            for j in range(node.copies)])
+                    return out
+            return instantiated
 
         copies: list[list] = [[] for _ in self.families]
         kinds = ("concepts", "roles", "individuals")
         names: dict[str, set] = {kind: set() for kind in kinds}
         for k in range(max([self.copies, *(f.copies for f in self.families)])):
-            index, memo = str(k), {}
+            instantiated, memo = at(str(k)), {}
             for out, f in zip(copies, self.families):
                 if k < f.copies:
                     out.append(transform(f.template, instantiated, memo))

@@ -6,9 +6,13 @@ canonical order.  A conjunction or disjunction writes its parts in order
 into the n-ary syntax, and the parser builds the identical tree back.  A
 translated KB is rendered one family at a time: the template is rendered
 once and ``Family.render`` fills in each copy's index, so p copies cost
-one rendering and p joins; ``axioms`` is never built.  Its declarations
-are made from the name templates in the same way, as strings, so neither
-is ``signature``.
+one rendering and p joins; ``axioms`` is never built.  A family inside a
+concept (a box inside a Boolean combination) is rendered the same way, as
+the ObjectIntersectionOf of its copies; as the first part of an
+intersection its copies are written in line, without a wrapper, as And
+splices an And in first place, so the text reads back as the tree of
+``axioms``.  Its declarations are made from the name templates in the
+same way, as strings, so neither is ``signature``.
 ``kb_pieces`` and ``document_pieces`` hand a document out in pieces (the
 header, the declarations of each kind and namespace, one family or axiom
 each, the closing line), made one at a time, so a writer that takes them
@@ -27,11 +31,11 @@ from typing import Iterator
 from .errors import GrammarViolation
 from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     ConceptExpr, ConceptName, Conjunction, Diamond,
-                    Disjunction, EntityName, Gci, HasSelf, INDEX_SENTINEL,
-                    InverseRole, NamedStandpoint, Negation, Nominal, Not, Or,
-                    PlainAxiom, PlainKB, Ria, RoleExpr, Some, SpIntersection,
-                    SpUnion, StandpointExpr, StandpointFormula, StandpointKB,
-                    Star, Top, UniversalRole, entity_names_in)
+                    Disjunction, EntityName, Family, Gci, HasSelf,
+                    INDEX_SENTINEL, InverseRole, NamedStandpoint, Negation,
+                    Nominal, Not, Or, PlainAxiom, PlainKB, Ria, RoleExpr, Some,
+                    SpIntersection, SpUnion, StandpointExpr, StandpointFormula,
+                    StandpointKB, Star, Top, UniversalRole, entity_names_in)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import RawDocument
 
@@ -95,12 +99,16 @@ def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
         return f"ObjectComplementOf({_concept_str(c.arg, ns)})"
     if isinstance(c, (And, Or)):
         word = "ObjectIntersectionOf" if isinstance(c, And) else "ObjectUnionOf"
+        # A family first in an And is spliced in, as And splices an And.
+        splice = type(c) is And and type(c.parts[0]) is Family
         # A loop, not a generator: one frame per level, as the parser
         # uses, so what parses and translates also renders.
-        parts = []
-        for p in c.parts:
+        parts = [_copies_str(c.parts[0], ns)] if splice else []
+        for p in c.parts[len(parts):]:
             parts.append(_concept_str(p, ns))
         return f"{word}({' '.join(parts)})"
+    if isinstance(c, Family):
+        return f"ObjectIntersectionOf({_copies_str(c, ns)})"
     if isinstance(c, All):
         return f"ObjectAllValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"
     if isinstance(c, Some):
@@ -112,6 +120,12 @@ def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
                 f"{_concept_str(c.filler, ns)})")
     return (f"ObjectMinCardinality({c.n} {_role_str(c.role, ns)} "
             f"{_concept_str(c.filler, ns)})")
+
+
+def _copies_str(family: Family, ns: _Namespaces) -> str:
+    """The copies of a family inside a concept, joined by spaces: its
+    template rendered once, and each copy's index filled in."""
+    return " ".join(family.render(_concept_str(family.template, ns)))
 
 
 def serialize_concept(c: ConceptExpr, base: str = "") -> str:

@@ -36,7 +36,11 @@ or bare atom, a formula with a bare atom, a plain axiom, a role chain) is
 one ``Family``: its template is translated once, at INDEX_SENTINEL in
 place of the index, and copy k reads k there.  Witness indices of
 diamonds are fixed numbers inside the template.  A purely modal formula
-is a family of one copy.  The signature is held the same way: each input
+is a family of one copy.  A box [e]φ inside a Boolean combination is a
+family as well, held in the concept where the box sits: its template,
+¬G_k ⊔ trans(k, φ) with the sentinel for its own index k, is built once
+and stands for the conjunction of its p copies (at p = 1 the box is its
+one copy, built as it is).  The signature is held the same way: each input
 name once, at the sentinel, with p copies.  ``PlainKB.axioms`` and
 ``PlainKB.signature`` expand them; the serializer renders each template
 once and makes each declared copy as a string.
@@ -140,8 +144,13 @@ class _Interner:
         if isinstance(c, Not):
             return Not(self.concept(c.arg, pi))
         if isinstance(c, (And, Or)):
-            # each part keeps its class, so the copy keeps the shape
-            return type(c)(*[self.concept(part, pi) for part in c.parts])
+            # Each part keeps its class, so the copy keeps the shape.  A
+            # loop, not a comprehension: one frame per level, as the parser
+            # and the serializer use, so what parses also translates.
+            parts = []
+            for part in c.parts:
+                parts.append(self.concept(part, pi))
+            return type(c)(*parts)
         if isinstance(c, All):
             return All(self.role(c.role, pi), self.concept(c.filler, pi))
         if isinstance(c, Some):
@@ -175,7 +184,10 @@ class _Interner:
     def trans(self, pi: int, f: StandpointFormula, p: int,
               diamonds=None) -> ConceptExpr:
         """``diamonds`` hands out the witness index of each diamond in
-        preorder; without it a diamond is the p-way reference disjunction."""
+        preorder, and with it a box (for p > 1) is one ``Family`` of p
+        copies of its guarded body, built once at INDEX_SENTINEL.  Without
+        it a diamond is the p-way reference disjunction and a box the p-way
+        conjunction, built concretely."""
         if isinstance(f, Atom):
             ax = f.axiom
             if isinstance(ax, Equiv):
@@ -197,9 +209,14 @@ class _Interner:
                       self.trans(pi, f.rhs, p, diamonds))
         if isinstance(f, Box):
             _check_no_nesting(f.arg, True)
-            parts = [Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
-                     for k in range(p)]
-            return And(*parts) if p > 1 else parts[0]
+
+            def guarded(k):
+                return Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
+            if p == 1:
+                return guarded(0)
+            if diamonds is not None:
+                return Family(guarded(INDEX_SENTINEL), p)
+            return And(*[guarded(k) for k in range(p)])
         if isinstance(f, Diamond):
             _check_no_nesting(f.arg, True)
             if diamonds is not None:

@@ -308,6 +308,22 @@ class TestDeepNesting:
         assert main(["translate", path]) == 0
         assert out.read_text(encoding="utf-8").count("ObjectIntersectionOf(") == 400
 
+    @pytest.mark.parametrize("command", [
+        ["translate", "DEEP"],
+        ["import", "MAIN", "DEEP", "--standpoint", "s", "--translate"]])
+    def test_translator_takes_one_frame_per_level(self, tmp_path, capsys, command):
+        """495 nested intersections parse, translate and render, through
+        ``translate`` and through an import that translates."""
+        files = {
+            "DEEP": write(tmp_path, "deep.ofn",
+                          "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf("
+                          + "ObjectIntersectionOf(:C " * 495 + ":A" + ")" * 495
+                          + " :B)\n)\n"),
+            "MAIN": write(tmp_path, "main.ofn", "Prefix(:=<urn:m#>)\n"
+                          "Ontology(<urn:m>\nSubClassOf(:X :Y)\n)\n")}
+        assert main([files.get(arg, arg) for arg in command] + ["--dump"]) == 0
+        assert capsys.readouterr().out.count("ObjectIntersectionOf(") == 495
+
 
 class TestLongFlatChain:
     def test_refuted_query_exits_3(self, tmp_path, capsys):

@@ -4,15 +4,16 @@ import pytest
 
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_manchester_class)
-from standpoint_owl.model import (All, And, Atom, Box, Diamond, Disjunction,
-                                  Equiv, Gci, INDEX_SENTINEL, Negation, Not,
-                                  Or, PlainKB, Ria, Signature, Some, Top,
-                                  UNIVERSAL, make_kb, role_name)
+from standpoint_owl.model import (All, And, Atom, Box, Conjunction, Diamond,
+                                  Disjunction, Equiv, Gci, INDEX_SENTINEL,
+                                  Negation, Not, Or, PlainKB, Ria, Signature,
+                                  Some, Top, UNIVERSAL, iter_nodes, make_kb,
+                                  role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.serializer import (document_pieces, kb_pieces,
                                        render_manchester, serialize_concept,
                                        serialize_document, serialize_kb)
-from standpoint_owl.translator import translate_kb
+from standpoint_owl.translator import trans, translate_kb
 
 from conftest import FIXTURES, C, O, R, S
 from genkb import random_kb, top_level_kb, widened
@@ -178,6 +179,35 @@ class TestFamilies:
             f"{u} :SP__s__0) {u} ObjectUnionOf(ObjectComplementOf(:B__0) :A__0)))))"
             for k in range(12)]
         assert serialize_kb(plain) == one_axiom_at_a_time(plain)
+
+    BOX = Box(S("s"), Atom(Gci(C("A"), C("B"))))
+
+    @pytest.mark.parametrize("p", [1, 2, 11])
+    @pytest.mark.parametrize("other", [Atom(Gci(C("B"), C("D"))),
+                                       Diamond(S("t"), Atom(Gci(C("D"), C("A"))))],
+                             ids=["bare-atom", "modal"])
+    @pytest.mark.parametrize("combine", [
+        lambda box, x: Conjunction(box, x), lambda box, x: Conjunction(x, box),
+        lambda box, x: Disjunction(box, x), lambda box, x: Disjunction(x, box),
+        lambda box, x: Conjunction(Conjunction(box, x), box)],
+        ids=["and-first", "and-second", "or-first", "or-second", "nested-and-first"])
+    def test_box_in_a_combination_renders_as_its_expansion(self, combine, other, p):
+        """A box inside a Boolean combination is one template for its p
+        copies; rendered, it must read as the concrete p-way conjunction
+        that ``axioms`` holds, spliced where an And splices its first part."""
+        kb = normalize_kb(make_kb(formulas=[combine(self.BOX, other)],
+                                  base_iri="urn:o"))
+        plain = translate_kb(kb, p=p)
+        assert serialize_kb(plain) == one_axiom_at_a_time(plain)
+        expected = trans(0, self.BOX, p, "urn:o/translated#")
+        assert (type(expected) is And) == (p > 1)
+        formula_axioms = plain.axioms[p:]  # after the universal markers
+        assert len(formula_axioms) == (p if type(other) is Atom else 1)
+        for axiom in formula_axioms:
+            assert any(node == expected or (type(node) is type(expected)
+                                            and node.parts[:len(expected.parts)]
+                                            == expected.parts)
+                       for node in iter_nodes(axiom))
 
 
 class TestDeclarations:

@@ -305,18 +305,42 @@ class TestSharing:
         # template B__⋆ ⊓ guard_⋆ ⊑ D__⋆ (⋆ the sentinel) for its p axioms
         assert diamond.rhs.parts[0] == trans_e(0, union, ns)
         assert box.lhs.parts[1] == trans_e(INDEX_SENTINEL, union, ns)
-        # the boxed disjunct is the conjunction of guard_k ⇒ body over k,
-        # and the second diamond is guard ⊓ body at index 1
+        # the boxed disjunct is one template guard_⋆ ⇒ body for its p
+        # copies, guarded by the top-level box's guard at the sentinel, and
+        # the second diamond is guard ⊓ body at index 1
         boxed, second = mixed.rhs.parts
-        box_guards = [part.parts[0].arg for part in boxed.parts]
-        assert box_guards[0] is diamond.rhs.parts[0]
+        assert boxed.copies == 2
+        assert boxed.template.parts[0].arg is box.lhs.parts[1]
         assert second.parts[0] == trans_e(1, S("s"), ns)
         # the marker inside a composite guard is the plain guard of s
-        assert box_guards[1].parts[0] is second.parts[0]
         assert box.lhs.parts[1].parts[0] is single.lhs.parts[1]
         # a copy keeps the template's subtrees that hold no family index
         assert out.axioms[2] is diamond
         assert out.axioms[4].lhs.parts[1] == trans_e(1, union, ns)
+        # the boxed disjunct expands to the conjunction of guard_k ⇒ body
+        box_guards = [part.parts[0].arg for part in out.axioms[7].rhs.parts[0].parts]
+        assert box_guards == [trans_e(k, union, ns) for k in range(2)]
+
+    def test_boxed_disjunct_cost_does_not_depend_on_p(self, monkeypatch):
+        """A box inside a Boolean combination is built once, as a template,
+        not once per index."""
+        built = []
+        init = ConceptName.__init__
+
+        def counting(self, name):
+            built.append(name)
+            init(self, name)
+
+        monkeypatch.setattr(ConceptName, "__init__", counting)
+        kb = make_kb(formulas=[Disjunction(Atom(Gci(A, B)),
+                                           Box(S("s"), Atom(Gci(B, D))))],
+                     base_iri="urn:o")
+        counts = {}
+        for p in (8, 64):
+            built.clear()
+            translate_kb(kb, p=p)
+            counts[p] = len(built)
+        assert 0 < counts[8] == counts[64]
 
 
 class TestIsolation:
