@@ -26,15 +26,14 @@ Conflict sets are sets of slot indices, and a conflict is minimised by
 releasing its slots in a fixed order, by (kind, base, local) of the name.
 Standpoint structures are searched by splitting the problem at the atom
 level: the Boolean/modal layer only sees which TBox atoms hold at which
-precisification, so candidate truth vectors are enumerated propositionally
-and each distinct vector is realised (or refuted) once by a bounded
-interpretation search.
-The formulas are compiled once per search into closures that evaluate
-every precisification and every atom vector of the probed position at
-once, as (true, false) masks with one plane of 2^k lanes per
-precisification (see `_compile`).  So the vectors viable at a position
-under one standpoint assignment, and the extensions of a partial vector
-assignment by one more position, each cost one evaluation.
+precisification, so truth vectors are searched propositionally and each
+distinct vector is realised (or refuted) once by a bounded interpretation
+search.  The propositional search fixes one atom's polarity at one
+precisification at a time and re-evaluates only the formulas that atom
+occurs in; the formulas are compiled once per search into closures that
+give (true, false) masks with one bit per precisification (see
+`_compile`), so a partial assignment that makes a formula false anywhere
+is cut at once.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability.
 """
 
@@ -56,9 +55,10 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     walk_refs)
 from .normalizer import normalize_kb
 
-# The most distinct atoms the standpoint search takes on: its lane masks
-# have 2**k bits per precisification for k atoms.  Unlike the bit guard,
-# this cap holds under any ``guard_bits``, infinity included.
+# The most distinct atoms the standpoint search takes on: each position
+# has 2**k atom vectors for k atoms, which the bit guard does not count.
+# Unlike the bit guard, this cap holds under any ``guard_bits``, infinity
+# included.
 MAX_ATOMS = 20
 
 # ---------------------------------------------------------------------------
@@ -758,28 +758,26 @@ def find_plain_model(kb: PlainKB, max_domain: int,
 # Standpoint-structure search (atom-vector decomposition)
 # ---------------------------------------------------------------------------
 
-def _compile(formulas, atom_index: dict, sp_names: list[str], planes: int):
-    """Compile the formulas once per search into lane-parallel evaluators.
+def _compile(formulas, atom_index: dict, sp_names: list[str]):
+    """Compile the formulas once per search into three-valued evaluators.
 
     Returns (evaluators, modals).  ``modals`` holds one function per modal
     operator, mapping (sigma_tuple, full) to the operator's member mask,
     where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]`` and
     ``full`` the mask of all precisifications.  ``evaluators`` holds one
     function per formula, mapping (at, af, members) to its (true, false)
-    masks: bit ``pi * 2**k + v`` (lane v of plane pi, k atoms) is set when
-    the formula is definitely true (false) at pi if the probed position
-    takes vector v.  ``at[i]``/``af[i]`` mask the lanes where atom ``i`` is
-    known true/false; ``members[j]`` holds the shifts ``pi * 2**k`` of
-    modal ``j``'s members.  Lanewise this is the three-valued logic:
-    negation swaps, conjunction and disjunction combine bitwise, and a box
-    over members M is false in a lane when its argument is false there at
-    some plane in M, true when it is true there throughout M, and unknown
-    otherwise (a diamond dually), copied to all ``planes`` planes.
+    masks, one bit per precisification: bit pi is set when the formula is
+    definitely true (false) at pi.  ``at[i]``/``af[i]`` mask the
+    precisifications where atom ``i`` is known true/false, and
+    ``members[j]`` is modal ``j``'s member mask.  Bitwise this is the
+    three-valued logic: negation swaps, conjunction and disjunction combine
+    bitwise, and a box over members M is true when its argument is true
+    throughout M (``t & M == M``), false when it is false somewhere in M
+    (``f & M``), and unknown otherwise; a diamond dually.  A modal's value
+    is the same at every precisification, so it sets all bits (-1) or none;
+    over an empty M a box is true and a diamond false.
     """
     sp_pos = {name: j for j, name in enumerate(sp_names)}
-    width = 1 << len(atom_index)
-    lanes = (1 << width) - 1
-    spread = sum(1 << (pi * width) for pi in range(planes))
     modals: list = []
 
     def members(e):
@@ -828,20 +826,14 @@ def _compile(formulas, atom_index: dict, sp_names: list[str], planes: int):
         if isinstance(f, Box):
             def box(at, af, ms):
                 t, fl = g(at, af, ms)
-                yes, no = lanes, 0
-                for shift in ms[j]:
-                    yes &= t >> shift
-                    no |= fl >> shift
-                return yes * spread, (no & lanes) * spread
+                mask = ms[j]
+                return -1 if t & mask == mask else 0, -1 if fl & mask else 0
             return box
 
         def diamond(at, af, ms):
             t, fl = g(at, af, ms)
-            yes, no = 0, lanes
-            for shift in ms[j]:
-                yes |= t >> shift
-                no &= fl >> shift
-            return (yes & lanes) * spread, no * spread
+            mask = ms[j]
+            return -1 if t & mask else 0, -1 if fl & mask == mask else 0
         return diamond
 
     return [formula(f) for f in formulas], modals
@@ -856,9 +848,13 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     the KB, as `make_kb`, `assemble_kb` and `negated_query_kb` build it; it
     is taken as given.  Enumeration order: domain size, precisification
     count, standpoint assignment, shared individual placement, then
-    per-precisification atom-truth vectors, each vector realised by the
-    canonically first interpretation satisfying the plain axioms, role
-    axioms and required atom polarities.
+    per-precisification atom-truth vectors, position by position, each
+    vector in ascending order and realised by the canonically first
+    interpretation satisfying the plain axioms, role axioms and required
+    atom polarities.  A position's vector is built atom by atom, from the
+    most significant down, 0 before 1, which visits the vectors in that
+    ascending order; a partial assignment that makes a formula false at
+    some precisification is cut.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
@@ -875,8 +871,6 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 atom_index[atom.axiom] = len(atoms)
                 atoms.append(atom.axiom)
     k = len(atoms)
-    zeros = [0] * k
-    width = 1 << k
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
     signature = kb.signature
@@ -895,37 +889,26 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         base_checks + [check for pair in atom_checks for check in pair], slots)
     base = compiled[:len(base_checks)]
     atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
-    # The lane masks have 2**k bits, so they are built once the cap passes.
     if k > MAX_ATOMS:
         raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
-    lanes = (1 << width) - 1
-    # Bit v of probes[i] is set when vector v makes atom i true: the upper
-    # half of every period of 2 << i lanes.
-    probes = [lanes // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-              for i in range(k)]
-    # No search gets past the guard at more precisifications than at domain
-    # size 1, so the formulas need no more planes than the guard allows there.
-    bits = _bits_needed(signature, 1)
-    planes = next((m for m in range(max_prec) if bits * (m + 1) > guard_bits), max_prec)
-    evaluators, modals = _compile(kb.formulas, atom_index, sp_names, planes)
-
-    def clear(pi: int, m: int, at: list, af: list, ms: list) -> list[int]:
-        """The vectors v, ascending, for which no formula is false at any of
-        the m planes when position ``pi`` takes v on top of (at, af)."""
-        shift = pi * width
-        at = [a | p << shift for a, p in zip(at, probes)]
-        af = [a | (lanes ^ p) << shift for a, p in zip(af, probes)]
-        false = 0
-        for ev in evaluators:
-            false |= ev(at, af, ms)[1]
-        out = 0
-        for plane in range(m):
-            out |= false >> (plane * width)
-        return [v for v, bit in enumerate(reversed(bin(lanes & ~out))) if bit == "1"]
+    evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
+    # The evaluators of the formulas each atom occurs in, re-evaluated when
+    # the search fixes that atom at a position.
+    users: list[list] = [[] for _ in atoms]
+    for f, ev in zip(kb.formulas, evaluators):
+        for i in {atom_index[atom.axiom] for atom in walk_atoms(f)}:
+            users[i].append(ev)
 
     for n in range(1, max_domain + 1):
         realizable: dict = {}
         resize(n)
+        # An atom whose check is settled before any name is assigned has one
+        # polarity, the other is never realised: it is set at every position
+        # before the search, which branches on the free atoms only.
+        unassigned = [None] * len(slots)
+        forced = [pos.state(unassigned) for _, pos in atom_pairs]
+        free = [i for i in reversed(range(k)) if forced[i] is None]
+        fixed_bits = sum(1 << i for i, polarity in enumerate(forced) if polarity)
 
         def realize(nu: tuple, v: int) -> Optional[PlainInterpretation]:
             key = (nu, v)
@@ -936,55 +919,61 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                                    else _assignment_to_interp(asn, signature, n))
             return realizable[key]
 
+        def vectors(pi: int, depth: int = 0, v: int = fixed_bits):
+            """Position pi's vectors in ascending order that make no formula
+            false and are realised under the ``nu`` searched: free atom
+            ``free[depth]`` is fixed false, then true, at pi, and the
+            formulas it occurs in are evaluated again.  ``at``/``af`` hold a
+            vector's bits while it is yielded; a generator that is used up
+            has cleared them."""
+            if depth == len(free):
+                if realize(nu, v) is not None:
+                    yield v
+                return
+            i, bit = free[depth], 1 << pi
+            for polarity, known in enumerate((af, at)):
+                known[i] |= bit
+                for ev in users[i]:
+                    if ev(at, af, ms)[1]:
+                        break
+                else:
+                    yield from vectors(pi, depth + 1, v | polarity << i)
+                known[i] ^= bit
+
         for m in range(1, max_prec + 1):
             if _bits_needed(signature, n) * m > guard_bits:
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
             full = (1 << m) - 1
-            shifts = [tuple(pi * width for pi in range(m) if mask >> pi & 1)
-                      for mask in range(1 << m)]
+            at = [full if polarity is True else 0 for polarity in forced]
+            af = [full if polarity is False else 0 for polarity in forced]
             for sigma_tuple in product(range(1 << m), repeat=len(sp_names)):
-                ms = [shifts[mask_of(sigma_tuple, full)] for mask_of in modals]
-                # The vectors propositionally viable at pi under this sigma,
-                # every other position unknown; the same for every nu.
-                viable = [clear(pi, m, zeros, zeros, ms) for pi in range(m)]
-                if not all(viable):
+                ms = [mask_of(sigma_tuple, full) for mask_of in modals]
+                # Every formula once with only the forced atoms known.
+                if any(ev(at, af, ms)[1] for ev in evaluators):
                     continue
                 for nu in product(range(n), repeat=len(individuals)):
-                    # Viable vectors per position that some interpretation realises.
-                    candidates: list[list[int]] = []
-                    for pi in range(m):
-                        cands = [v for v in viable[pi] if realize(nu, v) is not None]
-                        if not cands:
-                            break
-                        candidates.append(cands)
-                    if len(candidates) < m:
-                        continue
-                    vectors: list = [None] * m
-
-                    def descend(pi: int, at: list, af: list) -> Optional[StandpointStructure]:
-                        if pi == m:
-                            gamma = tuple(realize(nu, v) for v in vectors)
+                    # One generator per position taken so far, and the vector
+                    # it yielded last: the stack replaces one recursion per
+                    # position, as m may be large.
+                    chosen: list[int] = []
+                    stack = [vectors(0)]
+                    while stack:
+                        v = next(stack[-1], None)
+                        del chosen[len(stack) - 1:]
+                        if v is None:
+                            stack.pop()
+                            continue
+                        chosen.append(v)
+                        if len(chosen) == m:
+                            gamma = tuple(realize(nu, v) for v in chosen)
                             sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
                                      for s, mask in zip(sp_names, sigma_tuple)}
-                            return StandpointStructure(n, m, sigma, gamma)
-                        ok = set(clear(pi, m, at, af, ms))
-                        fill = lanes << (pi * width)
-                        for v in candidates[pi]:
-                            if v in ok:
-                                vectors[pi] = v
-                                bits = [v >> i & 1 for i in range(k)]
-                                found = descend(pi + 1, [a | fill * b for a, b in zip(at, bits)],
-                                                [a | fill * (1 - b) for a, b in zip(af, bits)])
-                                if found is not None:
-                                    return found
-                        return None
-
-                    structure = descend(0, zeros, zeros)
-                    if structure is not None:
-                        assert kb_holds(structure, kb)
-                        return structure
+                            structure = StandpointStructure(n, m, sigma, gamma)
+                            assert kb_holds(structure, kb)
+                            return structure
+                        stack.append(vectors(len(stack)))
     return None
 
 

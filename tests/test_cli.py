@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -339,8 +340,9 @@ class TestLongFlatChain:
 
 class TestManyAtoms:
     def test_over_the_guard_exits_4(self, tmp_path, capsys):
-        # 70 annotated axioms over 71 concepts: the guard trips at domain
-        # size 1, before the search builds masks of 2**71 bits.
+        # 70 annotated axioms over 71 concepts: over the guard at domain
+        # size 1 and over the atom cap, so the search stops before it meets
+        # 2**71 vectors per position.
         box = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
                '<Standpoint name=\\"s\\"/></Box></standpointAxiom>")')
         path = write(tmp_path, "atoms.ofn",
@@ -356,7 +358,7 @@ class TestManyAtoms:
     def test_over_the_atom_cap_exits_4(self, tmp_path, capsys, pairs, guard):
         # [s](Ci sub Cj) or [s](Cj sub Ci) over pairs of 7 concepts: 7 guard
         # bits at domain size 1, but 2 atoms a pair plus the query's, 43 or
-        # 21, over the cap of 20 atoms (2**k lanes in every mask for k atoms).
+        # 21, over the cap of 20 atoms (2**k vectors per position for k atoms).
         def box(i, j):
             return (f'<Box><Standpoint name=\\"s\\"/><subClassOf><LHS>C{i}</LHS>'
                     f'<RHS>C{j}</RHS></subClassOf></Box>')
@@ -373,6 +375,36 @@ class TestManyAtoms:
         assert capsys.readouterr().err == (
             "p=1 (including the negated query)\n"
             "inconclusive: the bounded search guard was exceeded\n")
+
+
+class TestDeepPrecisificationBound:
+    def test_four_hundred_precisifications_are_searched(self, tmp_path):
+        """``[*](A ⊑ B)`` and ``[*](B ⊑ C)`` entail ``[*](A ⊑ C)``, so the
+        search tries every precisification count up to the bound.  It holds
+        one bit per precisification and atom, and one generator per
+        position.  The child runs under a 1 GB address-space cap, so a
+        search that tabled 2**m entries per count fails instead of filling
+        the machine's memory."""
+        box = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
+               '<Standpoint name=\\"*\\"/></Box></standpointAxiom>")')
+        path = write(tmp_path, "chain.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     f"SubClassOf({box} :A :B)\nSubClassOf({box} :B :C)\n)\n")
+        package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+        env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        proc = subprocess.run(
+            [sys.executable, "-m", "standpoint_owl.cli", "query", path,
+             "--simple", "[*](A sub C)", "--domain-bound", "1",
+             "--prec-bound", "400", "--guard-bits", "inf"],
+            capture_output=True, encoding="utf-8", timeout=120, preexec_fn=capped,
+            env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
+        assert (proc.returncode, proc.stderr) == (0, (
+            "p=1 (including the negated query)\n"
+            "entailed within bounds (no countermodel with domain \u2264 1, "
+            "precisifications \u2264 400); bounded evidence, not a proof\n"))
 
 
 class TestUniversalRoleRestriction:

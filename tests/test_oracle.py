@@ -15,18 +15,20 @@ from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
                                   Equiv, Gci, HasSelf, Negation, Not, Or,
                                   PlainKB, Ria, Signature, Some, SpMinus,
                                   SpIntersection, SpUnion, Star, Top,
-                                  UNIVERSAL, concept_name, individual_name,
-                                  make_kb, role_name)
+                                  UNIVERSAL, UNIVERSAL_STANDPOINT,
+                                  concept_name, individual_name, make_kb,
+                                  role_name, walk_atoms)
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
                                    StandpointStructure, _Check,
-                                   _compile_checks, _search_assignment,
-                                   _slot_order,
+                                   _assignment_to_interp, _compile_checks,
+                                   _search_assignment, _slot_order,
                                    check_entailment_bounded, eval_concept,
                                    eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
                                    holds_formula, kb_holds, sigma_of)
 
+import genkb
 from conftest import C, O, R, Rinv, S
 
 cA, cB = concept_name("A"), concept_name("B")
@@ -291,29 +293,41 @@ class TestFindStandpointModel:
 
     def test_guard_trips_before_the_lane_masks_are_built(self):
         # 43 concepts exceed the default guard at n = m = 1, and 70 atoms
-        # would need lane masks of 2**70 bits.
+        # are over the atom cap: 2**70 vectors per position.
         atoms = [Atom(Gci(C(f"X{i}"), C(f"X{i + d}"))) for i in range(35) for d in (1, 8)]
         kb = make_kb(formulas=[Box(S("s"), atom) for atom in atoms])
         with pytest.raises(SearchSpaceTooLarge):
             find_standpoint_model(kb, 1, 1)
 
-    @pytest.mark.parametrize("guard, planes", [(40.0, 5), (0.0, 0), (math.inf, 300)])
-    def test_formulas_get_the_planes_the_guard_allows(self, monkeypatch, guard, planes):
-        # 7 concepts are 7 guard bits at domain size 1, so the default guard
-        # stops every search by 5 precisifications, whatever the bound.
-        seen, compile_ = [], oracle._compile
-
-        def recording(formulas, atom_index, sp_names, planes):
-            seen.append(planes)
-            return compile_(formulas, atom_index, sp_names, planes)
-        monkeypatch.setattr(oracle, "_compile", recording)
+    @pytest.mark.parametrize("guard", [40.0, 0.0, math.inf])
+    def test_guard_allows_the_search_a_caller_asks_for(self, guard):
+        # 7 concepts are 7 guard bits at domain size 1: no guard stops the
+        # one precisification that suffices, except a guard of 0 bits.
         kb = make_kb(formulas=[Box(S("s"), Atom(Gci(C(f"X{i}"), C(f"X{i + 1}"))))
                                for i in range(6)])
-        try:
-            find_standpoint_model(kb, 1, 300, guard_bits=guard)
-        except SearchSpaceTooLarge:
-            assert planes == 0
-        assert seen == [planes]
+        if guard == 0:
+            with pytest.raises(SearchSpaceTooLarge):
+                find_standpoint_model(kb, 1, 300, guard_bits=guard)
+            return
+        D = find_standpoint_model(kb, 1, 300, guard_bits=guard)
+        assert (D.domain_size, D.precisifications) == (1, 1)
+        assert kb_holds(D, kb)
+
+    def test_an_unrealisable_diamond_needs_no_interpretation_search(self, monkeypatch):
+        # ⊤ ⊑ ⊥ holds in no interpretation, so it is false at every
+        # precisification before any vector is built, and so is the diamond.
+        calls, search = [], oracle._search_assignment
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+        monkeypatch.setattr(oracle, "_search_assignment", counting)
+        pairs = [Disjunction(Atom(Gci(C(f"X{i}"), C(f"Y{i}"))),
+                             Atom(Gci(C(f"Y{i}"), C(f"X{i}")))) for i in range(6)]
+        kb = make_kb(formulas=[Diamond(S("s"), Atom(Gci(Top(), Bottom())))]
+                     + [Box(S("s"), pair) for pair in pairs])
+        assert find_standpoint_model(kb, 1, 2) is None
+        assert calls == []
 
     def test_forest_minimal(self, forest_kb):
         from standpoint_owl.normalizer import normalize_kb
@@ -692,6 +706,59 @@ def test_search_with_fixed_individuals_and_required_false_checks(n, concepts, ma
     assert found == expected
 
 
+# --- the first standpoint witness against enumeration of vector tuples ----
+
+def _first_structure_by_enumeration(kb, max_domain, max_prec):
+    """The first structure in the order domain size, precisification count,
+    standpoint assignment, individual placement, then tuples of atom
+    vectors in `product` order, whose vectors the interpretation search
+    realises one by one and which models the KB."""
+    atoms = list(dict.fromkeys(a.axiom for f in kb.formulas for a in walk_atoms(f)))
+    signature = kb.signature
+    sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
+    individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
+    base = [_Check(ax) for ax in kb.rias + kb.plain_axioms]
+    slots = _slot_order(base + [_Check(ax) for ax in atoms], signature)
+    placed = [slots.index(("i", ind)) for ind in individuals]
+    for n in range(1, max_domain + 1):
+        def realize(nu, v):
+            compiled, resize = _compile_checks(
+                base + [_Check(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], slots)
+            resize(n)
+            asn = _search_assignment(n, slots, compiled, dict(zip(placed, nu)))
+            return None if asn is None else _assignment_to_interp(asn, signature, n)
+        for m in range(1, max_prec + 1):
+            for sigma_tuple in itertools.product(range(1 << m), repeat=len(sp_names)):
+                sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
+                         for s, mask in zip(sp_names, sigma_tuple)}
+                for nu in itertools.product(range(n), repeat=len(individuals)):
+                    gammas = {v: realize(nu, v) for v in range(1 << len(atoms))}
+                    for vectors in itertools.product(range(1 << len(atoms)), repeat=m):
+                        if any(gammas[v] is None for v in vectors):
+                            continue
+                        D = StandpointStructure(n, m, sigma, tuple(gammas[v] for v in vectors))
+                        if kb_holds(D, kb):
+                            return D
+    return None
+
+
+@pytest.mark.parametrize("family", ["random", "top_level", "widened"])
+def test_first_standpoint_witness_is_the_first_by_enumeration(family):
+    """Generated KBs with at most 4 atoms and 2 named standpoints, at domain
+    and precisification bounds 2.  The first witness of random seed 189
+    and of widened seed 127 has two elements."""
+    make = {"random": genkb.random_kb, "top_level": genkb.top_level_kb,
+            "widened": lambda seed: genkb.widened(genkb.random_kb(seed))}[family]
+    for seed in [*range(30), 127, 189]:
+        kb = make(seed)
+        atoms = {a.axiom for f in kb.formulas for a in walk_atoms(f)}
+        if len(atoms) > 4 or len(kb.signature.standpoints) > 3:
+            continue
+        expected = _first_structure_by_enumeration(kb, 2, 2)
+        found = find_standpoint_model(kb, 2, 2, guard_bits=math.inf)
+        assert repr(found) == repr(expected), seed
+
+
 # --- the compiled (true, false) evaluation against a per-precisification walk -
 
 def _ref_not(v):
@@ -718,23 +785,21 @@ def _ref_sigma(e, sigma_sets):
     return sigma_sets[e.name]
 
 
-def _ref_tri(f, pi, sigma_sets, vectors, atom_index):
-    """The three-valued check the search used before it compiled formulas:
-    the value at one precisification, None when the partial atom vectors
-    leave it open."""
+def _ref_tri(f, pi, sigma_sets, known, atom_index):
+    """The three-valued value of ``f`` at one precisification, None when it
+    is open: ``known[pi][i]`` is atom i's polarity at pi, None if unknown."""
     if isinstance(f, Atom):
-        v = vectors[pi]
-        return None if v is None else bool(v & (1 << atom_index[f.axiom]))
+        return known[pi][atom_index[f.axiom]]
     if isinstance(f, Negation):
-        return _ref_not(_ref_tri(f.arg, pi, sigma_sets, vectors, atom_index))
+        return _ref_not(_ref_tri(f.arg, pi, sigma_sets, known, atom_index))
     if isinstance(f, Conjunction):
-        return _ref_and(_ref_tri(f.lhs, pi, sigma_sets, vectors, atom_index),
-                        _ref_tri(f.rhs, pi, sigma_sets, vectors, atom_index))
+        return _ref_and(_ref_tri(f.lhs, pi, sigma_sets, known, atom_index),
+                        _ref_tri(f.rhs, pi, sigma_sets, known, atom_index))
     if isinstance(f, Disjunction):
         return _ref_not(_ref_and(
-            _ref_not(_ref_tri(f.lhs, pi, sigma_sets, vectors, atom_index)),
-            _ref_not(_ref_tri(f.rhs, pi, sigma_sets, vectors, atom_index))))
-    states = [_ref_tri(f.arg, pi2, sigma_sets, vectors, atom_index)
+            _ref_not(_ref_tri(f.lhs, pi, sigma_sets, known, atom_index)),
+            _ref_not(_ref_tri(f.rhs, pi, sigma_sets, known, atom_index))))
+    states = [_ref_tri(f.arg, pi2, sigma_sets, known, atom_index)
               for pi2 in sorted(_ref_sigma(f.standpoint, sigma_sets))]
     if isinstance(f, Box):
         if any(s is False for s in states):
@@ -774,44 +839,25 @@ def formulas(depth):
 @settings(max_examples=400, deadline=None)
 @given(st.data(), formulas(3))
 def test_compiled_formulas_match_the_three_valued_walk(data, f):
-    """Every lane and every plane of the compiled masks against the walk:
-    lane v of plane pi holds the value at pi when the probed position takes
-    vector v and the other positions keep their partial vectors."""
+    """Every precisification's bits of the compiled masks against the walk,
+    with each atom true, false or unknown at each precisification on its
+    own."""
     from standpoint_owl.oracle import _compile
     m = data.draw(st.integers(1, 4))
-    planes = data.draw(st.integers(m, 5))
     k = len(ATOMS)
-    width = 1 << k
-    lanes = (1 << width) - 1
     atom_index = {ax: i for i, ax in enumerate(ATOMS)}
     sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
-    vectors = [data.draw(st.one_of(st.none(), st.integers(0, width - 1)))
-               for _ in range(m)]
-    probed = data.draw(st.integers(0, m - 1))
-    at, af = [0] * k, [0] * k
-    for i in range(k):
-        for pi, v in enumerate(vectors):
-            if pi == probed:
-                probe = sum(1 << w for w in range(width) if w >> i & 1)
-                at[i] |= probe << (pi * width)
-                af[i] |= (lanes ^ probe) << (pi * width)
-            elif v is not None:
-                if v >> i & 1:
-                    at[i] |= lanes << (pi * width)
-                else:
-                    af[i] |= lanes << (pi * width)
-    (evaluate,), modals = _compile([f], atom_index, SP_NAMES, planes)
+    known = [[data.draw(st.sampled_from([True, False, None])) for _ in range(k)]
+             for _ in range(m)]
+    at = [sum(1 << pi for pi in range(m) if known[pi][i] is True) for i in range(k)]
+    af = [sum(1 << pi for pi in range(m) if known[pi][i] is False) for i in range(k)]
+    (evaluate,), modals = _compile([f], atom_index, SP_NAMES)
     full = (1 << m) - 1
-    members = [mask_of(sigma_tuple, full) for mask_of in modals]
-    true, false = evaluate(at, af, [[pi * width for pi in range(m) if mask >> pi & 1]
-                                    for mask in members])
+    true, false = evaluate(at, af, [mask_of(sigma_tuple, full) for mask_of in modals])
     sigma_sets = {"*": frozenset(range(m))}
     for name, mask in zip(SP_NAMES, sigma_tuple):
         sigma_sets[name] = frozenset(b for b in range(m) if mask >> b & 1)
-    for v in range(width):
-        lane_vectors = vectors[:probed] + [v] + vectors[probed + 1:]
-        for pi in range(m):
-            expected = _ref_tri(f, pi, sigma_sets, lane_vectors, atom_index)
-            bit = pi * width + v
-            assert (bool(true >> bit & 1), bool(false >> bit & 1)) == \
-                (expected is True, expected is False)
+    for pi in range(m):
+        expected = _ref_tri(f, pi, sigma_sets, known, atom_index)
+        assert (bool(true >> pi & 1), bool(false >> pi & 1)) == \
+            (expected is True, expected is False)
