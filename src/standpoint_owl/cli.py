@@ -22,8 +22,8 @@ from .frontend.functional import Annotation, Declaration, RawDocument
 from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
                     validate_roles)
 from .normalizer import count_precisifications, normalize_kb
-from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, negated_query_kb,
-                     search_countermodel)
+from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, domain_cap,
+                     negated_query_kb, search_countermodel)
 from .serializer import _sp_axiom_payload, document_pieces, kb_pieces
 from .translator import STAR_TOKEN, translate_kb
 
@@ -208,9 +208,15 @@ def cmd_query(args) -> int:
     result = search_countermodel(normalized, args.domain_bound, prec_bound,
                                  guard_bits=args.guard_bits)
     if result.status == ENTAILED_WITHIN_BOUNDS:
-        print(f"entailed within bounds (no countermodel with domain ≤ "
-              f"{args.domain_bound}, precisifications ≤ {prec_bound}); "
-              "bounded evidence, not a proof", file=sys.stderr)
+        cap = domain_cap(normalized)
+        if cap is not None and cap <= args.domain_bound and prec_bound >= p:
+            print(f"entailed (no countermodel with domain ≤ {cap}, precisifications "
+                  f"≤ {p}; with no roles or individuals these bounds are complete)",
+                  file=sys.stderr)
+        else:
+            print(f"entailed within bounds (no countermodel with domain ≤ "
+                  f"{args.domain_bound}, precisifications ≤ {prec_bound}); "
+                  "bounded evidence, not a proof", file=sys.stderr)
         return 0
     if result.status == NOT_ENTAILED:
         witness = result.witness

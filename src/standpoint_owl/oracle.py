@@ -34,7 +34,8 @@ occurs in; the formulas are compiled once per search into closures that
 give (true, false) masks with one bit per precisification (see
 `_compile`), so a partial assignment that makes a formula false anywhere
 is cut at once.
-Exhaustion within bounds is evidence, not proof, of unsatisfiability.
+Exhaustion within bounds is evidence, not proof, of unsatisfiability,
+except where the bounds are complete: see `check_entailment_bounded`.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    field, record, replace, signature_of, walk_atoms,
-                    walk_refs)
+                    field, iter_nodes, record, replace, signature_of,
+                    walk_atoms, walk_refs)
 from .normalizer import normalize_kb
 
 # The most distinct atoms the standpoint search takes on: each position
@@ -839,6 +840,46 @@ def _compile(formulas, atom_index: dict, sp_names: list[str]):
     return [formula(f) for f in formulas], modals
 
 
+def domain_cap(kb: StandpointKB) -> Optional[int]:
+    """A domain size above which no first model lies, or None.
+
+    It is N = max(1, the number of distinct atoms under a negation) for a
+    KB with no role, no individual (so no nominal), no role inclusion and
+    no universal role, and None for any other KB.  In such a KB every
+    concept is Boolean, so an atom holds at a precisification exactly when
+    every element satisfies it, and a false atom has one violating element.
+    Take a model, and at each precisification list one violating element
+    per atom under a negation that is false there.  On the domain
+    {0, …, N-1}, let element i take at each precisification the concept
+    memberships of that precisification's i-th listed element (or of any
+    element when fewer are listed); concepts are not rigid and nothing ties
+    elements together, so with the same precisifications and sigma this is
+    a structure.  Each element satisfies a Boolean concept (⊤ and ⊥
+    included) exactly when the element it copies does, so a true atom stays
+    true, and an atom under a negation keeps its truth value everywhere.
+    Every other atom occurs only under ∧, ∨, boxes and diamonds, which are
+    monotone, so every plain axiom and formula still holds.  A model with
+    m precisifications therefore has one with at most N elements and the
+    same m, and as the domain size is the outermost loop of the search,
+    sizes above N never hold the first model.  After NNF the atoms under a
+    negation are the negated ones, a negated equivalence being two negated
+    inclusions; on other formulas the count is an over-approximation.
+    """
+    signature = kb.signature
+    if signature.roles or signature.individuals or kb.rias:
+        return None
+    negated = set()
+    for root in (*kb.plain_axioms, *kb.formulas):
+        # A concept name holds no role, so the walk need not enter it.
+        for node in iter_nodes(root, (ConceptName,)):
+            # owl:topObjectProperty is no name, so the signature lacks it.
+            if type(node) is UniversalRole:
+                return None
+            if type(node) is Negation:
+                negated.update(atom.axiom for atom in walk_atoms(node))
+    return max(1, len(negated))
+
+
 def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                           guard_bits: float = 40.0) -> Optional[StandpointStructure]:
     """Search for the canonically first standpoint structure modelling the KB
@@ -854,7 +895,8 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     atom polarities.  A position's vector is built atom by atom, from the
     most significant down, 0 before 1, which visits the vectors in that
     ascending order; a partial assignment that makes a formula false at
-    some precisification is cut.
+    some precisification is cut.  Domain sizes above `domain_cap` are not
+    searched: they hold no first model.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
@@ -899,7 +941,12 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         for i in {atom_index[atom.axiom] for atom in walk_atoms(f)}:
             users[i].append(ev)
 
+    cap = None
     for n in range(1, max_domain + 1):
+        if n == 2:  # a search that ends at size 1 does not pay for the walk
+            cap = domain_cap(kb)
+        if cap is not None and n > cap:
+            break
         realizable: dict = {}
         resize(n)
         # An atom whose check is settled before any name is assigned has one
@@ -997,9 +1044,13 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
                              guard_bits: float = 40.0) -> EntailmentResult:
     """Negate the query, add it to the KB, and search for a countermodel.
 
-    A witness structure refutes the entailment; exhausting the bounds is
-    bounded evidence for it (not a proof); tripping the search guard is
-    inconclusive.
+    A witness structure refutes the entailment; tripping the search guard
+    is inconclusive.  Exhausting the bounds is bounded evidence for the
+    entailment, not a proof, unless the bounds are complete: when
+    `domain_cap` of the negated-query KB is not None and at most
+    ``max_domain``, and ``max_prec`` is at least its precisification bound
+    p (`count_precisifications`), a countermodel of any size would give one
+    within the bounds, so the entailment holds.
     """
     return search_countermodel(negated_query_kb(kb, query), max_domain,
                                max_prec, guard_bits)

@@ -92,14 +92,28 @@ def _formula(rng):
                 _modal(rng) if rng.random() < 0.7 else _atom(rng))
 
 
-def random_kb(seed, normalized=True, two_namespaces=False):
+def _without_roles(x):
+    """Copy of x with each ∃r.C and ∀r.C replaced by C."""
+    def swap(node):
+        if type(node) in (Some, All):
+            return _without_roles(node.filler)
+        return None
+
+    return transform(x, swap)
+
+
+def random_kb(seed, normalized=True, two_namespaces=False, role_free=False):
     """One fragment KB per seed; redraws until the bound p is at most 3.
-    The draws do not depend on ``two_namespaces``; only the names do."""
+    The draws do not depend on ``two_namespaces`` or ``role_free``: the one
+    changes only the names, the other replaces each ∃r.C and ∀r.C by C."""
     rng = random.Random(seed)
     while True:
         formulas = [_formula(rng) for _ in range(rng.randrange(1, 4))]
         plain = [Gci(_concept(rng, 1), _concept(rng, 1))
                  for _ in range(rng.randrange(0, 3))]
+        if role_free:
+            formulas = [_without_roles(f) for f in formulas]
+            plain = [_without_roles(ax) for ax in plain]
         if two_namespaces:
             formulas = [_second_namespace(f, False) for f in formulas]
             plain = [_second_namespace(ax, True) for ax in plain]

@@ -403,8 +403,74 @@ class TestDeepPrecisificationBound:
             env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
         assert (proc.returncode, proc.stderr) == (0, (
             "p=1 (including the negated query)\n"
-            "entailed within bounds (no countermodel with domain \u2264 1, "
-            "precisifications \u2264 400); bounded evidence, not a proof\n"))
+            "entailed (no countermodel with domain \u2264 1, precisifications "
+            "\u2264 1; with no roles or individuals these bounds are complete)\n"))
+
+
+BOX_STAR = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
+            '<Standpoint name=\\"*\\"/></Box></standpointAxiom>")')
+
+
+class TestCompleteDomainBound:
+    """Without roles, individuals or role inclusions, a countermodel has one
+    with at most N = max(1, negated atoms) elements, so the search stops at
+    N, and an exhausted search up to N and p is a proof.  The universal role
+    is no name, so it must stop the cap on its own."""
+
+    def kb(self, tmp_path, *axioms):
+        return write(tmp_path, "kb.ofn", "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     + "".join(f"{axiom}\n" for axiom in axioms) + ")\n")
+
+    @pytest.mark.parametrize("axioms", [
+        # Something is A and something is not, by ∃U on the right ...
+        ("SubClassOf(owl:Thing ObjectSomeValuesFrom(owl:topObjectProperty :A))",
+         "SubClassOf(owl:Thing ObjectSomeValuesFrom(owl:topObjectProperty "
+         "ObjectComplementOf(:A)))"),
+        # ... and by ∀U on the left.
+        ("SubClassOf(ObjectAllValuesFrom(owl:topObjectProperty :A) owl:Nothing)",
+         "SubClassOf(ObjectAllValuesFrom(owl:topObjectProperty "
+         "ObjectComplementOf(:A)) owl:Nothing)")], ids=["some", "all"])
+    def test_universal_role_countermodel_needs_two_elements(self, tmp_path, capsys,
+                                                            axioms):
+        """The negated query has one atom, yet the first countermodel has
+        two elements: a cap of 1 would call the query entailed."""
+        path = self.kb(tmp_path, *axioms)
+        assert main(["query", path, "--simple", "[*](owl:Thing sub A)",
+                     "--domain-bound", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "p=1 (including the negated query)\n"
+            "not entailed; countermodel: domain size 2, 1 precisification(s), "
+            "sigma={'*': [0]}\n")
+
+    def test_cap_keeps_the_search_under_the_guard(self, tmp_path, capsys):
+        """14 concepts: domain size 3 needs 42 bits, over the default guard
+        of 40, but the one negated atom ends the search at size 1."""
+        path = self.kb(tmp_path, *(f"SubClassOf({BOX_STAR} :C{i} :C{i + 1})"
+                                   for i in range(13)))
+        assert main(["query", path, "--simple", "[*](C0 sub C3)",
+                     "--domain-bound", "3"]) == 0
+        assert capsys.readouterr().err == (
+            "p=1 (including the negated query)\n"
+            "entailed (no countermodel with domain \u2264 1, precisifications "
+            "\u2264 1; with no roles or individuals these bounds are complete)\n")
+
+    @pytest.mark.parametrize("bounds, verdict", [
+        # The negated equivalence is two negated atoms, so N = 2.
+        (("--domain-bound", "1"), "entailed within bounds (no countermodel with "
+         "domain \u2264 1, precisifications \u2264 2); bounded evidence, not a proof"),
+        (("--domain-bound", "2", "--prec-bound", "1"), "entailed within bounds "
+         "(no countermodel with domain \u2264 2, precisifications \u2264 1); "
+         "bounded evidence, not a proof"),
+        (("--domain-bound", "3"), "entailed (no countermodel with domain \u2264 2, "
+         "precisifications \u2264 2; with no roles or individuals these bounds "
+         "are complete)")])
+    def test_verdict_names_complete_bounds_only(self, tmp_path, capsys, bounds, verdict):
+        diamond = BOX_STAR.replace("Box", "Diamond")
+        path = self.kb(tmp_path, "SubClassOf(:A :B)", "SubClassOf(:B :A)",
+                       f"SubClassOf({diamond} :A :A)")
+        assert main(["query", path, "--simple", "[*](A eq B)", *bounds]) == 0
+        assert capsys.readouterr().err == \
+            f"p=2 (including the negated query)\n{verdict}\n"
 
 
 class TestUniversalRoleRestriction:

@@ -18,15 +18,17 @@ from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
                                   UNIVERSAL, UNIVERSAL_STANDPOINT,
                                   concept_name, individual_name, make_kb,
                                   role_name, walk_atoms)
+from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
                                    StandpointStructure, _Check,
                                    _assignment_to_interp, _compile_checks,
                                    _search_assignment, _slot_order,
-                                   check_entailment_bounded, eval_concept,
-                                   eval_role, find_plain_model,
+                                   check_entailment_bounded, domain_cap,
+                                   eval_concept, eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
                                    holds_formula, kb_holds, sigma_of)
+from standpoint_owl.translator import translate_kb
 
 import genkb
 from conftest import C, O, R, Rinv, S
@@ -213,7 +215,6 @@ class TestKbHolds:
         assert kb_holds(structure([], [interp1(True), interp1(True)]), kb)
 
     def test_forest_all_empty(self, forest_kb):
-        from standpoint_owl.normalizer import normalize_kb
         kb = normalize_kb(forest_kb)
         names = {c: frozenset() for c in kb.signature.concepts}
         roles = {r: frozenset() for r in kb.signature.roles}
@@ -330,7 +331,6 @@ class TestFindStandpointModel:
         assert calls == []
 
     def test_forest_minimal(self, forest_kb):
-        from standpoint_owl.normalizer import normalize_kb
         D = find_standpoint_model(normalize_kb(forest_kb), 2, 2, guard_bits=200)
         assert D is not None
         assert (D.domain_size, D.precisifications) == (1, 1)
@@ -363,6 +363,72 @@ class TestFindStandpointModel:
         assert D is not None
         for g in D.gamma:
             assert holds_axiom(g, Ria((R("r"), R("t")), rW))
+
+
+class TestDomainCap:
+    AB, BA = Gci(C("A"), C("B")), Gci(C("B"), C("A"))
+
+    def test_counts_distinct_negated_atoms(self):
+        # After NNF the negated equivalence is two negated inclusions, and
+        # A ⊑ B is one of them.
+        kb = normalize_kb(make_kb(formulas=[
+            Negation(Atom(self.AB)),
+            Diamond(S("s"), Negation(Atom(Equiv(C("A"), C("B"))))),
+            Box(S("s"), Atom(Gci(C("D"), Bottom())))]))
+        assert domain_cap(kb) == 2
+
+    def test_a_kb_without_negation_needs_one_element(self):
+        assert domain_cap(make_kb(formulas=[Box(S("s"), Atom(self.AB))])) == 1
+
+    def test_counts_every_atom_under_a_negation_before_nnf(self):
+        kb = make_kb(formulas=[Negation(Conjunction(Atom(self.AB),
+                                                    Negation(Atom(self.BA))))])
+        assert domain_cap(kb) == 2
+
+    @pytest.mark.parametrize("kb", [
+        make_kb(plain_axioms=[Gci(C("A"), Some(R("r"), C("B")))]),
+        make_kb(formulas=[Negation(Atom(Gci(O("a"), C("A"))))]),
+        make_kb(rias=[Ria((R("r"),), rS)]),
+        make_kb(plain_axioms=[Gci(Top(), Some(UNIVERSAL, C("A")))]),
+        make_kb(formulas=[Box(S("s"), Atom(Gci(All(UNIVERSAL, C("A")), Bottom())))])],
+        ids=["role", "nominal", "ria", "universal-role-in-plain-axiom",
+             "universal-role-in-formula"])
+    def test_none_with_roles_or_individuals(self, kb):
+        assert domain_cap(kb) is None
+
+
+def _role_free_kbs():
+    """``genkb.random_kb`` drawn role-free, the same with ¬(⊤ ⊑ X) ∧
+    ¬(X ⊑ ⊥) added, whose models need an element in X and one outside it,
+    and the ``genkb.top_level_kb`` draws that have no role."""
+    for seed in range(150):
+        kb = genkb.random_kb(seed, role_free=True)
+        yield kb
+        x = genkb.CONCEPTS[seed % 3]
+        split = Conjunction(Negation(Atom(Gci(Top(), x))), Negation(Atom(Gci(x, Bottom()))))
+        yield normalize_kb(make_kb(formulas=kb.formulas + (split,),
+                                   plain_axioms=kb.plain_axioms, base_iri=kb.base_iri))
+        kb = genkb.top_level_kb(seed)
+        if domain_cap(kb) is not None:
+            yield kb
+
+
+def test_capped_search_matches_the_uncapped_search(monkeypatch):
+    """At the precisification bound p and a domain bound 2 above the cap,
+    the capped and the uncapped search give the same first witness, and the
+    translation has a plain model exactly when they find one."""
+    cases = [(kb, domain_cap(kb) + 2, count_precisifications(kb)) for kb in _role_free_kbs()]
+    capped = [find_standpoint_model(kb, n, p, guard_bits=math.inf) for kb, n, p in cases]
+    for (kb, n, _), found in zip(cases, capped):
+        assert (find_plain_model(translate_kb(kb), n, guard_bits=math.inf) is None) == \
+            (found is None)
+    monkeypatch.setattr(oracle, "domain_cap", lambda kb: None)
+    for (kb, n, p), found in zip(cases, capped):
+        assert repr(find_standpoint_model(kb, n, p, guard_bits=math.inf)) == repr(found)
+    # Both verdicts are common, and so are witnesses of more than one element.
+    sizes = [found.domain_size for found in capped if found is not None]
+    assert len(sizes) > len(cases) / 4 and len(cases) - len(sizes) > len(cases) / 4
+    assert sum(size > 1 for size in sizes) > len(cases) / 8
 
 
 class TestEntailment:
