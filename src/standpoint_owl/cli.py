@@ -22,8 +22,8 @@ from .frontend.functional import Annotation, Declaration, RawDocument
 from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
                     validate_roles)
 from .normalizer import count_precisifications, normalize_kb
-from .oracle import (ENTAILED_WITHIN_BOUNDS, NOT_ENTAILED, domain_cap,
-                     negated_query_kb, search_countermodel)
+from .oracle import (ENTAILED_WITHIN_BOUNDS, GUARD_BITS, NOT_ENTAILED,
+                     domain_cap, negated_query_kb, search_countermodel)
 from .serializer import _sp_axiom_payload, document_pieces, kb_pieces
 from .translator import STAR_TOKEN, translate_kb
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--domain-bound", type=int, default=3, metavar="N")
     p_q.add_argument("--prec-bound", type=int, default=None, metavar="M",
                      help="precisification bound (default: computed p)")
-    p_q.add_argument("--guard-bits", type=float, default=40.0, metavar="B",
+    p_q.add_argument("--guard-bits", type=float, default=GUARD_BITS, metavar="B",
                      help="search-space budget for the bounded oracle")
     p_q.set_defaults(func=cmd_query)
     return parser

@@ -163,9 +163,11 @@ _CE_WORDS = {"ObjectComplementOf", "ObjectIntersectionOf", "ObjectUnionOf",
              "ObjectAllValuesFrom", "ObjectSomeValuesFrom", "ObjectHasSelf",
              "ObjectMaxCardinality", "ObjectMinCardinality", "ObjectOneOf"}
 _OWL_CLASSES = {"Thing": Top, "Nothing": Bottom}
-_DECLARATION_KINDS = {"Class": ("concept", concept_name),
-                      "ObjectProperty": ("role", role_name),
-                      "NamedIndividual": ("individual", individual_name)}
+# The declaration word of each entity kind, with the kind and its name
+# maker, in the order the serializer writes declarations.
+DECLARATION_KINDS = {"Class": ("concept", concept_name),
+                     "ObjectProperty": ("role", role_name),
+                     "NamedIndividual": ("individual", individual_name)}
 
 
 class _DocParser:
@@ -288,12 +290,12 @@ class _DocParser:
         self.expect_word("Declaration")
         self.expect("(")
         tok = self.next()
-        if tok.kind != "word" or tok.value not in _DECLARATION_KINDS:
+        if tok.kind != "word" or tok.value not in DECLARATION_KINDS:
             if tok.kind == "word":
                 raise UnsupportedConstruct(tok.value, *self.at(tok))
             raise ParseError(f"got {tok.value!r}", *self.at(tok),
                              expected="declaration type")
-        kind, maker = _DECLARATION_KINDS[tok.value]
+        kind, maker = DECLARATION_KINDS[tok.value]
         self.expect("(")
         name = self._name(maker, "entity name")
         self.expect(")")

@@ -25,8 +25,9 @@ _TOKEN_RE = re.compile(r"""
   | (?P<punct>[(){}])
 """, re.VERBOSE)
 
-_KEYWORDS = {"and", "or", "not", "some", "only", "min", "max", "exactly",
-             "Self", "inverse"}
+# The words that follow a role in a restriction.
+_RESTRICTION_KEYWORDS = {"some", "only", "min", "max", "exactly", "Self"}
+_KEYWORDS = {"and", "or", "not", "inverse", *_RESTRICTION_KEYWORDS}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -120,8 +121,7 @@ class _Parser:
         if kind == "punct":
             return val in "({"
         if kind == "name":
-            return val not in {"and", "or", "some", "only", "min", "max",
-                               "exactly", "Self"}
+            return val not in ("and", "or") and val not in _RESTRICTION_KEYWORDS
         return False
 
     def _cardinality_filler(self) -> ConceptExpr:
@@ -150,7 +150,7 @@ class _Parser:
         if kind == "name" and val not in _KEYWORDS:
             # Could be a bare concept name or the role of a restriction.
             nk, nv, _ = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else (None, "", 0)
-            if nk == "name" and nv in {"some", "only", "min", "max", "exactly", "Self"}:
+            if nk == "name" and nv in _RESTRICTION_KEYWORDS:
                 role = self._role()
                 return self._restriction_tail(role, col)
             self.next()

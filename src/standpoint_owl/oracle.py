@@ -62,6 +62,10 @@ from .normalizer import normalize_kb
 # included.
 MAX_ATOMS = 20
 
+# The default search guard: the most bits of search space (`_bits_needed`,
+# times the precisification count in a standpoint search) a search takes on.
+GUARD_BITS = 40.0
+
 # ---------------------------------------------------------------------------
 # Semantic objects
 # ---------------------------------------------------------------------------
@@ -265,12 +269,12 @@ def kb_holds(structure: StandpointStructure, kb: StandpointKB) -> bool:
 # ---------------------------------------------------------------------------
 # Three-valued evaluation over partial assignments (bitmask bounds)
 # ---------------------------------------------------------------------------
-# A search assigns slots ("c", name) / ("r", name) / ("i", name) to subset
-# masks (row-major for roles) or domain elements.  Its checks are compiled
-# once per search into closures over a value list indexed like the slot
-# order, where None marks a slot not yet assigned; the domain size is a
-# cell of those closures, set before each size is searched.  Concept
-# bounds are (lo, hi) masks: any completion's extension E has lo ⊆ E ⊆ hi.
+# A search's slots are the names it assigns subset masks (row-major for
+# roles) or, to individuals, domain elements.  Its checks are compiled once
+# per search into closures over a value list indexed like the slot order,
+# where None marks a slot not yet assigned; the domain size is a cell of
+# those closures, set before each size is searched.  Concept bounds are
+# (lo, hi) masks: any completion's extension E has lo ⊆ E ⊆ hi.
 
 def _converse(mask: int, n: int) -> int:
     out = 0
@@ -297,26 +301,6 @@ def _compose_masks(m1: int, m2: int, n: int) -> int:
     return out
 
 
-_SLOT_KIND = {"concept": "c", "role": "r", "individual": "i"}
-
-
-class _Check:
-    """One constraint: an axiom required true (or, for atom vectors, false).
-
-    ``slots`` holds the slots of the axiom's names in first-occurrence order;
-    a check of the same axiom may pass its own, which saves the walk.
-    """
-
-    __slots__ = ("axiom", "positive", "slots")
-
-    def __init__(self, axiom: PlainAxiom, positive: bool = True,
-                 slots: tuple | None = None):
-        self.axiom = axiom
-        self.positive = positive
-        self.slots = slots if slots is not None else tuple(
-            (_SLOT_KIND[name.kind], name) for name in entity_names_in(axiom))
-
-
 class _Compiled:
     """A check compiled for one search.
 
@@ -333,17 +317,30 @@ class _Compiled:
         self.slots = slots
 
 
-def _compile_checks(checks: list[_Check], slots: list[tuple]):
-    """Compile the checks over the slot order; return (compiled, resize).
+def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature):
+    """Compile the checks, each an axiom and the truth value it is required
+    to have; return (compiled, slots, resize).
 
-    Every slot a check names must be in ``slots``.  ``resize(n)`` sets the
-    domain size the compiled checks evaluate at, and must be called before
-    they are.  A name reads its value from the list, or its widest bounds
-    when the value is None; a name operand of an intersection or a union is
-    read in place.  The converse of each role mask is computed at most once
-    per domain size.
+    ``slots`` is the slot order: the names of the checks in first-occurrence
+    order, then the signature's remaining concepts, roles and individuals,
+    each sorted by (base, local); these are unconstrained.  Each axiom
+    object is walked for its names once (keyed by identity, as hashing an
+    axiom would walk it too), so both polarities of an atom, passed as one
+    object, share the walk.  ``resize(n)`` sets the domain size the
+    compiled checks evaluate at, and must be called before they are.  A
+    name reads its value from the list, or its widest bounds when the value
+    is None; a name operand of an intersection or a union is read in place.
+    The converse of each role mask is computed at most once per domain size.
     """
-    index = {slot: i for i, slot in enumerate(slots)}
+    names_of: dict[int, tuple[EntityName, ...]] = {}  # by id(axiom)
+    for axiom, _ in checks:
+        if id(axiom) not in names_of:
+            names_of[id(axiom)] = tuple(entity_names_in(axiom))
+    order = dict.fromkeys(name for names in names_of.values() for name in names)
+    for names in (signature.concepts, signature.roles, signature.individuals):
+        order.update(dict.fromkeys(sorted(names, key=lambda e: (e.base, e.local))))
+    slots = list(order)
+    index = {name: i for i, name in enumerate(slots)}
     # Cells that depend on the domain size, rebound by resize.
     n = full = full2 = 0
     top = universal = (0, 0)
@@ -364,7 +361,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple]):
     def role(r: RoleExpr):
         if isinstance(r, UniversalRole):
             return lambda vals: universal
-        i = index[("r", r.name)]
+        i = index[r.name]
         if isinstance(r, InverseRole):
             def inverse(vals):
                 x = vals[i]
@@ -387,14 +384,14 @@ def _compile_checks(checks: list[_Check], slots: list[tuple]):
         if isinstance(c, Bottom):
             return lambda vals: (0, 0)
         if isinstance(c, ConceptName):
-            i = index[("c", c.name)]
+            i = index[c.name]
 
             def name(vals):
                 x = vals[i]
                 return (0, full) if x is None else (x, x)
             return name
         if isinstance(c, Nominal):
-            i = index[("i", c.individual)]
+            i = index[c.individual]
 
             def nominal(vals):
                 x = vals[i]
@@ -412,7 +409,7 @@ def _compile_checks(checks: list[_Check], slots: list[tuple]):
             return complement
         if isinstance(c, (And, Or)):
             # Bounds combine bitwise, so name operands can go first.
-            names = [index[("c", part.name)] for part in c.parts
+            names = [index[part.name] for part in c.parts
                      if isinstance(part, ConceptName)]
             parts = [concept(part) for part in c.parts
                      if not isinstance(part, ConceptName)]
@@ -528,48 +525,29 @@ def _compile_checks(checks: list[_Check], slots: list[tuple]):
             return None
         return role_inclusion
 
-    def minimisation_order(slot: tuple) -> tuple:
-        return (slot[0], slot[1].base, slot[1].local)
+    def minimisation_order(name: EntityName) -> tuple[str, str, str]:
+        return name.kind, name.base, name.local
 
-    return [_Compiled(check_state(check.axiom, check.positive),
-                      tuple(index[s] for s in sorted(check.slots, key=minimisation_order)))
-            for check in checks], resize
+    conflict_slots = {
+        key: tuple(index[name] for name in sorted(names, key=minimisation_order))
+        for key, names in names_of.items()}
+    return [_Compiled(check_state(axiom, positive), conflict_slots[id(axiom)])
+            for axiom, positive in checks], slots, resize
 
 
 # ---------------------------------------------------------------------------
 # Canonical backtracking search for plain interpretations
 # ---------------------------------------------------------------------------
 
-def _slot_order(checks: list[_Check], signature: Signature) -> list[tuple]:
-    """Names in first-occurrence order over the checks, then any remaining
-    signature names in sorted order (these are unconstrained)."""
-    order: list[tuple] = []
-    seen = set()
-    for check in checks:
-        for slot in check.slots:
-            if slot not in seen:
-                seen.add(slot)
-                order.append(slot)
-    rest = ([("c", x) for x in sorted(signature.concepts, key=lambda e: (e.base, e.local))]
-            + [("r", x) for x in sorted(signature.roles, key=lambda e: (e.base, e.local))]
-            + [("i", x) for x in sorted(signature.individuals, key=lambda e: (e.base, e.local))])
-    for slot in rest:
-        if slot not in seen:
-            seen.add(slot)
-            order.append(slot)
-    return order
-
-
-def _slot_value_count(slot: tuple, n: int) -> int:
-    kind = slot[0]
-    if kind == "c":
+def _slot_value_count(name: EntityName, n: int) -> int:
+    if name.kind == "concept":
         return 1 << n
-    if kind == "r":
+    if name.kind == "role":
         return 1 << (n * n)
     return n
 
 
-def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
+def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
                        fixed: dict[int, int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
 
@@ -704,20 +682,22 @@ def _search_assignment(n: int, slots: list[tuple], checks: list[_Compiled],
             result = frozenset(conflict)
 
 
-def _bits_needed(signature: Signature, n: int) -> float:
-    return (len(signature.concepts) * n
-            + 2 * len(signature.roles) * n * n
-            + len(signature.individuals) * (math.log2(n) if n > 1 else 0.0))
+def _bits_needed(slots: list[EntityName], n: int) -> float:
+    """What the guard counts for an interpretation search over the slots at
+    domain size n: n bits per concept, 2n² per role (twice the bits of its
+    extension) and log2 n per individual."""
+    weight = {"concept": n, "role": 2 * n * n, "individual": math.log2(n)}
+    return sum(weight[name.kind] for name in slots)
 
 
-def _assignment_to_interp(asn: dict, signature: Signature, n: int) -> PlainInterpretation:
+def _assignment_to_interp(asn: dict, n: int) -> PlainInterpretation:
     concepts = {}
     roles = {}
     individuals = {}
-    for (kind, name), value in asn.items():
-        if kind == "c":
+    for name, value in asn.items():
+        if name.kind == "concept":
             concepts[name] = frozenset(d for d in range(n) if value & (1 << d))
-        elif kind == "r":
+        elif name.kind == "role":
             roles[name] = frozenset((i, j) for i in range(n) for j in range(n)
                                     if value & (1 << (i * n + j)))
         else:
@@ -725,31 +705,25 @@ def _assignment_to_interp(asn: dict, signature: Signature, n: int) -> PlainInter
     return PlainInterpretation(n, concepts, roles, individuals)
 
 
-def _occurring_signature(axioms) -> Signature:
-    return signature_of(StandpointKB(plain_axioms=tuple(axioms)))
-
-
 def find_plain_model(kb: PlainKB, max_domain: int,
-                     guard_bits: float = 40.0) -> Optional[PlainInterpretation]:
+                     guard_bits: float = GUARD_BITS) -> Optional[PlainInterpretation]:
     """Search domain sizes 1..max_domain for the canonically first model.
 
     Returns None when no model exists within the bound (which is not an
     unsatisfiability proof).  Raises SearchSpaceTooLarge when a domain size
     would exceed the guard before any model was found.
     """
-    signature = _occurring_signature(kb.axioms).union(kb.signature)
-    checks = [_Check(ax) for ax in kb.axioms]
-    slots = _slot_order(checks, signature)
-    compiled, resize = _compile_checks(checks, slots)
+    compiled, slots, resize = _compile_checks([(ax, True) for ax in kb.axioms],
+                                              kb.signature)
     for n in range(1, max_domain + 1):
-        if _bits_needed(signature, n) > guard_bits:
-            raise SearchSpaceTooLarge(
-                f"domain size {n} needs {_bits_needed(signature, n):.0f} bits "
-                f"of search space (guard: {guard_bits:.0f})")
+        bits = _bits_needed(slots, n)
+        if bits > guard_bits:
+            raise SearchSpaceTooLarge(f"domain size {n} needs {bits:.0f} bits of search "
+                                      f"space (guard: {guard_bits:.0f})")
         resize(n)
         asn = _search_assignment(n, slots, compiled)
         if asn is not None:
-            interp = _assignment_to_interp(asn, signature, n)
+            interp = _assignment_to_interp(asn, n)
             assert all(holds_axiom(interp, ax) for ax in kb.axioms)
             return interp
     return None
@@ -881,7 +855,7 @@ def domain_cap(kb: StandpointKB) -> Optional[int]:
 
 
 def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
-                          guard_bits: float = 40.0) -> Optional[StandpointStructure]:
+                          guard_bits: float = GUARD_BITS) -> Optional[StandpointStructure]:
     """Search for the canonically first standpoint structure modelling the KB
     within the given domain and precisification bounds.
 
@@ -892,8 +866,10 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     per-precisification atom-truth vectors, position by position, each
     vector in ascending order and realised by the canonically first
     interpretation satisfying the plain axioms, role axioms and required
-    atom polarities.  A position's vector is built atom by atom, from the
-    most significant down, 0 before 1, which visits the vectors in that
+    atom polarities; each atom is compiled required false and required
+    true, in one `_compile_checks` call, so one slot order serves every
+    vector.  A position's vector is built atom by atom, from the most
+    significant down, 0 before 1, which visits the vectors in that
     ascending order; a partial assignment that makes a formula false at
     some precisification is cut.  Domain sizes above `domain_cap` are not
     searched: they hold no first model.
@@ -919,18 +895,12 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
 
-    base_checks = [_Check(ax) for ax in base_axioms]
-    # Both polarities of each atom's check, sharing one walk's slots; the
-    # slot order does not depend on polarity, so it is the same for every
-    # vector.
-    atom_checks = [(_Check(pos.axiom, False, pos.slots), pos)
-                   for pos in map(_Check, atoms)]
-    slots = _slot_order(base_checks + [pos for _, pos in atom_checks], signature)
-    individual_slots = [slots.index(("i", ind)) for ind in individuals]
-    compiled, resize = _compile_checks(
-        base_checks + [check for pair in atom_checks for check in pair], slots)
-    base = compiled[:len(base_checks)]
-    atom_pairs = [compiled[j:j + 2] for j in range(len(base_checks), len(compiled), 2)]
+    compiled, slots, resize = _compile_checks(
+        [(ax, True) for ax in base_axioms]
+        + [(ax, polarity) for ax in atoms for polarity in (False, True)], signature)
+    individual_slots = [slots.index(ind) for ind in individuals]
+    base = compiled[:len(base_axioms)]
+    atom_pairs = [compiled[j:j + 2] for j in range(len(base_axioms), len(compiled), 2)]
     if k > MAX_ATOMS:
         raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
     evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
@@ -962,8 +932,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
             if key not in realizable:
                 checks = base + [pair[v >> i & 1] for i, pair in enumerate(atom_pairs)]
                 asn = _search_assignment(n, slots, checks, dict(zip(individual_slots, nu)))
-                realizable[key] = (None if asn is None
-                                   else _assignment_to_interp(asn, signature, n))
+                realizable[key] = None if asn is None else _assignment_to_interp(asn, n)
             return realizable[key]
 
         def vectors(pi: int, depth: int = 0, v: int = fixed_bits):
@@ -987,8 +956,9 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                     yield from vectors(pi, depth + 1, v | polarity << i)
                 known[i] ^= bit
 
+        bits = _bits_needed(slots, n)
         for m in range(1, max_prec + 1):
-            if _bits_needed(signature, n) * m > guard_bits:
+            if bits * m > guard_bits:
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "
                     f"guard of {guard_bits:.0f} bits")
@@ -1041,7 +1011,7 @@ class EntailmentResult:
 
 def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
                              max_domain: int, max_prec: int,
-                             guard_bits: float = 40.0) -> EntailmentResult:
+                             guard_bits: float = GUARD_BITS) -> EntailmentResult:
     """Negate the query, add it to the KB, and search for a countermodel.
 
     A witness structure refutes the entailment; tripping the search guard
@@ -1068,7 +1038,7 @@ def negated_query_kb(kb: StandpointKB, query: StandpointFormula) -> StandpointKB
 
 
 def search_countermodel(extended: StandpointKB, max_domain: int, max_prec: int,
-                        guard_bits: float = 40.0) -> EntailmentResult:
+                        guard_bits: float = GUARD_BITS) -> EntailmentResult:
     """`check_entailment_bounded` on a KB that `negated_query_kb` built."""
     try:
         witness = find_standpoint_model(extended, max_domain, max_prec, guard_bits)

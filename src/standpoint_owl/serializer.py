@@ -37,7 +37,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     SpIntersection, SpUnion, StandpointExpr, StandpointFormula,
                     StandpointKB, Star, Top, UniversalRole, entity_names_in)
 from .frontend.assemble import STANDPOINT_LABEL
-from .frontend.functional import RawDocument
+from .frontend.functional import DECLARATION_KINDS, RawDocument
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,9 @@ def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
     per kind and namespace.  The copies are made as strings; no name is
     built."""
     indices = [str(k) for k in range(copies)]
-    for kind, word in (("concepts", "Class"), ("roles", "ObjectProperty"),
-                       ("individuals", "NamedIndividual")):
+    for word, (kind, _) in DECLARATION_KINDS.items():
         by_base: dict[str, list[str]] = {}
-        for name in getattr(names, kind):
+        for name in getattr(names, f"{kind}s"):  # the Signature field
             group = by_base.setdefault(name.base, [])
             if INDEX_SENTINEL in name.local:
                 pieces = name.local.split(INDEX_SENTINEL)
@@ -384,8 +383,7 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
     for ann in doc.ontology_annotations:
         prop = f"{ann.property_prefix}:{ann.property_local}"
         head.append(f'Annotation({prop} "{_escape_literal(ann.literal)}")')
-    kind_words = {"concept": "Class", "role": "ObjectProperty",
-                  "individual": "NamedIndividual"}
+    kind_words = {kind: word for word, (kind, _) in DECLARATION_KINDS.items()}
     for decl in doc.declarations:
         head.append(f"Declaration({kind_words[decl.kind]}({ns.pname(decl.name)}))")
     yield "\n".join(head) + "\n"

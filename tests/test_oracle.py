@@ -1,5 +1,6 @@
 """Exact semantics and bounded model search."""
 
+import hashlib
 import itertools
 import math
 
@@ -16,14 +17,14 @@ from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
                                   PlainKB, Ria, Signature, Some, SpMinus,
                                   SpIntersection, SpUnion, Star, Top,
                                   UNIVERSAL, UNIVERSAL_STANDPOINT,
-                                  concept_name, individual_name, make_kb,
-                                  role_name, walk_atoms)
+                                  concept_name, entity_names_in,
+                                  individual_name, make_kb, role_name,
+                                  walk_atoms)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
-                                   StandpointStructure, _Check,
-                                   _assignment_to_interp, _compile_checks,
-                                   _search_assignment, _slot_order,
+                                   StandpointStructure, _assignment_to_interp,
+                                   _compile_checks, _search_assignment,
                                    check_entailment_bounded, domain_cap,
                                    eval_concept, eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
@@ -226,8 +227,7 @@ class TestKbHolds:
 
 
 def plain(axioms):
-    from standpoint_owl.oracle import _occurring_signature
-    return PlainKB(tuple(axioms), _occurring_signature(axioms), "urn:o")
+    return PlainKB(tuple(axioms), make_kb(plain_axioms=axioms).signature, "urn:o")
 
 
 class TestFindPlainModel:
@@ -251,9 +251,12 @@ class TestFindPlainModel:
         assert model.concept_ext[cA] == frozenset()
 
     def test_guard(self):
+        # The second KB declares no signature: the guard counts the names
+        # that occur only in its axioms.
         axioms = [Gci(C(f"X{i}"), C(f"X{i+1}")) for i in range(30)]
-        with pytest.raises(SearchSpaceTooLarge):
-            find_plain_model(plain(axioms), 3, guard_bits=20)
+        for kb in (plain(axioms), PlainKB(tuple(axioms))):
+            with pytest.raises(SearchSpaceTooLarge):
+                find_plain_model(kb, 3, guard_bits=20)
 
     def test_cardinality_needs_larger_domain(self):
         kb = plain([Gci(Top(), AtLeast(2, R("r"), Top()))])
@@ -598,22 +601,21 @@ def test_at_least_one_is_some(interp, c):
 def _assignment_of(interp):
     asn = {}
     for name, members in interp.concept_ext.items():
-        asn[("c", name)] = sum(1 << d for d in members)
+        asn[name] = sum(1 << d for d in members)
     n = interp.domain_size
     for name, pairs in interp.role_ext.items():
-        asn[("r", name)] = sum(1 << (i * n + j) for (i, j) in pairs)
-    for name, element in interp.individual_map.items():
-        asn[("i", name)] = element
+        asn[name] = sum(1 << (i * n + j) for (i, j) in pairs)
+    asn.update(interp.individual_map)
     return asn
 
 
-def _state(check, asn, n):
-    """The compiled verdict of ``check`` on a dict assignment: the dict
-    becomes a value list over the check's slot order, None where unassigned."""
-    slots = _slot_order([check], Signature())
-    (compiled,), resize = _compile_checks([check], slots)
+def _state(axiom, positive, asn, n):
+    """The compiled verdict of ``axiom`` required ``positive`` on a dict
+    assignment: the dict becomes a value list over the check's slot order,
+    None where unassigned."""
+    (compiled,), slots, resize = _compile_checks([(axiom, positive)], Signature())
     resize(n)
-    return compiled.state([asn.get(slot) for slot in slots])
+    return compiled.state([asn.get(name) for name in slots])
 
 
 @settings(max_examples=200, deadline=None)
@@ -622,7 +624,7 @@ def test_check_state_exact_on_complete_assignments(interp, c, d):
     asn = _assignment_of(interp)
     for axiom in (Gci(c, d), Equiv(c, d), Ria((R("r"), R("s")), rR)):
         for positive in (True, False):
-            state = _state(_Check(axiom, positive), asn, interp.domain_size)
+            state = _state(axiom, positive, asn, interp.domain_size)
             assert state is (holds_axiom(interp, axiom) is positive)
 
 
@@ -633,38 +635,37 @@ def test_check_state_sound_on_partial_assignments(data, c, d):
     for an inclusion and an equivalence over the same slots, required true
     or false."""
     n = 2
-    slots = _Check(Gci(c, d)).slots
+    names = tuple(entity_names_in(Gci(c, d)))
     partial = {}
-    for slot in sorted(slots, key=repr):
+    for name in sorted(names, key=repr):
         if data.draw(st.booleans()):
-            bits = n if slot[0] == "c" else n * n
-            if slot[0] == "i":
-                partial[slot] = data.draw(st.integers(0, n - 1))
+            bits = n if name.kind == "concept" else n * n
+            if name.kind == "individual":
+                partial[name] = data.draw(st.integers(0, n - 1))
             else:
-                partial[slot] = data.draw(st.integers(0, (1 << bits) - 1))
-    free = [slot for slot in slots if slot not in partial]
-    spaces = [range(n) if slot[0] == "i" else
-              range(1 << (n if slot[0] == "c" else n * n)) for slot in free]
+                partial[name] = data.draw(st.integers(0, (1 << bits) - 1))
+    free = [name for name in names if name not in partial]
+    spaces = [range(n) if name.kind == "individual" else
+              range(1 << (n if name.kind == "concept" else n * n)) for name in free]
     for axiom in (Gci(c, d), Equiv(c, d)):
         for positive in (True, False):
-            check = _Check(axiom, positive)
-            verdict = _state(check, partial, n)
+            verdict = _state(axiom, positive, partial, n)
             if verdict is None:
                 continue
             for combo in itertools.product(*spaces):
                 full = dict(partial)
                 full.update(zip(free, combo))
-                assert _state(check, full, n) is verdict
+                assert _state(axiom, positive, full, n) is verdict
 
 
 # --- the canonical first witness against brute-force enumeration ------------
 
 def _interp_of(slots, values, n):
     concepts, roles, individuals = {}, {}, {}
-    for (kind, name), value in zip(slots, values):
-        if kind == "c":
+    for name, value in zip(slots, values):
+        if name.kind == "concept":
             concepts[name] = frozenset(d for d in range(n) if value >> d & 1)
-        elif kind == "r":
+        elif name.kind == "role":
             roles[name] = frozenset((i, j) for i in range(n) for j in range(n)
                                     if value >> (i * n + j) & 1)
         else:
@@ -675,11 +676,10 @@ def _interp_of(slots, values, n):
 def _first_by_enumeration(axioms, max_domain):
     """The first model in slot order with ascending values, found by trying
     every assignment of every domain size in turn."""
-    kb = plain(axioms)
-    slots = _slot_order([_Check(ax) for ax in axioms], kb.signature)
+    _, slots, _ = _compile_checks([(ax, True) for ax in axioms], plain(axioms).signature)
     for n in range(1, max_domain + 1):
-        spaces = [range(n) if kind == "i" else
-                  range(1 << (n if kind == "c" else n * n)) for kind, _ in slots]
+        spaces = [range(n) if name.kind == "individual" else
+                  range(1 << (n if name.kind == "concept" else n * n)) for name in slots]
         for values in itertools.product(*spaces):
             interp = _interp_of(slots, values, n)
             if all(holds_axiom(interp, ax) for ax in axioms):
@@ -754,17 +754,15 @@ def test_search_with_fixed_individuals_and_required_false_checks(n, concepts, ma
     positive = [data.draw(st.booleans()) for _ in axioms]
     signature = Signature(frozenset(concept_name(c) for c in concepts),
                           frozenset({rR}), frozenset({iA}))
-    slots = _slot_order([_Check(ax) for ax in axioms], signature)
-    fixed = {slots.index(("i", iA)): element}
-    compiled, resize = _compile_checks(
-        [_Check(ax, pos) for ax, pos in zip(axioms, positive)], slots)
+    compiled, slots, resize = _compile_checks(list(zip(axioms, positive)), signature)
+    fixed = {slots.index(iA): element}
     resize(n)
     found = _search_assignment(n, slots, compiled, fixed)
-    free = [slot for slot in slots if slot[0] != "i"]
-    spaces = [range(1 << (n if kind == "c" else n * n)) for kind, _ in free]
+    free = [name for name in slots if name.kind != "individual"]
+    spaces = [range(1 << (n if name.kind == "concept" else n * n)) for name in free]
     expected = None
     for values in itertools.product(*spaces):
-        asn = dict(zip(free, values)) | {("i", iA): element}
+        asn = dict(zip(free, values)) | {iA: element}
         interp = _interp_of(list(asn), list(asn.values()), n)
         if all(holds_axiom(interp, ax) is pos for ax, pos in zip(axioms, positive)):
             expected = asn
@@ -783,16 +781,15 @@ def _first_structure_by_enumeration(kb, max_domain, max_prec):
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
-    base = [_Check(ax) for ax in kb.rias + kb.plain_axioms]
-    slots = _slot_order(base + [_Check(ax) for ax in atoms], signature)
-    placed = [slots.index(("i", ind)) for ind in individuals]
+    base = [(ax, True) for ax in kb.rias + kb.plain_axioms]
     for n in range(1, max_domain + 1):
         def realize(nu, v):
-            compiled, resize = _compile_checks(
-                base + [_Check(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], slots)
+            compiled, slots, resize = _compile_checks(
+                base + [(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], signature)
             resize(n)
+            placed = [slots.index(ind) for ind in individuals]
             asn = _search_assignment(n, slots, compiled, dict(zip(placed, nu)))
-            return None if asn is None else _assignment_to_interp(asn, signature, n)
+            return None if asn is None else _assignment_to_interp(asn, n)
         for m in range(1, max_prec + 1):
             for sigma_tuple in itertools.product(range(1 << m), repeat=len(sp_names)):
                 sigma = {s: frozenset(b for b in range(m) if mask >> b & 1)
@@ -823,6 +820,58 @@ def test_first_standpoint_witness_is_the_first_by_enumeration(family):
         expected = _first_structure_by_enumeration(kb, 2, 2)
         found = find_standpoint_model(kb, 2, 2, guard_bits=math.inf)
         assert repr(found) == repr(expected), seed
+
+
+# The first 8 hex digits of the sha256 of each first witness's repr
+# (dc937b59 is None), seed by seed from 0, recorded before the search slots
+# became the names themselves.  The plain digests are of every third seed.
+WITNESS_DIGESTS = {
+    "random": (
+        "ae955770 dc937b59 dc937b59 dc937b59 d83ec50f 1eb43609 13b0e5ec dc937b59 "
+        "b43c3b6c a63cb779 0fcfc0de 0fcfc0de eb45b9c2 9b822ef2 83d933aa 15a5cedb "
+        "428eb529 d4711bac d8d8b357 dc937b59 58117e6d 04544879 b44307e1 d7b076f6 "
+        "58e05db2 04544879 dc937b59 d460aa2f 0af042a4 5f1604af 561ac21e dc937b59 "
+        "92def9b2 dc937b59 88a7ef18 06ea331b 65313be8 a78ffb05 1c2ed459 f4e5a411 "
+        "e3ddc285 bdaae8ee de87de84 002ddf78 970aa502 8461d753 dc937b59 9821bbc4 "
+        "f3211dd9 bf1a1bdd 04b7d64e dc937b59 7bb2f9f4 7cddf7d5 534a9434 44bc2bee "
+        "f4792251 b7ad68b6 baeca114 17384b54",
+        "3a1b97b4 dc937b59 4caccc6a e38f8309 ff506aa3 576eca7a 42735ac2 dfb9477d "
+        "5a18c6da 0bf9c986 7956f7eb dc937b59 8bd94864 64ba9480 8a9815ca 0adc5478 "
+        "dfb9477d dc937b59 82b4c8f4 9996e28a"),
+    "top_level": (
+        "e8e05e9a 41335027 ad78930a dc937b59 e9469c9f cf39e55d 7806aeff 305719df "
+        "9515f256 927c9f9d bbfccd46 dc937b59 dc937b59 9b90f87a e8788873 dc937b59 "
+        "e3a93ac4 a820149e f21f2b77 0676a6d6 dc937b59 dc937b59 617499b3 dc937b59 "
+        "fcfdd4d5 8fb39c71 bf49355d 1822be49 dc937b59 dc937b59 dc937b59 cf2c0ba7 "
+        "dc937b59 dc937b59 7c8a4ab0 dc937b59 dc937b59 dc937b59 2bf10195 f8544255 "
+        "491271a1 bf0af2c9 dc937b59 dc937b59 dc937b59 37e1293b 50dc19f7 b96bfa9d "
+        "89f099b6 dc937b59 dc937b59 d3c36391 8796c665 b4dda34b dc937b59 8c5229c6 "
+        "dc937b59 dc937b59 f31ae95d c2a22adf",
+        "1baff18b dc937b59 0e1f70a3 0a42ae4a dc937b59 dc937b59 40f23d07 dc937b59 "
+        "f3a8f707 fbc4cfa9 dc937b59 dc937b59 dc937b59 4183afcc dc937b59 033feec9 "
+        "a21e5ca8 24550db2 dc937b59 dc937b59"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WITNESS_DIGESTS))
+def test_first_witnesses_are_pinned(family):
+    """The canonical first witness is a contract: at domain bound 2 and the
+    precisification bound p, the standpoint witness of each seed 0–59, and
+    the plain witness of the translation of every third seed, keep their
+    repr.  Reordering the compiled checks or the slots moves them."""
+    make = {"random": genkb.random_kb, "top_level": genkb.top_level_kb}[family]
+
+    def digest(found):
+        return hashlib.sha256(repr(found).encode()).hexdigest()[:8]
+
+    standpoint_digests, plain_digests = (text.split() for text in WITNESS_DIGESTS[family])
+    for seed in range(60):
+        kb = make(seed)
+        found = find_standpoint_model(kb, 2, count_precisifications(kb), guard_bits=math.inf)
+        assert digest(found) == standpoint_digests[seed], f"standpoint witness of seed {seed}"
+        if seed % 3 == 0:
+            found = find_plain_model(translate_kb(kb), 2, guard_bits=math.inf)
+            assert digest(found) == plain_digests[seed // 3], f"plain witness of seed {seed}"
 
 
 # --- the compiled (true, false) evaluation against a per-precisification walk -
