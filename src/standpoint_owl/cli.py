@@ -29,8 +29,9 @@ from .translator import STAR_TOKEN, translate_kb
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops a leading byte order mark, which some editors write.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -7,21 +7,24 @@ strings and IRIs.  Annotation literals are quoted strings with ``\\"`` and
 ``\\\\`` escapes and are kept verbatim (including inner whitespace) for
 error reporting and re-emission.
 
-One compiled regular expression tokenizes the whole text (`_lex`).  Tokens
-keep their offset; the line and column of an error or an annotation are
-derived from it where they are read.  Only ``\\n`` ends a line, and columns
-count code points, so a ``\\r`` is a column of its own.  Integers are
-``\\d+`` (Unicode decimal digits, which ``int`` reads); other characters
-that ``str.isdigit`` accepts, such as superscripts, are unexpected
-characters.
+One ``split`` by one compiled regular expression cuts the text into gap
+and token strings; a gap is the whitespace and comments before its token.
+The grammar tells the token strings apart by their first character, their
+words and the colon of a prefixed name.  Tokens keep no offset: where an
+error or an annotation reads a position, it is summed from the lengths of
+the strings before it, once per document.  Only ``\\n`` ends a line, and
+columns count code points, so a ``\\r`` is a column of its own.  Integers
+are ``\\d+`` (Unicode decimal digits, which ``int`` reads); other
+characters that ``str.isdigit`` accepts, such as superscripts, are
+unexpected characters.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import accumulate, islice
 from operator import itemgetter
-from typing import NamedTuple
 
 from ..errors import ParseError, UnsupportedConstruct
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
@@ -29,6 +32,7 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
                      Some, Top, UNIVERSAL, concept_name,
                      individual_name, record, role_name)
+
 
 @record
 class Annotation:
@@ -62,98 +66,51 @@ class RawDocument:
         return self.base_iri + "#"
 
 
-class _Token(NamedTuple):
-    kind: str  # ( ) := word pname iri string int eof
-    value: str
-    pos: int  # offset in the text; see _Lines for its line and column
-    prefix: str
-
-
-class _Lines:
-    """Maps a text offset to its 1-based (line, column).  Only ``\\n`` ends a
-    line, and columns count code points, so a ``\\r`` is one column."""
-
-    def __init__(self, text: str):
-        self.starts = [m.end() for m in _NEWLINE_RE.finditer(text)]
-
-    def __call__(self, pos: int) -> tuple[int, int]:
-        line = bisect_right(self.starts, pos)
-        return line + 1, pos + 1 - (self.starts[line - 1] if line else 0)
-
-
 _NEWLINE_RE = re.compile("\n")
 # A string literal up to its closing quote; escapes are \" and \\ only.
 _STRING = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
-# Every match is the whitespace and comments before one token plus the
-# token; the number of the group that matched gives the token's kind.  The
-# last two alternatives match at any position, so the scan never skips
-# text: the token after a gap is a bad character or the end of the text.
+# Every match is a gap, then a token.  The alternatives start with distinct
+# characters, so none backtracks into another; the last two match at any
+# position, so the scan never skips text: the token after a gap is a bad
+# character or the empty end of the text.
 _TOKEN_RE = re.compile(rf"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    (?:
-        ([()])                                             # 1 ( or )
-      | (<[^>]*>)                                          # 2 IRI
-      | ({_STRING}")                                       # 3 string
-      | (:=)                                               # 4
-      | ((?:[A-Za-z][A-Za-z0-9]*)?:[A-Za-z_][A-Za-z0-9_]*)  # 5 prefixed name
-      | ((?:[A-Za-z][A-Za-z0-9]*)?:(?!=))                  # 6 no local name
-      | (\d+)                                              # 7 integer
-      | ([A-Za-z][A-Za-z0-9]*)                             # 8 word
-      | ()\Z                                               # 9 end of text
-      | (.)                                                # 10 anything else
+    ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (   [()]
+      | [A-Za-z][A-Za-z0-9]*                  # word, or prefixed name,
+        (?::[A-Za-z_][A-Za-z0-9_]*|:(?!=))?   # or bad: no local name
+      | :(?:[A-Za-z_][A-Za-z0-9_]*|=?)        # name, :=, or bad: no local name
+      | {_STRING}"                            # string
+      | <[^>]*>                               # IRI
+      | \d+                                   # integer
+      | \Z                                    # end of text
+      | .                                     # bad: anything else
     )""", re.VERBOSE | re.DOTALL)
 _STRING_PREFIX_RE = re.compile(_STRING)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _unescape = itemgetter(1)  # the escaped character, without a Python-level call
-_new = tuple.__new__
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    add = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        value = m.group(group)
-        pos = m.start(group)
-        # _new(_Token, ...) skips the namedtuple's Python-level __new__.
-        if group == 1:
-            add(_new(_Token, (value, value, pos, "")))
-        elif group == 5:
-            prefix, _, local = value.partition(":")
-            add(_new(_Token, ("pname", local, pos, prefix)))
-        elif group == 8:
-            add(_new(_Token, ("word", value, pos, "")))
-        elif group == 3:
-            value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(_unescape, value)
-            add(_new(_Token, ("string", value, pos, "")))
-        elif group == 2:
-            add(_new(_Token, ("iri", value[1:-1], pos, "")))
-        elif group == 7:
-            add(_new(_Token, ("int", value, pos, "")))
-        elif group == 4:
-            add(_new(_Token, (":=", value, pos, "")))
-        elif group == 9:
-            add(_new(_Token, ("eof", "", pos, "")))
-            break  # finditer would also match the empty end after trailing space
-        else:
-            raise _lex_error(text, group, value, pos)
-    return tokens
+def _is_word(tok: str) -> bool:
+    return tok.isascii() and tok.isalnum() and tok[0].isalpha()
 
 
-def _lex_error(text: str, group: int, value: str, pos: int) -> ParseError:
-    where = _Lines(text)
-    if group == 6:
-        return ParseError(f"expected local name after '{value}'", *where(pos))
-    if value == "<":
-        return ParseError("unterminated IRI", *where(pos))
-    if value == '"':
-        end = _STRING_PREFIX_RE.match(text, pos).end()
-        if end == len(text):
-            return ParseError("unterminated string literal", *where(pos))
-        return ParseError("unknown escape in string literal", *where(end))
-    return ParseError(f"unexpected character {value!r}", *where(pos))
+def _is_name(tok: str) -> bool:
+    """A prefixed name: a colon, no delimiters, and a local name (a bad
+    token ends with the colon)."""
+    return ":" in tok and tok[0] not in '<"' and tok[-1] not in ":="
+
+
+def _literal(tok: str) -> str:
+    value = tok[1:-1]
+    return _ESCAPE_RE.sub(_unescape, value) if "\\" in value else value
+
+
+def _value(tok: str) -> str:
+    """The token as an error quotes it: an IRI without its brackets, a string
+    literal unescaped, a prefixed name's local part, anything else whole."""
+    if len(tok) > 1 and tok[0] in '<"':
+        return _literal(tok) if tok[0] == '"' else tok[1:-1]
+    return tok.partition(":")[2] if _is_name(tok) else tok
 
 
 _AXIOM_WORDS = {"SubClassOf", "EquivalentClasses", "SubObjectPropertyOf",
@@ -162,7 +119,7 @@ _AXIOM_WORDS = {"SubClassOf", "EquivalentClasses", "SubObjectPropertyOf",
 _CE_WORDS = {"ObjectComplementOf", "ObjectIntersectionOf", "ObjectUnionOf",
              "ObjectAllValuesFrom", "ObjectSomeValuesFrom", "ObjectHasSelf",
              "ObjectMaxCardinality", "ObjectMinCardinality", "ObjectOneOf"}
-_OWL_CLASSES = {"Thing": Top, "Nothing": Bottom}
+_OWL_CLASSES = {"owl:Thing": Top, "owl:Nothing": Bottom}
 # The declaration word of each entity kind, with the kind and its name
 # maker, in the order the serializer writes declarations.
 DECLARATION_KINDS = {"Class": ("concept", concept_name),
@@ -171,131 +128,164 @@ DECLARATION_KINDS = {"Class": ("concept", concept_name),
 
 
 class _DocParser:
+    """Recursive descent over the token strings, kept in reverse, so ``pop``
+    takes the next one.  The grammar takes no bad token, so only a text
+    that fails is searched for one (``lex_error``)."""
+
     def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.lines = _Lines(text)
-        self.i = 0
+        self.text = text
+        # ["", gap, token, "", gap, token, ..., ""]: no text lies between matches.
+        self.pieces = _TOKEN_RE.split(text)
+        self.toks = self.pieces[-2::-3]
+        self.n = len(self.toks)
+        self.pop = self.toks.pop
+        self.starts: list[int] = []  # the offset of each token
+        self.newlines: list[int] = []  # the offset after each newline
         self.prefixes: dict[str, str] = {}
         self.base_iri = ""
-        # One EntityName per (maker, namespace, local) of the document; the
-        # prefixes are fixed before the first name is read.
+        # One EntityName per (maker, namespace, local), found by token text
+        # per maker; two prefixes may name one namespace.
         self.names: dict[tuple, EntityName] = {}
+        self.by_text = {concept_name: {}, role_name: {}, individual_name: {}}
+        self.classes, self.roles = self.by_text[concept_name], self.by_text[role_name]
 
-    def at(self, tok: _Token) -> tuple[int, int]:
-        return self.lines(tok.pos)
+    def where(self, i: int, skip: int = 0) -> tuple[int, int]:
+        """The line and column of token ``i``, or of ``skip`` characters into it."""
+        if not self.starts:
+            ends = accumulate(map(len, self.pieces))
+            self.starts = list(islice(ends, 1, None, 3))  # the ends of the gaps
+            self.newlines = [m.end() for m in _NEWLINE_RE.finditer(self.text)]
+        pos = self.starts[i] + skip
+        line = bisect_right(self.newlines, pos)
+        return line + 1, pos + 1 - (self.newlines[line - 1] if line else 0)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def at(self) -> tuple[int, int]:
+        """The line and column of the token taken last."""
+        return self.where(self.n - len(self.toks) - 1)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def got(self, what: str) -> ParseError:
+        tok = self.pieces[3 * (self.n - len(self.toks)) - 1]
+        return ParseError(f"got {_value(tok)!r}", *self.at(), expected=what)
 
-    def expect(self, kind: str, what: str = "") -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"got {tok.value!r}", *self.at(tok),
-                             expected=what or kind)
-        return tok
+    def unexpected(self, tok: str, what: str) -> Exception:
+        if _is_word(tok):
+            return UnsupportedConstruct(tok, *self.at())
+        return self.got(what)
 
-    def expect_word(self, word: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "word" or tok.value != word:
-            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected=word)
-        return tok
+    def expect(self, tok: str) -> None:
+        if self.pop() != tok:
+            raise self.got(tok)
+
+    def lex_error(self) -> ParseError | None:
+        """The error of the text's first bad token: a prefix without a local
+        name, or a character that is not a parenthesis, a digit or an ASCII
+        letter and starts no longer token."""
+        for i, tok in enumerate(self.pieces[2::3]):
+            if tok[-1:] == ":" or len(tok) == 1 and not (
+                    tok in "()" or tok.isdecimal() or tok.isascii() and tok.isalpha()):
+                where = self.where(i)
+                if tok[-1] == ":":
+                    return ParseError(f"expected local name after '{tok}'", *where)
+                if tok == "<":
+                    return ParseError("unterminated IRI", *where)
+                if tok != '"':
+                    return ParseError(f"unexpected character {tok!r}", *where)
+                end = _STRING_PREFIX_RE.match(self.text, self.starts[i]).end()
+                if end == len(self.text):
+                    return ParseError("unterminated string literal", *where)
+                return ParseError("unknown escape in string literal",
+                                  *self.where(i, end - self.starts[i]))
 
     # -- entity references ------------------------------------------------
 
-    def _resolve(self, tok: _Token) -> str:
-        if tok.prefix not in self.prefixes:
-            if tok.prefix == "":
-                return self.base_iri + "#"
-            raise ParseError(f"undeclared prefix {tok.prefix!r}", *self.at(tok))
-        return self.prefixes[tok.prefix]
-
     def _name(self, maker, what: str) -> EntityName:
-        tok = self.next()
-        if tok.kind != "pname":
-            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected=what)
-        if tok.prefix == "owl":
-            raise ParseError(f"owl:{tok.value} is not usable here", *self.at(tok),
-                             expected=what)
-        key = (maker, self.prefixes.get(tok.prefix), tok.value)
-        name = self.names.get(key)
-        if name is None:
-            name = self.names[key] = maker(tok.value, self._resolve(tok))
-        return name
+        tok = self.pop()
+        return self.by_text[maker].get(tok) or self._new_name(tok, maker, what)
 
-    def _is_owl(self, tok: _Token, local: str) -> bool:
-        return tok.kind == "pname" and tok.prefix == "owl" and tok.value == local
+    def _new_name(self, tok: str, maker, what: str) -> EntityName:
+        """The name that ``tok``, just taken, spells for ``maker``."""
+        if not _is_name(tok):
+            raise self.got(what)
+        prefix, _, local = tok.partition(":")
+        if prefix == "owl":
+            raise ParseError(f"owl:{local} is not usable here", *self.at(),
+                             expected=what)
+        base = self.prefixes.get(prefix)
+        if base is None:
+            raise ParseError(f"undeclared prefix {prefix!r}", *self.at())
+        name = self.names.get((maker, base, local)) or maker(local, base)
+        self.names[maker, base, local] = self.by_text[maker][tok] = name
+        return name
 
     # -- grammar ----------------------------------------------------------
 
     def document(self) -> RawDocument:
-        while self.peek().kind == "word" and self.peek().value == "Prefix":
-            self.next()
+        toks, pop = self.toks, self.pop
+        while toks[-1] == "Prefix":
+            pop()
             self.expect("(")
-            tok = self.next()
-            if tok.kind == ":=":
+            tok = pop()
+            if tok == ":=":
                 pname = ""
-            elif tok.kind == "word":
-                pname = tok.value
+            elif _is_word(tok):
+                pname = tok
                 self.expect(":=")
             else:
-                raise ParseError(f"got {tok.value!r}", *self.at(tok),
-                                 expected="prefix declaration")
-            iri = self.expect("iri", "IRI").value
+                raise self.got("prefix declaration")
+            self.prefixes[pname] = self.iri("IRI")
             self.expect(")")
-            self.prefixes[pname] = iri
-        self.expect_word("Ontology")
+        self.expect("Ontology")
         self.expect("(")
-        self.base_iri = self.expect("iri", "ontology IRI").value
+        self.base_iri = self.iri("ontology IRI")
         if "" not in self.prefixes:
             self.prefixes[""] = self.base_iri + "#"
 
         annotations = []
-        while self.peek().kind == "word" and self.peek().value == "Annotation":
+        while toks[-1] == "Annotation":
             annotations.append(self.annotation())
         declarations = []
-        while self.peek().kind == "word" and self.peek().value == "Declaration":
+        while toks[-1] == "Declaration":
             declarations.append(self.declaration())
         axioms = []
-        while not (self.peek().kind == ")"):
-            if self.peek().kind == "eof":
-                raise ParseError("unexpected end of document", *self.at(self.peek()),
-                                 expected="axiom or ')'")
+        while toks[-1] != ")":
             axioms.append(self.axiom())
-        self.expect(")")
-        self.expect("eof", "end of document")
+        pop()
+        if pop():
+            raise self.got("end of document")
         return RawDocument(base_iri=self.base_iri,
                            prefixes=tuple(self.prefixes.items()),
                            ontology_annotations=tuple(annotations),
                            declarations=tuple(declarations),
                            axioms=tuple(axioms))
 
+    def iri(self, what: str) -> str:
+        tok = self.pop()
+        if tok[:1] != "<" or tok == "<":
+            raise self.got(what)
+        return tok[1:-1]
+
     def annotation(self) -> Annotation:
-        self.expect_word("Annotation")
+        pop = self.pop
+        pop()  # Annotation
         self.expect("(")
-        prop = self.next()
-        if prop.kind != "pname":
-            raise ParseError(f"got {prop.value!r}", *self.at(prop),
-                             expected="annotation property")
-        lit = self.expect("string", "string literal")
+        prop = pop()
+        if not _is_name(prop):
+            raise self.got("annotation property")
+        lit = pop()
+        if lit[:1] != '"' or lit == '"':
+            raise self.got("string literal")
+        line, col = self.at()
         self.expect(")")
-        return Annotation(prop.prefix, prop.value, lit.value, *self.at(lit))
+        prefix, _, local = prop.partition(":")
+        return Annotation(prefix, local, _literal(lit), line, col)
 
     def declaration(self) -> Declaration:
-        self.expect_word("Declaration")
+        self.pop()  # Declaration
         self.expect("(")
-        tok = self.next()
-        if tok.kind != "word" or tok.value not in DECLARATION_KINDS:
-            if tok.kind == "word":
-                raise UnsupportedConstruct(tok.value, *self.at(tok))
-            raise ParseError(f"got {tok.value!r}", *self.at(tok),
-                             expected="declaration type")
-        kind, maker = DECLARATION_KINDS[tok.value]
+        tok = self.pop()
+        if tok not in DECLARATION_KINDS:
+            raise self.unexpected(tok, "declaration type")
+        kind, maker = DECLARATION_KINDS[tok]
         self.expect("(")
         name = self._name(maker, "entity name")
         self.expect(")")
@@ -303,16 +293,17 @@ class _DocParser:
         return Declaration(kind, name)
 
     def axiom(self) -> tuple[PlainAxiom, tuple[Annotation, ...]]:
-        tok = self.next()
-        if tok.kind != "word":
-            raise ParseError(f"got {tok.value!r}", *self.at(tok), expected="axiom")
-        if tok.value not in _AXIOM_WORDS:
-            raise UnsupportedConstruct(tok.value, *self.at(tok))
+        toks, pop = self.toks, self.pop
+        word = pop()
+        if word not in _AXIOM_WORDS:
+            if not word:
+                raise ParseError("unexpected end of document", *self.at(),
+                                 expected="axiom or ')'")
+            raise self.unexpected(word, "axiom")
         self.expect("(")
         annotations = []
-        while self.peek().kind == "word" and self.peek().value == "Annotation":
+        while toks[-1] == "Annotation":
             annotations.append(self.annotation())
-        word = tok.value
         if word == "SubClassOf":
             axiom: PlainAxiom = Gci(self.concept(), self.concept())
         elif word == "EquivalentClasses":
@@ -330,14 +321,13 @@ class _DocParser:
             b = self._name(individual_name, "individual name")
             axiom = Gci(Nominal(a), Some(RoleName(role), Nominal(b)))
         else:  # SubObjectPropertyOf
-            nxt = self.peek()
-            if nxt.kind == "word" and nxt.value == "ObjectPropertyChain":
-                self.next()
+            if toks[-1] == "ObjectPropertyChain":
+                pop()
                 self.expect("(")
                 chain = [self.object_property()]
-                while self.peek().kind != ")":
+                while toks[-1] != ")":
                     chain.append(self.object_property())
-                self.expect(")")
+                pop()
             else:
                 chain = [self.object_property()]
             head = self._name(role_name, "role name")
@@ -346,57 +336,60 @@ class _DocParser:
         return (axiom, tuple(annotations))
 
     def object_property(self) -> RoleExpr:
-        tok = self.peek()
-        if self._is_owl(tok, "topObjectProperty"):
-            self.next()
+        tok = self.pop()
+        name = self.roles.get(tok)
+        if name is not None:
+            return RoleName(name)
+        if tok == "owl:topObjectProperty":
             return UNIVERSAL
-        if tok.kind == "word":
-            if tok.value == "ObjectInverseOf":
-                self.next()
-                self.expect("(")
-                name = self._name(role_name, "role name")
-                self.expect(")")
-                return InverseRole(name)
-            raise UnsupportedConstruct(tok.value, *self.at(tok))
-        return RoleName(self._name(role_name, "role name"))
+        if tok == "ObjectInverseOf":
+            self.expect("(")
+            name = self._name(role_name, "role name")
+            self.expect(")")
+            return InverseRole(name)
+        if _is_word(tok):
+            raise UnsupportedConstruct(tok, *self.at())
+        return RoleName(self._new_name(tok, role_name, "role name"))
 
     def concept(self) -> ConceptExpr:
-        tok = self.peek()
-        if tok.kind == "pname":
-            if tok.prefix == "owl" and tok.value in _OWL_CLASSES:
-                self.next()
-                return _OWL_CLASSES[tok.value]()
-            return ConceptName(self._name(concept_name, "class name"))
-        if tok.kind != "word":
-            raise ParseError(f"got {tok.value!r}", *self.at(tok),
-                             expected="class expression")
-        if tok.value not in _CE_WORDS:
-            raise UnsupportedConstruct(tok.value, *self.at(tok))
-        self.next()
-        self.expect("(")
-        word = tok.value
-        if word == "ObjectComplementOf":
-            out: ConceptExpr = Not(self.concept())
-        elif word in ("ObjectIntersectionOf", "ObjectUnionOf"):
+        pop = self.pop
+        tok = pop()
+        name = self.classes.get(tok)
+        if name is not None:
+            return ConceptName(name)
+        if tok not in _CE_WORDS:
+            if tok in _OWL_CLASSES:
+                return _OWL_CLASSES[tok]()
+            if _is_name(tok):
+                return ConceptName(self._new_name(tok, concept_name, "class name"))
+            raise self.unexpected(tok, "class expression")
+        if pop() != "(":
+            raise self.got("(")
+        if tok == "ObjectIntersectionOf" or tok == "ObjectUnionOf":
+            toks = self.toks
             parts = [self.concept(), self.concept()]
-            while self.peek().kind != ")":
+            while toks[-1] != ")":
                 parts.append(self.concept())
-            out = (And if word == "ObjectIntersectionOf" else Or)(*parts)
-        elif word == "ObjectAllValuesFrom":
-            out = All(self.object_property(), self.concept())
-        elif word == "ObjectSomeValuesFrom":
+            out: ConceptExpr = (And if tok == "ObjectIntersectionOf" else Or)(*parts)
+        elif tok == "ObjectSomeValuesFrom":
             out = Some(self.object_property(), self.concept())
-        elif word == "ObjectHasSelf":
+        elif tok == "ObjectAllValuesFrom":
+            out = All(self.object_property(), self.concept())
+        elif tok == "ObjectComplementOf":
+            out = Not(self.concept())
+        elif tok == "ObjectHasSelf":
             out = HasSelf(self.object_property())
-        elif word in ("ObjectMaxCardinality", "ObjectMinCardinality"):
-            n_tok = self.expect("int", "non-negative integer")
+        elif tok == "ObjectOneOf":
+            out = Nominal(self._name(individual_name, "individual name"))
+        else:  # ObjectMaxCardinality, ObjectMinCardinality
+            n = pop()
+            if not n.isdecimal():
+                raise self.got("non-negative integer")
             role = self.object_property()
             filler = self.concept()
-            ctor2 = AtMost if word == "ObjectMaxCardinality" else AtLeast
-            out = ctor2(int(n_tok.value), role, filler)
-        else:  # ObjectOneOf
-            out = Nominal(self._name(individual_name, "individual name"))
-        self.expect(")")
+            out = (AtMost if tok == "ObjectMaxCardinality" else AtLeast)(int(n), role, filler)
+        if pop() != ")":
+            raise self.got(")")
         return out
 
 
@@ -405,4 +398,11 @@ def parse_document(text: str) -> RawDocument:
     verbatim.  Transitivity and ABox assertions are desugared on the fly:
     TransitiveObjectProperty(r) becomes the chain r∘r ⊑ r, ClassAssertion
     becomes {a} ⊑ C and ObjectPropertyAssertion becomes {a} ⊑ ∃r.{b}."""
-    return _DocParser(text).document()
+    parser = _DocParser(text)
+    try:
+        return parser.document()
+    except (ParseError, UnsupportedConstruct, RecursionError):
+        error = parser.lex_error()
+        if error is None:
+            raise
+        raise error from None

@@ -867,9 +867,10 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
             raise CyclicRoleOrder(f"role order has a cycle through {a.local!r}")
         closure.update((a, b) for b in reached)
 
-    # Simple-role side conditions, in one pass over every node of the KB.
+    # Simple-role side conditions, in one pass over the KB's nodes down to
+    # the names: their EntityName leaves hold nothing to check.
     for root in roots:
-        for node in iter_nodes(root):
+        for node in iter_nodes(root, (ConceptName, RoleName, InverseRole, Nominal)):
             if type(node) in (HasSelf, AtMost, AtLeast):
                 if isinstance(node.role, UniversalRole) or node.role.name in non_simple:
                     raise NonSimpleInRestriction(

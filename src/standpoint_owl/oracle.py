@@ -325,12 +325,14 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     order, then the signature's remaining concepts, roles and individuals,
     each sorted by (base, local); these are unconstrained.  Each axiom
     object is walked for its names once (keyed by identity, as hashing an
-    axiom would walk it too), so both polarities of an atom, passed as one
-    object, share the walk.  ``resize(n)`` sets the domain size the
-    compiled checks evaluate at, and must be called before they are.  A
-    name reads its value from the list, or its widest bounds when the value
-    is None; a name operand of an intersection or a union is read in place.
-    The converse of each role mask is computed at most once per domain size.
+    axiom would walk it too) and its operands are compiled once, so both
+    polarities of an atom, passed as one object, share the walk and the
+    operand closures; only their verdict closures differ.  ``resize(n)``
+    sets the domain size the compiled checks evaluate at, and must be
+    called before they are.  A name reads its value from the list, or its
+    widest bounds when the value is None; a name operand of an
+    intersection or a union is read in place.  The converse of each role
+    mask is computed at most once per domain size.
     """
     names_of: dict[int, tuple[EntityName, ...]] = {}  # by id(axiom)
     for axiom, _ in checks:
@@ -491,12 +493,17 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
             return lo, hi
         return at_most
 
+    operands: dict[int, tuple] = {}  # by id(axiom)
+
     def check_state(ax: PlainAxiom, positive: bool):
         # Verdicts when the axiom holds in every completion, or in none.
         yes, no = (True, False) if positive else (False, True)
+        pair = operands.get(id(ax))
         if isinstance(ax, (Gci, Equiv)):
             # C ≡ D is C ⊑ D and D ⊑ C.
-            lhs, rhs = concept(ax.lhs), concept(ax.rhs)
+            if pair is None:
+                pair = operands[id(ax)] = concept(ax.lhs), concept(ax.rhs)
+            lhs, rhs = pair
             both = isinstance(ax, Equiv)
 
             def inclusion(vals):
@@ -508,8 +515,10 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
                     return yes
                 return None
             return inclusion
-        first, *rest = [role(r) for r in ax.chain]
-        head = role(RoleName(ax.head))
+        if pair is None:
+            pair = operands[id(ax)] = ([role(r) for r in ax.chain],
+                                       role(RoleName(ax.head)))
+        (first, *rest), head = pair
 
         def role_inclusion(vals):
             lo, hi = first(vals)

@@ -525,6 +525,29 @@ class TestUndecodableInput:
         self.assert_names(q, capsys)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark before the document is dropped on reading;
+    U+FEFF anywhere else is an unexpected character."""
+
+    def test_translate_and_import_ignore_it(self, tmp_path, capsys):
+        forest = (FIXTURES / "forest.ofn").read_text(encoding="utf-8")
+        outputs = []
+        for bom in ("", "\ufeff"):
+            doc = write(tmp_path, "forest.ofn", bom + forest)
+            src = write(tmp_path, "src.ofn", bom + SOURCE_DOC)
+            assert main(["translate", doc, "--dump"]) == 0
+            assert main(["import", doc, src, "--standpoint", "LC", "--dump"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_later_mark_is_unexpected(self, tmp_path, capsys):
+        path = write(tmp_path, "bom.ofn",
+                     "\ufeffPrefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     "SubClassOf(:A \ufeff:B)\n)\n")
+        assert main(["translate", path, "--dump"]) == 2
+        assert capsys.readouterr().err == "error: unexpected character '\\ufeff' at 3:15\n"
+
+
 class TestQueryRoleRules:
     """A query obeys the role rules the KB does: with r transitive, it is
     non-simple, so neither a number restriction nor an inverse may use it."""

@@ -1,18 +1,24 @@
 """Functional-style document parsing."""
 
+import hashlib
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from standpoint_owl.errors import ParseError, UnsupportedConstruct
 from standpoint_owl.frontend import parse_document
-from standpoint_owl.frontend.functional import _lex, _Lines
+from standpoint_owl.frontend.functional import _DocParser, _value
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, Equiv,
                                   Gci, HasSelf, Not, Or, Ria, Some, Top,
                                   UNIVERSAL)
 
 from conftest import FIXTURES, C, O, R, Rinv
+
+sys.path.insert(0, str(FIXTURES.parent.parent / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py)
 
 NS = "http://ex.org/o#"
 
@@ -181,6 +187,20 @@ class TestNames:
                                prefix=f"Prefix(:=<{NS}>)\nPrefix(o:=<{owl}>)\n"))
         assert (err.value.line, err.value.col) == (5, 12)
 
+    @pytest.mark.parametrize("body, message", [
+        ("SubClassOf(<urn:a:b> :B)", "got 'urn:a:b' at 3:12 (expected class expression)"),
+        ('SubClassOf(:A "x:y")', "got 'x:y' at 3:15 (expected class expression)"),
+        ('Annotation(<urn:p> "v")', "got 'urn:p' at 3:12 (expected annotation property)"),
+        ('Annotation("a:b" "v")', "got 'a:b' at 3:12 (expected annotation property)"),
+        ("Declaration(Class(<urn:c>))", "got 'urn:c' at 3:19 (expected entity name)"),
+        ('SubClassOf(ObjectSomeValuesFrom("r:s" :A) :B)',
+         "got 'r:s' at 3:33 (expected role name)"),
+    ])
+    def test_iris_and_strings_with_a_colon_are_not_names(self, body, message):
+        with pytest.raises(ParseError) as err:
+            parse_document(f"Prefix(:=<urn:o#>)\nOntology(<urn:o>\n{body}\n)")
+        assert str(err.value) == message
+
 
 class TestPositions:
     """Only a newline ends a line; columns count code points, so a carriage
@@ -325,8 +345,28 @@ def _reference_lex(text):
 
 
 def _regex_lex(text):
-    lines = _Lines(text)
-    return [(t.kind, t.value, *lines(t.pos), t.prefix) for t in _lex(text)]
+    """The reader's tokens up to the end of the text, in the reference's
+    terms, or the reader's first lexical error."""
+    parser = _DocParser(text)
+    error = parser.lex_error()
+    if error is not None:
+        raise error
+    tokens = []
+    for i, tok in enumerate(parser.pieces[2::3]):
+        kind = _kind(tok)
+        prefix = tok.partition(":")[0] if kind == "pname" else ""
+        tokens.append((kind, _value(tok), *parser.where(i), prefix))
+        if kind == "eof":
+            return tokens
+
+
+def _kind(tok):
+    """The reference's kind of a token string that is not bad."""
+    if tok in ("(", ")", ":=") or not tok:
+        return tok or "eof"
+    if tok[0] in '<"':
+        return "iri" if tok[0] == "<" else "string"
+    return "pname" if ":" in tok else "int" if tok.isdecimal() else "word"
 
 
 def _outcome(lex, text):
@@ -385,3 +425,85 @@ class TestLexerAgainstReference:
         assert odd, (got, want)
         assert got[0] is ParseError
         assert any(got[1].startswith(f"unexpected character {ch!r} at ") for ch in odd)
+
+
+# -- parse outcomes pinned across rewrites of the reader ---------------------
+
+def _edit(text, seed):
+    """One seeded insertion, deletion or replacement of an ALPHABET
+    character."""
+    rng = random.Random(seed)
+    at = rng.randrange(len(text) + 1)
+    ch = rng.choice(ALPHABET)
+    kind = rng.choice(["insert", "delete", "replace"])
+    if kind == "insert":
+        return text[:at] + ch + text[at:]
+    if kind == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + ch + text[at + 1:]
+
+
+def _parse_digest(text):
+    try:
+        outcome = repr(parse_document(text))
+    except (ParseError, UnsupportedConstruct) as exc:
+        outcome = repr((type(exc).__name__, str(exc), exc.line, exc.col))
+    return hashlib.sha256(outcome.encode()).hexdigest()[:8]
+
+
+# The first 8 hex digits of the sha256 of each outcome, recorded before the
+# reader parsed from token strings: per fixture, the fixture itself and
+# then its edits by seeds 0-49; then the translate-ladder and ingest-import
+# documents of benchmark seed 0.
+PARSE_DIGESTS = {
+    "constructors.ofn": (
+        "bc40865a",
+        "b213e2a8 aa6d44cd 6863e4c5 af718081 149f7aff 7f412a58 5bf03c9a 75fd199a "
+        "c691faa0 9033c601 364b1393 eba93ce3 11a96a7e cd3b557d 5d939c24 e0f95c5d "
+        "5fda048e bc40865a 16b1bd7c 5a3ac1a1 b4c828b5 53f23bb2 98db06a6 bce764c8 "
+        "fe274fb3 de79203d 2a00faab ea85b282 4681a15b c9a6d5cd 60a376ea b54adb60 "
+        "3144ba91 938f72d6 3c45a7f4 0c164990 722df290 a276eb88 9513bf65 86cc1c34 "
+        "6416dac6 d099c498 9ec24d20 eb218121 9e361ce0 e9f5a17a f332e210 e1f90ff6 "
+        "6863e4c5 b7767315"),
+    "forest.ofn": (
+        "ccc0abe8",
+        "8af15af5 b7ef399c 07ac0610 727ed899 e0cb428c f3482580 efe5ec5c 48a60f12 "
+        "8ed14e71 a01eb814 99f54d7c 34505bae 30df2b29 1903b0f3 67672ae2 211e5ab8 "
+        "31919609 9cbd5b45 ccc0abe8 671aa00a e9d54825 cd12838d e98c67c3 6c82db30 "
+        "5a493481 ef4b5c9f 8d32c787 a382df87 e303219b 1e00500c e1945b09 ccc0abe8 "
+        "b5aa869f 18f111b2 dc22e306 ccc0abe8 f99397ef f2891692 3afd05d9 001fe874 "
+        "34bfd557 f172f90b 9deea811 ccc0abe8 3bbf3a30 0c0896b7 580029e4 77031568 "
+        "ccc0abe8 ccc0abe8"),
+    "mixed.ofn": (
+        "8647e8c3",
+        "e71a7062 41a34bc3 8647e8c3 607d3bac e0cca3a6 b71b467b 4353ab67 556f43c1 "
+        "81e6ceec cd11196d bf142bb3 04d72a0c 869d9e05 cb0fea17 b94550d4 42e3805c "
+        "4bc4994e 860108d4 bc5e1348 8647e8c3 0c07cdde e2b48e09 2de409ca acbc75ea "
+        "642c5d94 34a1a52f 86f2a03a 812143b7 acbc75ea 379a07d5 1e727862 8647e8c3 "
+        "2f73a468 6cd38d4f 9cd8853d 8647e8c3 d6f20427 e151d915 67b02460 194178e2 "
+        "15e6c603 f3f87ee1 ee68fdaa 8647e8c3 ed22e9e2 59e79f57 3ae9d864 02ebf827 "
+        "8647e8c3 8647e8c3"),
+    "nested.ofn": (
+        "db2dae30",
+        "60fa024c d79008b2 24941254 e5ad2e0f 1ca6f431 1c1cca90 93df22aa 8ed7b5c0 "
+        "49a77643 97104325 12f244d0 ff2d27d2 08948737 c140990f f4593d01 6a473891 "
+        "b15f8041 225f340d c6314eea 49af3664 a59da404 e8246c67 7f3838dc 755454c9 "
+        "b6caa6af e17c6498 aa56ccd8 4f67658f 2cfd79d2 a60e339a 4ad9ab9a e1ff9981 "
+        "4242bd3d 09306094 64cd6adb d79a0b55 2531a234 74cbd1da 3e3f314a 60557de9 "
+        "d904fd44 db2dae30 fa8c14db 3287b992 439e01e2 78bd453d 3b5afe08 261c43de "
+        "db2dae30 bfcebd5c"),
+}
+GENERATED_DIGESTS = "c830f9cb d7d5b142 9fb4c49c 256faaf5 ae47bb13 e62ba177"
+
+
+def test_parse_outcomes_are_pinned():
+    """Every document parses to the same RawDocument, or fails with the same
+    error class, message, line and column, as the reader did when the
+    digests were recorded."""
+    for path, text in zip(FIXTURE_PATHS, FIXTURE_TEXTS):
+        fixture_digest, edit_digests = PARSE_DIGESTS[path.name]
+        assert _parse_digest(text) == fixture_digest, path.name
+        for seed, want in enumerate(edit_digests.split()):
+            assert _parse_digest(_edit(text, seed)) == want, f"{path.name} edit {seed}"
+    documents = gen.translate_ladder(0) + gen.ingest_import(0)
+    assert [_parse_digest(text) for _, text in documents] == GENERATED_DIGESTS.split()
