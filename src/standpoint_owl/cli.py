@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import count
 from typing import Iterable
 
 from .errors import ParseError, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.assemble import STANDPOINT_LABEL
-from .frontend.functional import Annotation, Declaration, RawDocument
-from .model import (Ria, StandpointKB, rebase_names, standpoint_expr,
-                    validate_roles)
+from .frontend.functional import (PREDECLARED_PREFIXES, Annotation,
+                                  RawDocument, with_names)
+from .model import Ria, StandpointKB, replace, standpoint_expr, validate_roles
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, GUARD_BITS, NOT_ENTAILED,
                      domain_cap, negated_query_kb, search_countermodel)
@@ -81,31 +82,55 @@ def cmd_translate(args) -> int:
     return _translate_and_emit(kb, args, args.rebase)
 
 
+def _annotation_mover(prefixes: dict[str, str], source: dict[str, str]):
+    """A function that gives a source annotation a prefix name that
+    ``prefixes``, the merged document's, binds to the IRI its prefix has in
+    ``source``: its own name if ``prefixes`` binds that name to the same
+    IRI or leaves it free (then it is declared there), else the first free
+    ``ns<k>``, declared there."""
+    def bound(table: dict[str, str], pname: str) -> str | None:
+        return table[pname] if pname in table else PREDECLARED_PREFIXES.get(pname)
+
+    names: dict[str, str] = {}  # source prefix name: merged prefix name
+
+    def moved(ann: Annotation) -> Annotation:
+        old = ann.property_prefix
+        if old not in names:
+            iri, here, new = bound(source, old), bound(prefixes, old), old
+            if here != iri:
+                if here is not None:
+                    new = next(f"ns{k}" for k in count(1) if f"ns{k}" not in prefixes)
+                prefixes[new] = iri
+            names[old] = new
+        return ann if names[old] == old else replace(ann, property_prefix=names[old])
+    return moved
+
+
 def cmd_import(args) -> int:
     standpoint = standpoint_expr(args.standpoint)  # raises BadName on a bad name
     doc_in = parse_document(_read(args.input))
-    doc_src = parse_document(_read(args.source))
-
     token = STAR_TOKEN if args.standpoint == "*" else args.standpoint
-    imported_ns = f"{doc_in.base_iri}/imported/{token}#"
-    names: dict = {}  # each source name, rebased once
-    declarations = list(doc_in.declarations)
-    for decl in doc_src.declarations:
-        declarations.append(Declaration(decl.kind, rebase_names(decl.name, imported_ns, names)))
+    # Read straight into the imported namespace, so nothing is copied.
+    doc_src = parse_document(_read(args.source),
+                             namespace=f"{doc_in.base_iri}/imported/{token}#")
+
+    prefixes = dict(doc_in.prefixes)
+    moved = _annotation_mover(prefixes, dict(doc_src.prefixes))
     axioms = list(doc_in.axioms)
     box_ann = Annotation("", STANDPOINT_LABEL, _sp_axiom_payload(None, "Box", standpoint))
     for axiom, annotations in doc_src.axioms:
-        rebased = rebase_names(axiom, imported_ns, names)
-        if isinstance(rebased, Ria):
-            axioms.append((rebased, ()))
+        if isinstance(axiom, Ria):
+            axioms.append((axiom, ()))
         else:
-            axioms.append((rebased, tuple(annotations) + (box_ann,)))
-    merged = RawDocument(base_iri=doc_in.base_iri, prefixes=doc_in.prefixes,
-                         ontology_annotations=doc_in.ontology_annotations,
-                         declarations=tuple(declarations), axioms=tuple(axioms))
+            axioms.append((axiom, (*map(moved, annotations), box_ann)))
+    merged = with_names(RawDocument(
+        base_iri=doc_in.base_iri, prefixes=tuple(prefixes.items()),
+        ontology_annotations=doc_in.ontology_annotations,
+        declarations=doc_in.declarations + doc_src.declarations,
+        axioms=tuple(axioms)), doc_in.names | doc_src.names)
     kb = assemble_kb(merged)  # rejects name collisions and bad annotations
     validate_roles(kb)
-    n_annotated = sum(1 for _, anns in merged.axioms if box_ann in anns)
+    n_annotated = sum(1 for axiom, _ in doc_src.axioms if not isinstance(axiom, Ria))
     print(f"imported {n_annotated} axioms under standpoint "
           f"{args.standpoint!r}", file=sys.stderr)
     if args.translate:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..errors import (DuplicateAxiomName, GrammarViolation, ReservedName,
                       SPAxiomOnRIA, StandpointOwlError)
 from ..model import (Atom, Box, Diamond, Equiv, Gci, Ria, Signature,
-                     StandpointKB, entity_names_in, make_kb)
+                     StandpointKB, entity_names_in, signature_over)
 from ..normalizer import desugar_sharpening
 from .functional import Annotation, RawDocument
 from .labels import (BoolCombLabel, LabeledConstruct, SharpeningLabel,
@@ -68,7 +68,10 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
     only when no such error and no bad label is found, ReservedName if any
     entity local uses the mangling separator.
     Unresolved references are deliberately left to the normalizer.  Each
-    distinct label literal is parsed once.
+    distinct label literal is parsed once.  The signature is the document's
+    ``names`` and the names of each distinct label construct (of an
+    axiom-level label, its standpoint expression), so the axioms are not
+    walked again.
     """
     base = doc.default_namespace
     formulas = []
@@ -114,12 +117,15 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
             else:
                 formulas.append(formula)
 
-    declared = Signature(
-        concepts=frozenset(d.name for d in doc.declarations if d.kind == "concept"),
-        roles=frozenset(d.name for d in doc.declarations if d.kind == "role"),
-        individuals=frozenset(d.name for d in doc.declarations if d.kind == "individual"),
-    )
-    kb = make_kb(rias, plain_axioms, formulas, named_axioms, doc.base_iri,
-                 declared, base)
-    _check_locals(doc, kb.signature)
-    return kb
+    label_roots = []
+    for construct in parsed.values():
+        if isinstance(construct, BoolCombLabel):
+            label_roots.append(construct.formula)
+        elif isinstance(construct, SharpeningLabel):
+            label_roots += (construct.narrower, construct.wider)
+        else:
+            label_roots.append(construct.expr)
+    signature = signature_over(label_roots, doc.names)
+    _check_locals(doc, signature)
+    return StandpointKB(tuple(rias), tuple(plain_axioms), tuple(formulas),
+                        named_axioms, signature, doc.base_iri, base)

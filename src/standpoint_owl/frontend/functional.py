@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate, islice
 from operator import itemgetter
 
@@ -31,7 +32,7 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
                      Some, Top, UNIVERSAL, concept_name,
-                     individual_name, record, role_name)
+                     individual_name, iter_nodes, record, role_name)
 
 
 @record
@@ -52,6 +53,8 @@ class Declaration:
 
 @record
 class RawDocument:
+    """A document as read: its prefixes, its annotations as written, and
+    its declarations and axioms, whose names are ``names``."""
     base_iri: str
     prefixes: tuple[tuple[str, str], ...]
     ontology_annotations: tuple[Annotation, ...]
@@ -64,6 +67,24 @@ class RawDocument:
             if pname == "":
                 return iri
         return self.base_iri + "#"
+
+    @cached_property
+    def names(self) -> frozenset[EntityName]:
+        """Every entity name of the declarations and the axioms, found by a
+        walk on first use.  ``parse_document`` hands over the names it
+        interned instead (see `with_names`), so a read document is not
+        walked."""
+        return frozenset(
+            [d.name for d in self.declarations]
+            + [n for axiom, _ in self.axioms for n in iter_nodes(axiom)
+               if type(n) is EntityName])
+
+
+def with_names(doc: RawDocument, names: frozenset[EntityName]) -> RawDocument:
+    """``doc`` with ``names`` as its ``names``, which must be what the walk
+    would find."""
+    doc.__dict__["names"] = names
+    return doc
 
 
 _NEWLINE_RE = re.compile("\n")
@@ -120,6 +141,12 @@ _CE_WORDS = {"ObjectComplementOf", "ObjectIntersectionOf", "ObjectUnionOf",
              "ObjectAllValuesFrom", "ObjectSomeValuesFrom", "ObjectHasSelf",
              "ObjectMaxCardinality", "ObjectMinCardinality", "ObjectOneOf"}
 _OWL_CLASSES = {"owl:Thing": Top, "owl:Nothing": Bottom}
+# The prefixes OWL 2 declares for every document (Structural Specification,
+# section 2.4); an annotation property may use them undeclared.
+PREDECLARED_PREFIXES = {"rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
+                        "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
+                        "xsd": "http://www.w3.org/2001/XMLSchema#",
+                        "owl": "http://www.w3.org/2002/07/owl#"}
 # The declaration word of each entity kind, with the kind and its name
 # maker, in the order the serializer writes declarations.
 DECLARATION_KINDS = {"Class": ("concept", concept_name),
@@ -132,8 +159,9 @@ class _DocParser:
     takes the next one.  The grammar takes no bad token, so only a text
     that fails is searched for one (``lex_error``)."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, namespace: str | None = None):
         self.text = text
+        self.namespace = namespace
         # ["", gap, token, "", gap, token, ..., ""]: no text lies between matches.
         self.pieces = _TOKEN_RE.split(text)
         self.toks = self.pieces[-2::-3]
@@ -213,6 +241,8 @@ class _DocParser:
         base = self.prefixes.get(prefix)
         if base is None:
             raise ParseError(f"undeclared prefix {prefix!r}", *self.at())
+        if self.namespace is not None:
+            base = self.namespace
         name = self.names.get((maker, base, local)) or maker(local, base)
         self.names[maker, base, local] = self.by_text[maker][tok] = name
         return name
@@ -271,12 +301,14 @@ class _DocParser:
         prop = pop()
         if not _is_name(prop):
             raise self.got("annotation property")
+        prefix, _, local = prop.partition(":")
+        if prefix not in self.prefixes and prefix not in PREDECLARED_PREFIXES:
+            raise ParseError(f"undeclared prefix {prefix!r}", *self.at())
         lit = pop()
         if lit[:1] != '"' or lit == '"':
             raise self.got("string literal")
         line, col = self.at()
         self.expect(")")
-        prefix, _, local = prop.partition(":")
         return Annotation(prefix, local, _literal(lit), line, col)
 
     def declaration(self) -> Declaration:
@@ -393,14 +425,21 @@ class _DocParser:
         return out
 
 
-def parse_document(text: str) -> RawDocument:
+def parse_document(text: str, namespace: str | None = None) -> RawDocument:
     """Parse a document into its raw structure, keeping annotation literals
     verbatim.  Transitivity and ABox assertions are desugared on the fly:
     TransitiveObjectProperty(r) becomes the chain r∘r ⊑ r, ClassAssertion
-    becomes {a} ⊑ C and ObjectPropertyAssertion becomes {a} ⊑ ∃r.{b}."""
-    parser = _DocParser(text)
+    becomes {a} ⊑ C and ObjectPropertyAssertion becomes {a} ⊑ ∃r.{b}.
+
+    Each distinct name is built once, and the document's ``names`` are the
+    names so built.  A prefixed name must use a declared prefix (an
+    annotation property may also use one of PREDECLARED_PREFIXES).  Given
+    a ``namespace``, every entity name is read into it instead of its
+    prefix's namespace, so names equal in kind and local name are one name
+    there; prefixes and annotations stay as written."""
+    parser = _DocParser(text, namespace)
     try:
-        return parser.document()
+        return with_names(parser.document(), frozenset(parser.names.values()))
     except (ParseError, UnsupportedConstruct, RecursionError):
         error = parser.lex_error()
         if error is None:

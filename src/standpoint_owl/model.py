@@ -25,7 +25,7 @@ import re
 from functools import cached_property
 from itertools import islice
 from operator import is_
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (BadName, CyclicRoleOrder, MalformedRIA,
                      NonSimpleInRestriction)
@@ -771,16 +771,25 @@ def signature_of(kb: StandpointKB) -> Signature:
     """The exact sets of names occurring anywhere in the KB, including inside
     annotations-turned-formulas and standpoint expressions.  The universal
     standpoint ``*`` is always present."""
-    names: dict[str, set] = {"concept": set(), "role": set(), "individual": set()}
+    return signature_over(
+        (*kb.rias, *kb.plain_axioms, *kb.formulas, *kb.named_axioms.values()))
+
+
+def signature_over(roots, names: Iterable[EntityName] = ()) -> Signature:
+    """The signature of the entity names ``names`` and of every name that
+    occurs in ``roots``, with the universal standpoint ``*``."""
+    names_of: dict[str, set] = {"concept": set(), "role": set(), "individual": set()}
+    for name in names:
+        names_of[name.kind].add(name)
     standpoints: set[str] = {UNIVERSAL_STANDPOINT}
-    for root in (*kb.rias, *kb.plain_axioms, *kb.formulas, *kb.named_axioms.values()):
+    for root in roots:
         for node in iter_nodes(root):
             if type(node) is EntityName:
-                names[node.kind].add(node)
+                names_of[node.kind].add(node)
             elif type(node) is NamedStandpoint:
                 standpoints.add(node.name)
-    return Signature(frozenset(names["concept"]), frozenset(names["role"]),
-                     frozenset(names["individual"]), frozenset(standpoints))
+    return Signature(frozenset(names_of["concept"]), frozenset(names_of["role"]),
+                     frozenset(names_of["individual"]), frozenset(standpoints))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     INDEX_SENTINEL, InverseRole, NamedStandpoint, Negation,
                     Nominal, Not, Or, PlainAxiom, PlainKB, Ria, RoleExpr, Some,
                     SpIntersection, SpUnion, StandpointExpr, StandpointFormula,
-                    StandpointKB, Star, Top, UniversalRole, entity_names_in)
+                    StandpointKB, Star, Top, UniversalRole)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import DECLARATION_KINDS, RawDocument
 
@@ -358,11 +358,10 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
     """The document of ``serialize_document`` in pieces, each ending in a
     newline: the header (prefixes, the ``Ontology(`` line, the ontology
     annotations and the declarations), one piece per axiom, and the
-    closing ``)``."""
+    closing ``)``.  A namespace of ``doc.names`` that no prefix covers gets
+    the first free ``ns<k>``, in sorted order."""
     covered = {iri for _, iri in doc.prefixes}
-    bases = {d.name.base for d in doc.declarations}
-    for axiom, _ in doc.axioms:
-        bases.update(n.base for n in entity_names_in(axiom))
+    bases = {n.base for n in doc.names}
     table = dict(doc.prefixes)
     missing = sorted(b for b in bases if b not in covered)
     used = set(table.keys())

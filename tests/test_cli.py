@@ -16,12 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import standpoint_owl
-from standpoint_owl import cli
+from standpoint_owl import cli, model, serializer
 from standpoint_owl.cli import main
+from standpoint_owl.errors import ParseError
 from standpoint_owl.frontend import assemble_kb, parse_document, parse_simple_query
-from standpoint_owl.model import And, EntityName, Gci, PlainKB, iter_nodes
+from standpoint_owl.frontend.assemble import STANDPOINT_LABEL
+from standpoint_owl.frontend.functional import (PREDECLARED_PREFIXES, Annotation,
+                                                Declaration, RawDocument)
+from standpoint_owl.model import (And, EntityName, Gci, PlainKB, Ria, iter_nodes,
+                                  rebase_names, standpoint_expr)
 from standpoint_owl.oracle import find_plain_model, negated_query_kb
-from standpoint_owl.serializer import serialize_document, serialize_kb
+from standpoint_owl.serializer import (_sp_axiom_payload, serialize_document,
+                                       serialize_kb)
 from standpoint_owl.translator import translate_kb
 
 from conftest import FIXTURES
@@ -259,6 +265,156 @@ class TestImport:
         doc_a = write(tmp_path, "a.ofn", f"Ontology(<urn:a>\n{named}\n)")
         doc_b = write(tmp_path, "b.ofn", f"Ontology(<urn:b>\n{named}\n)")
         assert main(["import", doc_a, doc_b, "--standpoint", "s"]) == 2
+
+
+def rebased_merge(main_text, source_text, standpoint):
+    """The merged document as ``import`` built it by copying each source
+    name into the imported namespace with ``rebase_names``: the reference
+    for reading the source straight into that namespace."""
+    doc_in, doc_src = parse_document(main_text), parse_document(source_text)
+    token = "STAR" if standpoint == "*" else standpoint
+    ns, names = f"{doc_in.base_iri}/imported/{token}#", {}
+    declarations = list(doc_in.declarations) + [
+        Declaration(d.kind, rebase_names(d.name, ns, names)) for d in doc_src.declarations]
+    box = Annotation("", STANDPOINT_LABEL,
+                     _sp_axiom_payload(None, "Box", standpoint_expr(standpoint)))
+    axioms = list(doc_in.axioms)
+    for axiom, annotations in doc_src.axioms:
+        rebased = rebase_names(axiom, ns, names)
+        axioms.append((rebased, ()) if isinstance(rebased, Ria)
+                      else (rebased, tuple(annotations) + (box,)))
+    return serialize_document(RawDocument(doc_in.base_iri, doc_in.prefixes,
+                                          doc_in.ontology_annotations,
+                                          tuple(declarations), tuple(axioms)))
+
+
+TWO_PREFIXES_SOURCE = """Prefix(:=<urn:src#>)
+Prefix(x:=<urn:x#>)
+Prefix(y:=<urn:src#>)
+Ontology(<urn:src>
+Declaration(Class(x:A))
+SubClassOf(:A x:A)
+SubClassOf(owl:Thing ObjectSomeValuesFrom(y:r ObjectUnionOf(:A owl:Nothing)))
+SubObjectPropertyOf(ObjectPropertyChain(:r x:r) y:r)
+ClassAssertion(x:A y:a)
+)
+"""
+
+
+class TestImportReadsIntoTheNamespace:
+    """``import`` reads the source into ``<input-iri>/imported/<S>#``; the
+    merged document is the one that copying every source name gave."""
+
+    def check(self, tmp_path, capsys, main_text, source_text, standpoint):
+        files = [write(tmp_path, "main.ofn", main_text),
+                 write(tmp_path, "source.ofn", source_text)]
+        assert main(["import", *files, "--standpoint", standpoint, "--dump"]) == 0
+        assert capsys.readouterr().out == rebased_merge(main_text, source_text,
+                                                        standpoint)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generated_sources(self, tmp_path, capsys, seed):
+        (_, main_text), (_, source_text) = gen.ingest_import(seed)
+        self.check(tmp_path, capsys, main_text, source_text, "ext")
+
+    @pytest.mark.parametrize("standpoint", ["s", "*"])
+    def test_two_prefixes_sharing_a_local_name(self, tmp_path, capsys, standpoint):
+        self.check(tmp_path, capsys, (FIXTURES / "constructors.ofn").read_text(
+            encoding="utf-8"), TWO_PREFIXES_SOURCE, standpoint)
+
+    def test_annotated_fixture_into_itself(self, tmp_path, capsys):
+        text = (FIXTURES / "forest.ofn").read_text(encoding="utf-8")
+        self.check(tmp_path, capsys, text, text, "s")
+
+    def test_undeclared_source_prefix_keeps_its_error(self, tmp_path, capsys):
+        source_text = TWO_PREFIXES_SOURCE.replace("ClassAssertion(x:A y:a)",
+                                                  "ClassAssertion(x:A zz:a)")
+        with pytest.raises(ParseError) as err:
+            rebased_merge(SOURCE_DOC, source_text, "s")
+        files = [write(tmp_path, "main.ofn", SOURCE_DOC),
+                 write(tmp_path, "source.ofn", source_text)]
+        assert main(["import", *files, "--standpoint", "s", "--dump"]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert "at 9:20" in str(err.value)
+
+    def test_no_rebase_and_no_walk_for_the_document(self, forest_path, tmp_path,
+                                                    capsys, monkeypatch):
+        """``import`` calls no ``rebase_names``; ``document_pieces`` of the
+        merged document and of a read one walks no axiom for its names."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        merged = []
+        pieces = cli.document_pieces
+        monkeypatch.setattr(cli, "document_pieces",
+                            lambda doc: merged.append(doc) or pieces(doc))
+        for module in (model, cli):
+            monkeypatch.setattr(module, "rebase_names", forbidden, raising=False)
+        src = write(tmp_path, "src.ofn", TWO_PREFIXES_SOURCE)
+        assert main(["import", forest_path, src, "--standpoint", "LC", "--dump"]) == 0
+        out = capsys.readouterr().out
+        read = parse_document(out)
+        monkeypatch.setattr(model, "iter_nodes", forbidden)
+        for module in (model, serializer):
+            monkeypatch.setattr(module, "entity_names_in", forbidden, raising=False)
+        assert serialize_document(merged[0]) == out
+        assert serialize_document(read) == out
+
+
+def annotation_iris(doc):
+    """The IRI of the property of every axiom annotation of ``doc``."""
+    prefixes = dict(doc.prefixes)
+    return [prefixes.get(a.property_prefix, PREDECLARED_PREFIXES.get(a.property_prefix))
+            + a.property_local for _, anns in doc.axioms for a in anns]
+
+
+class TestImportedAnnotationPrefixes:
+    """A copied source annotation keeps its IRI: its prefix name is
+    declared where the main document leaves it free, and moves to the
+    first free ``ns<k>`` where the main document binds it elsewhere."""
+
+    SOURCE = """Prefix(:=<urn:src#>)
+Prefix(q:=<urn:q#>)
+Prefix(p:=<urn:p#>)
+Prefix(m:=<urn:m#>)
+Ontology(<urn:src>
+SubClassOf(Annotation(q:note "a") Annotation(p:note "b") Annotation(rdfs:label "c") \
+Annotation(:note "d") Annotation(m:note "e") Annotation(q:other "f") :C :D)
+)
+"""
+    MAIN = """Prefix(:=<urn:m#>)
+Prefix(p:=<urn:elsewhere#>)
+Prefix(ns1:=<urn:ns1#>)
+Ontology(<urn:m>
+SubClassOf(Annotation(p:note "g") :A :B)
+)
+"""
+
+    def test_merged_document_parses_back_with_the_source_iris(self, tmp_path, capsys):
+        files = [write(tmp_path, "main.ofn", self.MAIN),
+                 write(tmp_path, "src.ofn", self.SOURCE)]
+        assert main(["import", *files, "--standpoint", "s", "--dump"]) == 0
+        out = capsys.readouterr().out
+        merged = parse_document(out)
+        assert annotation_iris(merged) == [
+            "urn:elsewhere#note", "urn:q#note",
+            "urn:p#note", "http://www.w3.org/2000/01/rdf-schema#label",
+            "urn:src#note", "urn:m#note", "urn:q#other", "urn:m#standpointLabel"]
+        assert dict(merged.prefixes) == {"": "urn:m#", "p": "urn:elsewhere#",
+                                         "ns1": "urn:ns1#", "q": "urn:q#",
+                                         "ns2": "urn:p#", "ns3": "urn:src#",
+                                         "m": "urn:m#", "ns4": "urn:m/imported/s#"}
+        assert main(["translate", write(tmp_path, "merged.ofn", out), "--dump"]) == 0
+
+    def test_undeclared_annotation_prefix_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "z.ofn",
+                     "Prefix(:=<urn:z#>)\nOntology(<urn:z>\n"
+                     'Annotation(zz:standpointLabel "<Sharpening><Standpoint name=\\"a\\"/>'
+                     '<Standpoint name=\\"b\\"/></Sharpening>")\n)\n')
+        assert main(["translate", path, "--dump"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: undeclared prefix 'zz' at 3:12\n"
 
 
 WIDE_DOC = ("Prefix(:=<urn:w#>)\nOntology(<urn:w>\nSubClassOf(ObjectIntersectionOf("

@@ -9,15 +9,16 @@ from standpoint_owl.errors import (DuplicateAxiomName, GrammarViolation,
 from standpoint_owl.frontend import (Annotation, RawDocument, assemble_kb,
                                      parse_document)
 from standpoint_owl.frontend.assemble import STANDPOINT_LABEL
+from standpoint_owl import model
 from standpoint_owl.model import (And, Atom, Bottom, Box, Conjunction,
-                                  Diamond, Equiv, Gci, SpMinus, Some, Star,
-                                  Top, rebase_names)
+                                  Diamond, Equiv, Gci, Signature, SpMinus,
+                                  Some, Star, Top, make_kb, rebase_names)
 from standpoint_owl.serializer import (_bool_comb_payload, _sp_axiom_payload,
                                        serialize_document)
 
-from conftest import (C, FOREST_BASE, R, S, assembled_label_by_label,
-                      label_literals)
-from genkb import random_kb, top_level_kb
+from conftest import (C, FIXTURES, FOREST_BASE, R, S,
+                      assembled_label_by_label, label_literals)
+from genkb import random_kb, top_level_kb, widened
 
 NS = "http://ex.org/o#"
 
@@ -149,7 +150,7 @@ def genkb_document(kb):
     diamond of an atom annotates its axiom, every other formula is an
     ontology-level booleanCombination, and plain axioms stay unannotated.
     A formula the payload grammar cannot write (a box over a Boolean
-    combination) is left out."""
+    combination) is left out; role axioms stay unannotated too."""
     ontology, axioms = [], []
     for f in (rebase_names(f, NS) for f in kb.formulas):
         if type(f) in (Box, Diamond) and type(f.arg) is Atom:
@@ -159,7 +160,7 @@ def genkb_document(kb):
         with contextlib.suppress(GrammarViolation):
             payload = _bool_comb_payload(f, NS)
             ontology.append(Annotation("", STANDPOINT_LABEL, payload))
-    axioms += [(rebase_names(ax, NS), ()) for ax in kb.plain_axioms]
+    axioms += [(rebase_names(ax, NS), ()) for ax in (*kb.plain_axioms, *kb.rias)]
     return serialize_document(RawDocument(NS[:-1], (("", NS),), tuple(ontology),
                                           (), tuple(axioms)))
 
@@ -240,3 +241,82 @@ class TestReservedNames:
     def test_other_assembly_errors_come_first(self, body, error):
         with pytest.raises(error):
             kb_from(body)
+
+
+def walked_kb(doc, kb):
+    """``kb`` with the signature that ``make_kb`` walks from its contents,
+    joined with the declared names of ``doc``."""
+    declared = Signature(*(frozenset(d.name for d in doc.declarations if d.kind == kind)
+                           for kind in ("concept", "role", "individual")))
+    return make_kb(kb.rias, kb.plain_axioms, kb.formulas, kb.named_axioms,
+                   kb.base_iri, declared, kb.namespace)
+
+
+BOOL_COMB = ('<booleanCombination><OR><standpointAxiom name="§ax"/>'
+             '<Box><Standpoint name="u"/><subClassOf><LHS>Label or (r some Only)'
+             '</LHS><RHS>A</RHS></subClassOf></Box></OR></booleanCombination>')
+SHARPENING = '<Sharpening><Standpoint name="s"/><Standpoint name="t"/></Sharpening>'
+
+
+class TestSignatureFromNames:
+    """``assemble_kb`` builds its signature from the document's names and
+    its label constructs; it equals the one ``make_kb`` walks from the KB,
+    joined with the declared names."""
+
+    def test_fixtures(self):
+        for path in sorted(FIXTURES.glob("*.ofn")):
+            doc = parse_document(path.read_text(encoding="utf-8"))
+            kb = assemble_kb(doc)
+            assert kb == walked_kb(doc, kb), path.name
+
+    def test_generated_documents(self):
+        label_only = 0
+        for seed in range(40):
+            for kb in (random_kb(seed, normalized=False), top_level_kb(seed),
+                       widened(random_kb(seed))):
+                doc = parse_document(genkb_document(kb))
+                kb = assemble_kb(doc)
+                assert kb == walked_kb(doc, kb)
+                label_only += len(kb.signature.concepts - doc.names)
+        assert label_only > 0  # some names occur in label payloads only
+
+    def test_named_axioms_sharpenings_and_two_prefixes_of_one_namespace(self):
+        named = BOX_S.replace("<standpointAxiom>", '<standpointAxiom name="§ax">')
+        doc = parse_document("\n".join([
+            f"Prefix(:=<{NS}>)", f"Prefix(o:=<{NS}>)", f"Ontology(<{NS[:-1]}>",
+            *(annotated("X()", payload)[2:-1] for payload in (BOOL_COMB, SHARPENING)),
+            "Declaration(Class(:Declared))", "Declaration(NamedIndividual(o:a))",
+            annotated("SubClassOf(:A o:B)", named),
+            annotated("SubClassOf(o:B ObjectOneOf(:a))", BOX_S),
+            "SubObjectPropertyOf(ObjectPropertyChain(:r o:t) :r)", ")"]))
+        kb = assemble_kb(doc)
+        assert kb == walked_kb(doc, kb)
+        assert set(kb.named_axioms) == {"ax"}
+        assert kb.signature.standpoints == {"*", "s", "t", "u"}
+        assert sorted(n.local for n in kb.signature.concepts) == [
+            "A", "B", "Declared", "Label", "Only"]
+        assert {n.base for n in doc.names} == {NS}
+
+
+def test_assembly_walks_no_axiom_of_a_read_document(monkeypatch):
+    """Only label constructs are walked; ``signature_of`` is not called."""
+    walk = model.iter_nodes
+    roots = []
+
+    def counting(x, stop=()):
+        roots.append(x)
+        return walk(x, stop)
+
+    def forbidden(*args):
+        raise AssertionError("signature_of called")
+
+    for path in sorted(FIXTURES.glob("*.ofn")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        roots.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "iter_nodes", counting)
+            patch.setattr(model, "signature_of", forbidden)
+            assemble_kb(doc)
+        axioms = {id(axiom) for axiom, _ in doc.axioms}
+        assert roots and not any(id(root) in axioms for root in roots), path.name
+        assert len(roots) <= 2 * len(set(label_literals(doc))), path.name

@@ -13,7 +13,7 @@ from standpoint_owl.frontend import parse_document
 from standpoint_owl.frontend.functional import _DocParser, _value
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, Equiv,
                                   Gci, HasSelf, Not, Or, Ria, Some, Top,
-                                  UNIVERSAL)
+                                  UNIVERSAL, entity_names_in, replace)
 
 from conftest import FIXTURES, C, O, R, Rinv
 
@@ -200,6 +200,89 @@ class TestNames:
         with pytest.raises(ParseError) as err:
             parse_document(f"Prefix(:=<urn:o#>)\nOntology(<urn:o>\n{body}\n)")
         assert str(err.value) == message
+
+
+class TestDocumentNames:
+    """``names`` of a read document are the names the reader built, and
+    equal what the walk over its declarations and axioms finds."""
+
+    @staticmethod
+    def walked(parsed):
+        names = {d.name for d in parsed.declarations}
+        for axiom, _ in parsed.axioms:
+            names.update(entity_names_in(axiom))
+        return names
+
+    def test_fixtures_and_generated_documents(self):
+        documents = [path.read_text(encoding="utf-8") for path in FIXTURE_PATHS]
+        documents += [text for seed in (0, 1) for _, text in
+                      gen.translate_ladder(seed) + gen.ingest_import(seed)]
+        for text in documents:
+            parsed = parse_document(text)
+            assert parsed.names == self.walked(parsed)
+            assert replace(parsed).names == parsed.names  # a copy walks
+
+    def test_each_name_is_the_object_in_the_axioms(self):
+        parsed = parse_document(doc(
+            "Declaration(NamedIndividual(:a))\nSubClassOf(:A o:A)\n"
+            "ClassAssertion(:A :a)\nSubObjectPropertyOf(:r :t)",
+            prefix=f"Prefix(:=<{NS}>)\nPrefix(o:=<{NS}>)\n"))
+        ids = {id(n) for n in parsed.names}
+        assert all(id(n) in ids for axiom, _ in parsed.axioms
+                   for n in entity_names_in(axiom))
+        assert sorted(map(repr, parsed.names)) == ["c:A", "i:a", "r:r", "r:t"]
+
+    def test_a_hand_built_document_walks(self):
+        parsed = parse_document(doc("SubClassOf(:A ObjectOneOf(:a))"))
+        built = replace(parsed, declarations=())
+        assert built.names == {C("A", NS).name, O("a", NS).individual}
+
+
+class TestNamespace:
+    """``parse_document(text, namespace=...)`` reads every entity name into
+    the namespace, after checking its prefix."""
+
+    def test_every_name_moves(self):
+        text = doc("Declaration(Class(x:A))\nSubClassOf(:A x:A)\n"
+                   "SubClassOf(owl:Thing ObjectSomeValuesFrom(x:r :B))",
+                   prefix=f"Prefix(:=<{NS}>)\nPrefix(x:=<urn:x#>)\n")
+        parsed = parse_document(text, namespace="urn:n#")
+        assert {n.base for n in parsed.names} == {"urn:n#"}
+        assert sorted(map(repr, parsed.names)) == ["c:A", "c:B", "r:r"]
+        (gci, _), _ = parsed.axioms
+        assert gci.lhs.name is gci.rhs.name is parsed.declarations[0].name
+        assert parsed.prefixes == (("", NS), ("x", "urn:x#"))
+        assert parsed.default_namespace == NS
+
+    def test_undeclared_prefix_keeps_its_error(self):
+        text = doc("SubClassOf(:A :B)\nSubClassOf(:A zz:B)")
+        errors = []
+        for namespace in (None, "urn:n#"):
+            with pytest.raises(ParseError) as err:
+                parse_document(text, namespace=namespace)
+            errors.append((str(err.value), err.value.line, err.value.col))
+        assert errors[0] == errors[1] == ("undeclared prefix 'zz' at 4:15", 4, 15)
+
+
+class TestAnnotationPrefixes:
+    """An annotation property's prefix must be declared, as an entity
+    name's must, unless OWL 2 predeclares it."""
+
+    def test_undeclared_prefix_rejected_at_the_property(self):
+        with pytest.raises(ParseError) as err:
+            parse_document(doc('SubClassOf(:A :B)\n'
+                               'SubClassOf(Annotation(zz:standpointLabel "x") :A :B)'))
+        assert str(err.value) == "undeclared prefix 'zz' at 4:23"
+
+    def test_ontology_annotation_too(self):
+        with pytest.raises(ParseError, match="undeclared prefix 'q' at 3:12"):
+            parse_document(doc('Annotation(q:note "x")'))
+
+    @pytest.mark.parametrize("prefix", ["rdf", "rdfs", "xsd", "owl", "", "q"])
+    def test_declared_and_predeclared_prefixes_accepted(self, prefix):
+        parsed = parse_document(doc(f'Annotation({prefix}:note "x")',
+                                    prefix=f"Prefix(q:=<urn:q#>)\nPrefix(:=<{NS}>)\n"))
+        assert parsed.ontology_annotations[0].property_prefix == prefix
 
 
 class TestPositions:
