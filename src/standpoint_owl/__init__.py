@@ -6,7 +6,7 @@ from .frontend import (assemble_kb, parse_document, parse_manchester_class,
                        parse_simple_query, parse_standpoint_label)
 from .model import PlainKB, StandpointKB, make_kb, signature_of, validate_roles
 from .normalizer import (count_precisifications, desugar_sharpening,
-                         normalize_kb, resolve_refs, to_nnf)
+                         normalize_kb, to_nnf)
 from .oracle import (PlainInterpretation, StandpointStructure,
                      check_entailment_bounded, eval_concept,
                      find_plain_model, find_standpoint_model, holds_axiom,

@@ -739,10 +739,6 @@ def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:
     return (n for n in iter_nodes(f, (Atom,)) if type(n) is Atom)
 
 
-def walk_refs(f: StandpointFormula) -> Iterator[AxiomRef]:
-    return (n for n in iter_nodes(f, (Atom,)) if type(n) is AxiomRef)
-
-
 def rebase_names(x, base: str, names: dict | None = None):
     """Copy of an axiom/expression with every entity name moved to ``base``.
     ``names`` maps each source name to its copy; calls that share it copy
@@ -790,6 +786,12 @@ def signature_over(roots, names: Iterable[EntityName] = ()) -> Signature:
                 standpoints.add(node.name)
     return Signature(frozenset(names_of["concept"]), frozenset(names_of["role"]),
                      frozenset(names_of["individual"]), frozenset(standpoints))
+
+
+def signature_bases(signature: Signature) -> set[str]:
+    """The bases of the signature's concept, role and individual names."""
+    return {n.base for names in (signature.concepts, signature.roles,
+                                 signature.individuals) for n in names}
 
 
 # ---------------------------------------------------------------------------

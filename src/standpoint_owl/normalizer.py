@@ -1,9 +1,10 @@
 """Normalisation of standpoint formulas.
 
-Brings assembled knowledge bases into the shape the translator expects:
-named-axiom references inlined, sharpenings desugared, negation pushed
-inward by duality until it sits directly on subclass atoms, and the
-precisification bound computed from the diamond count.
+Brings assembled knowledge bases into the shape the translator and the
+oracle expect: named-axiom references inlined and negation pushed inward
+by duality until it sits directly on subclass atoms, in one walk per
+formula that also rejects nested modalities; sharpenings desugared; and
+the precisification bound computed from the diamond count.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from .errors import NestedModality, UnresolvedRef
 from .model import (Atom, AxiomRef, Bottom, Box, Conjunction, Diamond,
                     Disjunction, Equiv, Gci, Negation, SpMinus, StandpointExpr,
-                    StandpointFormula, StandpointKB, Top, iter_nodes, replace,
-                    transform)
+                    StandpointFormula, StandpointKB, Top, iter_nodes, replace)
 
 
 def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointFormula:
@@ -21,37 +21,16 @@ def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointForm
     return Box(SpMinus(e1, e2), Atom(Gci(Top(), Bottom())))
 
 
-def _substitute(f: StandpointFormula, named: dict) -> StandpointFormula:
-    def swap(node):
-        if type(node) is Atom:
-            return node  # holds no reference; keep it without entering
-        if type(node) is AxiomRef:
-            if node.name not in named:
-                raise UnresolvedRef(node.name)
-            return named[node.name]
-        return None
-
-    return transform(f, swap)
-
-
-def resolve_refs(kb: StandpointKB) -> StandpointKB:
-    """Replace every §-reference in the top-level formulas by a copy of the
-    named axiom it points to.  The named-axiom table is kept for reporting;
-    the returned formulas contain no references."""
-    named = dict(kb.named_axioms)
-    formulas = tuple(_substitute(f, named) for f in kb.formulas)
-    return replace(kb, formulas=formulas)
-
-
 def to_nnf(f: StandpointFormula) -> StandpointFormula:
     """Push negation inward until it occurs only directly on subclass atoms.
 
     Negated modalities flip by duality (¬Box e.φ = Diamond e.¬φ and vice
     versa), negated conjunctions/disjunctions by De Morgan, and a negated
     equivalence expands into the disjunction of the two negated inclusions.
-    Positive equivalence atoms are left intact.
+    Positive equivalence atoms are left intact.  A §-reference, or a
+    modality in the scope of another, is rejected.
     """
-    return _nnf(f, False)
+    return _nnf(f, False, {}, False)
 
 
 # The dual of each connective: under a negation, each turns into its dual
@@ -59,12 +38,18 @@ def to_nnf(f: StandpointFormula) -> StandpointFormula:
 _DUAL = {Conjunction: Disjunction, Disjunction: Conjunction, Box: Diamond, Diamond: Box}
 
 
-def _nnf(f: StandpointFormula, negated: bool) -> StandpointFormula:
-    """The NNF of ``f``, or of ¬f when ``negated``."""
+def _nnf(f: StandpointFormula, negated: bool, named: dict,
+         inside: bool) -> StandpointFormula:
+    """The NNF of ``f``, or of ¬f when ``negated``, with each §-reference
+    replaced by its axiom in ``named``; ``inside`` is true in the scope of
+    a modality, where another one is rejected.  A named axiom is inlined
+    as it stands: a reference within it is not looked up."""
     while type(f) is Negation:
         f, negated = f.arg, not negated
     if type(f) is AxiomRef:
-        raise UnresolvedRef(f.name)
+        if f.name not in named:
+            raise UnresolvedRef(f.name)
+        return _nnf(named[f.name], negated, {}, inside)
     if type(f) is Atom:
         if not negated:
             return f
@@ -74,13 +59,10 @@ def _nnf(f: StandpointFormula, negated: bool) -> StandpointFormula:
         return Negation(f)
     ctor = _DUAL[type(f)] if negated else type(f)
     if ctor in (Box, Diamond):
-        return ctor(f.standpoint, _nnf(f.arg, negated))
-    return ctor(_nnf(f.lhs, negated), _nnf(f.rhs, negated))
-
-
-def diamond_count(f: StandpointFormula) -> int:
-    """Number of diamond occurrences in f."""
-    return sum(type(node) is Diamond for node in iter_nodes(f, (Atom,)))
+        if inside:
+            raise NestedModality("standpoint modality in the scope of another")
+        return ctor(f.standpoint, _nnf(f.arg, negated, named, True))
+    return ctor(_nnf(f.lhs, negated, named, inside), _nnf(f.rhs, negated, named, inside))
 
 
 def count_precisifications(kb: StandpointKB) -> int:
@@ -90,31 +72,16 @@ def count_precisifications(kb: StandpointKB) -> int:
     is a diamond, so the bound is the diamond count, floored at one because
     the set of precisifications is never empty.
     """
-    return max(1, sum(map(diamond_count, kb.formulas)))
-
-
-def _modalities(f: StandpointFormula) -> list:
-    """The outermost Box/Diamond subformulas of f."""
-    return [node for node in iter_nodes(f, (Atom, Box, Diamond))
-            if type(node) in (Box, Diamond)]
-
-
-def _check_no_nesting(f: StandpointFormula, inside: bool = False):
-    for modal in _modalities(f):
-        if inside or _modalities(modal.arg):
-            raise NestedModality("standpoint modality in the scope of another")
+    return max(1, sum(type(node) is Diamond for f in kb.formulas
+                      for node in iter_nodes(f, (Atom,))))
 
 
 def normalize_kb(kb: StandpointKB) -> StandpointKB:
-    """Resolve references and rewrite every top-level formula to NNF.
+    """Rewrite every top-level formula to NNF, inlining its §-references,
+    in one pass over it.  The named-axiom table is kept for reporting.
 
     Nested modalities cannot be produced by the input syntax; any
     internally constructed nesting is rejected rather than flattened.
     """
-    kb = resolve_refs(kb)
-    formulas = []
-    for f in kb.formulas:
-        g = to_nnf(f)
-        _check_no_nesting(g)
-        formulas.append(g)
-    return replace(kb, formulas=tuple(formulas))
+    named = kb.named_axioms
+    return replace(kb, formulas=tuple(_nnf(f, False, named, False) for f in kb.formulas))

@@ -33,7 +33,9 @@ precisification at a time and re-evaluates only the formulas that atom
 occurs in; the formulas are compiled once per search into closures that
 give (true, false) masks with one bit per precisification (see
 `_compile`), so a partial assignment that makes a formula false anywhere
-is cut at once.
+is cut at once.  That one walk over each formula also numbers the atoms,
+lists the formulas each atom occurs in and counts p, the modals that need
+a witness precisification; no first model has more than p of them.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability,
 except where the bounds are complete: see `check_entailment_bounded`.
 """
@@ -53,7 +55,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
                     field, iter_nodes, record, replace, signature_of,
-                    walk_atoms, walk_refs)
+                    walk_atoms)
 from .normalizer import normalize_kb
 
 # The most distinct atoms the standpoint search takes on: each position
@@ -742,27 +744,39 @@ def find_plain_model(kb: PlainKB, max_domain: int,
 # Standpoint-structure search (atom-vector decomposition)
 # ---------------------------------------------------------------------------
 
-def _compile(formulas, atom_index: dict, sp_names: list[str]):
-    """Compile the formulas once per search into three-valued evaluators.
+def _compile(formulas, sp_names: list[str]):
+    """Compile the formulas once per search into three-valued evaluators, in
+    one walk over each formula.
 
-    Returns (evaluators, modals).  ``modals`` holds one function per modal
-    operator, mapping (sigma_tuple, full) to the operator's member mask,
-    where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]`` and
-    ``full`` the mask of all precisifications.  ``evaluators`` holds one
-    function per formula, mapping (at, af, members) to its (true, false)
-    masks, one bit per precisification: bit pi is set when the formula is
-    definitely true (false) at pi.  ``at[i]``/``af[i]`` mask the
-    precisifications where atom ``i`` is known true/false, and
-    ``members[j]`` is modal ``j``'s member mask.  Bitwise this is the
-    three-valued logic: negation swaps, conjunction and disjunction combine
-    bitwise, and a box over members M is true when its argument is true
-    throughout M (``t & M == M``), false when it is false somewhere in M
-    (``f & M``), and unknown otherwise; a diamond dually.  A modal's value
-    is the same at every precisification, so it sets all bits (-1) or none;
-    over an empty M a box is true and a diamond false.
+    Returns (atoms, evaluators, users, modals, p).  ``atoms`` holds the
+    distinct TBox axioms of the atoms, numbered in first-occurrence order,
+    in preorder across the formulas.  ``evaluators`` holds one function per
+    formula, mapping (at, af, members) to its (true, false) masks, one bit
+    per precisification: bit pi is set when the formula is definitely true
+    (false) at pi.  ``at[i]``/``af[i]`` mask the precisifications where
+    atom ``i`` is known true/false, and ``members[j]`` is modal ``j``'s
+    member mask.  ``users[i]`` holds the evaluators of the formulas atom
+    ``i`` occurs in, in formula order.  ``modals`` holds one function per
+    modal operator, mapping (sigma_tuple, full) to the operator's member
+    mask, where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]``
+    and ``full`` the mask of all precisifications.  ``p`` is the number of
+    modals that need a witness precisification, floored at one: a diamond
+    under an even number of negations or a box under an odd number, which
+    is the diamond count after NNF.  Bitwise this is the three-valued
+    logic: negation swaps, conjunction and disjunction combine bitwise, and
+    a box over members M is true when its argument is true throughout M
+    (``t & M == M``), false when it is false somewhere in M (``f & M``),
+    and unknown otherwise; a diamond dually.  A modal's value is the same
+    at every precisification, so it sets all bits (-1) or none; over an
+    empty M a box is true and a diamond false.  A §-reference raises
+    UnresolvedRef.
     """
     sp_pos = {name: j for j, name in enumerate(sp_names)}
+    atoms: list = []
+    atom_index: dict = {}
+    users: list[list] = []
     modals: list = []
+    witnesses = 0
 
     def members(e):
         if isinstance(e, Star):
@@ -779,19 +793,25 @@ def _compile(formulas, atom_index: dict, sp_names: list[str]):
         j = sp_pos[e.name]
         return lambda sig, full: sig[j]
 
-    def formula(f):
+    def formula(f, negated):
+        nonlocal witnesses
         if isinstance(f, Atom):
-            i = atom_index[f.axiom]
+            i = atom_index.get(f.axiom)
+            if i is None:
+                i = atom_index[f.axiom] = len(atoms)
+                atoms.append(f.axiom)
+                users.append([])
+            met.add(i)
             return lambda at, af, ms: (at[i], af[i])
         if isinstance(f, Negation):
-            g = formula(f.arg)
+            g = formula(f.arg, not negated)
 
             def negation(at, af, ms):
                 t, fl = g(at, af, ms)
                 return fl, t
             return negation
         if isinstance(f, (Conjunction, Disjunction)):
-            g, h = formula(f.lhs), formula(f.rhs)
+            g, h = formula(f.lhs, negated), formula(f.rhs, negated)
             if isinstance(f, Conjunction):
                 def conjunction(at, af, ms):
                     t1, f1 = g(at, af, ms)
@@ -804,9 +824,14 @@ def _compile(formulas, atom_index: dict, sp_names: list[str]):
                 t2, f2 = h(at, af, ms)
                 return t1 | t2, f1 & f2
             return disjunction
+        if isinstance(f, AxiomRef):
+            raise UnresolvedRef(f.name)
+        # A diamond under an even number of negations needs a witness, and
+        # so does a box under an odd number.
+        witnesses += isinstance(f, Box) == negated
         j = len(modals)
         modals.append(members(f.standpoint))
-        g = formula(f.arg)
+        g = formula(f.arg, negated)
         if isinstance(f, Box):
             def box(at, af, ms):
                 t, fl = g(at, af, ms)
@@ -820,7 +845,14 @@ def _compile(formulas, atom_index: dict, sp_names: list[str]):
             return -1 if t & mask else 0, -1 if fl & mask == mask else 0
         return diamond
 
-    return [formula(f) for f in formulas], modals
+    evaluators = []
+    for f in formulas:
+        met = set()  # the atoms ``formula`` meets in f
+        ev = formula(f, False)
+        evaluators.append(ev)
+        for i in met:
+            users[i].append(ev)
+    return atoms, evaluators, users, modals, max(1, witnesses)
 
 
 def domain_cap(kb: StandpointKB) -> Optional[int]:
@@ -881,44 +913,30 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     significant down, 0 before 1, which visits the vectors in that
     ascending order; a partial assignment that makes a formula false at
     some precisification is cut.  Domain sizes above `domain_cap` are not
-    searched: they hold no first model.
+    searched: they hold no first model.  Nor are precisification counts
+    above p, the modals that need a witness (see `_compile`): a model with
+    more precisifications stays one on a witness for each such modal, at
+    the same domain size, so the first model has at most p.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
     """
-    for f in kb.formulas:
-        for ref in walk_refs(f):
-            raise UnresolvedRef(ref.name)
-
-    atoms: list = []
-    atom_index: dict = {}
-    for f in kb.formulas:
-        for atom in walk_atoms(f):
-            if atom.axiom not in atom_index:
-                atom_index[atom.axiom] = len(atoms)
-                atoms.append(atom.axiom)
-    k = len(atoms)
-
-    base_axioms = list(kb.rias) + list(kb.plain_axioms)
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
-    individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
+    # ``users[i]`` is re-evaluated when the search fixes atom i at a position.
+    atoms, evaluators, users, modals, p = _compile(kb.formulas, sp_names)
+    k = len(atoms)
+    if k > MAX_ATOMS:
+        raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
 
+    base_axioms = list(kb.rias) + list(kb.plain_axioms)
+    individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
     compiled, slots, resize = _compile_checks(
         [(ax, True) for ax in base_axioms]
         + [(ax, polarity) for ax in atoms for polarity in (False, True)], signature)
     individual_slots = [slots.index(ind) for ind in individuals]
     base = compiled[:len(base_axioms)]
     atom_pairs = [compiled[j:j + 2] for j in range(len(base_axioms), len(compiled), 2)]
-    if k > MAX_ATOMS:
-        raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
-    evaluators, modals = _compile(kb.formulas, atom_index, sp_names)
-    # The evaluators of the formulas each atom occurs in, re-evaluated when
-    # the search fixes that atom at a position.
-    users: list[list] = [[] for _ in atoms]
-    for f, ev in zip(kb.formulas, evaluators):
-        for i in {atom_index[atom.axiom] for atom in walk_atoms(f)}:
-            users[i].append(ev)
 
     cap = None
     for n in range(1, max_domain + 1):
@@ -966,7 +984,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                 known[i] ^= bit
 
         bits = _bits_needed(slots, n)
-        for m in range(1, max_prec + 1):
+        for m in range(1, min(max_prec, p) + 1):
             if bits * m > guard_bits:
                 raise SearchSpaceTooLarge(
                     f"{m} precisifications over domain size {n} exceed the "

@@ -35,7 +35,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     INDEX_SENTINEL, InverseRole, NamedStandpoint, Negation,
                     Nominal, Not, Or, PlainAxiom, PlainKB, Ria, RoleExpr, Some,
                     SpIntersection, SpUnion, StandpointExpr, StandpointFormula,
-                    StandpointKB, Star, Top, UniversalRole)
+                    StandpointKB, Star, Top, UniversalRole, signature_bases)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import DECLARATION_KINDS, RawDocument
 
@@ -299,12 +299,6 @@ def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
                 yield opening + f"))\n{opening}".join(group) + "))\n"
 
 
-def _bases_of_signature(signature) -> set[str]:
-    return ({n.base for n in signature.concepts}
-            | {n.base for n in signature.roles}
-            | {n.base for n in signature.individuals})
-
-
 def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     """The document of ``serialize_kb`` in pieces, each ending in a
     newline: the header (prefixes, the ``Ontology(`` line and the ontology
@@ -317,7 +311,7 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
         names, copies = kb.signature, 1
     else:
         names, copies = kb.names, kb.copies
-    ns = _Namespaces(default_ns, _bases_of_signature(names))
+    ns = _Namespaces(default_ns, signature_bases(names))
     head = ns.prefix_lines()
     head.append(f"Ontology(<{kb.base_iri}>")
     if isinstance(kb, StandpointKB):

@@ -54,16 +54,16 @@ from __future__ import annotations
 
 from itertools import count
 
-from .errors import ReservedName, UnresolvedRef
+from .errors import NestedModality, ReservedName, UnresolvedRef
 from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     ConceptName, Conjunction, Diamond, Disjunction,
                     EntityName, Equiv, Family, Gci, HasSelf, INDEX_SENTINEL,
                     Negation, Nominal, Not, Or, PlainKB, Ria, RoleExpr,
                     Signature, Some, SpIntersection, SpMinus, SpUnion, STAR, Star,
                     StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
-                    UNIVERSAL, UniversalRole, iter_nodes,
-                    standpoint_entity, walk_refs)
-from .normalizer import _check_no_nesting, count_precisifications, diamond_count
+                    UNIVERSAL, UniversalRole, iter_nodes, signature_bases,
+                    standpoint_entity)
+from .normalizer import count_precisifications
 
 STAR_TOKEN = "STAR"
 
@@ -88,9 +88,7 @@ def output_namespaces(kb: StandpointKB, iri: str) -> dict:
     """The output namespace of every input base other than the document's
     default one: ``<iri>/ns<k>#``, numbered from 1 in sorted base order.
     Names in the default namespace, and the markers, go to ``<iri>#``."""
-    sig = kb.signature
-    bases = {n.base for names in (sig.concepts, sig.roles, sig.individuals)
-             for n in names}
+    bases = signature_bases(kb.signature)
     bases.discard(kb.namespace)
     return {base: f"{iri}/ns{k}#" for k, base in enumerate(sorted(bases), start=1)}
 
@@ -182,12 +180,13 @@ class _Interner:
         return All(UNIVERSAL, self.name(marker, pi, ConceptName))
 
     def trans(self, pi: int, f: StandpointFormula, p: int,
-              diamonds=None) -> ConceptExpr:
+              diamonds=None, inside: bool = False) -> ConceptExpr:
         """``diamonds`` hands out the witness index of each diamond in
         preorder, and with it a box (for p > 1) is one ``Family`` of p
         copies of its guarded body, built once at INDEX_SENTINEL.  Without
         it a diamond is the p-way reference disjunction and a box the p-way
-        conjunction, built concretely."""
+        conjunction, built concretely.  ``inside`` is true in the scope of
+        a modality, where another one is rejected."""
         if isinstance(f, Atom):
             ax = f.axiom
             if isinstance(ax, Equiv):
@@ -202,28 +201,29 @@ class _Interner:
                                            Not(self.concept(g.axiom.rhs, pi))))
             raise ValueError("formula is not in negation normal form")
         if isinstance(f, Conjunction):
-            return And(self.trans(pi, f.lhs, p, diamonds),
-                       self.trans(pi, f.rhs, p, diamonds))
+            return And(self.trans(pi, f.lhs, p, diamonds, inside),
+                       self.trans(pi, f.rhs, p, diamonds, inside))
         if isinstance(f, Disjunction):
-            return Or(self.trans(pi, f.lhs, p, diamonds),
-                      self.trans(pi, f.rhs, p, diamonds))
+            return Or(self.trans(pi, f.lhs, p, diamonds, inside),
+                      self.trans(pi, f.rhs, p, diamonds, inside))
+        if isinstance(f, (Box, Diamond)) and inside:
+            raise NestedModality("standpoint modality in the scope of another")
         if isinstance(f, Box):
-            _check_no_nesting(f.arg, True)
-
             def guarded(k):
-                return Or(Not(self.guard(f.standpoint, k)), self.trans(k, f.arg, p))
+                return Or(Not(self.guard(f.standpoint, k)),
+                          self.trans(k, f.arg, p, inside=True))
             if p == 1:
                 return guarded(0)
             if diamonds is not None:
                 return Family(guarded(INDEX_SENTINEL), p)
             return And(*[guarded(k) for k in range(p)])
         if isinstance(f, Diamond):
-            _check_no_nesting(f.arg, True)
             if diamonds is not None:
                 d = next(diamonds)
-                return And(self.guard(f.standpoint, d), self.trans(d, f.arg, p))
-            parts = [And(self.guard(f.standpoint, k), self.trans(k, f.arg, p))
-                     for k in range(p)]
+                return And(self.guard(f.standpoint, d),
+                           self.trans(d, f.arg, p, inside=True))
+            parts = [And(self.guard(f.standpoint, k),
+                         self.trans(k, f.arg, p, inside=True)) for k in range(p)]
             return Or(*parts) if p > 1 else parts[0]
         raise UnresolvedRef(f.name)
 
@@ -252,12 +252,12 @@ def _per_index_axiom(table: _Interner, f: StandpointFormula, p: int):
     each index (see the module docstring)."""
     k, g = INDEX_SENTINEL, None
     if type(f) is Box:
-        _check_no_nesting(f.arg, True)
         if type(f.standpoint) is not Star:
             g = table.guard(f.standpoint, k)
         f = f.arg
     if type(f) is not Atom:
-        return Gci(TOP if g is None else g, table.trans(k, f, p))
+        # only a box's argument gets here
+        return Gci(TOP if g is None else g, table.trans(k, f, p, inside=True))
     ax = f.axiom
     lhs, rhs = table.concept(ax.lhs, k), table.concept(ax.rhs, k)
     if g is not None:
@@ -290,11 +290,9 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
     each role chain.  The declared names are the input names at the
     sentinel, with p copies (see ``PlainKB``).
     Diamond occurrence d, in preorder across the formulas, is translated
-    at index d only.
+    at index d only.  A §-reference or a nested modality is rejected where
+    the translation meets it.
     """
-    for f in kb.formulas:
-        for ref in walk_refs(f):
-            raise UnresolvedRef(ref.name)
     p_min = count_precisifications(kb)
     if p is None:
         p = p_min
@@ -305,14 +303,13 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
 
     k = INDEX_SENTINEL  # every family is built once, at the sentinel index
     families = [Family(Gci(TOP, table.guard(STAR, k)), p)]
-    first = 0  # the witness index of the formula's first diamond
+    diamonds = count()  # the witness indices, in preorder across the formulas
     for f in kb.formulas:
-        if type(f) in (Atom, Box):  # no diamond inside, so ``first`` stays
+        if type(f) in (Atom, Box):  # no diamond inside
             families.append(Family(_per_index_axiom(table, f, p), p))
             continue
-        template = Gci(TOP, table.trans(k, f, p, count(first)))
+        template = Gci(TOP, table.trans(k, f, p, diamonds))
         families.append(Family(template, p if _has_bare_atom(f) else 1))
-        first += diamond_count(f)
     for ax in kb.plain_axioms:
         families.append(Family(type(ax)(table.concept(ax.lhs, k),
                                         table.concept(ax.rhs, k)), p))

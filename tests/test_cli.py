@@ -563,6 +563,32 @@ class TestDeepPrecisificationBound:
             "\u2264 1; with no roles or individuals these bounds are complete)\n"))
 
 
+class TestPrecisificationCap:
+    @pytest.mark.parametrize("bound", ["12", "400"])
+    def test_search_stops_at_p_whatever_the_bound(self, tmp_path, bound):
+        """With only the sharpening a ⪯ b, p is 1 (the negated query's
+        diamond), so a bound far above it searches no more: every count up
+        to 12 walks 2^(2m) standpoint assignments, which takes most of a
+        minute.  The child runs with a wall-clock limit."""
+        path = write(tmp_path, "sharpening.ofn",
+                     "Prefix(:=<urn:g#>)\nOntology(<urn:g>\n"
+                     'Annotation(:standpointLabel "<Sharpening><Standpoint name=\\"a\\"/>'
+                     '<Standpoint name=\\"b\\"/></Sharpening>")\n'
+                     "Declaration(Class(:A))\n)\n")
+        package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+        env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "standpoint_owl.cli", "query", path,
+             "--simple", "[*](owl:Thing sub owl:Thing)", "--domain-bound", "1",
+             "--prec-bound", bound],
+            capture_output=True, encoding="utf-8", timeout=20,
+            env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
+        assert (proc.returncode, proc.stderr) == (0, (
+            "p=1 (including the negated query)\n"
+            "entailed (no countermodel with domain \u2264 1, precisifications "
+            "\u2264 1; with no roles or individuals these bounds are complete)\n"))
+
+
 BOX_STAR = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
             '<Standpoint name=\\"*\\"/></Box></standpointAxiom>")')
 

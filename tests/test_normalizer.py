@@ -1,17 +1,17 @@
-"""Reference resolution, sharpening desugaring, NNF, precisification count."""
+"""Reference inlining, sharpening desugaring, NNF, nesting, precisification count."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from standpoint_owl.errors import UnresolvedRef
+from standpoint_owl.errors import NestedModality, UnresolvedRef
 from standpoint_owl.model import (Atom, AxiomRef, Bottom, Box, Conjunction,
                                   Diamond, Disjunction, Equiv, Gci, Negation,
                                   SpMinus, Star, Top, concept_name, make_kb)
 from standpoint_owl.normalizer import (count_precisifications,
                                        desugar_sharpening, normalize_kb,
-                                       resolve_refs, to_nnf)
+                                       to_nnf)
 from standpoint_owl.oracle import PlainInterpretation, StandpointStructure, holds_formula
 
 from conftest import C, S
@@ -21,27 +21,66 @@ ATOM_AB = Atom(Gci(A, B))
 ATOM_BA = Atom(Gci(B, A))
 
 
-class TestResolveRefs:
+class TestNormalizeKbRefs:
     def test_substitution(self):
         named = {"ax1": Diamond(S("s"), Atom(Gci(C("CC"), C("D"))))}
         kb = make_kb(formulas=[Disjunction(AxiomRef("ax1"), ATOM_AB)],
                      named_axioms=named)
-        out = resolve_refs(kb)
+        out = normalize_kb(kb)
         assert out.formulas == (Disjunction(named["ax1"], ATOM_AB),)
         assert out.named_axioms == named
 
     def test_unresolved(self):
         kb = make_kb(formulas=[AxiomRef("ax9")])
         with pytest.raises(UnresolvedRef) as err:
-            resolve_refs(kb)
+            normalize_kb(kb)
         assert err.value.name == "ax9"
 
     def test_same_ref_twice_gives_two_copies(self):
         named = {"ax1": Box(S("s"), ATOM_AB)}
         kb = make_kb(formulas=[Conjunction(AxiomRef("ax1"), AxiomRef("ax1"))],
                      named_axioms=named)
-        out = resolve_refs(kb)
+        out = normalize_kb(kb)
         assert out.formulas == (Conjunction(named["ax1"], named["ax1"]),)
+
+    @pytest.mark.parametrize("axiom, dual", [
+        (Box(S("s"), ATOM_AB), Diamond(S("s"), Negation(ATOM_AB))),
+        (Diamond(S("s"), Atom(Equiv(A, B))),
+         Box(S("s"), Disjunction(Negation(ATOM_AB), Negation(ATOM_BA))))])
+    def test_negated_reference_is_the_dual_of_its_axiom(self, axiom, dual):
+        kb = make_kb(formulas=[Disjunction(Negation(AxiomRef("ax1")), ATOM_AB)],
+                     named_axioms={"ax1": axiom})
+        assert normalize_kb(kb).formulas == (Disjunction(dual, ATOM_AB),)
+
+    def test_a_reference_within_a_named_axiom_is_not_looked_up(self):
+        kb = make_kb(formulas=[AxiomRef("ax1")],
+                     named_axioms={"ax1": Conjunction(ATOM_AB, AxiomRef("ax1"))})
+        with pytest.raises(UnresolvedRef) as err:
+            normalize_kb(kb)
+        assert err.value.name == "ax1"
+
+
+class TestNormalizeKbNesting:
+    @pytest.mark.parametrize("f", [
+        Box(S("s"), Diamond(S("t"), ATOM_AB)),
+        Diamond(S("s"), Conjunction(ATOM_AB, Box(S("t"), ATOM_BA))),
+        Negation(Box(S("s"), Negation(Diamond(S("t"), ATOM_AB)))),
+        Disjunction(ATOM_AB, Box(S("s"), Disjunction(ATOM_BA, Diamond(S("t"), ATOM_AB))))])
+    def test_nested_modality_rejected(self, f):
+        with pytest.raises(NestedModality):
+            normalize_kb(make_kb(formulas=[f]))
+
+    def test_nesting_through_a_reference_rejected(self):
+        kb = make_kb(formulas=[Box(S("s"), Disjunction(ATOM_AB, AxiomRef("ax1")))],
+                     named_axioms={"ax1": Diamond(S("t"), ATOM_BA)})
+        with pytest.raises(NestedModality):
+            normalize_kb(kb)
+
+    def test_a_reference_beside_a_box_is_no_nesting(self):
+        named = {"ax1": Diamond(S("t"), ATOM_BA)}
+        kb = make_kb(formulas=[Conjunction(Box(S("s"), ATOM_AB), AxiomRef("ax1"))],
+                     named_axioms=named)
+        assert normalize_kb(kb).formulas == (Conjunction(Box(S("s"), ATOM_AB), named["ax1"]),)
 
 
 class TestDesugarSharpening:

@@ -7,12 +7,12 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName
+from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName, UnresolvedRef
 from standpoint_owl import oracle
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_simple_query)
-from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom,
-                                  Box, Conjunction, Diamond, Disjunction,
+from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, AxiomRef,
+                                  Bottom, Box, Conjunction, Diamond, Disjunction,
                                   Equiv, Gci, HasSelf, Negation, Not, Or,
                                   PlainKB, Ria, Signature, Some, SpMinus,
                                   SpIntersection, SpUnion, Star, Top,
@@ -432,6 +432,71 @@ def test_capped_search_matches_the_uncapped_search(monkeypatch):
     sizes = [found.domain_size for found in capped if found is not None]
     assert len(sizes) > len(cases) / 4 and len(cases) - len(sizes) > len(cases) / 4
     assert sum(size > 1 for size in sizes) > len(cases) / 8
+
+
+def _searched_kbs():
+    """``genkb.random_kb`` normalized and not (the latter keep ¬[e]φ and
+    ¬<e>φ, whose diamond after NNF is the negated box)."""
+    for seed in range(150):
+        yield genkb.random_kb(seed)
+        yield genkb.random_kb(seed, normalized=False)
+
+
+class TestPrecisificationCap:
+    """The search stops at p, the modals that need a witness, counted by
+    polarity in the compile walk."""
+
+    @pytest.mark.parametrize("make", [
+        genkb.random_kb, lambda seed: genkb.random_kb(seed, normalized=False),
+        genkb.top_level_kb, lambda seed: genkb.widened(genkb.random_kb(seed))],
+        ids=["random", "not-normalized", "top_level", "widened"])
+    def test_p_is_the_diamond_count_after_nnf(self, make):
+        for seed in range(60):
+            kb = make(seed)
+            sp_names = sorted(kb.signature.standpoints - {UNIVERSAL_STANDPOINT})
+            p = oracle._compile(kb.formulas, sp_names)[4]
+            assert p == count_precisifications(normalize_kb(kb)), seed
+
+    def test_negated_box_needs_a_witness_and_negated_diamond_none(self):
+        ab = Atom(Gci(C("A"), C("B")))
+        formulas = [Negation(Box(S("s"), ab)), Negation(Diamond(S("s"), ab)),
+                    Negation(Negation(Diamond(S("s"), ab)))]
+        assert oracle._compile(formulas, ["s"])[4] == 2
+
+    def test_a_negated_box_gets_its_witness(self):
+        # A is empty at one precisification and not at another.
+        empty = Atom(Gci(C("A"), Bottom()))
+        kb = make_kb(formulas=[Negation(Box(S("s"), empty)), Diamond(S("s"), empty)])
+        assert find_standpoint_model(kb, 1, 5).precisifications == 2
+
+    def test_witness_at_p_is_the_witness_at_p_plus_three(self):
+        kbs = [*_searched_kbs(), *map(genkb.top_level_kb, range(60))]
+        for kb in kbs:
+            p = count_precisifications(normalize_kb(kb))
+            assert repr(find_standpoint_model(kb, 2, p, guard_bits=math.inf)) == \
+                repr(find_standpoint_model(kb, 2, p + 3, guard_bits=math.inf))
+
+    def test_capped_search_matches_the_search_up_to_p_plus_three(self, monkeypatch):
+        """The first witness at bound p + 3 is the same when the search
+        takes every count up to the bound.  Each verdict holds for at least
+        a tenth of the KBs."""
+        cases = [(kb, count_precisifications(normalize_kb(kb))) for kb in _searched_kbs()]
+        capped = [find_standpoint_model(kb, 2, p, guard_bits=math.inf) for kb, p in cases]
+        compile_formulas = oracle._compile
+        monkeypatch.setattr(oracle, "_compile", lambda formulas, sp_names: (
+            *compile_formulas(formulas, sp_names)[:4], 1 << 30))
+        for (kb, p), found in zip(cases, capped):
+            assert repr(find_standpoint_model(kb, 2, p + 3, guard_bits=math.inf)) == \
+                repr(found)
+        found = sum(model is not None for model in capped)
+        assert len(cases) / 10 < found < len(cases) * 9 / 10
+
+    def test_reference_rejected(self):
+        kb = make_kb(formulas=[Disjunction(AxiomRef("ax1"), Atom(Gci(C("A"), C("B"))))],
+                     named_axioms={"ax1": Box(S("s"), Atom(Gci(C("B"), C("A"))))})
+        with pytest.raises(UnresolvedRef) as err:
+            find_standpoint_model(kb, 1, 1)
+        assert err.value.name == "ax1"
 
 
 class TestEntailment:
@@ -964,9 +1029,11 @@ def test_compiled_formulas_match_the_three_valued_walk(data, f):
     sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
     known = [[data.draw(st.sampled_from([True, False, None])) for _ in range(k)]
              for _ in range(m)]
-    at = [sum(1 << pi for pi in range(m) if known[pi][i] is True) for i in range(k)]
-    af = [sum(1 << pi for pi in range(m) if known[pi][i] is False) for i in range(k)]
-    (evaluate,), modals = _compile([f], atom_index, SP_NAMES)
+    atoms, (evaluate,), _, modals, _ = _compile([f], SP_NAMES)
+    assert atoms == list(dict.fromkeys(a.axiom for a in walk_atoms(f)))
+    order = [atom_index[ax] for ax in atoms]  # compiled atom -> ATOMS position
+    at = [sum(1 << pi for pi in range(m) if known[pi][i] is True) for i in order]
+    af = [sum(1 << pi for pi in range(m) if known[pi][i] is False) for i in order]
     full = (1 << m) - 1
     true, false = evaluate(at, af, [mask_of(sigma_tuple, full) for mask_of in modals])
     sigma_sets = {"*": frozenset(range(m))}

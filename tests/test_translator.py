@@ -185,6 +185,19 @@ class TestTranslateKb:
         with pytest.raises(UnresolvedRef):
             translate_kb(kb)
 
+    @pytest.mark.parametrize("f", [
+        Box(S("s"), Diamond(S("t"), Atom(Gci(A, B)))),
+        Box(Star(), Conjunction(Atom(Gci(A, B)), Box(S("t"), Atom(Gci(B, A))))),
+        Disjunction(Atom(Gci(A, B)), Box(S("s"), Diamond(S("t"), Atom(Gci(B, A))))),
+        Conjunction(Diamond(S("s"), Disjunction(Atom(Gci(A, B)), Box(S("t"), Atom(Gci(B, A))))),
+                    Atom(Gci(B, A)))],
+        ids=["top-level-box", "top-level-box-over-a-conjunction",
+             "box-in-a-combination", "diamond-in-a-combination"])
+    @pytest.mark.parametrize("p", [None, 3])
+    def test_nested_modality_rejected(self, f, p):
+        with pytest.raises(NestedModality):
+            translate_kb(make_kb(formulas=[f]), p)
+
     @pytest.mark.parametrize("name", [C("A" + INDEX_SENTINEL),
                                       O(INDEX_SENTINEL + "a"),
                                       R("r" + INDEX_SENTINEL)])
