@@ -240,9 +240,11 @@ def cmd_query(args) -> int:
                   f"≤ {p}; with no roles or individuals these bounds are complete)",
                   file=sys.stderr)
         else:
+            # The search stops at p precisifications whatever the bound.
+            complete = "; the precisification bound is complete" if prec_bound > p else ""
             print(f"entailed within bounds (no countermodel with domain ≤ "
-                  f"{args.domain_bound}, precisifications ≤ {prec_bound}); "
-                  "bounded evidence, not a proof", file=sys.stderr)
+                  f"{args.domain_bound}, precisifications ≤ {min(prec_bound, p)}"
+                  f"{complete}); bounded evidence, not a proof", file=sys.stderr)
         return 0
     if result.status == NOT_ENTAILED:
         witness = result.witness

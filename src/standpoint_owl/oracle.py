@@ -28,14 +28,19 @@ Standpoint structures are searched by splitting the problem at the atom
 level: the Boolean/modal layer only sees which TBox atoms hold at which
 precisification, so truth vectors are searched propositionally and each
 distinct vector is realised (or refuted) once by a bounded interpretation
-search.  The propositional search fixes one atom's polarity at one
-precisification at a time and re-evaluates only the formulas that atom
-occurs in; the formulas are compiled once per search into closures that
-give (true, false) masks with one bit per precisification (see
-`_compile`), so a partial assignment that makes a formula false anywhere
-is cut at once.  That one walk over each formula also numbers the atoms,
-lists the formulas each atom occurs in and counts p, the modals that need
-a witness precisification; no first model has more than p of them.
+search.  When the slots hold a role and the domain has two elements or
+more, that search first runs over the concept slots alone, every role left
+at its widest bounds, which hold in every completion: a vector it refutes
+is refuted without enumerating a role extension, and any other vector is
+searched in full, so no witness moves.  The propositional search fixes
+one atom's polarity at one precisification at a time and re-evaluates
+only the formulas that atom occurs in; the formulas are compiled once per
+search into closures that give (true, false) masks with one bit per
+precisification (see `_compile`), so a partial assignment that makes a
+formula false anywhere is cut at once.  That one walk over each formula
+also numbers the atoms, lists the formulas each atom occurs in and counts
+p, the modals that need a witness precisification; no first model has
+more than p of them.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability,
 except where the bounds are complete: see `check_entailment_bounded`.
 """
@@ -559,13 +564,20 @@ def _slot_value_count(name: EntityName, n: int) -> int:
 
 
 def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
-                       fixed: dict[int, int] | None = None) -> dict | None:
+                       fixed: dict[int, int] | None = None,
+                       order: list[int] | None = None) -> dict | None:
     """First (canonical order) complete assignment satisfying all checks.
 
     ``checks`` are compiled over ``slots``, resized to domain size ``n``,
     and read one value list indexed like ``slots``; ``fixed`` maps slot
-    indices to values that are given, not searched.  The result maps each
-    slot to its value, fixed slots first, then the others in slot order.
+    indices to values that are given, not searched.  ``order`` lists the
+    indices of the slots searched, in the order they are assigned; by
+    default every slot that is not fixed, in slot order.  The result maps
+    each slot to its value, fixed slots first, then the others in slot
+    order.  A slot neither fixed nor in ``order`` stays None, so every
+    check reads it at its widest bounds, which hold in every completion:
+    a None result then means that no value of it satisfies the checks
+    either, and a result is only an assignment of the other slots.
 
     Backtracking is conflict-directed: when every value of a slot fails, the
     union of the (greedily minimised) slot index sets responsible for the
@@ -639,7 +651,7 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
     # The slots searched, in order, and per slot being enumerated, whose
     # value is in vals, one conflict set and the checks its value settled:
     # the stack replaces one recursion per slot.
-    free = [i for i in range(len(slots)) if i not in fixed]
+    free = [i for i in range(len(slots)) if i not in fixed] if order is None else order
     conflicts: list[set] = []
     settles: list[list[int]] = []
     result = None
@@ -909,14 +921,20 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     interpretation satisfying the plain axioms, role axioms and required
     atom polarities; each atom is compiled required false and required
     true, in one `_compile_checks` call, so one slot order serves every
-    vector.  A position's vector is built atom by atom, from the most
-    significant down, 0 before 1, which visits the vectors in that
-    ascending order; a partial assignment that makes a formula false at
-    some precisification is cut.  Domain sizes above `domain_cap` are not
-    searched: they hold no first model.  Nor are precisification counts
-    above p, the modals that need a witness (see `_compile`): a model with
-    more precisifications stays one on a witness for each such modal, at
-    the same domain size, so the first model has at most p.
+    vector.  If the slots hold a role and n ≥ 2, a vector is first searched
+    over the concept slots only, the atoms' names first, last atom first,
+    with every role slot unassigned: a None there is a None of the full
+    search, which is then skipped, and a vector that passes is searched in
+    full as before.  At n = 1 a role has two values, as a concept has, and
+    the extra search costs more than it saves.  A position's vector is
+    built atom by atom, from the most significant down, 0 before 1, which
+    visits the vectors in that ascending order; a partial assignment that
+    makes a formula false at some precisification is cut.  Domain sizes
+    above `domain_cap` are not searched: they hold no first model.  Nor are
+    precisification counts above p, the modals that need a witness (see
+    `_compile`): a model with more precisifications stays one on a witness
+    for each such modal, at the same domain size, so the first model has
+    at most p.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
@@ -937,6 +955,14 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     individual_slots = [slots.index(ind) for ind in individuals]
     base = compiled[:len(base_axioms)]
     atom_pairs = [compiled[j:j + 2] for j in range(len(base_axioms), len(compiled), 2)]
+    # The concept slots, the atoms' names first, last atom first: the order
+    # of the search with the roles left open that a vector must pass before
+    # it is searched in full.  Without a role there is nothing to leave open.
+    roles_open = None
+    if any(slot.kind == "role" for slot in slots):
+        first = [i for _, pos in reversed(atom_pairs) for i in pos.slots]
+        roles_open = [i for i in dict.fromkeys([*first, *range(len(slots))])
+                      if slots[i].kind == "concept"]
 
     cap = None
     for n in range(1, max_domain + 1):
@@ -954,12 +980,21 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
         free = [i for i in reversed(range(k)) if forced[i] is None]
         fixed_bits = sum(1 << i for i, polarity in enumerate(forced) if polarity)
 
+        # At one element a role has two values, as a concept has, and a
+        # vector refuted with its roles open costs more than it saves.
+        relaxed = roles_open if n > 1 else None
+
         def realize(nu: tuple, v: int) -> Optional[PlainInterpretation]:
             key = (nu, v)
             if key not in realizable:
                 checks = base + [pair[v >> i & 1] for i, pair in enumerate(atom_pairs)]
-                asn = _search_assignment(n, slots, checks, dict(zip(individual_slots, nu)))
-                realizable[key] = None if asn is None else _assignment_to_interp(asn, n)
+                fixed = dict(zip(individual_slots, nu))
+                if (relaxed is not None
+                        and _search_assignment(n, slots, checks, fixed, relaxed) is None):
+                    realizable[key] = None
+                else:
+                    asn = _search_assignment(n, slots, checks, fixed)
+                    realizable[key] = None if asn is None else _assignment_to_interp(asn, n)
             return realizable[key]
 
         def vectors(pi: int, depth: int = 0, v: int = fixed_bits):

@@ -588,6 +588,26 @@ class TestPrecisificationCap:
             "entailed (no countermodel with domain \u2264 1, precisifications "
             "\u2264 1; with no roles or individuals these bounds are complete)\n"))
 
+    @pytest.mark.parametrize("bound, searched", [
+        ("400", "1; the precisification bound is complete"), ("1", "1")])
+    def test_bounded_verdict_names_the_precisifications_searched(self, tmp_path, capsys,
+                                                                 bound, searched):
+        """A role leaves the domain bound incomplete, so the verdict is
+        bounded evidence; it names the p precisifications searched, not a
+        bound above p, and says that p is complete only when the bound
+        exceeds it."""
+        label = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
+                 '<Standpoint name=\\"*\\"/></Box></standpointAxiom>")')
+        path = write(tmp_path, "role.ofn",
+                     "Prefix(:=<urn:h#>)\nOntology(<urn:h>\n"
+                     f"SubClassOf({label} :A ObjectSomeValuesFrom(:r :B))\n)\n")
+        assert main(["query", path, "--simple", "[*](A sub r some B)",
+                     "--domain-bound", "1", "--prec-bound", bound]) == 0
+        assert capsys.readouterr().err == (
+            "p=1 (including the negated query)\n"
+            "entailed within bounds (no countermodel with domain \u2264 1, "
+            f"precisifications \u2264 {searched}); bounded evidence, not a proof\n")
+
 
 BOX_STAR = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
             '<Standpoint name=\\"*\\"/></Box></standpointAxiom>")')

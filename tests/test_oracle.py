@@ -333,6 +333,27 @@ class TestFindStandpointModel:
         assert find_standpoint_model(kb, 1, 2) is None
         assert calls == []
 
+    def test_a_vector_refuted_by_its_concepts_needs_no_role_search(self, monkeypatch):
+        # The query restates the boxed axiom, so every vector that makes
+        # the negated query true at two elements puts C3 ⊑ C1 ⊓ C5 against
+        # C3 ⋢ (C1 ⊓ C5) ⊔ C2: the concept slots alone refute it, and no
+        # search at n = 2 assigns r0 or r1, the first slots in slot order.
+        calls, search = [], oracle._search_assignment
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+        monkeypatch.setattr(oracle, "_search_assignment", counting)
+        C0, C1, C2, C3, C4, C5 = (C(f"C{i}") for i in range(6))
+        kb = make_kb(plain_axioms=[Gci(Some(R("r0"), C4), C0), Gci(C1, Some(R("r1"), C0))],
+                     formulas=[Box(S("s0"), Atom(Gci(C3, And(C1, C5))))])
+        query = Box(S("s0"), Atom(Gci(C3, Or(And(C1, C5), C2))))
+        assert check_entailment_bounded(kb, query, 2, 1).status == ENTAILED_WITHIN_BOUNDS
+        at_two = [args for args in calls if args[0] == 2]
+        assert at_two
+        for n, slots, checks, fixed, *order in at_two:
+            assert order and not any(slots[i].kind == "role" for i in order[0])
+
     def test_forest_minimal(self, forest_kb):
         D = find_standpoint_model(normalize_kb(forest_kb), 2, 2, guard_bits=200)
         assert D is not None
@@ -835,6 +856,59 @@ def test_search_with_fixed_individuals_and_required_false_checks(n, concepts, ma
     assert found == expected
 
 
+@pytest.mark.parametrize("n, concepts", [(1, "AB"), (2, "AB"), (3, "A")])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_search_with_the_role_left_open_refutes_only_what_no_role_repairs(n, concepts,
+                                                                           data):
+    """The search as realising an atom vector first runs it: the individual
+    slot fixed, each axiom required true or false, the role slot neither
+    fixed nor searched, and the concept slots in any order.  Where it finds
+    nothing, no assignment of every slot, the role's included, makes every
+    axiom hold exactly when it is required to."""
+    axioms = data.draw(plain_axioms(concepts, 3))
+    element = data.draw(st.integers(0, n - 1))
+    positive = [data.draw(st.booleans()) for _ in axioms]
+    signature = Signature(frozenset(concept_name(c) for c in concepts),
+                          frozenset({rR}), frozenset({iA}))
+    compiled, slots, resize = _compile_checks(list(zip(axioms, positive)), signature)
+    resize(n)
+    order = data.draw(st.permutations(
+        [i for i, name in enumerate(slots) if name.kind == "concept"]))
+    if _search_assignment(n, slots, compiled, {slots.index(iA): element}, order) is not None:
+        return
+    free = [name for name in slots if name.kind != "individual"]
+    spaces = [range(1 << (n if name.kind == "concept" else n * n)) for name in free]
+    for values in itertools.product(*spaces):
+        interp = _interp_of([*free, iA], [*values, element], n)
+        assert not all(holds_axiom(interp, ax) is pos for ax, pos in zip(axioms, positive))
+
+
+def test_a_search_with_the_roles_left_open_keeps_every_realisable_vector():
+    """Every atom vector of ``genkb.widened`` KBs (two roles, an inverse,
+    role inclusions, nominals of two individuals) at two elements, under
+    every placement of the individuals: where the search over the concept
+    slots alone finds nothing, the full search finds nothing either."""
+    refuted = 0
+    for seed in range(12):
+        kb = genkb.widened(genkb.random_kb(seed))
+        atoms = list(dict.fromkeys(a.axiom for f in kb.formulas for a in walk_atoms(f)))
+        base = [(ax, True) for ax in kb.rias + kb.plain_axioms]
+        individuals = sorted(kb.signature.individuals, key=lambda e: (e.base, e.local))
+        for v in range(1 << len(atoms)):
+            compiled, slots, resize = _compile_checks(
+                base + [(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], kb.signature)
+            resize(2)
+            order = [i for i, name in enumerate(slots) if name.kind == "concept"]
+            placed = [slots.index(ind) for ind in individuals]
+            for nu in itertools.product(range(2), repeat=len(individuals)):
+                fixed = dict(zip(placed, nu))
+                if _search_assignment(2, slots, compiled, fixed, order) is None:
+                    refuted += 1
+                    assert _search_assignment(2, slots, compiled, fixed) is None, (seed, v, nu)
+    assert refuted
+
+
 # --- the first standpoint witness against enumeration of vector tuples ----
 
 def _first_structure_by_enumeration(kb, max_domain, max_prec):
@@ -889,7 +963,10 @@ def test_first_standpoint_witness_is_the_first_by_enumeration(family):
 
 # The first 8 hex digits of the sha256 of each first witness's repr
 # (dc937b59 is None), seed by seed from 0, recorded before the search slots
-# became the names themselves.  The plain digests are of every third seed.
+# became the names themselves; those of ``genkb.widened`` (roles, an
+# inverse, role inclusions, individuals placed by the standpoint search)
+# before a vector was first searched with its roles left open.  The plain
+# digests are of every third seed.
 WITNESS_DIGESTS = {
     "random": (
         "ae955770 dc937b59 dc937b59 dc937b59 d83ec50f 1eb43609 13b0e5ec dc937b59 "
@@ -915,6 +992,18 @@ WITNESS_DIGESTS = {
         "1baff18b dc937b59 0e1f70a3 0a42ae4a dc937b59 dc937b59 40f23d07 dc937b59 "
         "f3a8f707 fbc4cfa9 dc937b59 dc937b59 dc937b59 4183afcc dc937b59 033feec9 "
         "a21e5ca8 24550db2 dc937b59 dc937b59"),
+    "widened": (
+        "db2e2b60 dc937b59 dc937b59 dc937b59 57f5d974 2d9d8cfa 5dac448b dc937b59 "
+        "4198432f f0441075 200cfbd3 200cfbd3 232fe376 b442a001 b442a001 e6307ffa "
+        "66b64a98 274eab38 fc8e59f9 dc937b59 e5585b53 d5790e9c 91761416 91761416 "
+        "5267f613 2a01e824 dc937b59 f3301e36 57f5d974 200cfbd3 0eb0bdde dc937b59 "
+        "5926d726 dc937b59 73007d78 6d0ceb73 032c53ff 79a99314 886ad5cd e6307ffa "
+        "b0f79fb0 57f5d974 85e4fedd 57f5d974 e6307ffa dc937b59 dc937b59 7cab1edc "
+        "eaf2b773 c438c507 7d3216ae dc937b59 fc8e59f9 dc937b59 82fa454e fc8e59f9 "
+        "7a0b3dc6 2a01e824 59fbd39f fc8e59f9",
+        "06fd641f dc937b59 3f45de50 313e957a 678c742a c6bf27f3 54237667 bc13cfac "
+        "859b23de dadfa615 b1c43e82 dc937b59 cd50a016 e9758baf 1b96738c dc937b59 "
+        "bc13cfac dc937b59 15dbd16e 65f0e938"),
 }
 
 
@@ -924,7 +1013,8 @@ def test_first_witnesses_are_pinned(family):
     precisification bound p, the standpoint witness of each seed 0–59, and
     the plain witness of the translation of every third seed, keep their
     repr.  Reordering the compiled checks or the slots moves them."""
-    make = {"random": genkb.random_kb, "top_level": genkb.top_level_kb}[family]
+    make = {"random": genkb.random_kb, "top_level": genkb.top_level_kb,
+            "widened": lambda seed: genkb.widened(genkb.random_kb(seed))}[family]
 
     def digest(found):
         return hashlib.sha256(repr(found).encode()).hexdigest()[:8]
