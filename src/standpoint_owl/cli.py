@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import count
 from typing import Iterable
 
 from .errors import ParseError, StandpointOwlError
@@ -24,8 +23,8 @@ from .frontend.functional import (PREDECLARED_PREFIXES, Annotation,
 from .model import Ria, StandpointKB, replace, standpoint_expr, validate_roles
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, GUARD_BITS, NOT_ENTAILED,
-                     domain_cap, negated_query_kb, search_countermodel)
-from .serializer import _sp_axiom_payload, document_pieces, kb_pieces
+                     negated_query_kb, search_countermodel)
+from .serializer import _sp_axiom_payload, document_pieces, free_prefix, kb_pieces
 from .translator import STAR_TOKEN, translate_kb
 
 
@@ -99,7 +98,7 @@ def _annotation_mover(prefixes: dict[str, str], source: dict[str, str]):
             iri, here, new = bound(source, old), bound(prefixes, old), old
             if here != iri:
                 if here is not None:
-                    new = next(f"ns{k}" for k in count(1) if f"ns{k}" not in prefixes)
+                    new = free_prefix(prefixes)
                 prefixes[new] = iri
             names[old] = new
         return ann if names[old] == old else replace(ann, property_prefix=names[old])
@@ -234,17 +233,16 @@ def cmd_query(args) -> int:
     result = search_countermodel(normalized, args.domain_bound, prec_bound,
                                  guard_bits=args.guard_bits)
     if result.status == ENTAILED_WITHIN_BOUNDS:
-        cap = domain_cap(normalized)
-        if cap is not None and cap <= args.domain_bound and prec_bound >= p:
-            print(f"entailed (no countermodel with domain ≤ {cap}, precisifications "
-                  f"≤ {p}; with no roles or individuals these bounds are complete)",
-                  file=sys.stderr)
+        searched = f"precisifications ≤ {result.precisifications}"
+        if result.complete:
+            print(f"entailed (no countermodel with domain ≤ {result.domain}, {searched}; "
+                  "with no roles or individuals these bounds are complete)", file=sys.stderr)
         else:
             # The search stops at p precisifications whatever the bound.
-            complete = "; the precisification bound is complete" if prec_bound > p else ""
-            print(f"entailed within bounds (no countermodel with domain ≤ "
-                  f"{args.domain_bound}, precisifications ≤ {min(prec_bound, p)}"
-                  f"{complete}); bounded evidence, not a proof", file=sys.stderr)
+            if prec_bound > result.precisifications:
+                searched += "; the precisification bound is complete"
+            print(f"entailed within bounds (no countermodel with domain ≤ {args.domain_bound}, "
+                  f"{searched}); bounded evidence, not a proof", file=sys.stderr)
         return 0
     if result.status == NOT_ENTAILED:
         witness = result.witness

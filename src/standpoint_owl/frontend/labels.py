@@ -68,6 +68,25 @@ def _children(elem) -> list:
     return kids
 
 
+def _only_child(elem, message: str):
+    kids = _children(elem)
+    if len(kids) != 1:
+        raise GrammarViolation(message)
+    return kids[0]
+
+
+def _xml_root(text: str, what: str):
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise XmlSyntaxError(f"bad XML in {what}: {exc}") from None
+
+
+def _bool_comb_formula(elem, base: str) -> StandpointFormula:
+    return _parse_formula(
+        _only_child(elem, "<booleanCombination> wraps exactly one formula"), base)
+
+
 def _parse_sp_expr(elem) -> StandpointExpr:
     tag = _tag(elem)
     if tag == "standpoint":
@@ -122,10 +141,7 @@ def _ax_ref_name(elem) -> str:
 def _parse_formula(elem, base: str) -> StandpointFormula:
     tag = _tag(elem)
     if tag == "not":
-        kids = _children(elem)
-        if len(kids) != 1:
-            raise GrammarViolation("<NOT> wraps exactly one axiom")
-        return Negation(_parse_axiom(kids[0], base))
+        return Negation(_parse_axiom(_only_child(elem, "<NOT> wraps exactly one axiom"), base))
     if tag in ("and", "or"):
         kids = _children(elem)
         if len(kids) != 2:
@@ -159,21 +175,12 @@ def parse_standpoint_label(payload: str, base: str = "") -> LabeledConstruct:
     Element names are case-insensitive, name attributes case-sensitive.
     A redundant outer <standpointLabel> wrapper is tolerated.
     """
-    try:
-        root = ET.fromstring(payload)
-    except ET.ParseError as exc:
-        raise XmlSyntaxError(f"bad XML in standpointLabel: {exc}") from None
+    root = _xml_root(payload, "standpointLabel")
     if _tag(root) == "standpointlabel":
-        kids = _children(root)
-        if len(kids) != 1:
-            raise GrammarViolation("<standpointLabel> wraps exactly one construct")
-        root = kids[0]
+        root = _only_child(root, "<standpointLabel> wraps exactly one construct")
     tag = _tag(root)
     if tag == "booleancombination":
-        kids = _children(root)
-        if len(kids) != 1:
-            raise GrammarViolation("<booleanCombination> wraps exactly one formula")
-        return BoolCombLabel(_parse_formula(kids[0], base))
+        return BoolCombLabel(_bool_comb_formula(root, base))
     if tag == "sharpening":
         kids = _children(root)
         if len(kids) != 2:
@@ -186,9 +193,7 @@ def parse_standpoint_label(payload: str, base: str = "") -> LabeledConstruct:
         if len(kids) != 1 or _tag(kids[0]) not in ("box", "diamond"):
             raise GrammarViolation("<standpointAxiom> wraps exactly one <Box> or <Diamond>")
         op = kids[0]
-        op_kids = _children(op)
-        if len(op_kids) != 1:
-            raise GrammarViolation(
-                f"<{op.tag}> inside a standpoint axiom wraps exactly one standpoint expression")
-        return SpAxiomLabel(name, _tag(op), _parse_sp_expr(op_kids[0]))
+        expr = _only_child(
+            op, f"<{op.tag}> inside a standpoint axiom wraps exactly one standpoint expression")
+        return SpAxiomLabel(name, _tag(op), _parse_sp_expr(expr))
     raise GrammarViolation(f"unknown standpointLabel construct <{root.tag}>")

@@ -9,12 +9,11 @@ formula document using the same grammar as booleanCombination bodies.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 
-from ..errors import GrammarViolation, ParseError, XmlSyntaxError
+from ..errors import ParseError
 from ..model import (Atom, Box, Diamond, Equiv, Gci, StandpointFormula,
                      standpoint_expr)
-from .labels import _parse_formula, _tag, _children
+from .labels import _bool_comb_formula, _parse_formula, _tag, _xml_root
 from .manchester import parse_manchester_class
 
 _HEAD_RE = re.compile(r"\s*(\[(?P<box>[^\]]*)\]|<(?P<dia>[^>]*)>)\s*\((?P<body>.*)\)\s*\Z",
@@ -51,13 +50,7 @@ def parse_simple_query(text: str, base: str = "") -> StandpointFormula:
 def parse_query_document(text: str, base: str = "") -> StandpointFormula:
     """Parse an XML query: a Formula element, optionally wrapped in
     <booleanCombination>."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XmlSyntaxError(f"bad XML in query: {exc}") from None
+    root = _xml_root(text, "query")
     if _tag(root) == "booleancombination":
-        kids = _children(root)
-        if len(kids) != 1:
-            raise GrammarViolation("<booleanCombination> wraps exactly one formula")
-        root = kids[0]
+        return _bool_comb_formula(root, base)
     return _parse_formula(root, base)

@@ -631,8 +631,8 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
 
 # The child fields of each compound node class, in field-declaration order;
 # a class not listed here is a leaf.  This order is the visit order of
-# iter_nodes, so it fixes the first-occurrence order of entity_names_in and,
-# through it, the oracle's slot order and its canonical first witness.
+# iter_nodes and entity_names_in; the oracle's compile walk meets names in
+# it too (a test ties the two), which fixes its canonical first witness.
 _CHILDREN: dict[type, tuple[str, ...]] = {
     RoleName: ("name",), InverseRole: ("name",),
     ConceptName: ("name",), Nominal: ("individual",), Not: ("arg",),

@@ -15,13 +15,11 @@ every affected constraint is evaluated three-valuedly via lower/upper
 bounds on extensions; branches whose constraints are definitely violated
 are cut.  The first surviving complete assignment is therefore the
 canonically least model, making witnesses reproducible.  The constraints
-are compiled once per search into closures over a value list indexed by
-slot position (None while unassigned) and over the domain size, which is
-set before each size is searched, so a probe neither dispatches on node
-types nor hashes names; ∃ and ∀ compile to the two cardinality kernels
-(≥1 r.C, ≤0 r.¬C) and C ≡ D to a two-way C ⊑ D.  The search counts the
-constraints not yet definitely true, so it sees a finished model without
-evaluating every constraint at every node.
+are compiled once per search, in the one walk that also gives each name
+its slot (`_compile_checks`), so a probe neither dispatches on node types
+nor hashes names.  The search counts the constraints not yet definitely
+true, so it sees a finished model without evaluating every constraint at
+every node.
 Conflict sets are sets of slot indices, and a conflict is minimised by
 releasing its slots in a fixed order, by (kind, base, local) of the name.
 Standpoint structures are searched by splitting the problem at the atom
@@ -58,9 +56,8 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Nominal, Not, Or, PlainAxiom, PlainKB, RoleExpr, RoleName,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UNIVERSAL_STANDPOINT, UniversalRole, entity_names_in,
-                    field, iter_nodes, record, replace, signature_of,
-                    walk_atoms)
+                    Top, UNIVERSAL_STANDPOINT, UniversalRole, field,
+                    iter_nodes, record, replace, signature_of, walk_atoms)
 from .normalizer import normalize_kb
 
 # The most distinct atoms the standpoint search takes on: each position
@@ -277,11 +274,9 @@ def kb_holds(structure: StandpointStructure, kb: StandpointKB) -> bool:
 # Three-valued evaluation over partial assignments (bitmask bounds)
 # ---------------------------------------------------------------------------
 # A search's slots are the names it assigns subset masks (row-major for
-# roles) or, to individuals, domain elements.  Its checks are compiled once
-# per search into closures over a value list indexed like the slot order,
-# where None marks a slot not yet assigned; the domain size is a cell of
-# those closures, set before each size is searched.  Concept bounds are
-# (lo, hi) masks: any completion's extension E has lo ⊆ E ⊆ hi.
+# roles) or, to individuals, domain elements; None marks a slot not yet
+# assigned.  Concept bounds are (lo, hi) masks: any completion's extension
+# E has lo ⊆ E ⊆ hi.
 
 def _converse(mask: int, n: int) -> int:
     out = 0
@@ -325,31 +320,29 @@ class _Compiled:
 
 
 def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature):
-    """Compile the checks, each an axiom and the truth value it is required
-    to have; return (compiled, slots, resize).
+    """Compile the checks, each an axiom and its required truth value, into
+    closures over a list of slot values; return (compiled, slots, resize).
 
     ``slots`` is the slot order: the names of the checks in first-occurrence
     order, then the signature's remaining concepts, roles and individuals,
-    each sorted by (base, local); these are unconstrained.  Each axiom
-    object is walked for its names once (keyed by identity, as hashing an
-    axiom would walk it too) and its operands are compiled once, so both
-    polarities of an atom, passed as one object, share the walk and the
-    operand closures; only their verdict closures differ.  ``resize(n)``
-    sets the domain size the compiled checks evaluate at, and must be
-    called before they are.  A name reads its value from the list, or its
-    widest bounds when the value is None; a name operand of an
+    each sorted by (base, local); these are unconstrained.  The compile is
+    the one walk: it meets names in `iter_nodes` preorder and numbers each
+    when first met.  A check's conflict slots are its axiom's names sorted
+    by (kind, base, local).  Each axiom object is compiled once (keyed by
+    identity, as hashing an axiom would walk it too), so the two
+    polarities of an atom share its operands and conflict slots.
+    ``resize(n)`` sets the domain size the compiled checks evaluate at, and
+    must be called before they are.  A name reads its value from the list,
+    or its widest bounds when the value is None; a name operand of an
     intersection or a union is read in place.  The converse of each role
     mask is computed at most once per domain size.
     """
-    names_of: dict[int, tuple[EntityName, ...]] = {}  # by id(axiom)
-    for axiom, _ in checks:
-        if id(axiom) not in names_of:
-            names_of[id(axiom)] = tuple(entity_names_in(axiom))
-    order = dict.fromkeys(name for names in names_of.values() for name in names)
-    for names in (signature.concepts, signature.roles, signature.individuals):
-        order.update(dict.fromkeys(sorted(names, key=lambda e: (e.base, e.local))))
-    slots = list(order)
-    index = {name: i for i, name in enumerate(slots)}
+    index: dict[EntityName, int] = {}  # each name's slot, in slot order
+    met: set[EntityName] = set()  # the names met in the axiom being compiled
+
+    def slot(name: EntityName) -> int:
+        met.add(name)
+        return index.setdefault(name, len(index))
     # Cells that depend on the domain size, rebound by resize.
     n = full = full2 = 0
     top = universal = (0, 0)
@@ -370,7 +363,7 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     def role(r: RoleExpr):
         if isinstance(r, UniversalRole):
             return lambda vals: universal
-        i = index[r.name]
+        i = slot(r.name)
         if isinstance(r, InverseRole):
             def inverse(vals):
                 x = vals[i]
@@ -393,14 +386,14 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
         if isinstance(c, Bottom):
             return lambda vals: (0, 0)
         if isinstance(c, ConceptName):
-            i = index[c.name]
+            i = slot(c.name)
 
             def name(vals):
                 x = vals[i]
                 return (0, full) if x is None else (x, x)
             return name
         if isinstance(c, Nominal):
-            i = index[c.individual]
+            i = slot(c.individual)
 
             def nominal(vals):
                 x = vals[i]
@@ -417,11 +410,13 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
                 return full & ~hi, full & ~lo
             return complement
         if isinstance(c, (And, Or)):
-            # Bounds combine bitwise, so name operands can go first.
-            names = [index[part.name] for part in c.parts
-                     if isinstance(part, ConceptName)]
-            parts = [concept(part) for part in c.parts
-                     if not isinstance(part, ConceptName)]
+            # Bounds combine bitwise, so name operands can be read first.
+            names, parts = [], []
+            for part in c.parts:
+                if isinstance(part, ConceptName):
+                    names.append(slot(part.name))
+                else:
+                    parts.append(concept(part))
             if isinstance(c, And):
                 def intersection(vals):
                     lo = hi = full
@@ -500,16 +495,11 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
             return lo, hi
         return at_most
 
-    operands: dict[int, tuple] = {}  # by id(axiom)
-
-    def check_state(ax: PlainAxiom, positive: bool):
+    def check_state(ax: PlainAxiom, pair: tuple, positive: bool):
         # Verdicts when the axiom holds in every completion, or in none.
         yes, no = (True, False) if positive else (False, True)
-        pair = operands.get(id(ax))
         if isinstance(ax, (Gci, Equiv)):
             # C ≡ D is C ⊑ D and D ⊑ C.
-            if pair is None:
-                pair = operands[id(ax)] = concept(ax.lhs), concept(ax.rhs)
             lhs, rhs = pair
             both = isinstance(ax, Equiv)
 
@@ -522,9 +512,6 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
                     return yes
                 return None
             return inclusion
-        if pair is None:
-            pair = operands[id(ax)] = ([role(r) for r in ax.chain],
-                                       role(RoleName(ax.head)))
         (first, *rest), head = pair
 
         def role_inclusion(vals):
@@ -541,14 +528,23 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
             return None
         return role_inclusion
 
-    def minimisation_order(name: EntityName) -> tuple[str, str, str]:
-        return name.kind, name.base, name.local
-
-    conflict_slots = {
-        key: tuple(index[name] for name in sorted(names, key=minimisation_order))
-        for key, names in names_of.items()}
-    return [_Compiled(check_state(axiom, positive), conflict_slots[id(axiom)])
-            for axiom, positive in checks], slots, resize
+    compiled = []
+    operands: dict[int, tuple] = {}  # by id(axiom): operand closures, conflict slots
+    for axiom, positive in checks:
+        if id(axiom) not in operands:
+            met.clear()
+            if isinstance(axiom, (Gci, Equiv)):
+                pair = concept(axiom.lhs), concept(axiom.rhs)
+            else:
+                pair = [role(r) for r in axiom.chain], role(RoleName(axiom.head))
+            conflict = sorted(met, key=lambda e: (e.kind, e.base, e.local))
+            operands[id(axiom)] = pair, tuple(index[name] for name in conflict)
+        pair, conflict = operands[id(axiom)]
+        compiled.append(_Compiled(check_state(axiom, pair, positive), conflict))
+    for names in (signature.concepts, signature.roles, signature.individuals):
+        for name in sorted(names, key=lambda e: (e.base, e.local)):
+            index.setdefault(name, len(index))
+    return compiled, list(index), resize
 
 
 # ---------------------------------------------------------------------------
@@ -922,23 +918,25 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     atom polarities; each atom is compiled required false and required
     true, in one `_compile_checks` call, so one slot order serves every
     vector.  If the slots hold a role and n ≥ 2, a vector is first searched
-    over the concept slots only, the atoms' names first, last atom first,
-    with every role slot unassigned: a None there is a None of the full
-    search, which is then skipped, and a vector that passes is searched in
-    full as before.  At n = 1 a role has two values, as a concept has, and
-    the extra search costs more than it saves.  A position's vector is
-    built atom by atom, from the most significant down, 0 before 1, which
-    visits the vectors in that ascending order; a partial assignment that
-    makes a formula false at some precisification is cut.  Domain sizes
-    above `domain_cap` are not searched: they hold no first model.  Nor are
-    precisification counts above p, the modals that need a witness (see
-    `_compile`): a model with more precisifications stays one on a witness
-    for each such modal, at the same domain size, so the first model has
-    at most p.
+    with its roles left open (see the module docstring).  A position's
+    vector is built atom by atom, from the most significant down, 0 before
+    1, which visits the vectors in that ascending order; a partial
+    assignment that makes a formula false at some precisification is cut.
+    Domain sizes above `domain_cap` are not searched: they hold no first
+    model.  Nor are precisification counts above p, the modals that need a
+    witness (see `_compile`): a model with more precisifications stays one
+    on a witness for each such modal, at the same domain size, so the first
+    model has at most p.  `search_countermodel` reports the bounds searched.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
     """
+    return _search_structures(kb, max_domain, max_prec, guard_bits).witness
+
+
+def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_bits: float):
+    """`find_standpoint_model`'s search, as a NOT_ENTAILED result with the
+    model found or an ENTAILED_WITHIN_BOUNDS one with the bounds searched."""
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     # ``users[i]`` is re-evaluated when the search fixes atom i at a position.
@@ -1051,9 +1049,13 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                                      for s, mask in zip(sp_names, sigma_tuple)}
                             structure = StandpointStructure(n, m, sigma, gamma)
                             assert kb_holds(structure, kb)
-                            return structure
+                            return EntailmentResult(NOT_ENTAILED, structure)
                         stack.append(vectors(len(stack)))
-    return None
+    if max_domain < 2:  # the loop ended before size 2, where the cap is computed
+        cap = domain_cap(kb)
+    domain = max_domain if cap is None else min(max_domain, cap)
+    return EntailmentResult(ENTAILED_WITHIN_BOUNDS, None, domain, min(max_prec, p),
+                            cap is not None and cap <= max_domain and max_prec >= p)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,8 +1069,14 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @record
 class EntailmentResult:
+    """A verdict, with the countermodel if NOT_ENTAILED.  If
+    ENTAILED_WITHIN_BOUNDS, the bounds searched, min(bound, `domain_cap`)
+    and min(bound, p), and ``complete`` when they make the search a proof."""
     status: str
     witness: Optional[StandpointStructure] = None
+    domain: Optional[int] = None
+    precisifications: Optional[int] = None
+    complete: bool = False
 
 
 def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
@@ -1082,7 +1090,7 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
     `domain_cap` of the negated-query KB is not None and at most
     ``max_domain``, and ``max_prec`` is at least its precisification bound
     p (`count_precisifications`), a countermodel of any size would give one
-    within the bounds, so the entailment holds.
+    within the bounds, so the entailment holds; the result says which.
     """
     return search_countermodel(negated_query_kb(kb, query), max_domain,
                                max_prec, guard_bits)
@@ -1103,9 +1111,6 @@ def search_countermodel(extended: StandpointKB, max_domain: int, max_prec: int,
                         guard_bits: float = GUARD_BITS) -> EntailmentResult:
     """`check_entailment_bounded` on a KB that `negated_query_kb` built."""
     try:
-        witness = find_standpoint_model(extended, max_domain, max_prec, guard_bits)
+        return _search_structures(extended, max_domain, max_prec, guard_bits)
     except SearchSpaceTooLarge:
         return EntailmentResult(INCONCLUSIVE)
-    if witness is not None:
-        return EntailmentResult(NOT_ENTAILED, witness)
-    return EntailmentResult(ENTAILED_WITHIN_BOUNDS)

@@ -26,6 +26,7 @@ valid input.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterator
 
 from .errors import GrammarViolation
@@ -348,6 +349,11 @@ def serialize_kb(kb: PlainKB | StandpointKB) -> str:
     return "".join(kb_pieces(kb))
 
 
+def free_prefix(prefixes: dict[str, str]) -> str:
+    """The first prefix name ``ns<k>``, k ≥ 1, that ``prefixes`` does not bind."""
+    return next(f"ns{k}" for k in count(1) if f"ns{k}" not in prefixes)
+
+
 def document_pieces(doc: RawDocument) -> Iterator[str]:
     """The document of ``serialize_document`` in pieces, each ending in a
     newline: the header (prefixes, the ``Ontology(`` line, the ontology
@@ -355,16 +361,9 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
     closing ``)``.  A namespace of ``doc.names`` that no prefix covers gets
     the first free ``ns<k>``, in sorted order."""
     covered = {iri for _, iri in doc.prefixes}
-    bases = {n.base for n in doc.names}
     table = dict(doc.prefixes)
-    missing = sorted(b for b in bases if b not in covered)
-    used = set(table.keys())
-    k = 1
-    for base in missing:
-        while f"ns{k}" in used:
-            k += 1
-        table[f"ns{k}"] = base
-        used.add(f"ns{k}")
+    for base in sorted({n.base for n in doc.names} - covered):
+        table[free_prefix(table)] = base
 
     reverse: dict[str, str] = {}
     for pname, iri in table.items():

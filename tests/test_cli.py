@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import standpoint_owl
-from standpoint_owl import cli, model, serializer
+from standpoint_owl import cli, model, oracle, serializer
 from standpoint_owl.cli import main
 from standpoint_owl.errors import ParseError
 from standpoint_owl.frontend import assemble_kb, parse_document, parse_simple_query
@@ -623,7 +624,7 @@ class TestCompleteDomainBound:
         return write(tmp_path, "kb.ofn", "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
                      + "".join(f"{axiom}\n" for axiom in axioms) + ")\n")
 
-    @pytest.mark.parametrize("axioms", [
+    UNIVERSAL_ROLE_KBS = [
         # Something is A and something is not, by ∃U on the right ...
         ("SubClassOf(owl:Thing ObjectSomeValuesFrom(owl:topObjectProperty :A))",
          "SubClassOf(owl:Thing ObjectSomeValuesFrom(owl:topObjectProperty "
@@ -631,7 +632,12 @@ class TestCompleteDomainBound:
         # ... and by ∀U on the left.
         ("SubClassOf(ObjectAllValuesFrom(owl:topObjectProperty :A) owl:Nothing)",
          "SubClassOf(ObjectAllValuesFrom(owl:topObjectProperty "
-         "ObjectComplementOf(:A)) owl:Nothing)")], ids=["some", "all"])
+         "ObjectComplementOf(:A)) owl:Nothing)")]
+    CHAIN = tuple(f"SubClassOf({BOX_STAR} :C{i} :C{i + 1})" for i in range(13))
+    EQUAL = ("SubClassOf(:A :B)", "SubClassOf(:B :A)",
+             f"SubClassOf({BOX_STAR.replace('Box', 'Diamond')} :A :A)")
+
+    @pytest.mark.parametrize("axioms", UNIVERSAL_ROLE_KBS, ids=["some", "all"])
     def test_universal_role_countermodel_needs_two_elements(self, tmp_path, capsys,
                                                             axioms):
         """The negated query has one atom, yet the first countermodel has
@@ -647,8 +653,7 @@ class TestCompleteDomainBound:
     def test_cap_keeps_the_search_under_the_guard(self, tmp_path, capsys):
         """14 concepts: domain size 3 needs 42 bits, over the default guard
         of 40, but the one negated atom ends the search at size 1."""
-        path = self.kb(tmp_path, *(f"SubClassOf({BOX_STAR} :C{i} :C{i + 1})"
-                                   for i in range(13)))
+        path = self.kb(tmp_path, *self.CHAIN)
         assert main(["query", path, "--simple", "[*](C0 sub C3)",
                      "--domain-bound", "3"]) == 0
         assert capsys.readouterr().err == (
@@ -667,12 +672,53 @@ class TestCompleteDomainBound:
          "precisifications \u2264 2; with no roles or individuals these bounds "
          "are complete)")])
     def test_verdict_names_complete_bounds_only(self, tmp_path, capsys, bounds, verdict):
-        diamond = BOX_STAR.replace("Box", "Diamond")
-        path = self.kb(tmp_path, "SubClassOf(:A :B)", "SubClassOf(:B :A)",
-                       f"SubClassOf({diamond} :A :A)")
+        path = self.kb(tmp_path, *self.EQUAL)
         assert main(["query", path, "--simple", "[*](A eq B)", *bounds]) == 0
         assert capsys.readouterr().err == \
             f"p=2 (including the negated query)\n{verdict}\n"
+
+    @pytest.mark.parametrize("axioms, query, bounds", [
+        (UNIVERSAL_ROLE_KBS[0], "[*](owl:Thing sub A)", ("--domain-bound", "3")),
+        (UNIVERSAL_ROLE_KBS[1], "[*](owl:Thing sub A)", ("--domain-bound", "3")),
+        (CHAIN, "[*](C0 sub C3)", ("--domain-bound", "3")),
+        (EQUAL, "[*](A eq B)", ("--domain-bound", "1")),
+        (EQUAL, "[*](A eq B)", ("--domain-bound", "2", "--prec-bound", "1")),
+        (EQUAL, "[*](A eq B)", ("--domain-bound", "3"))],
+        ids=["some", "all", "chain", "equal-1", "equal-2-prec-1", "equal-3"])
+    def test_the_result_holds_the_bounds_of_the_verdict(self, tmp_path, capsys,
+                                                        monkeypatch, axioms, query, bounds):
+        """The search reports the bounds it searched and whether they are
+        complete; the verdict line names them.  A refuted query has no
+        bounds to report."""
+        results = []
+        search = cli.search_countermodel
+        monkeypatch.setattr(cli, "search_countermodel",
+                            lambda *args, **kwargs: results.append(search(*args, **kwargs))
+                            or results[-1])
+        main(["query", self.kb(tmp_path, *axioms), "--simple", query, *bounds])
+        verdict = capsys.readouterr().err.splitlines()[1]
+        (result,) = results
+        if not verdict.startswith("entailed"):
+            assert (result.domain, result.precisifications, result.complete) == \
+                (None, None, False)
+            return
+        domain, precisifications = re.search(
+            r"domain \u2264 (\d+), precisifications \u2264 (\d+)", verdict).groups()
+        assert (result.domain, result.precisifications, result.complete) == \
+            (int(domain), int(precisifications), "these bounds are complete" in verdict)
+
+    def test_the_search_walks_the_cap_once(self, tmp_path, capsys, monkeypatch):
+        """The cap is computed by the search alone, once, and the verdict
+        line is made from what it reports."""
+        calls = []
+        cap = oracle.domain_cap
+        for module in (oracle, cli):
+            monkeypatch.setattr(module, "domain_cap",
+                                lambda kb: calls.append(kb) or cap(kb), raising=False)
+        path = self.kb(tmp_path, *self.EQUAL)
+        assert main(["query", path, "--simple", "[*](A eq B)", "--domain-bound", "3"]) == 0
+        assert "these bounds are complete" in capsys.readouterr().err
+        assert len(calls) == 1
 
 
 class TestUniversalRoleRestriction:
@@ -855,6 +901,19 @@ class TestQuery:
                      "--domain-bound", "2", "--prec-bound", "2",
                      "--guard-bits", "200"])
         assert code == 0
+
+    @pytest.mark.parametrize("text, error", [
+        ('<Box><Standpoint name="LU"/>', "bad XML in query: no element found: "
+         "line 1, column 28"),
+        ("<booleanCombination>" + 2 * ("<subClassOf><LHS>Forest</LHS><RHS>Land</RHS>"
+                                       "</subClassOf>") + "</booleanCombination>",
+         "<booleanCombination> wraps exactly one formula")], ids=["xml", "wrapper"])
+    def test_query_file_errors(self, forest_path, tmp_path, capsys, text, error):
+        """A query document that is no XML, or whose <booleanCombination>
+        wraps two formulas, is an input error (exit 2)."""
+        q = write(tmp_path, "q.xml", text)
+        assert main(["query", forest_path, "--query-file", q]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_guard_trip_inconclusive(self, forest_path, capsys):
         code = main(["query", forest_path, "--simple", "[LU](Forest sub Land)",

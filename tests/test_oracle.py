@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from standpoint_owl.errors import SearchSpaceTooLarge, UnknownName, UnresolvedRef
-from standpoint_owl import oracle
+from standpoint_owl import model, oracle
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_simple_query)
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, AxiomRef,
@@ -908,6 +908,56 @@ def test_a_search_with_the_roles_left_open_keeps_every_realisable_vector():
                     assert _search_assignment(2, slots, compiled, fixed) is None, (seed, v, nu)
     assert refuted
 
+
+def _compiled_check_sets():
+    """The checks of the standpoint search of each ``genkb.random_kb``,
+    ``top_level_kb`` and ``widened`` seed, as `find_standpoint_model`
+    passes them, and those of the plain search of its translation, each
+    with its signature."""
+    for make in (genkb.random_kb, genkb.top_level_kb,
+                 lambda seed: genkb.widened(genkb.random_kb(seed))):
+        for seed in range(40):
+            kb = make(seed)
+            atoms = list(dict.fromkeys(a.axiom for f in kb.formulas for a in walk_atoms(f)))
+            yield ([(ax, True) for ax in kb.rias + kb.plain_axioms]
+                   + [(ax, positive) for ax in atoms for positive in (False, True)],
+                   kb.signature)
+            plain = translate_kb(kb)
+            yield [(ax, True) for ax in plain.axioms], plain.signature
+
+
+def test_the_slot_order_is_the_first_occurrence_order_of_the_names():
+    """The compile walk hands out the slots: the names of the checks in
+    `entity_names_in` order, check by check, then the signature's other
+    concepts, roles and individuals, each sorted by (base, local).  Each
+    check's conflict slots are its names sorted by (kind, base, local).
+    This ties the hand-written compile to the child order of the syntax
+    tree, which fixes the first witnesses."""
+    for checks, signature in _compiled_check_sets():
+        order = dict.fromkeys(name for ax, _ in checks for name in entity_names_in(ax))
+        for names in (signature.concepts, signature.roles, signature.individuals):
+            order.update(dict.fromkeys(sorted(names, key=lambda e: (e.base, e.local))))
+        compiled, slots, _ = _compile_checks(checks, signature)
+        assert slots == list(order)
+        for check, (ax, _) in zip(compiled, checks):
+            assert [slots[i] for i in check.slots] == sorted(
+                entity_names_in(ax), key=lambda e: (e.kind, e.base, e.local))
+
+
+def test_a_model_of_one_element_is_found_without_walking_a_tree(monkeypatch):
+    """The compile walk finds the slots, and the domain cap is computed
+    from size 2 on, so a search that ends at one element walks no syntax
+    tree of a KB with roles, nominals and a role inclusion."""
+    kb = make_kb(rias=[Ria((R("r"), Rinv("s")), role_name("t"))],
+                 plain_axioms=[Gci(O("a"), Some(R("r"), And(C("A"), O("b"))))],
+                 formulas=[Box(S("s"), Atom(Gci(C("A"), AtMost(1, R("t"), C("B"))))),
+                           Diamond(S("s"), Atom(Equiv(O("b"), HasSelf(R("s")))))])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("iter_nodes called")
+    monkeypatch.setattr(model, "iter_nodes", forbidden)
+    found = find_standpoint_model(kb, 3, 2)
+    assert (found.domain_size, found.precisifications) == (1, 1)
 
 # --- the first standpoint witness against enumeration of vector tuples ----
 
