@@ -241,7 +241,7 @@ def cmd_query(args) -> int:
             # The search stops at p precisifications whatever the bound.
             if prec_bound > result.precisifications:
                 searched += "; the precisification bound is complete"
-            print(f"entailed within bounds (no countermodel with domain ≤ {args.domain_bound}, "
+            print(f"entailed within bounds (no countermodel with domain ≤ {result.domain}, "
                   f"{searched}); bounded evidence, not a proof", file=sys.stderr)
         return 0
     if result.status == NOT_ENTAILED:

@@ -38,7 +38,12 @@ precisification (see `_compile`), so a partial assignment that makes a
 formula false anywhere is cut at once.  That one walk over each formula
 also numbers the atoms, lists the formulas each atom occurs in and counts
 p, the modals that need a witness precisification; no first model has
-more than p of them.
+more than p of them.  Renaming the precisifications maps models to
+models, so the search takes one standpoint assignment per orbit, the
+least in `product` order (`_orbit_leaders`), and gives two adjacent
+precisifications in the same standpoints ascending vectors: the first
+model obeys both rules, as a renamed copy that broke one would come
+before it.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability,
 except where the bounds are complete: see `check_entailment_bounded`.
 """
@@ -903,6 +908,46 @@ def domain_cap(kb: StandpointKB) -> Optional[int]:
     return max(1, len(negated))
 
 
+def _orbit_leaders(m: int, s: int):
+    """The tuples of s member masks over m precisifications that are the
+    least of their orbit under renaming the precisifications, lazily and in
+    `product` order.
+
+    Read row pi as pi's membership in each standpoint, a word whose most
+    significant bit is the first mask's.  Renaming permutes the rows, and
+    a tuple is the least of its orbit exactly when its rows do not
+    increase, so there are C(m + 2^s − 1, m) of them, one per multiset of
+    rows.  They are counted per block of equal rows, from one block of all
+    m positions: each mask puts its ones on a prefix of every block, one
+    digit per block, the block at the highest positions the most
+    significant, which is ascending mask order.  Each block then splits at
+    its prefix for the masks after it.  Once every block is one position,
+    the masks after it are free, in `product` order; at m = 1 that is from
+    the start.
+    """
+    def extend(prefix: tuple, blocks: list):
+        # ``blocks`` holds (start, size) pairs, highest positions first.
+        if len(blocks) == m:  # no two rows are equal, so no mask is bound
+            yield from map(prefix.__add__, product(range(1 << m), repeat=s - len(prefix)))
+            return
+        last = len(prefix) + 1 == s
+        for ones in product(*[range(size + 1) for _, size in blocks]):
+            mask = 0
+            for (start, _), k in zip(blocks, ones):
+                mask |= ((1 << k) - 1) << start
+            if last:
+                yield (*prefix, mask)
+                continue
+            split = []
+            for (start, size), k in zip(blocks, ones):
+                if k < size:
+                    split.append((start + k, size - k))
+                if k:
+                    split.append((start, k))
+            yield from extend((*prefix, mask), split)
+    return extend((), [(0, m)]) if s else iter([()])
+
+
 def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
                           guard_bits: float = GUARD_BITS) -> Optional[StandpointStructure]:
     """Search for the canonically first standpoint structure modelling the KB
@@ -926,7 +971,18 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     model.  Nor are precisification counts above p, the modals that need a
     witness (see `_compile`): a model with more precisifications stays one
     on a witness for each such modal, at the same domain size, so the first
-    model has at most p.  `search_countermodel` reports the bounds searched.
+    model has at most p.
+
+    Of the (2^m)^s standpoint assignments for s named standpoints, only
+    the C(m + 2^s − 1, m) whose rows do not increase are searched (see
+    `_orbit_leaders`), row pi being pi's membership in each standpoint; and
+    a position whose row equals the one before takes no vector below that
+    one's.  Renaming the precisifications maps a model to a model with the
+    same ``nu`` (individuals are rigid) and the vectors renamed with it.
+    So the first model's assignment is the least of its orbit, and its
+    vectors do not decrease where rows are equal: otherwise a renamed copy
+    would come earlier in the enumeration.  Neither rule moves the first
+    witness.  `search_countermodel` reports the bounds searched.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
     have more than MAX_ATOMS distinct atoms, whatever the guard.
@@ -936,7 +992,13 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
 
 def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_bits: float):
     """`find_standpoint_model`'s search, as a NOT_ENTAILED result with the
-    model found or an ENTAILED_WITHIN_BOUNDS one with the bounds searched."""
+    model found or an ENTAILED_WITHIN_BOUNDS one with the bounds searched.
+
+    The sigma tuples of each count m come from `_orbit_leaders`, lazily in
+    `product` order.  Per tuple, one mask marks the adjacent positions whose
+    rows differ; a position whose row equals the one before passes that
+    position's vector to `vectors` as its lower bound.  At m = 1 there is
+    no such position, and the bound stays 0."""
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     # ``users[i]`` is re-evaluated when the search fixes atom i at a position.
@@ -995,25 +1057,31 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
                     realizable[key] = None if asn is None else _assignment_to_interp(asn, n)
             return realizable[key]
 
-        def vectors(pi: int, depth: int = 0, v: int = fixed_bits):
-            """Position pi's vectors in ascending order that make no formula
-            false and are realised under the ``nu`` searched: free atom
-            ``free[depth]`` is fixed false, then true, at pi, and the
-            formulas it occurs in are evaluated again.  ``at``/``af`` hold a
-            vector's bits while it is yielded; a generator that is used up
-            has cleared them."""
+        def vectors(pi: int, low: int = 0, depth: int = 0, v: int = fixed_bits):
+            """Position pi's vectors from ``low`` up, in ascending order,
+            that make no formula false and are realised under the ``nu``
+            searched: free atom ``free[depth]`` is fixed false, then true,
+            at pi, and the formulas it occurs in are evaluated again.  While
+            the atoms fixed so far agree with ``low``, a polarity below
+            low's is not tried, and a subtree above low's is searched from
+            0.  ``at``/``af`` hold a vector's bits while it is yielded; a
+            generator that is used up has cleared them."""
             if depth == len(free):
                 if realize(nu, v) is not None:
                     yield v
                 return
             i, bit = free[depth], 1 << pi
+            floor = low >> i & 1
             for polarity, known in enumerate((af, at)):
+                if polarity < floor:
+                    continue
                 known[i] |= bit
                 for ev in users[i]:
                     if ev(at, af, ms)[1]:
                         break
                 else:
-                    yield from vectors(pi, depth + 1, v | polarity << i)
+                    yield from vectors(pi, low if polarity == floor else 0, depth + 1,
+                                       v | polarity << i)
                 known[i] ^= bit
 
         bits = _bits_needed(slots, n)
@@ -1025,11 +1093,15 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
             full = (1 << m) - 1
             at = [full if polarity is True else 0 for polarity in forced]
             af = [full if polarity is False else 0 for polarity in forced]
-            for sigma_tuple in product(range(1 << m), repeat=len(sp_names)):
+            for sigma_tuple in _orbit_leaders(m, len(sp_names)):
                 ms = [mask_of(sigma_tuple, full) for mask_of in modals]
                 # Every formula once with only the forced atoms known.
                 if any(ev(at, af, ms)[1] for ev in evaluators):
                     continue
+                # Bit pi - 1 is set where the rows of pi - 1 and pi differ.
+                apart = 0
+                for mask in sigma_tuple:
+                    apart |= mask ^ mask >> 1
                 for nu in product(range(n), repeat=len(individuals)):
                     # One generator per position taken so far, and the vector
                     # it yielded last: the stack replaces one recursion per
@@ -1050,7 +1122,10 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
                             structure = StandpointStructure(n, m, sigma, gamma)
                             assert kb_holds(structure, kb)
                             return EntailmentResult(NOT_ENTAILED, structure)
-                        stack.append(vectors(len(stack)))
+                        # Positions with equal rows may trade vectors, so
+                        # the second takes none below the first's.
+                        pi = len(stack)
+                        stack.append(vectors(pi, 0 if apart >> pi - 1 & 1 else v))
     if max_domain < 2:  # the loop ended before size 2, where the cap is computed
         cap = domain_cap(kb)
     domain = max_domain if cap is None else min(max_domain, cap)

@@ -5,8 +5,9 @@ namespace, D becomes the A of another namespace and the plain axioms use
 that namespace's r, so equal local names from two namespaces meet.
 ``top_level_kb`` draws the top-level shapes that ``translate_kb`` emits
 as per-index axioms: boxes and bare atoms, next to sharpening chains and
-diamonds.  ``widened`` adds role chains, inverse roles, nominals and
-individuals to any of them."""
+diamonds.  ``chain_kb`` chains all three standpoints and asks for up to
+three precisifications.  ``widened`` adds role chains, inverse roles,
+nominals and individuals to any of them."""
 
 import random
 
@@ -184,6 +185,37 @@ def top_level_kb(seed):
     formulas += [_box_or_atom(rng) for _ in range(rng.randrange(1, 4))]
     formulas += [Diamond(_named_expr(rng), rng.choice([Negation, lambda f: f])(
                      _top_level_atom(rng))) for _ in range(rng.randrange(1, 3))]
+    rng.shuffle(formulas)
+    return normalize_kb(make_kb(formulas=formulas, base_iri="urn:gen"))
+
+
+def chain_kb(seed):
+    """A normalized KB of a sharpening chain over all three standpoints, two
+    atoms between concept names, three diamonds over them (so p is three)
+    and a box half the time.  In half the draws the diamonds ask for three
+    distinct vectors of the two atoms, so a model needs three
+    precisifications."""
+    rng = random.Random(seed)
+    chain = rng.sample(SHARPENED, 3)
+    formulas = [desugar_sharpening(a, b) for a, b in zip(chain, chain[1:])]
+    atoms = [Atom(Gci(*rng.sample(CONCEPTS, 2))) for _ in range(2)]
+
+    def literal(atom):
+        return rng.choice([Negation, lambda f: f])(atom)
+
+    def body():
+        if rng.random() < 0.5:
+            return literal(rng.choice(atoms))
+        return Conjunction(literal(atoms[0]), literal(atoms[1]))
+    if rng.random() < 0.5:
+        bodies = [body() for _ in range(3)]
+    else:
+        bodies = [Conjunction(*(atom if bit else Negation(atom)
+                                for atom, bit in zip(atoms, vector)))
+                  for vector in rng.sample([(0, 0), (0, 1), (1, 0), (1, 1)], 3)]
+    formulas += [Diamond(rng.choice(SHARPENED), b) for b in bodies]
+    if rng.random() < 0.5:
+        formulas.append(Box(rng.choice(SHARPENED), body()))
     rng.shuffle(formulas)
     return normalize_kb(make_kb(formulas=formulas, base_iri="urn:gen"))
 

@@ -64,6 +64,17 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def run_child(argv, timeout, preexec_fn=None):
+    """``python -m standpoint_owl.cli`` with ``argv`` in a child process,
+    with a wall-clock limit."""
+    package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
+    env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "standpoint_owl.cli", *argv],
+        capture_output=True, encoding="utf-8", timeout=timeout, preexec_fn=preexec_fn,
+        env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
+
+
 class TestTranslate:
     def test_forest(self, forest_path, tmp_path, capsys):
         assert main(["translate", forest_path]) == 0
@@ -547,17 +558,12 @@ class TestDeepPrecisificationBound:
         path = write(tmp_path, "chain.ofn",
                      "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
                      f"SubClassOf({box} :A :B)\nSubClassOf({box} :B :C)\n)\n")
-        package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
-        env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
 
         def capped():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        proc = subprocess.run(
-            [sys.executable, "-m", "standpoint_owl.cli", "query", path,
-             "--simple", "[*](A sub C)", "--domain-bound", "1",
-             "--prec-bound", "400", "--guard-bits", "inf"],
-            capture_output=True, encoding="utf-8", timeout=120, preexec_fn=capped,
-            env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
+        proc = run_child(["query", path, "--simple", "[*](A sub C)", "--domain-bound", "1",
+                          "--prec-bound", "400", "--guard-bits", "inf"],
+                         timeout=120, preexec_fn=capped)
         assert (proc.returncode, proc.stderr) == (0, (
             "p=1 (including the negated query)\n"
             "entailed (no countermodel with domain \u2264 1, precisifications "
@@ -576,18 +582,35 @@ class TestPrecisificationCap:
                      'Annotation(:standpointLabel "<Sharpening><Standpoint name=\\"a\\"/>'
                      '<Standpoint name=\\"b\\"/></Sharpening>")\n'
                      "Declaration(Class(:A))\n)\n")
-        package_root = os.path.dirname(os.path.dirname(standpoint_owl.__file__))
-        env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "standpoint_owl.cli", "query", path,
-             "--simple", "[*](owl:Thing sub owl:Thing)", "--domain-bound", "1",
-             "--prec-bound", bound],
-            capture_output=True, encoding="utf-8", timeout=20,
-            env={**os.environ, "PYTHONPATH": env_path, "PYTHONIOENCODING": "utf-8"})
+        proc = run_child(["query", path, "--simple", "[*](owl:Thing sub owl:Thing)",
+                          "--domain-bound", "1", "--prec-bound", bound], timeout=20)
         assert (proc.returncode, proc.stderr) == (0, (
             "p=1 (including the negated query)\n"
             "entailed (no countermodel with domain \u2264 1, precisifications "
             "\u2264 1; with no roles or individuals these bounds are complete)\n"))
+
+    def test_one_standpoint_assignment_per_orbit(self, tmp_path):
+        """``a ⪯ b`` and eleven diamonds ``<b>(Xi ⊑ Yi)``: p is 12, and the
+        entailed query makes the search try every count up to 12.  Renaming
+        precisifications maps models to models, so per count it walks one
+        sigma tuple per orbit, C(m + 3, m) of them (455 at m = 12), not all
+        2^(2m) tuples, which would take most of a minute.  The child runs
+        with a wall-clock limit."""
+        sp = '<Standpoint name=\\"{}\\"/>'.format
+        diamond = ('Annotation(:standpointLabel "<standpointAxiom><Diamond>'
+                   f'{sp("b")}</Diamond></standpointAxiom>")')
+        path = write(tmp_path, "diamonds.ofn",
+                     "Prefix(:=<urn:g#>)\nOntology(<urn:g>\n"
+                     f'Annotation(:standpointLabel "<Sharpening>{sp("a")}{sp("b")}'
+                     '</Sharpening>")\n'
+                     + "".join(f"SubClassOf({diamond} :X{i} :Y{i})\n" for i in range(11))
+                     + ")\n")
+        proc = run_child(["query", path, "--simple", "[*](owl:Thing sub owl:Thing)",
+                          "--domain-bound", "1", "--guard-bits", "inf"], timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, (
+            "p=12 (including the negated query)\n"
+            "entailed (no countermodel with domain \u2264 1, precisifications "
+            "\u2264 12; with no roles or individuals these bounds are complete)\n"))
 
     @pytest.mark.parametrize("bound, searched", [
         ("400", "1; the precisification bound is complete"), ("1", "1")])
@@ -670,7 +693,11 @@ class TestCompleteDomainBound:
          "bounded evidence, not a proof"),
         (("--domain-bound", "3"), "entailed (no countermodel with domain \u2264 2, "
          "precisifications \u2264 2; with no roles or individuals these bounds "
-         "are complete)")])
+         "are complete)"),
+        # The search stops at the cap of 2 though the bounds are not complete.
+        (("--domain-bound", "3", "--prec-bound", "1"), "entailed within bounds "
+         "(no countermodel with domain \u2264 2, precisifications \u2264 1); "
+         "bounded evidence, not a proof")])
     def test_verdict_names_complete_bounds_only(self, tmp_path, capsys, bounds, verdict):
         path = self.kb(tmp_path, *self.EQUAL)
         assert main(["query", path, "--simple", "[*](A eq B)", *bounds]) == 0
@@ -683,8 +710,9 @@ class TestCompleteDomainBound:
         (CHAIN, "[*](C0 sub C3)", ("--domain-bound", "3")),
         (EQUAL, "[*](A eq B)", ("--domain-bound", "1")),
         (EQUAL, "[*](A eq B)", ("--domain-bound", "2", "--prec-bound", "1")),
+        (EQUAL, "[*](A eq B)", ("--domain-bound", "3", "--prec-bound", "1")),
         (EQUAL, "[*](A eq B)", ("--domain-bound", "3"))],
-        ids=["some", "all", "chain", "equal-1", "equal-2-prec-1", "equal-3"])
+        ids=["some", "all", "chain", "equal-1", "equal-2-prec-1", "equal-3-prec-1", "equal-3"])
     def test_the_result_holds_the_bounds_of_the_verdict(self, tmp_path, capsys,
                                                         monkeypatch, axioms, query, bounds):
         """The search reports the bounds it searched and whether they are

@@ -994,20 +994,58 @@ def _first_structure_by_enumeration(kb, max_domain, max_prec):
     return None
 
 
-@pytest.mark.parametrize("family", ["random", "top_level", "widened"])
+def _rows(sigma_tuple, m):
+    """Row pi of a sigma tuple: pi's membership in each standpoint, the
+    first standpoint's most significant."""
+    return [[mask >> pi & 1 for mask in sigma_tuple] for pi in range(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_orbit_leaders_are_the_product_whose_rows_do_not_increase(m):
+    """In `product` order, and C(m + 2^s − 1, m) of them."""
+    for s in range(4):
+        expected = [t for t in itertools.product(range(1 << m), repeat=s)
+                    if all(a >= b for a, b in itertools.pairwise(_rows(t, m)))]
+        assert list(oracle._orbit_leaders(m, s)) == expected, s
+        assert len(expected) == math.comb(m + 2 ** s - 1, m)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_orbit_leaders_are_the_least_of_their_orbits(m):
+    """Each is the least of its tuple's images under the m! renamings of
+    the precisifications; with no standpoint there is one, empty, tuple."""
+    for s in range(4):
+        least = {min(tuple(sum((mask >> pi & 1) << perm[pi] for pi in range(m))
+                           for mask in t)
+                     for perm in itertools.permutations(range(m)))
+                 for t in itertools.product(range(1 << m), repeat=s)}
+        assert set(oracle._orbit_leaders(m, s)) == least, s
+    assert list(oracle._orbit_leaders(m, 0)) == [()]
+
+
+@pytest.mark.parametrize("family", ["random", "top_level", "widened", "chain"])
 def test_first_standpoint_witness_is_the_first_by_enumeration(family):
     """Generated KBs with at most 4 atoms and 2 named standpoints, at domain
     and precisification bounds 2.  The first witness of random seed 189
-    and of widened seed 127 has two elements."""
+    and of widened seed 127 has two elements.  The chains have 3 named
+    standpoints and are searched at domain bound 1 and precisification
+    bound 3, where sigma tuples share orbits and positions share rows: the
+    first witnesses of chain seeds 3, 6, 39, 51 and 57 have three
+    precisifications, those of 4 and 30 two with equal rows, and seed 0
+    has none, so every tuple is enumerated."""
     make = {"random": genkb.random_kb, "top_level": genkb.top_level_kb,
-            "widened": lambda seed: genkb.widened(genkb.random_kb(seed))}[family]
-    for seed in [*range(30), 127, 189]:
+            "widened": lambda seed: genkb.widened(genkb.random_kb(seed)),
+            "chain": genkb.chain_kb}[family]
+    seeds, bounds, named = [*range(30), 127, 189], (2, 2), 2
+    if family == "chain":
+        seeds, bounds, named = [0, 3, 4, 6, 30, 39, 51, 57], (1, 3), 3
+    for seed in seeds:
         kb = make(seed)
         atoms = {a.axiom for f in kb.formulas for a in walk_atoms(f)}
-        if len(atoms) > 4 or len(kb.signature.standpoints) > 3:
+        if len(atoms) > 4 or len(kb.signature.standpoints) > named + 1:
             continue
-        expected = _first_structure_by_enumeration(kb, 2, 2)
-        found = find_standpoint_model(kb, 2, 2, guard_bits=math.inf)
+        expected = _first_structure_by_enumeration(kb, *bounds)
+        found = find_standpoint_model(kb, *bounds, guard_bits=math.inf)
         assert repr(found) == repr(expected), seed
 
 
