@@ -34,6 +34,7 @@ from .errors import (BadName, CyclicRoleOrder, MalformedRIA,
 # then letters and digits.  Axiom names follow it after their leading §.
 STANDPOINT_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 UNIVERSAL_STANDPOINT = "*"
+STAR_TOKEN = "STAR"  # the translation's name for *, which no standpoint takes
 
 _KINDS = ("concept", "role", "individual", "standpoint")
 
@@ -381,7 +382,7 @@ class NamedStandpoint:
     name: str
 
     def __post_init__(self):
-        if not STANDPOINT_NAME_RE.match(self.name):
+        if not STANDPOINT_NAME_RE.match(self.name) or self.name == STAR_TOKEN:
             raise ValueError(f"bad standpoint name {self.name!r}")
 
 
@@ -409,11 +410,13 @@ STAR = Star()
 
 def standpoint_expr(name: str) -> Star | NamedStandpoint:
     """The standpoint a parsed name denotes: ``*`` is STAR, any other name
-    must follow the standpoint-name rule or raises BadName."""
+    must follow the standpoint-name rule and not be STAR_TOKEN (BadName)."""
     if name == UNIVERSAL_STANDPOINT:
         return STAR
     if not STANDPOINT_NAME_RE.match(name):
         raise BadName(f"bad standpoint name {name!r}")
+    if name == STAR_TOKEN:
+        raise BadName(f"standpoint name {name!r} is reserved for '*'")
     return NamedStandpoint(name)
 
 

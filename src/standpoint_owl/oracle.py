@@ -36,8 +36,9 @@ only the formulas that atom occurs in; the formulas are compiled once per
 search into closures that give (true, false) masks with one bit per
 precisification (see `_compile`), so a partial assignment that makes a
 formula false anywhere is cut at once.  That one walk over each formula
-also numbers the atoms, lists the formulas each atom occurs in and counts
-p, the modals that need a witness precisification; no first model has
+also numbers the atoms, lists the formulas each atom occurs in, collects
+those under an odd number of negations for `domain_cap` and counts p,
+the modals that need a witness precisification; no first model has
 more than p of them.  Renaming the precisifications maps models to
 models, so the search takes one standpoint assignment per orbit, the
 least in `product` order (`_orbit_leaders`), and gives two adjacent
@@ -62,7 +63,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, field,
-                    iter_nodes, record, replace, signature_of, walk_atoms)
+                    record, replace, signature_of)
 from .normalizer import normalize_kb
 
 # The most distinct atoms the standpoint search takes on: each position
@@ -326,12 +327,13 @@ class _Compiled:
 
 def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature):
     """Compile the checks, each an axiom and its required truth value, into
-    closures over a list of slot values; return (compiled, slots, resize).
+    closures over a list of slot values; return (compiled, slots, resize,
+    universal).
 
     ``slots`` is the slot order: the names of the checks in first-occurrence
     order, then the signature's remaining concepts, roles and individuals,
     each sorted by (base, local); these are unconstrained.  The compile is
-    the one walk: it meets names in `iter_nodes` preorder and numbers each
+    the one walk: it meets names in `entity_names_in` order and numbers each
     when first met.  A check's conflict slots are its axiom's names sorted
     by (kind, base, local).  Each axiom object is compiled once (keyed by
     identity, as hashing an axiom would walk it too), so the two
@@ -340,7 +342,8 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     must be called before they are.  A name reads its value from the list,
     or its widest bounds when the value is None; a name operand of an
     intersection or a union is read in place.  The converse of each role
-    mask is computed at most once per domain size.
+    mask is computed at most once per domain size.  ``universal`` says
+    whether a check holds the universal role, which is no name.
     """
     index: dict[EntityName, int] = {}  # each name's slot, in slot order
     met: set[EntityName] = set()  # the names met in the axiom being compiled
@@ -354,6 +357,7 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     rows: list[tuple[int, int]] = []
     diagonal: list[tuple[int, int]] = []
     converse: dict[int, int] = {}
+    met_universal = False
 
     def resize(size: int) -> None:
         nonlocal n, full, full2, top, universal, rows, diagonal, converse
@@ -366,7 +370,9 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
         converse = {}
 
     def role(r: RoleExpr):
+        nonlocal met_universal
         if isinstance(r, UniversalRole):
+            met_universal = True
             return lambda vals: universal
         i = slot(r.name)
         if isinstance(r, InverseRole):
@@ -549,7 +555,7 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     for names in (signature.concepts, signature.roles, signature.individuals):
         for name in sorted(names, key=lambda e: (e.base, e.local)):
             index.setdefault(name, len(index))
-    return compiled, list(index), resize
+    return compiled, list(index), resize, met_universal
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +743,8 @@ def find_plain_model(kb: PlainKB, max_domain: int,
     unsatisfiability proof).  Raises SearchSpaceTooLarge when a domain size
     would exceed the guard before any model was found.
     """
-    compiled, slots, resize = _compile_checks([(ax, True) for ax in kb.axioms],
-                                              kb.signature)
+    compiled, slots, resize, _ = _compile_checks([(ax, True) for ax in kb.axioms],
+                                                 kb.signature)
     for n in range(1, max_domain + 1):
         bits = _bits_needed(slots, n)
         if bits > guard_bits:
@@ -761,7 +767,7 @@ def _compile(formulas, sp_names: list[str]):
     """Compile the formulas once per search into three-valued evaluators, in
     one walk over each formula.
 
-    Returns (atoms, evaluators, users, modals, p).  ``atoms`` holds the
+    Returns (atoms, evaluators, users, modals, p, negated): ``atoms``, the
     distinct TBox axioms of the atoms, numbered in first-occurrence order,
     in preorder across the formulas.  ``evaluators`` holds one function per
     formula, mapping (at, af, members) to its (true, false) masks, one bit
@@ -775,20 +781,22 @@ def _compile(formulas, sp_names: list[str]):
     and ``full`` the mask of all precisifications.  ``p`` is the number of
     modals that need a witness precisification, floored at one: a diamond
     under an even number of negations or a box under an odd number, which
-    is the diamond count after NNF.  Bitwise this is the three-valued
-    logic: negation swaps, conjunction and disjunction combine bitwise, and
-    a box over members M is true when its argument is true throughout M
-    (``t & M == M``), false when it is false somewhere in M (``f & M``),
-    and unknown otherwise; a diamond dually.  A modal's value is the same
-    at every precisification, so it sets all bits (-1) or none; over an
-    empty M a box is true and a diamond false.  A §-reference raises
-    UnresolvedRef.
+    is the diamond count after NNF.  ``negated`` holds the numbers of the
+    atoms under an odd number of negations, the negated atoms after NNF.
+    Bitwise this is the three-valued logic: negation swaps, conjunction
+    and disjunction combine bitwise, and a box over members M is true when
+    its argument is true throughout M (``t & M == M``), false when it is
+    false somewhere in M (``f & M``), and unknown otherwise; a diamond
+    dually.  A modal's value is the same at every precisification, so it
+    sets all bits (-1) or none; over an empty M a box is true and a diamond
+    false.  A §-reference raises UnresolvedRef.
     """
     sp_pos = {name: j for j, name in enumerate(sp_names)}
     atoms: list = []
     atom_index: dict = {}
     users: list[list] = []
     modals: list = []
+    negative: set[int] = set()
     witnesses = 0
 
     def members(e):
@@ -815,6 +823,8 @@ def _compile(formulas, sp_names: list[str]):
                 atoms.append(f.axiom)
                 users.append([])
             met.add(i)
+            if negated:
+                negative.add(i)
             return lambda at, af, ms: (at[i], af[i])
         if isinstance(f, Negation):
             g = formula(f.arg, not negated)
@@ -865,47 +875,39 @@ def _compile(formulas, sp_names: list[str]):
         evaluators.append(ev)
         for i in met:
             users[i].append(ev)
-    return atoms, evaluators, users, modals, max(1, witnesses)
+    return atoms, evaluators, users, modals, max(1, witnesses), negative
 
 
-def domain_cap(kb: StandpointKB) -> Optional[int]:
-    """A domain size above which no first model lies, or None.
+def domain_cap(kinds: set[str], universal: bool, negated: int) -> Optional[int]:
+    """A domain size above which no first model lies, or None, from what
+    the compile walks saw (`_compile`, `_compile_checks`).
 
-    It is N = max(1, the number of distinct atoms under a negation) for a
-    KB with no role, no individual (so no nominal), no role inclusion and
-    no universal role, and None for any other KB.  In such a KB every
-    concept is Boolean, so an atom holds at a precisification exactly when
-    every element satisfies it, and a false atom has one violating element.
-    Take a model, and at each precisification list one violating element
-    per atom under a negation that is false there.  On the domain
-    {0, …, N-1}, let element i take at each precisification the concept
-    memberships of that precisification's i-th listed element (or of any
-    element when fewer are listed); concepts are not rigid and nothing ties
-    elements together, so with the same precisifications and sigma this is
-    a structure.  Each element satisfies a Boolean concept (⊤ and ⊥
-    included) exactly when the element it copies does, so a true atom stays
-    true, and an atom under a negation keeps its truth value everywhere.
-    Every other atom occurs only under ∧, ∨, boxes and diamonds, which are
-    monotone, so every plain axiom and formula still holds.  A model with
-    m precisifications therefore has one with at most N elements and the
-    same m, and as the domain size is the outermost loop of the search,
-    sizes above N never hold the first model.  After NNF the atoms under a
-    negation are the negated ones, a negated equivalence being two negated
-    inclusions; on other formulas the count is an over-approximation.
+    It is N = max(1, negated), ``negated`` atoms being under an odd number
+    of negations, when every slot is a concept (``kinds`` holds the slots'
+    kinds) and no check holds the ``universal`` role: a KB with no role, no
+    individual (so no nominal), no role inclusion and no universal role.
+    Every concept is then Boolean, so an atom holds at a precisification
+    exactly when every element satisfies it, and a false atom has one
+    violating element.  Take a model, and at each precisification list one
+    violating element per atom under an odd number of negations that is
+    false there.  On the domain {0, …, N-1}, let element i take at each
+    precisification the concept memberships of that precisification's i-th
+    listed element (or of any element when fewer are listed); concepts are
+    not rigid and nothing ties elements together, so with the same
+    precisifications and sigma this is a structure.  Each element satisfies
+    a Boolean concept (⊤ and ⊥ included) exactly when the element it copies
+    does, so a true atom stays true, and a listed atom keeps its truth value
+    everywhere.  Every other atom occurs only under an even number of
+    negations, where a formula is monotone in it, so every plain axiom and
+    formula still holds.  A model with m precisifications therefore has one
+    with at most N elements and the same m, and as the domain size is the
+    outermost loop of the search, sizes above N never hold the first model.
+    After NNF these atoms are the negated ones, a negated equivalence being
+    two negated inclusions.
     """
-    signature = kb.signature
-    if signature.roles or signature.individuals or kb.rias:
+    if universal or kinds - {"concept"}:
         return None
-    negated = set()
-    for root in (*kb.plain_axioms, *kb.formulas):
-        # A concept name holds no role, so the walk need not enter it.
-        for node in iter_nodes(root, (ConceptName,)):
-            # owl:topObjectProperty is no name, so the signature lacks it.
-            if type(node) is UniversalRole:
-                return None
-            if type(node) is Negation:
-                negated.update(atom.axiom for atom in walk_atoms(node))
-    return max(1, len(negated))
+    return max(1, negated)
 
 
 def _orbit_leaders(m: int, s: int):
@@ -967,11 +969,11 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     vector is built atom by atom, from the most significant down, 0 before
     1, which visits the vectors in that ascending order; a partial
     assignment that makes a formula false at some precisification is cut.
-    Domain sizes above `domain_cap` are not searched: they hold no first
-    model.  Nor are precisification counts above p, the modals that need a
-    witness (see `_compile`): a model with more precisifications stays one
-    on a witness for each such modal, at the same domain size, so the first
-    model has at most p.
+    Domain sizes above `domain_cap`, taken from the two compile walks, are
+    not searched: they hold no first model.  Nor are precisification counts
+    above p, the modals that need a witness (see `_compile`): a model with
+    more precisifications stays one on a witness for each such modal, at
+    the same domain size, so the first model has at most p.
 
     Of the (2^m)^s standpoint assignments for s named standpoints, only
     the C(m + 2^s − 1, m) whose rows do not increase are searched (see
@@ -993,6 +995,7 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
 def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_bits: float):
     """`find_standpoint_model`'s search, as a NOT_ENTAILED result with the
     model found or an ENTAILED_WITHIN_BOUNDS one with the bounds searched.
+    The domain cap is computed once, before the domain loop.
 
     The sigma tuples of each count m come from `_orbit_leaders`, lazily in
     `product` order.  Per tuple, one mask marks the adjacent positions whose
@@ -1002,14 +1005,14 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     # ``users[i]`` is re-evaluated when the search fixes atom i at a position.
-    atoms, evaluators, users, modals, p = _compile(kb.formulas, sp_names)
+    atoms, evaluators, users, modals, p, negated = _compile(kb.formulas, sp_names)
     k = len(atoms)
     if k > MAX_ATOMS:
         raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
 
     base_axioms = list(kb.rias) + list(kb.plain_axioms)
     individuals = sorted(signature.individuals, key=lambda e: (e.base, e.local))
-    compiled, slots, resize = _compile_checks(
+    compiled, slots, resize, universal = _compile_checks(
         [(ax, True) for ax in base_axioms]
         + [(ax, polarity) for ax in atoms for polarity in (False, True)], signature)
     individual_slots = [slots.index(ind) for ind in individuals]
@@ -1018,18 +1021,16 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
     # The concept slots, the atoms' names first, last atom first: the order
     # of the search with the roles left open that a vector must pass before
     # it is searched in full.  Without a role there is nothing to leave open.
+    kinds = {slot.kind for slot in slots}
     roles_open = None
-    if any(slot.kind == "role" for slot in slots):
+    if "role" in kinds:
         first = [i for _, pos in reversed(atom_pairs) for i in pos.slots]
         roles_open = [i for i in dict.fromkeys([*first, *range(len(slots))])
                       if slots[i].kind == "concept"]
 
-    cap = None
-    for n in range(1, max_domain + 1):
-        if n == 2:  # a search that ends at size 1 does not pay for the walk
-            cap = domain_cap(kb)
-        if cap is not None and n > cap:
-            break
+    cap = domain_cap(kinds, universal, len(negated))
+    domain = max_domain if cap is None else min(max_domain, cap)
+    for n in range(1, domain + 1):
         realizable: dict = {}
         resize(n)
         # An atom whose check is settled before any name is assigned has one
@@ -1126,9 +1127,6 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
                         # the second takes none below the first's.
                         pi = len(stack)
                         stack.append(vectors(pi, 0 if apart >> pi - 1 & 1 else v))
-    if max_domain < 2:  # the loop ended before size 2, where the cap is computed
-        cap = domain_cap(kb)
-    domain = max_domain if cap is None else min(max_domain, cap)
     return EntailmentResult(ENTAILED_WITHIN_BOUNDS, None, domain, min(max_prec, p),
                             cap is not None and cap <= max_domain and max_prec >= p)
 
@@ -1161,10 +1159,10 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
 
     A witness structure refutes the entailment; tripping the search guard
     is inconclusive.  Exhausting the bounds is bounded evidence for the
-    entailment, not a proof, unless the bounds are complete: when
-    `domain_cap` of the negated-query KB is not None and at most
-    ``max_domain``, and ``max_prec`` is at least its precisification bound
-    p (`count_precisifications`), a countermodel of any size would give one
+    entailment, not a proof, unless the bounds are complete: when the
+    search's `domain_cap` is not None and at most ``max_domain``, and
+    ``max_prec`` is at least its precisification bound p
+    (`count_precisifications`), a countermodel of any size would give one
     within the bounds, so the entailment holds; the result says which.
     """
     return search_countermodel(negated_query_kb(kb, query), max_domain,

@@ -60,12 +60,10 @@ from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
                     EntityName, Equiv, Family, Gci, HasSelf, INDEX_SENTINEL,
                     Negation, Nominal, Not, Or, PlainKB, Ria, RoleExpr,
                     Signature, Some, SpIntersection, SpMinus, SpUnion, STAR, Star,
-                    StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
-                    UNIVERSAL, UniversalRole, iter_nodes, signature_bases,
-                    standpoint_entity)
+                    STAR_TOKEN, StandpointExpr, StandpointFormula, StandpointKB,
+                    TOP, Top, UNIVERSAL, UniversalRole, iter_nodes,
+                    signature_bases, standpoint_entity)
 from .normalizer import count_precisifications
-
-STAR_TOKEN = "STAR"
 
 
 def mangle(name: EntityName, pi: int | str, base: str) -> EntityName:

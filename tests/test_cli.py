@@ -735,18 +735,60 @@ class TestCompleteDomainBound:
         assert (result.domain, result.precisifications, result.complete) == \
             (int(domain), int(precisifications), "these bounds are complete" in verdict)
 
-    def test_the_search_walks_the_cap_once(self, tmp_path, capsys, monkeypatch):
-        """The cap is computed by the search alone, once, and the verdict
-        line is made from what it reports."""
-        calls = []
-        cap = oracle.domain_cap
-        for module in (oracle, cli):
-            monkeypatch.setattr(module, "domain_cap",
-                                lambda kb: calls.append(kb) or cap(kb), raising=False)
+    def test_the_search_makes_no_tree_walk_of_its_own(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """The search takes its domain cap from its compile walks: on a
+        role-free KB with an entailed query it searches sizes 1 and 2 and
+        walks no syntax tree.  The verdict line is made from what it
+        reports."""
+        walks = []
+        walk, search = model.iter_nodes, cli.search_countermodel
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return walk(*args, **kwargs)
+
+        def searched(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as patch:
+                for module in (model, oracle):
+                    patch.setattr(module, "iter_nodes", counted, raising=False)
+                return search(*args, **kwargs)
+        monkeypatch.setattr(cli, "search_countermodel", searched)
         path = self.kb(tmp_path, *self.EQUAL)
         assert main(["query", path, "--simple", "[*](A eq B)", "--domain-bound", "3"]) == 0
-        assert "these bounds are complete" in capsys.readouterr().err
-        assert len(calls) == 1
+        assert "domain \u2264 2" in capsys.readouterr().err
+        assert walks == []
+
+
+class TestReservedStandpointName:
+    """``STAR`` is how the translation spells ``*``, so a standpoint of that
+    name would be the universal one: every input path rejects it (exit 2)."""
+
+    ERROR = "error: standpoint name 'STAR' is reserved for '*'\n"
+
+    def test_label(self, tmp_path, capsys):
+        path = write(tmp_path, "star.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf("
+                     'Annotation(:standpointLabel "<standpointAxiom><Box>'
+                     '<Standpoint name=\\"STAR\\"/></Box></standpointAxiom>") :A :B)\n)\n')
+        assert main(["query", path, "--simple", "[*](A sub B)"]) == 2
+        assert capsys.readouterr().err.startswith(self.ERROR[:-1] + " (standpointLabel at 3:")
+
+    def test_simple_query(self, forest_path, capsys):
+        assert main(["query", forest_path, "--simple", "[STAR](Forest sub Land)"]) == 2
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_query_file(self, forest_path, tmp_path, capsys):
+        q = write(tmp_path, "q.xml", '<Box><Standpoint name="STAR"/><subClassOf>'
+                  "<LHS>Forest</LHS><RHS>Land</RHS></subClassOf></Box>")
+        assert main(["query", forest_path, "--query-file", q]) == 2
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_import(self, forest_path, tmp_path, capsys):
+        src = write(tmp_path, "src.ofn", "Prefix(:=<urn:s#>)\nOntology(<urn:s>\n"
+                    "SubClassOf(:A :B)\n)\n")
+        assert main(["import", forest_path, src, "--standpoint", "STAR", "--dump"]) == 2
+        assert capsys.readouterr() == ("", self.ERROR)
 
 
 class TestUniversalRoleRestriction:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from standpoint_owl.errors import (CyclicRoleOrder, MalformedRIA,
+from standpoint_owl.errors import (BadName, CyclicRoleOrder, MalformedRIA,
                                    NonSimpleInRestriction)
 from standpoint_owl import model
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, Bottom, Box,
@@ -28,6 +28,15 @@ class TestEntityName:
         EntityName("standpoint", "*")
         with pytest.raises(ValueError):
             EntityName("standpoint", "2bad")
+
+    def test_the_name_of_the_universal_marker_is_reserved(self):
+        """The translation spells ``*`` as STAR, so no standpoint may be
+        named so, whichever way it is built."""
+        with pytest.raises(BadName, match="reserved"):
+            model.standpoint_expr("STAR")
+        with pytest.raises(ValueError):
+            model.NamedStandpoint("STAR")
+        assert model.standpoint_expr("Star") == model.NamedStandpoint("Star")
 
     def test_empty_local_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Exact semantics and bounded model search."""
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -12,11 +13,11 @@ from standpoint_owl import model, oracle
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_simple_query)
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, AxiomRef,
-                                  Bottom, Box, Conjunction, Diamond, Disjunction,
-                                  Equiv, Gci, HasSelf, Negation, Not, Or,
-                                  PlainKB, Ria, Signature, Some, SpMinus,
-                                  SpIntersection, SpUnion, Star, Top,
-                                  UNIVERSAL, UNIVERSAL_STANDPOINT,
+                                  Bottom, Box, ConceptName, Conjunction, Diamond,
+                                  Disjunction, Equiv, Gci, HasSelf, Negation, Not,
+                                  Or, PlainKB, Ria, Signature, Some, SpMinus,
+                                  SpIntersection, SpUnion, STAR, Star, Top,
+                                  UNIVERSAL, UNIVERSAL_STANDPOINT, UniversalRole,
                                   concept_name, entity_names_in,
                                   individual_name, make_kb, role_name,
                                   walk_atoms)
@@ -25,10 +26,11 @@ from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
                                    StandpointStructure, _assignment_to_interp,
                                    _compile_checks, _search_assignment,
-                                   check_entailment_bounded, domain_cap,
-                                   eval_concept, eval_role, find_plain_model,
+                                   check_entailment_bounded, eval_concept,
+                                   eval_role, find_plain_model,
                                    find_standpoint_model, holds_axiom,
-                                   holds_formula, kb_holds, sigma_of)
+                                   holds_formula, kb_holds, negated_query_kb,
+                                   sigma_of)
 from standpoint_owl.translator import translate_kb
 
 import genkb
@@ -389,6 +391,43 @@ class TestFindStandpointModel:
             assert holds_axiom(g, Ria((R("r"), R("t")), rW))
 
 
+def walked_domain_cap(kb):
+    """The domain cap by a walk of its own over the KB: None for a KB with
+    a role, an individual, a role inclusion or the universal role, else
+    max(1, the distinct atoms under a negation).  The reference for the cap
+    the search takes from its compile walks."""
+    signature = kb.signature
+    if signature.roles or signature.individuals or kb.rias:
+        return None
+    negated = set()
+    for root in (*kb.plain_axioms, *kb.formulas):
+        for node in model.iter_nodes(root, (ConceptName,)):
+            if type(node) is UniversalRole:
+                return None
+            if type(node) is Negation:
+                negated.update(atom.axiom for atom in walk_atoms(node))
+    return max(1, len(negated))
+
+
+@contextlib.contextmanager
+def searched_caps():
+    """The list of the values `domain_cap` gives the searches in the block."""
+    caps = []
+    cap = oracle.domain_cap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "domain_cap",
+                      lambda *facts: caps.append(cap(*facts)) or caps[-1])
+        yield caps
+
+
+def search_cap(kb):
+    """The domain cap of the search for a model of ``kb``, computed once."""
+    with searched_caps() as caps:
+        find_standpoint_model(kb, 1, 1, guard_bits=math.inf)
+    (cap,) = caps
+    return cap
+
+
 class TestDomainCap:
     AB, BA = Gci(C("A"), C("B")), Gci(C("B"), C("A"))
 
@@ -399,26 +438,71 @@ class TestDomainCap:
             Negation(Atom(self.AB)),
             Diamond(S("s"), Negation(Atom(Equiv(C("A"), C("B"))))),
             Box(S("s"), Atom(Gci(C("D"), Bottom())))]))
-        assert domain_cap(kb) == 2
+        assert search_cap(kb) == 2
 
     def test_a_kb_without_negation_needs_one_element(self):
-        assert domain_cap(make_kb(formulas=[Box(S("s"), Atom(self.AB))])) == 1
+        assert search_cap(make_kb(formulas=[Box(S("s"), Atom(self.AB))])) == 1
 
-    def test_counts_every_atom_under_a_negation_before_nnf(self):
+    def test_counts_the_atoms_under_an_odd_number_of_negations_before_nnf(self):
+        """¬(A ⊑ B ∧ ¬(B ⊑ A)) holds A ⊑ B under one negation and B ⊑ A
+        under two, so the cap is 1 where the walk counted 2.  It is sound:
+        the formula is monotone in B ⊑ A, so the copy argument of
+        `domain_cap` need not keep a violating element for it, and a sound
+        cap does not move the first witness, as the domain size is the
+        outermost loop.  After NNF the two counts agree."""
         kb = make_kb(formulas=[Negation(Conjunction(Atom(self.AB),
                                                     Negation(Atom(self.BA))))])
-        assert domain_cap(kb) == 2
+        assert (search_cap(kb), walked_domain_cap(kb)) == (1, 2)
+        assert search_cap(normalize_kb(kb)) == walked_domain_cap(normalize_kb(kb)) == 1
 
     @pytest.mark.parametrize("kb", [
         make_kb(plain_axioms=[Gci(C("A"), Some(R("r"), C("B")))]),
         make_kb(formulas=[Negation(Atom(Gci(O("a"), C("A"))))]),
         make_kb(rias=[Ria((R("r"),), rS)]),
         make_kb(plain_axioms=[Gci(Top(), Some(UNIVERSAL, C("A")))]),
-        make_kb(formulas=[Box(S("s"), Atom(Gci(All(UNIVERSAL, C("A")), Bottom())))])],
+        make_kb(formulas=[Box(S("s"), Atom(Gci(All(UNIVERSAL, C("A")), Bottom())))]),
+        normalize_kb(make_kb(
+            formulas=[Negation(Atom(Gci(C("A"), C("B")))), Box(S("s"), AxiomRef("u"))],
+            named_axioms={"u": Atom(Gci(Top(), Some(UNIVERSAL, C("A"))))}))],
         ids=["role", "nominal", "ria", "universal-role-in-plain-axiom",
-             "universal-role-in-formula"])
+             "universal-role-in-formula", "universal-role-through-a-reference"])
     def test_none_with_roles_or_individuals(self, kb):
-        assert domain_cap(kb) is None
+        assert search_cap(kb) is walked_domain_cap(kb) is None
+
+    def test_none_with_the_universal_role_in_the_query(self):
+        """The universal role only in the query, which no name shows: some
+        element is A and not B, so every element reaches one outside B.
+        The search exhausts every size up to the bound, as a proof."""
+        kb = make_kb(formulas=[Negation(Atom(Gci(C("A"), C("B"))))])
+        query = Box(STAR, Atom(Gci(Top(), Some(UNIVERSAL, Not(C("B"))))))
+        assert search_cap(kb) == 1
+        with searched_caps() as caps:
+            result = check_entailment_bounded(kb, query, 3, 2, guard_bits=math.inf)
+        assert caps == [None]
+        assert walked_domain_cap(negated_query_kb(kb, query)) is None
+        assert (result.status, result.domain, result.complete) == \
+            (ENTAILED_WITHIN_BOUNDS, 3, False)
+
+    @pytest.mark.parametrize("family", ["random", "role_free", "top_level", "widened",
+                                        "chain"])
+    def test_the_search_cap_is_the_walked_cap_after_nnf(self, family):
+        """On normalized draws of every ``genkb`` family the cap the search
+        takes from its compile walks equals the walked one; the role-free
+        draws cap a fair share, some at more than one element."""
+        make = {"random": genkb.random_kb,
+                "role_free": lambda seed: genkb.random_kb(seed, role_free=True),
+                "top_level": genkb.top_level_kb,
+                "widened": lambda seed: genkb.widened(genkb.random_kb(seed)),
+                "chain": genkb.chain_kb}[family]
+        caps = []
+        for seed in range(100):
+            kb = normalize_kb(make(seed))
+            caps.append(search_cap(kb))
+            assert caps[-1] == walked_domain_cap(kb), seed
+        if family in ("role_free", "top_level", "chain"):
+            assert sum(cap is not None and cap > 1 for cap in caps) > 10
+        if family == "widened":
+            assert caps == [None] * len(caps)
 
 
 def _role_free_kbs():
@@ -433,22 +517,25 @@ def _role_free_kbs():
         yield normalize_kb(make_kb(formulas=kb.formulas + (split,),
                                    plain_axioms=kb.plain_axioms, base_iri=kb.base_iri))
         kb = genkb.top_level_kb(seed)
-        if domain_cap(kb) is not None:
+        if search_cap(kb) is not None:
             yield kb
 
 
 def test_capped_search_matches_the_uncapped_search(monkeypatch):
     """At the precisification bound p and a domain bound 2 above the cap,
     the capped and the uncapped search give the same first witness, and the
-    translation has a plain model exactly when they find one."""
-    cases = [(kb, domain_cap(kb) + 2, count_precisifications(kb)) for kb in _role_free_kbs()]
+    translation has a plain model exactly when they find one.  The
+    uncapped search is the same search with `domain_cap` giving None."""
+    cases = [(kb, search_cap(kb) + 2, count_precisifications(kb)) for kb in _role_free_kbs()]
     capped = [find_standpoint_model(kb, n, p, guard_bits=math.inf) for kb, n, p in cases]
     for (kb, n, _), found in zip(cases, capped):
         assert (find_plain_model(translate_kb(kb), n, guard_bits=math.inf) is None) == \
             (found is None)
-    monkeypatch.setattr(oracle, "domain_cap", lambda kb: None)
+    uncapped = []
+    monkeypatch.setattr(oracle, "domain_cap", lambda *facts: uncapped.append(facts))
     for (kb, n, p), found in zip(cases, capped):
         assert repr(find_standpoint_model(kb, n, p, guard_bits=math.inf)) == repr(found)
+    assert len(uncapped) == len(cases)
     # Both verdicts are common, and so are witnesses of more than one element.
     sizes = [found.domain_size for found in capped if found is not None]
     assert len(sizes) > len(cases) / 4 and len(cases) - len(sizes) > len(cases) / 4
@@ -504,8 +591,12 @@ class TestPrecisificationCap:
         cases = [(kb, count_precisifications(normalize_kb(kb))) for kb in _searched_kbs()]
         capped = [find_standpoint_model(kb, 2, p, guard_bits=math.inf) for kb, p in cases]
         compile_formulas = oracle._compile
-        monkeypatch.setattr(oracle, "_compile", lambda formulas, sp_names: (
-            *compile_formulas(formulas, sp_names)[:4], 1 << 30))
+
+        def unbounded(formulas, sp_names):
+            atoms, evaluators, users, modals, _, negated = compile_formulas(formulas,
+                                                                            sp_names)
+            return atoms, evaluators, users, modals, 1 << 30, negated
+        monkeypatch.setattr(oracle, "_compile", unbounded)
         for (kb, p), found in zip(cases, capped):
             assert repr(find_standpoint_model(kb, 2, p + 3, guard_bits=math.inf)) == \
                 repr(found)
@@ -699,7 +790,7 @@ def _state(axiom, positive, asn, n):
     """The compiled verdict of ``axiom`` required ``positive`` on a dict
     assignment: the dict becomes a value list over the check's slot order,
     None where unassigned."""
-    (compiled,), slots, resize = _compile_checks([(axiom, positive)], Signature())
+    (compiled,), slots, resize, _ = _compile_checks([(axiom, positive)], Signature())
     resize(n)
     return compiled.state([asn.get(name) for name in slots])
 
@@ -762,7 +853,8 @@ def _interp_of(slots, values, n):
 def _first_by_enumeration(axioms, max_domain):
     """The first model in slot order with ascending values, found by trying
     every assignment of every domain size in turn."""
-    _, slots, _ = _compile_checks([(ax, True) for ax in axioms], plain(axioms).signature)
+    _, slots, _, _ = _compile_checks([(ax, True) for ax in axioms],
+                                     plain(axioms).signature)
     for n in range(1, max_domain + 1):
         spaces = [range(n) if name.kind == "individual" else
                   range(1 << (n if name.kind == "concept" else n * n)) for name in slots]
@@ -840,7 +932,7 @@ def test_search_with_fixed_individuals_and_required_false_checks(n, concepts, ma
     positive = [data.draw(st.booleans()) for _ in axioms]
     signature = Signature(frozenset(concept_name(c) for c in concepts),
                           frozenset({rR}), frozenset({iA}))
-    compiled, slots, resize = _compile_checks(list(zip(axioms, positive)), signature)
+    compiled, slots, resize, _ = _compile_checks(list(zip(axioms, positive)), signature)
     fixed = {slots.index(iA): element}
     resize(n)
     found = _search_assignment(n, slots, compiled, fixed)
@@ -871,7 +963,7 @@ def test_a_search_with_the_role_left_open_refutes_only_what_no_role_repairs(n, c
     positive = [data.draw(st.booleans()) for _ in axioms]
     signature = Signature(frozenset(concept_name(c) for c in concepts),
                           frozenset({rR}), frozenset({iA}))
-    compiled, slots, resize = _compile_checks(list(zip(axioms, positive)), signature)
+    compiled, slots, resize, _ = _compile_checks(list(zip(axioms, positive)), signature)
     resize(n)
     order = data.draw(st.permutations(
         [i for i, name in enumerate(slots) if name.kind == "concept"]))
@@ -896,7 +988,7 @@ def test_a_search_with_the_roles_left_open_keeps_every_realisable_vector():
         base = [(ax, True) for ax in kb.rias + kb.plain_axioms]
         individuals = sorted(kb.signature.individuals, key=lambda e: (e.base, e.local))
         for v in range(1 << len(atoms)):
-            compiled, slots, resize = _compile_checks(
+            compiled, slots, resize, _ = _compile_checks(
                 base + [(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], kb.signature)
             resize(2)
             order = [i for i, name in enumerate(slots) if name.kind == "concept"]
@@ -937,7 +1029,7 @@ def test_the_slot_order_is_the_first_occurrence_order_of_the_names():
         order = dict.fromkeys(name for ax, _ in checks for name in entity_names_in(ax))
         for names in (signature.concepts, signature.roles, signature.individuals):
             order.update(dict.fromkeys(sorted(names, key=lambda e: (e.base, e.local))))
-        compiled, slots, _ = _compile_checks(checks, signature)
+        compiled, slots, _, _ = _compile_checks(checks, signature)
         assert slots == list(order)
         for check, (ax, _) in zip(compiled, checks):
             assert [slots[i] for i in check.slots] == sorted(
@@ -945,9 +1037,8 @@ def test_the_slot_order_is_the_first_occurrence_order_of_the_names():
 
 
 def test_a_model_of_one_element_is_found_without_walking_a_tree(monkeypatch):
-    """The compile walk finds the slots, and the domain cap is computed
-    from size 2 on, so a search that ends at one element walks no syntax
-    tree of a KB with roles, nominals and a role inclusion."""
+    """The compile walks find the slots and the domain cap, so the search
+    walks no syntax tree of a KB with roles, nominals and a role inclusion."""
     kb = make_kb(rias=[Ria((R("r"), Rinv("s")), role_name("t"))],
                  plain_axioms=[Gci(O("a"), Some(R("r"), And(C("A"), O("b"))))],
                  formulas=[Box(S("s"), Atom(Gci(C("A"), AtMost(1, R("t"), C("B"))))),
@@ -973,7 +1064,7 @@ def _first_structure_by_enumeration(kb, max_domain, max_prec):
     base = [(ax, True) for ax in kb.rias + kb.plain_axioms]
     for n in range(1, max_domain + 1):
         def realize(nu, v):
-            compiled, slots, resize = _compile_checks(
+            compiled, slots, resize, _ = _compile_checks(
                 base + [(ax, bool(v >> i & 1)) for i, ax in enumerate(atoms)], signature)
             resize(n)
             placed = [slots.index(ind) for ind in individuals]
@@ -1207,7 +1298,7 @@ def test_compiled_formulas_match_the_three_valued_walk(data, f):
     sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
     known = [[data.draw(st.sampled_from([True, False, None])) for _ in range(k)]
              for _ in range(m)]
-    atoms, (evaluate,), _, modals, _ = _compile([f], SP_NAMES)
+    atoms, (evaluate,), _, modals, _, _ = _compile([f], SP_NAMES)
     assert atoms == list(dict.fromkeys(a.axiom for a in walk_atoms(f)))
     order = [atom_index[ax] for ax in atoms]  # compiled atom -> ATOMS position
     at = [sum(1 << pi for pi in range(m) if known[pi][i] is True) for i in order]
