@@ -331,7 +331,6 @@ class AtLeast:
 ConceptExpr = Union[ConceptName, Nominal, Top, Bottom, Not, And, Or,
                     All, Some, HasSelf, AtMost, AtLeast]
 TOP = Top()
-BOTTOM = Bottom()
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +655,12 @@ _FIELDS = {cls: tuple(fields(cls)) for cls in _CHILDREN}
 _CHILDREN_ONLY = frozenset(cls for cls in _CHILDREN
                            if _FIELDS[cls] == _CHILDREN[cls] and cls is not Ria)
 # Child fields last to first, the order in which a stack takes them;
-# iter_nodes reads them inline, since a _children call per node doubled
+# iter_nodes reads them inline, since a children call per node doubled
 # the cost of entity_names_in and signature_of.
 _PUSH_ORDER = {cls: names[::-1] for cls, names in _CHILDREN.items()}
 
 
-def _children(node) -> list:
+def children(node) -> list:
     """Child nodes in visit order; each element of a role chain is a child."""
     out = []
     for name in _CHILDREN.get(type(node), ()):
@@ -690,7 +689,10 @@ def iter_nodes(x, stop=()) -> Iterator:
                     stack.append(value)
 
 
-def _rebuild(node, kids: list):
+def rebuild(node, kids: list):
+    """A node of ``node``'s class with ``kids`` for its children, in the
+    order ``children`` lists them, and its other fields (a number
+    restriction's n) kept."""
     if type(node) in _CHILDREN_ONLY:
         return type(node)(*kids)
     it = iter(kids)
@@ -721,14 +723,14 @@ def transform(x, replace, memo: dict | None = None):
             node, kids = item
             built = done[-len(kids):]
             del done[-len(kids):]
-            new = node if all(map(is_, built, kids)) else _rebuild(node, built)
+            new = node if all(map(is_, built, kids)) else rebuild(node, built)
             memo[id(node)] = new
             done.append(new)
             continue
         new = memo.get(id(item))
         if new is None:
             new = replace(item)
-        kids = _children(item) if new is None else None
+        kids = children(item) if new is None else None
         if kids:
             stack.append((item, kids))
             stack.extend(reversed(kids))
@@ -829,11 +831,13 @@ def _role_base(r: RoleExpr) -> EntityName | None:
 def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     """Classify roles, build the strict order, and check regularity.
 
-    A role is non-simple iff it is the universal role or heads some RIA whose
-    chain is not exactly that single role.  The order relates every chain
-    element other than the head to the head; it must be irreflexive after
-    transitive closure.  Head occurrences inside chains are only allowed at
-    the very front, at the very end, or as the transitivity pattern head∘head.
+    A role is non-simple iff it is the universal role, heads a chain of two
+    or more roles (transitivity included) or a chain of the universal role
+    alone, or includes a non-simple role through S ⊑ R or S⁻ ⊑ R, as in
+    SROIQ and OWL 2.  The order relates every chain element other than the
+    head to the head; it must be irreflexive after transitive closure.  Head
+    occurrences inside chains are only allowed at the very front, at the
+    very end, or as the transitivity pattern head∘head.
     """
     if isinstance(kb, PlainKB):
         rias = tuple(a for a in kb.axioms if isinstance(a, Ria))
@@ -848,7 +852,7 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     for ria in rias:
         all_roles.add(ria.head)
         all_roles.update(n for n in map(_role_base, ria.chain) if n is not None)
-        if list(ria.chain) != [RoleName(ria.head)]:
+        if len(ria.chain) != 1 or type(ria.chain[0]) is UniversalRole:
             non_simple.add(ria.head)
         head_positions = [i for i, r in enumerate(ria.chain)
                           if isinstance(r, RoleName) and r.name == ria.head]
@@ -880,6 +884,9 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
         if a in reached:
             raise CyclicRoleOrder(f"role order has a cycle through {a.local!r}")
         closure.update((a, b) for b in reached)
+    # A role above a non-simple one is above it through S ⊑ R or S⁻ ⊑ R, or
+    # heads a chain of two or more roles and so is non-simple already.
+    non_simple.update([b for a, b in closure if a in non_simple])
 
     # Simple-role side conditions, in one pass over the KB's nodes down to
     # the names: their EntityName leaves hold nothing to check.

@@ -70,10 +70,11 @@ def count_precisifications(kb: StandpointKB) -> int:
 
     With formulas in negation normal form every witness-demanding modality
     is a diamond, so the bound is the diamond count, floored at one because
-    the set of precisifications is never empty.
+    the set of precisifications is never empty.  No modality nests in
+    normal form, so the walk stops at each one, as it does at each atom.
     """
     return max(1, sum(type(node) is Diamond for f in kb.formulas
-                      for node in iter_nodes(f, (Atom,))))
+                      for node in iter_nodes(f, (Atom, Box, Diamond))))
 
 
 def normalize_kb(kb: StandpointKB) -> StandpointKB:

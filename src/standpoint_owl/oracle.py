@@ -1161,9 +1161,11 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
     is inconclusive.  Exhausting the bounds is bounded evidence for the
     entailment, not a proof, unless the bounds are complete: when the
     search's `domain_cap` is not None and at most ``max_domain``, and
-    ``max_prec`` is at least its precisification bound p
-    (`count_precisifications`), a countermodel of any size would give one
-    within the bounds, so the entailment holds; the result says which.
+    ``max_prec`` is at least its precisification bound p, a countermodel of
+    any size would give one within the bounds, so the entailment holds; the
+    result says which.  The search counts p itself, by polarity in
+    `_compile`; on the normalized KB that count agrees with
+    `count_precisifications`, the diamond count.
     """
     return search_countermodel(negated_query_kb(kb, query), max_domain,
                                max_prec, guard_bits)

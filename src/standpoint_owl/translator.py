@@ -45,9 +45,11 @@ name once, at the sentinel, with p copies.  ``PlainKB.axioms`` and
 ``PlainKB.signature`` expand them; the serializer renders each template
 once and makes each declared copy as a string.
 
-A translated KB shares immutable subtrees: each mangled name, its wrappers,
-each marker and each guard is built once per ``translate_kb`` call and
-reused wherever it recurs in the families.
+Names are copied through the model's child table (``_Interner.copy``),
+so a constructor added to the model needs no change here.  A translated KB
+shares immutable subtrees: each mangled name, its wrappers, each marker
+and each guard is built once per ``translate_kb`` call and reused wherever
+it recurs in the families.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ from __future__ import annotations
 from itertools import count
 
 from .errors import NestedModality, ReservedName, UnresolvedRef
-from .model import (All, And, Atom, AtLeast, AtMost, Box, ConceptExpr,
-                    ConceptName, Conjunction, Diamond, Disjunction,
-                    EntityName, Equiv, Family, Gci, HasSelf, INDEX_SENTINEL,
-                    Negation, Nominal, Not, Or, PlainKB, Ria, RoleExpr,
-                    Signature, Some, SpIntersection, SpMinus, SpUnion, STAR, Star,
-                    STAR_TOKEN, StandpointExpr, StandpointFormula, StandpointKB,
-                    TOP, Top, UNIVERSAL, UniversalRole, iter_nodes,
+from .model import (All, And, Atom, Box, ConceptExpr, ConceptName,
+                    Conjunction, Diamond, Disjunction, EntityName, Equiv,
+                    Family, Gci, INDEX_SENTINEL, InverseRole, Negation,
+                    Nominal, Not, Or, PlainKB, RoleName, Signature, Some,
+                    SpIntersection, SpMinus, SpUnion, STAR, Star, STAR_TOKEN,
+                    StandpointExpr, StandpointFormula, StandpointKB, TOP, Top,
+                    UNIVERSAL, children, iter_nodes, rebuild,
                     signature_bases, standpoint_entity)
 from .normalizer import count_precisifications
 
@@ -127,37 +129,24 @@ class _Interner:
             self.names[key] = out
         return out
 
-    def role(self, role: RoleExpr, pi: int) -> RoleExpr:
-        if isinstance(role, UniversalRole):
-            return role
-        return self.name(role.name, pi, type(role))
-
-    def concept(self, c: ConceptExpr, pi: int) -> ConceptExpr:
-        if isinstance(c, ConceptName):
-            return self.name(c.name, pi, ConceptName)
-        if isinstance(c, Nominal):
-            return self.name(c.individual, pi, Nominal)
-        if isinstance(c, Not):
-            return Not(self.concept(c.arg, pi))
-        if isinstance(c, (And, Or)):
-            # Each part keeps its class, so the copy keeps the shape.  A
-            # loop, not a comprehension: one frame per level, as the parser
-            # and the serializer use, so what parses also translates.
-            parts = []
-            for part in c.parts:
-                parts.append(self.concept(part, pi))
-            return type(c)(*parts)
-        if isinstance(c, All):
-            return All(self.role(c.role, pi), self.concept(c.filler, pi))
-        if isinstance(c, Some):
-            return Some(self.role(c.role, pi), self.concept(c.filler, pi))
-        if isinstance(c, HasSelf):
-            return HasSelf(self.role(c.role, pi))
-        if isinstance(c, AtMost):
-            return AtMost(c.n, self.role(c.role, pi), self.concept(c.filler, pi))
-        if isinstance(c, AtLeast):
-            return AtLeast(c.n, self.role(c.role, pi), self.concept(c.filler, pi))
-        return c  # Top / Bottom
+    def copy(self, x, pi: int):
+        """``x`` over the names at ``pi``: a name, bare or in its wrapper,
+        becomes its interned copy from ``name``; any other node is rebuilt
+        around its copied children (``model.children``, ``model.rebuild``),
+        and a leaf (⊤, ⊥, the universal role) is kept.  A loop, not a
+        comprehension: one frame per level, as the parser and the
+        serializer use, so what parses also translates."""
+        cls = type(x)
+        if cls is EntityName:
+            return self.name(x, pi)
+        if cls in (ConceptName, RoleName, InverseRole):
+            return self.name(x.name, pi, cls)
+        if cls is Nominal:
+            return self.name(x.individual, pi, Nominal)
+        kids = []
+        for kid in children(x):
+            kids.append(self.copy(kid, pi))
+        return rebuild(x, kids) if kids else x
 
     def guard(self, e: StandpointExpr, pi: int) -> ConceptExpr:
         key = (e, pi)
@@ -190,13 +179,13 @@ class _Interner:
             if isinstance(ax, Equiv):
                 return And(self.trans(pi, Atom(Gci(ax.lhs, ax.rhs)), p),
                            self.trans(pi, Atom(Gci(ax.rhs, ax.lhs)), p))
-            return All(UNIVERSAL, Or(Not(self.concept(ax.lhs, pi)),
-                                     self.concept(ax.rhs, pi)))
+            return All(UNIVERSAL, Or(Not(self.copy(ax.lhs, pi)),
+                                     self.copy(ax.rhs, pi)))
         if isinstance(f, Negation):
             g = f.arg
             if isinstance(g, Atom) and isinstance(g.axiom, Gci):
-                return Some(UNIVERSAL, And(self.concept(g.axiom.lhs, pi),
-                                           Not(self.concept(g.axiom.rhs, pi))))
+                return Some(UNIVERSAL, And(self.copy(g.axiom.lhs, pi),
+                                           Not(self.copy(g.axiom.rhs, pi))))
             raise ValueError("formula is not in negation normal form")
         if isinstance(f, Conjunction):
             return And(self.trans(pi, f.lhs, p, diamonds, inside),
@@ -257,12 +246,10 @@ def _per_index_axiom(table: _Interner, f: StandpointFormula, p: int):
         # only a box's argument gets here
         return Gci(TOP if g is None else g, table.trans(k, f, p, inside=True))
     ax = f.axiom
-    lhs, rhs = table.concept(ax.lhs, k), table.concept(ax.rhs, k)
-    if g is not None:
-        lhs = _meet(lhs, g)
-        if type(ax) is Equiv:
-            rhs = _meet(rhs, g)
-    return type(ax)(lhs, rhs)
+    if g is None:
+        return table.copy(ax, k)
+    lhs, rhs = table.copy(ax.lhs, k), table.copy(ax.rhs, k)
+    return type(ax)(_meet(lhs, g), _meet(rhs, g) if type(ax) is Equiv else rhs)
 
 
 def _meet(c: ConceptExpr, guard: ConceptExpr) -> ConceptExpr:
@@ -308,12 +295,8 @@ def translate_kb(kb: StandpointKB, p: int | None = None,
             continue
         template = Gci(TOP, table.trans(k, f, p, diamonds))
         families.append(Family(template, p if _has_bare_atom(f) else 1))
-    for ax in kb.plain_axioms:
-        families.append(Family(type(ax)(table.concept(ax.lhs, k),
-                                        table.concept(ax.rhs, k)), p))
-    for ria in kb.rias:
-        families.append(Family(Ria(tuple(table.role(r, k) for r in ria.chain),
-                                   table.name(ria.head, k)), p))
+    for ax in (*kb.plain_axioms, *kb.rias):
+        families.append(Family(table.copy(ax, k), p))
 
     sig = kb.signature
     markers = [table.name(standpoint_entity(s), k) for s in sig.standpoints]

@@ -885,6 +885,35 @@ class TestQueryRoleRules:
         assert main(["query", path, "--simple", simple, "--domain-bound", "1"]) == 0
 
 
+class TestSubPropertyRoleRules:
+    """A sub-property leaves its super-property simple, as in SROIQ and
+    OWL 2; non-simplicity passes up from a chain's head to the roles above
+    it."""
+
+    HEAD = "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubObjectPropertyOf(:s :w)\n"
+
+    @pytest.mark.parametrize("axiom, query", [
+        ("SubClassOf(:A ObjectMaxCardinality(1 :w :C))", "[*](A sub w max 1 C)"),
+        ("SubClassOf(ObjectSomeValuesFrom(ObjectInverseOf(:w) :C) :A)",
+         "[*](inverse w some C sub A)")])
+    def test_restriction_over_the_super_property_is_translated_and_decided(
+            self, tmp_path, capsys, axiom, query):
+        path = write(tmp_path, "sub.ofn", self.HEAD + axiom + "\n)\n")
+        assert main(["translate", path, "--dump"]) == 0
+        assert main(["query", path, "--simple", query, "--domain-bound", "1"]) == 0
+        assert "entailed within bounds" in capsys.readouterr().err
+
+    def test_above_a_chain_head_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                     "SubObjectPropertyOf(ObjectPropertyChain(:r :t) :w)\n"
+                     "SubObjectPropertyOf(:w :v)\n"
+                     "SubClassOf(:A ObjectMaxCardinality(1 :v :C))\n)\n")
+        assert main(["translate", path, "--dump"]) == 2
+        assert capsys.readouterr().err == \
+            "error: Self/number restriction over a non-simple role\n"
+
+
 class TestSuperscriptCardinality:
     def test_exit_2_without_traceback(self, tmp_path, capsys):
         # str.isdigit() accepts U+00B2 SUPERSCRIPT TWO but int() does not.

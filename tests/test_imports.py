@@ -1,18 +1,24 @@
-"""Every module-level import under ``src/`` is used in its module, and
-every import under ``src/`` is of the standard library or the package.
+"""Every module-level import under ``src/`` is used in its module, every
+module-level function, class and assigned name under ``src/`` is read
+somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every import
+under ``src/`` is of the standard library or the package.
 
 A package's ``__init__.py`` imports names to export them, so it is not
 checked for unused imports.  A name counts as used when the module reads
 it anywhere, annotations included; ``from __future__`` imports are
-directives."""
+directives.  A definition counts as read when any of those files loads a
+name or an attribute of that spelling; dunder names and the
+``[project.scripts]`` entry points are read from outside."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 PACKAGE = "standpoint_owl"
 
@@ -46,6 +52,60 @@ def test_no_unused_module_level_import(path):
     ("def g():\n    import os\n", [])])
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """The module-level functions, classes and assigned names of
+    ``source``, each with its line."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return defined
+
+
+def read_names(source: str) -> set[str]:
+    """Every name and attribute that ``source`` loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def script_entries() -> set[tuple[str, str]]:
+    """(path under ``src/``, name) of every ``[project.scripts]`` entry."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.partition("[project.scripts]")[2].partition("\n[")[0]
+    return {(module.replace(".", "/") + ".py", name)
+            for module, name in re.findall(r'"([\w.]+):(\w+)"', table)}
+
+
+def test_every_module_level_name_is_read():
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            read |= read_names(path.read_text(encoding="utf-8"))
+    exempt = script_entries()
+    assert ("standpoint_owl/cli.py", "run") in exempt
+    dead = [f"{path.relative_to(SRC)}: {name} (line {line})"
+            for path in sorted(SRC.rglob("*.py"))
+            for name, line in defined_names(path.read_text(encoding="utf-8")).items()
+            if name not in read and not (name.startswith("__") and name.endswith("__"))
+            and (path.relative_to(SRC).as_posix(), name) not in exempt]
+    assert dead == []
+
+
+def test_the_definition_check_itself():
+    source = ("import os\ndef f():\n    return g\nclass C:\n    y = 1\n"
+              "X: int = 2\na, (b, c) = os.sep, (1, 2)\n")
+    assert defined_names(source) == {"f": 2, "C": 4, "X": 6, "a": 7, "b": 7, "c": 7}
+    assert read_names(source) == {"g", "int", "os", "sep"}
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -191,9 +191,21 @@ class TestValidateRoles:
         assert report.non_simple == frozenset()
 
     def test_subrole_head_becomes_non_simple(self):
-        # A proper single-role chain under a different head marks the head.
+        # A head above a sub-role is non-simple only when the sub-role is,
+        # over any number of S ⊑ R steps; S⁻ ⊑ R with S simple keeps R simple.
         report = validate_roles(make_kb(rias=[simple_ria(["s"], "w")]))
-        assert {x.local for x in report.non_simple} == {"w"}
+        assert report.non_simple == frozenset()
+        assert {x.local for x in report.simple} == {"s", "w"}
+        chained = [simple_ria(["r", "t"], "s"), simple_ria(["s"], "w"),
+                   simple_ria(["w"], "v"), Ria((Rinv("u"),), role_name("x"))]
+        report = validate_roles(make_kb(rias=chained))
+        assert {x.local for x in report.non_simple} == {"s", "w", "v"}
+        assert {x.local for x in report.simple} == {"r", "t", "u", "x"}
+
+    def test_head_above_the_universal_role_is_non_simple(self):
+        report = validate_roles(make_kb(rias=[Ria((UNIVERSAL,), role_name("z")),
+                                              simple_ria(["z"], "y")]))
+        assert {x.local for x in report.non_simple} == {"z", "y"}
 
     def test_inverse_of_non_simple_rejected(self):
         bad = make_kb(rias=[simple_ria(["r", "t"], "w")],
