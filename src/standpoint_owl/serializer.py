@@ -39,6 +39,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     StandpointKB, Star, Top, UniversalRole, signature_bases)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import DECLARATION_KINDS, RawDocument
+from .frontend.manchester import _KEYWORDS, _TOKEN_RE
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +165,16 @@ _MANCHESTER_OR, _MANCHESTER_AND, _MANCHESTER_UNARY = 1, 2, 3
 
 
 def _check_manchester_base(name: EntityName, ns_base: str):
+    """Reject a name that the Manchester reader would not read back as
+    itself: one from another namespace, a keyword, one that is not a name
+    token, or one holding the mangling separator."""
     if name.base != ns_base:
         raise GrammarViolation(
             f"cannot render {name.local!r} from a foreign namespace in Manchester text")
+    token = _TOKEN_RE.fullmatch(name.local)
+    if (name.local in _KEYWORDS or token is None or token.lastgroup != "name"
+            or "__" in name.local):
+        raise GrammarViolation(f"cannot render {name.local!r} as a Manchester name")
 
 
 def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
@@ -300,6 +308,12 @@ def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
                 yield opening + f"))\n{opening}".join(group) + "))\n"
 
 
+def _on_axiom(f: StandpointFormula) -> bool:
+    """Whether ``f`` is a box or diamond over one atom, which an axiom-level
+    label writes on its carrier axiom."""
+    return isinstance(f, (Box, Diamond)) and isinstance(f.arg, Atom)
+
+
 def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     """The document of ``serialize_kb`` in pieces, each ending in a
     newline: the header (prefixes, the ``Ontology(`` line and the ontology
@@ -307,16 +321,21 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     per family or axiom, and the closing ``)``.  Each piece is made only
     when the one before it has been taken, so a writer that takes them one
     at a time holds one piece, not the document."""
-    default_ns = kb.base_iri + "#"
     if isinstance(kb, StandpointKB):
         names, copies = kb.signature, 1
+        default_ns = kb.namespace or kb.base_iri + "#"
+        # The formulas after the last one that is not a box or diamond over
+        # one atom ride their carrier axioms, as they were read.
+        top = len(kb.formulas)
+        while top and _on_axiom(kb.formulas[top - 1]):
+            top -= 1
     else:
-        names, copies = kb.names, kb.copies
+        names, copies, default_ns = kb.names, kb.copies, kb.base_iri + "#"
     ns = _Namespaces(default_ns, signature_bases(names))
     head = ns.prefix_lines()
     head.append(f"Ontology(<{kb.base_iri}>")
     if isinstance(kb, StandpointKB):
-        for f in kb.formulas:
+        for f in kb.formulas[:top]:
             payload = _bool_comb_payload(f, default_ns)
             head.append(f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")')
     yield "\n".join(head) + "\n"
@@ -325,8 +344,9 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     if isinstance(kb, StandpointKB):
         for ax in kb.plain_axioms:
             yield _axiom_str(ax, ns) + "\n"
-        for name, formula in kb.named_axioms.items():
-            if not isinstance(formula, (Box, Diamond)) or not isinstance(formula.arg, Atom):
+        carried = [(None, f) for f in kb.formulas[top:]]
+        for name, formula in [*kb.named_axioms.items(), *carried]:
+            if not _on_axiom(formula):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
             op = "Box" if isinstance(formula, Box) else "Diamond"
             payload = _sp_axiom_payload(name, op, formula.standpoint)

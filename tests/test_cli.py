@@ -50,6 +50,51 @@ GOLDEN_SHA256 = {
     "nested.ofn": "502d055d76f24b1dbc1ec7f4639015d7903a29a202e8f633e491ab881f1290f2",
 }
 
+# sha256 of `import MAIN SOURCE --standpoint s --dump` for each pair of
+# fixtures that merges (mixed.ofn into itself exits 2 on a duplicate
+# §core).  The CLI test of import compares its output with
+# serialize_document, the writer itself, so only these pin its bytes.
+IMPORT_SHA256 = {
+    ("constructors.ofn", "constructors.ofn"):
+        "e5c80a99ed2beeb7fcd7d110e24055dc7d42f8f9118be5900737232c07f444e3",
+    ("constructors.ofn", "forest.ofn"):
+        "adb46381823e5c1fc9670045801e2934cdc6464265002fa9c0911b1b8f4961ac",
+    ("constructors.ofn", "mixed.ofn"):
+        "f0537c4d74cbaae631c261be8ef89ad1396e537aa7c89472c874597883eba936",
+    ("constructors.ofn", "nested.ofn"):
+        "fef075e0398ec42a273a31dd5f8d11a56699d743e618c1b7e14164f6aa7edf43",
+    ("forest.ofn", "constructors.ofn"):
+        "579211866b4e296ca33c871e76af042f73b44e4f8d4141de587a4601d5067ab5",
+    ("forest.ofn", "forest.ofn"):
+        "a1b5f7f846db7bb1d88a660cbe2510f07c509d0a7b0ba2e99a743a8dbb747914",
+    ("forest.ofn", "mixed.ofn"):
+        "fce63a1ffdeffff163a01fc2dc1138783768c13686ab27e8aa8a10a2c406c28d",
+    ("forest.ofn", "nested.ofn"):
+        "75f6ba6ab39cfcb9aa69cd0734bbc30b7b10f01a42c18ffe0c8cac995b9d7618",
+    ("mixed.ofn", "constructors.ofn"):
+        "9ff630087241992284954cf20caa6e5cfb785f3e20a3876acf0d3d58139a59f8",
+    ("mixed.ofn", "forest.ofn"):
+        "5717b5b9fe7c6146b18b5d74c0e5cb873e8197e568d1c92a15ea8dfb02dadf9b",
+    ("mixed.ofn", "nested.ofn"):
+        "738b16ce8ddaba9286aaa6d8314ecccefd14ff3aa2cc4dfa98284576e8b90af1",
+    ("nested.ofn", "constructors.ofn"):
+        "05ce4262b5a8256321fe3530a05d6b6b51830f4eb13dc3d2b3989bce2ce7d4ab",
+    ("nested.ofn", "forest.ofn"):
+        "7a1176fcccf0d8ab5b7a0eaeb424de0da574b036c28c585f872f26cdb92ab471",
+    ("nested.ofn", "mixed.ofn"):
+        "650e376ddd5e312f3f1ce57d80dc2d2f63128690692b24d1afd9930b20b2f4ce",
+    ("nested.ofn", "nested.ofn"):
+        "e360a8c0c41dd17010aa22270207a566cda30ce12a1bcfc08e3fa83337a208aa",
+}
+
+# sha256 of `translate RUNG --dump` for the rungs of gen.translate_ladder(0).
+LADDER_SHA256 = {
+    "ladder0.ofn": "6e7dcd13ed16c1274d525ae3a12163a2aa52b880cccea63600ec288a0eebeaf4",
+    "ladder1.ofn": "0ec734f6d3084cf75bcc37485327d7c7b477928c8e602d4d71219f63cbc2301e",
+    "ladder2.ofn": "0ffb4321cb0371b2ceab16b17edad53506d7ab3540b7aabae6136af42ea44249",
+    "ladder3.ofn": "fcd0f4cc91ed2a82c97f0ebe4e2488e2fb5811cc30daef3fd6dc93dcc174cf59",
+}
+
 
 @pytest.fixture
 def forest_path(tmp_path):
@@ -134,6 +179,13 @@ class TestTranslate:
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == GOLDEN_SHA256[fixture]
 
+    @pytest.mark.parametrize("rung", sorted(LADDER_SHA256))
+    def test_ladder_output(self, rung, tmp_path, capsys):
+        path = write(tmp_path, rung, dict(gen.translate_ladder(0))[rung])
+        assert main(["translate", path, "--dump"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == LADDER_SHA256[rung]
+
 
 def plain_model(document):
     """A model of a translated document at domain size 1."""
@@ -204,7 +256,30 @@ SubObjectPropertyOf(ObjectPropertyChain(:p :q) :pq)
 """
 
 
+def import_dump(pair, capsys) -> str:
+    """``import MAIN SOURCE --standpoint s --dump`` of a pair of fixtures."""
+    assert main(["import", *(str(FIXTURES / name) for name in pair),
+                 "--standpoint", "s", "--dump"]) == 0
+    return capsys.readouterr().out
+
+
 class TestImport:
+    @pytest.mark.parametrize("pair", sorted(IMPORT_SHA256), ids="+".join)
+    def test_fixture_pair_output(self, pair, capsys):
+        out = import_dump(pair, capsys).encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == IMPORT_SHA256[pair]
+
+    @pytest.mark.parametrize("pair", sorted(IMPORT_SHA256), ids="+".join)
+    def test_merged_kb_writes_back(self, pair, capsys):
+        """``serialize_kb`` of the merged KB reads back as that KB: its
+        formulas in order, plain axioms, role inclusions, named axioms and
+        signature.  Written again, the text is the same."""
+        kb = assemble_kb(parse_document(import_dump(pair, capsys)))
+        text = serialize_kb(kb)
+        again = assemble_kb(parse_document(text))
+        assert again == kb
+        assert serialize_kb(again) == text
+
     def test_annotates_imported_axioms(self, forest_path, tmp_path, capsys):
         src = write(tmp_path, "src.ofn", SOURCE_DOC)
         assert main(["import", forest_path, src, "--standpoint", "LC", "--dump"]) == 0

@@ -1,6 +1,10 @@
 """Functional-syntax emission: determinism and round-trips."""
 
+import hashlib
+
 import pytest
+
+from standpoint_owl.errors import GrammarViolation
 
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_manchester_class)
@@ -135,10 +139,69 @@ class TestRoundTrips:
         text = f" {word} ".join(f"A{k}" for k in range(3000))
         wide = parse_manchester_class(text, NS)
         assert render_manchester(wide, NS) == text
-        formulas = [Box(S("s"), Atom(Gci(wide, C("B", NS))))]
+        # negated, so that the box stays in a booleanCombination payload
+        formulas = [Negation(Box(S("s"), Atom(Gci(wide, C("B", NS)))))]
         kb = make_kb(formulas=formulas, base_iri="urn:o")
         kb2 = assemble_kb(parse_document(serialize_kb(kb)))
         assert kb2.formulas == tuple(formulas)
+
+
+# sha256 of serialize_kb(assemble_kb(parse_document(fixture))).
+KB_SHA256 = {
+    "constructors.ofn": "6d27cbdd0b41d1ff4d6bd05580c5e70eb12e2eedcb872a5a13d8f9b3159f29e8",
+    "forest.ofn": "332f71b8bd500a131df9e9c1d49ea4afa2b922c072064ba64092c2464d2b4a19",
+    "mixed.ofn": "cd6544bb4733b2143ea8c5dd6ef1d7b1006764ca79a8dbb8ebc36e55b94c0ca9",
+    "nested.ofn": "c952334b2d0d67afa70429f0703b1ff4a6186c45744dd90812f7dcfab9d5632e",
+}
+
+BOX_LABEL = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
+             '<Standpoint name=\\"s\\"/></Box></standpointAxiom>")')
+
+
+def writes_back(text):
+    """Assert that ``serialize_kb`` of the KB read from ``text`` reads back
+    as that KB, and that a second application changes no byte."""
+    kb = assemble_kb(parse_document(text))
+    once = serialize_kb(kb)
+    again = assemble_kb(parse_document(once))
+    assert again == kb
+    assert serialize_kb(again) == once
+    return once
+
+
+class TestWriteBack:
+    """``serialize_kb`` writes what the readers read: trailing boxes and
+    diamonds over one atom ride their carrier axioms, the default namespace
+    is the document's, and Manchester text holds only names the Manchester
+    reader reads back."""
+
+    @pytest.mark.parametrize("fixture", sorted(KB_SHA256))
+    def test_fixture(self, fixture):
+        once = writes_back((FIXTURES / fixture).read_text(encoding="utf-8"))
+        assert hashlib.sha256(once.encode("utf-8")).hexdigest() == KB_SHA256[fixture]
+
+    @pytest.mark.parametrize("axiom", [
+        "SubClassOf(owl:Thing ObjectAllValuesFrom(owl:topObjectProperty :A))",
+        "SubClassOf(:only :B)", "SubClassOf(:_x :B)", "SubClassOf(:A1 ns1:B)"])
+    def test_box_over_an_axiom_without_manchester_text(self, axiom):
+        once = writes_back("Prefix(ns1:=<urn:n#>)\nOntology(<urn:o>\n"
+                           f"{axiom[:11]}{BOX_LABEL} {axiom[11:]}\n)\n")
+        assert "<LHS>" not in once
+
+    def test_namespace_other_than_the_ontology_iri(self):
+        once = writes_back(
+            'Prefix(:=<urn:x#>)\nOntology(<urn:o>\nAnnotation(:standpointLabel '
+            '"<booleanCombination><OR><subClassOf><LHS>A</LHS><RHS>B</RHS>'
+            '</subClassOf><NOT><subClassOf><LHS>B</LHS><RHS>A</RHS></subClassOf>'
+            '</NOT></OR></booleanCombination>")\n)\n')
+        assert once.startswith("Prefix(:=<urn:x#>)\n")
+
+    @pytest.mark.parametrize("local", ["only", "Self", "inverse", "_x", "a__b", "A-b"])
+    def test_manchester_names_the_reader_rejects(self, local):
+        formula = Disjunction(Atom(Gci(C(local, NS), C("B", NS))),
+                              Atom(Gci(C("B", NS), C("A", NS))))
+        with pytest.raises(GrammarViolation, match="Manchester name"):
+            serialize_kb(make_kb(formulas=[formula], base_iri="urn:o"))
 
 
 def one_axiom_at_a_time(plain):
