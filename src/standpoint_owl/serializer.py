@@ -18,10 +18,12 @@ header, the declarations of each kind and namespace, one family or axiom
 each, the closing line), made one at a time, so a writer that takes them
 in turn holds one piece and its memory does not grow with the output;
 ``serialize_kb`` and ``serialize_document`` join the same pieces.
+Each output syntax is one walk over a class table (``_WORDS``, ``_TAGS``).
 Standpoint content re-emits as annotation literals: top-level formulas as
-booleanCombination payloads on the ontology, named standpoint axioms as
-operator annotations on their carrier axiom.  Every output is itself
-valid input.
+booleanCombination payloads on the ontology; named standpoint axioms and
+the trailing boxes and diamonds over one atom as operator annotations on
+their carrier axiom, so the formulas read back in order.  Every output,
+``serialize_kb`` of an ``import`` output too, is itself valid input.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from typing import Iterator
 from .errors import GrammarViolation
 from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     ConceptExpr, ConceptName, Conjunction, Diamond,
-                    Disjunction, EntityName, Family, Gci, HasSelf,
+                    Disjunction, EntityName, Equiv, Family, Gci, HasSelf,
                     INDEX_SENTINEL, InverseRole, NamedStandpoint, Negation,
-                    Nominal, Not, Or, PlainAxiom, PlainKB, Ria, RoleExpr, Some,
-                    SpIntersection, SpUnion, StandpointExpr, StandpointFormula,
-                    StandpointKB, Star, Top, UniversalRole, signature_bases)
+                    Nominal, Not, Or, PlainKB, Ria, RoleExpr, RoleName, Some,
+                    SpIntersection, SpMinus, SpUnion, StandpointExpr,
+                    StandpointFormula, StandpointKB, Star, Top,
+                    UNIVERSAL_STANDPOINT, UniversalRole, children,
+                    signature_bases)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import DECLARATION_KINDS, RawDocument
 from .frontend.manchester import _KEYWORDS, _TOKEN_RE
@@ -80,73 +84,61 @@ def _escape_literal(text: str) -> str:
 # Concepts, roles and axioms
 # ---------------------------------------------------------------------------
 
-def _role_str(role: RoleExpr, ns: _Namespaces) -> str:
-    if isinstance(role, UniversalRole):
-        return "owl:topObjectProperty"
-    if isinstance(role, InverseRole):
-        return f"ObjectInverseOf({ns.pname(role.name)})"
-    return ns.pname(role.name)
+# The functional-syntax word of each class.  A leaf's word is its whole
+# text, a name wrapper has none and is written as its name, and any other
+# class writes its word around its children.  A family inside a concept is
+# the intersection of its copies.
+_WORDS = {
+    Top: "owl:Thing", Bottom: "owl:Nothing", UniversalRole: "owl:topObjectProperty",
+    ConceptName: None, RoleName: None,
+    Nominal: "ObjectOneOf", InverseRole: "ObjectInverseOf", Not: "ObjectComplementOf",
+    And: "ObjectIntersectionOf", Or: "ObjectUnionOf", Family: "ObjectIntersectionOf",
+    All: "ObjectAllValuesFrom", Some: "ObjectSomeValuesFrom", HasSelf: "ObjectHasSelf",
+    AtMost: "ObjectMaxCardinality", AtLeast: "ObjectMinCardinality",
+    Gci: "SubClassOf", Equiv: "EquivalentClasses", Ria: "SubObjectPropertyOf",
+}
+# The classes that write their n before their children.
+_NUMBERED = (AtMost, AtLeast)
 
 
-def _concept_str(c: ConceptExpr, ns: _Namespaces) -> str:
-    if isinstance(c, Top):
-        return "owl:Thing"
-    if isinstance(c, Bottom):
-        return "owl:Nothing"
-    if isinstance(c, ConceptName):
-        return ns.pname(c.name)
-    if isinstance(c, Nominal):
-        return f"ObjectOneOf({ns.pname(c.individual)})"
-    if isinstance(c, Not):
-        return f"ObjectComplementOf({_concept_str(c.arg, ns)})"
-    if isinstance(c, (And, Or)):
-        word = "ObjectIntersectionOf" if isinstance(c, And) else "ObjectUnionOf"
-        # A family first in an And is spliced in, as And splices an And.
-        splice = type(c) is And and type(c.parts[0]) is Family
-        # A loop, not a generator: one frame per level, as the parser
-        # uses, so what parses and translates also renders.
-        parts = [_copies_str(c.parts[0], ns)] if splice else []
-        for p in c.parts[len(parts):]:
-            parts.append(_concept_str(p, ns))
-        return f"{word}({' '.join(parts)})"
-    if isinstance(c, Family):
-        return f"ObjectIntersectionOf({_copies_str(c, ns)})"
-    if isinstance(c, All):
-        return f"ObjectAllValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"
-    if isinstance(c, Some):
-        return f"ObjectSomeValuesFrom({_role_str(c.role, ns)} {_concept_str(c.filler, ns)})"
-    if isinstance(c, HasSelf):
-        return f"ObjectHasSelf({_role_str(c.role, ns)})"
-    if isinstance(c, AtMost):
-        return (f"ObjectMaxCardinality({c.n} {_role_str(c.role, ns)} "
-                f"{_concept_str(c.filler, ns)})")
-    return (f"ObjectMinCardinality({c.n} {_role_str(c.role, ns)} "
-            f"{_concept_str(c.filler, ns)})")
+def _functional(x, ns: _Namespaces, annotations: str = "") -> str:
+    """Functional-syntax text of a role, a concept or a plain axiom: the
+    word of its class (``_WORDS``) around its ``annotations``, then its
+    children in the order of ``model.children``, a number restriction's n
+    first.  A role chain of two or more roles is an ObjectPropertyChain,
+    and a family first in an And is spliced in, as And splices an And."""
+    if type(x) is EntityName:  # the head of a role inclusion
+        return ns.pname(x)
+    word = _WORDS[type(x)]
+    kids = children(x)
+    if word is None:
+        return ns.pname(kids[0])
+    if not kids:
+        return word
+    if type(x) is Family:
+        return f"{word}({_copies(x, ns)})"
+    parts = [str(x.n)] if type(x) in _NUMBERED else []
+    if type(x) is And and type(kids[0]) is Family:
+        parts.append(_copies(kids.pop(0), ns))
+    # A loop, not a generator: one frame per level, as the parser uses, so
+    # what parses and translates also renders.
+    for kid in kids:
+        parts.append(_functional(kid, ns))
+    if type(x) is Ria and len(x.chain) > 1:
+        parts[:-1] = [f"ObjectPropertyChain({' '.join(parts[:-1])})"]
+    return f"{word}({annotations}{' '.join(parts)})"
 
 
-def _copies_str(family: Family, ns: _Namespaces) -> str:
+def _copies(family: Family, ns: _Namespaces) -> str:
     """The copies of a family inside a concept, joined by spaces: its
     template rendered once, and each copy's index filled in."""
-    return " ".join(family.render(_concept_str(family.template, ns)))
+    return " ".join(family.render(_functional(family.template, ns)))
 
 
 def serialize_concept(c: ConceptExpr, base: str = "") -> str:
     """Functional-syntax rendering of a single class expression whose names
     live in the given namespace (rendered with the default prefix)."""
-    return _concept_str(c, _Namespaces(base, set()))
-
-
-def _axiom_str(ax: PlainAxiom, ns: _Namespaces, annotations: str = "") -> str:
-    if isinstance(ax, Ria):
-        if len(ax.chain) == 1:
-            sub = _role_str(ax.chain[0], ns)
-        else:
-            sub = "ObjectPropertyChain(" + " ".join(
-                _role_str(r, ns) for r in ax.chain) + ")"
-        return f"SubObjectPropertyOf({annotations}{sub} {ns.pname(ax.head)})"
-    word = "SubClassOf" if isinstance(ax, Gci) else "EquivalentClasses"
-    return (f"{word}({annotations}{_concept_str(ax.lhs, ns)} "
-            f"{_concept_str(ax.rhs, ns)})")
+    return _functional(c, _Namespaces(base, set()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +154,14 @@ def _xml_text(value: str) -> str:
 
 
 _MANCHESTER_OR, _MANCHESTER_AND, _MANCHESTER_UNARY = 1, 2, 3
+# The Manchester keyword of each restriction, written after its role.
+_RESTRICTION_WORDS = {Some: "some", All: "only", HasSelf: "Self",
+                      AtLeast: "min", AtMost: "max"}
 
 
 def _check_manchester_base(name: EntityName, ns_base: str):
-    """Reject a name that the Manchester reader would not read back as
-    itself: one from another namespace, a keyword, one that is not a name
-    token, or one holding the mangling separator."""
+    """Reject a name the Manchester reader would not read back as itself: one
+    from another namespace, a keyword, a non-name token, or one with '__'."""
     if name.base != ns_base:
         raise GrammarViolation(
             f"cannot render {name.local!r} from a foreign namespace in Manchester text")
@@ -181,10 +175,8 @@ def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
     def wrap(text: str, own: int) -> str:
         return f"({text})" if own < level else text
 
-    if isinstance(c, Top):
-        return "owl:Thing"
-    if isinstance(c, Bottom):
-        return "owl:Nothing"
+    if type(c) in (Top, Bottom):
+        return _WORDS[type(c)]
     if isinstance(c, ConceptName):
         _check_manchester_base(c.name, ns_base)
         return c.name.local
@@ -206,17 +198,12 @@ def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
         inner = role.name.local
         return f"inverse {inner}" if isinstance(role, InverseRole) else inner
 
-    filler_level = _MANCHESTER_UNARY
-    if isinstance(c, Some):
-        text = f"{role_text(c.role)} some {_manchester(c.filler, filler_level, ns_base)}"
-    elif isinstance(c, All):
-        text = f"{role_text(c.role)} only {_manchester(c.filler, filler_level, ns_base)}"
-    elif isinstance(c, HasSelf):
-        text = f"{role_text(c.role)} Self"
-    elif isinstance(c, AtLeast):
-        text = f"{role_text(c.role)} min {c.n} {_manchester(c.filler, filler_level, ns_base)}"
-    else:
-        text = f"{role_text(c.role)} max {c.n} {_manchester(c.filler, filler_level, ns_base)}"
+    role, *filler = children(c)
+    text = f"{role_text(role)} {_RESTRICTION_WORDS[type(c)]}"
+    if type(c) in _NUMBERED:
+        text += f" {c.n}"
+    for f in filler:
+        text += f" {_manchester(f, _MANCHESTER_UNARY, ns_base)}"
     return wrap(text, _MANCHESTER_UNARY + 1)
 
 
@@ -225,60 +212,55 @@ def render_manchester(c: ConceptExpr, ns_base: str = "") -> str:
     return _manchester(c, 0, ns_base)
 
 
-def _sp_expr_xml(e: StandpointExpr) -> str:
-    if isinstance(e, Star):
-        return '<Standpoint name="*"/>'
-    if isinstance(e, NamedStandpoint):
-        return f'<Standpoint name="{_xml_attr(e.name)}"/>'
-    if isinstance(e, SpUnion):
-        return f"<UNION>{_sp_expr_xml(e.lhs)}{_sp_expr_xml(e.rhs)}</UNION>"
-    if isinstance(e, SpIntersection):
-        return (f"<INTERSECTION>{_sp_expr_xml(e.lhs)}{_sp_expr_xml(e.rhs)}"
-                f"</INTERSECTION>")
-    return f"<MINUS>{_sp_expr_xml(e.lhs)}{_sp_expr_xml(e.rhs)}</MINUS>"
+# The XML element of each standpoint expression and formula class, and of
+# the standard axiom of an atom.
+_TAGS = {
+    Star: "Standpoint", NamedStandpoint: "Standpoint", AxiomRef: "standpointAxiom",
+    SpUnion: "UNION", SpIntersection: "INTERSECTION", SpMinus: "MINUS",
+    Gci: "subClassOf", Equiv: "equivalentClasses",
+    Negation: "NOT", Conjunction: "AND", Disjunction: "OR", Box: "Box", Diamond: "Diamond",
+}
 
 
-def _std_axiom_xml(atom: Atom, ns_base: str) -> str:
-    ax = atom.axiom
-    tag = "subClassOf" if isinstance(ax, Gci) else "equivalentClasses"
-    lhs = _xml_text(render_manchester(ax.lhs, ns_base))
-    rhs = _xml_text(render_manchester(ax.rhs, ns_base))
-    return f"<{tag}><LHS>{lhs}</LHS><RHS>{rhs}</RHS></{tag}>"
-
-
-def _formula_xml(f: StandpointFormula, ns_base: str) -> str:
-    if isinstance(f, Atom):
-        return _std_axiom_xml(f, ns_base)
-    if isinstance(f, AxiomRef):
-        return f'<standpointAxiom name="§{_xml_attr(f.name)}"/>'
-    if isinstance(f, Negation):
-        if not isinstance(f.arg, (Atom, AxiomRef, Box, Diamond)):
-            raise GrammarViolation("negation wraps only axioms in the annotation grammar")
-        return f"<NOT>{_formula_xml(f.arg, ns_base)}</NOT>"
-    if isinstance(f, (Conjunction, Disjunction)):
-        tag = "AND" if isinstance(f, Conjunction) else "OR"
-        return (f"<{tag}>{_formula_xml(f.lhs, ns_base)}"
-                f"{_formula_xml(f.rhs, ns_base)}</{tag}>")
-    if isinstance(f, (Box, Diamond)):
-        if not isinstance(f.arg, Atom):
-            raise GrammarViolation(
-                "modal operators wrap only standard axioms in the annotation grammar")
-        tag = "Box" if isinstance(f, Box) else "Diamond"
-        return (f"<{tag}>{_sp_expr_xml(f.standpoint)}"
-                f"{_std_axiom_xml(f.arg, ns_base)}</{tag}>")
-    raise GrammarViolation(f"cannot render formula node {type(f).__name__}")
+def _xml(x, ns_base: str) -> str:
+    """Canonical XML of a standpoint expression or formula: the element of
+    its class (``_TAGS``) around its children, in the order of
+    ``model.children``.  A standpoint or a reference is an empty element
+    with a name, an atom its axiom's element with each side's Manchester
+    text.  What the label grammar cannot wrap raises GrammarViolation."""
+    if type(x) is Atom:
+        tag = _TAGS[type(x.axiom)]
+        lhs, rhs = (_xml_text(render_manchester(side, ns_base))
+                    for side in children(x.axiom))
+        return f"<{tag}><LHS>{lhs}</LHS><RHS>{rhs}</RHS></{tag}>"
+    tag = _TAGS.get(type(x))
+    if tag is None:
+        raise GrammarViolation(f"cannot render formula node {type(x).__name__}")
+    kids = children(x)
+    if not kids:
+        name = UNIVERSAL_STANDPOINT if type(x) is Star else x.name
+        mark = "§" if type(x) is AxiomRef else ""
+        return f'<{tag} name="{mark}{_xml_attr(name)}"/>'
+    if type(x) is Negation and type(x.arg) not in (Atom, AxiomRef, Box, Diamond):
+        raise GrammarViolation("negation wraps only axioms in the annotation grammar")
+    if type(x) in (Box, Diamond) and type(x.arg) is not Atom:
+        raise GrammarViolation(
+            "modal operators wrap only standard axioms in the annotation grammar")
+    parts = []
+    for kid in kids:
+        parts.append(_xml(kid, ns_base))
+    return f"<{tag}>{''.join(parts)}</{tag}>"
 
 
 def _bool_comb_payload(f: StandpointFormula, ns_base: str) -> str:
-    return f"<booleanCombination>{_formula_xml(f, ns_base)}</booleanCombination>"
+    return f"<booleanCombination>{_xml(f, ns_base)}</booleanCombination>"
 
 
 def _sp_axiom_payload(name: str | None, op: str, e: StandpointExpr) -> str:
     """The label of a standpoint axiom: ``op`` ("Box" or "Diamond") over
     ``e``, named ``§name`` when a name is given."""
     attr = f' name="§{_xml_attr(name)}"' if name else ""
-    return (f"<standpointAxiom{attr}><{op}>{_sp_expr_xml(e)}"
-            f"</{op}></standpointAxiom>")
+    return f"<standpointAxiom{attr}><{op}>{_xml(e, '')}</{op}></standpointAxiom>"
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +290,12 @@ def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
                 yield opening + f"))\n{opening}".join(group) + "))\n"
 
 
+def _label(payload: str) -> str:
+    return f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")'
+
+
 def _on_axiom(f: StandpointFormula) -> bool:
-    """Whether ``f`` is a box or diamond over one atom, which an axiom-level
-    label writes on its carrier axiom."""
+    """Whether ``f`` is a box or diamond over one atom (an axiom-level label)."""
     return isinstance(f, (Box, Diamond)) and isinstance(f.arg, Atom)
 
 
@@ -321,42 +306,36 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     per family or axiom, and the closing ``)``.  Each piece is made only
     when the one before it has been taken, so a writer that takes them one
     at a time holds one piece, not the document."""
-    if isinstance(kb, StandpointKB):
-        names, copies = kb.signature, 1
-        default_ns = kb.namespace or kb.base_iri + "#"
+    if isinstance(kb, PlainKB):
+        names, copies, default_ns, ontology = kb.names, kb.copies, kb.base_iri + "#", ()
+    else:
+        names, copies, default_ns = kb.signature, 1, kb.namespace or kb.base_iri + "#"
         # The formulas after the last one that is not a box or diamond over
         # one atom ride their carrier axioms, as they were read.
         top = len(kb.formulas)
         while top and _on_axiom(kb.formulas[top - 1]):
             top -= 1
-    else:
-        names, copies, default_ns = kb.names, kb.copies, kb.base_iri + "#"
+        ontology, carried = kb.formulas[:top], kb.formulas[top:]
     ns = _Namespaces(default_ns, signature_bases(names))
-    head = ns.prefix_lines()
-    head.append(f"Ontology(<{kb.base_iri}>")
-    if isinstance(kb, StandpointKB):
-        for f in kb.formulas[:top]:
-            payload = _bool_comb_payload(f, default_ns)
-            head.append(f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")')
+    head = [*ns.prefix_lines(), f"Ontology(<{kb.base_iri}>"]
+    for f in ontology:
+        head.append(_label(_bool_comb_payload(f, default_ns)))
     yield "\n".join(head) + "\n"
     yield from _declaration_pieces(names, copies, ns)
 
-    if isinstance(kb, StandpointKB):
+    if isinstance(kb, PlainKB):
+        for family in kb.families:
+            yield "".join(family.render(_functional(family.template, ns) + "\n"))
+    else:
         for ax in kb.plain_axioms:
-            yield _axiom_str(ax, ns) + "\n"
-        carried = [(None, f) for f in kb.formulas[top:]]
-        for name, formula in [*kb.named_axioms.items(), *carried]:
+            yield _functional(ax, ns) + "\n"
+        for name, formula in [*kb.named_axioms.items(), *((None, f) for f in carried)]:
             if not _on_axiom(formula):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
-            op = "Box" if isinstance(formula, Box) else "Diamond"
-            payload = _sp_axiom_payload(name, op, formula.standpoint)
-            ann = f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}") '
-            yield _axiom_str(formula.arg.axiom, ns, ann) + "\n"
+            payload = _sp_axiom_payload(name, _TAGS[type(formula)], formula.standpoint)
+            yield _functional(formula.arg.axiom, ns, _label(payload) + " ") + "\n"
         for ria in kb.rias:
-            yield _axiom_str(ria, ns) + "\n"
-    else:
-        for family in kb.families:
-            yield "".join(family.render(_axiom_str(family.template, ns) + "\n"))
+            yield _functional(ria, ns) + "\n"
     yield ")\n"
 
 
@@ -405,7 +384,7 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
             f'Annotation({a.property_prefix}:{a.property_local} '
             f'"{_escape_literal(a.literal)}") '
             for a in annotations)
-        yield _axiom_str(axiom, ns, ann_text) + "\n"
+        yield _functional(axiom, ns, ann_text) + "\n"
     yield ")\n"
 
 

@@ -1,18 +1,19 @@
 """Functional-syntax emission: determinism and round-trips."""
 
 import hashlib
+from typing import get_args
 
 import pytest
 
+from standpoint_owl import model, serializer
 from standpoint_owl.errors import GrammarViolation
-
 from standpoint_owl.frontend import (assemble_kb, parse_document,
                                      parse_manchester_class)
-from standpoint_owl.model import (All, And, Atom, Box, Conjunction, Diamond,
-                                  Disjunction, Equiv, Gci, INDEX_SENTINEL,
-                                  Negation, Not, Or, PlainKB, Ria, Signature,
-                                  Some, Top, UNIVERSAL, iter_nodes, make_kb,
-                                  role_name)
+from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
+                                  Diamond, Disjunction, Equiv, Family, Gci,
+                                  INDEX_SENTINEL, Negation, Not, Or, PlainKB,
+                                  Ria, Signature, Some, Top, UNIVERSAL,
+                                  UniversalRole, iter_nodes, make_kb, role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.serializer import (document_pieces, kb_pieces,
                                        render_manchester, serialize_concept,
@@ -202,6 +203,24 @@ class TestWriteBack:
                               Atom(Gci(C("B", NS), C("A", NS))))
         with pytest.raises(GrammarViolation, match="Manchester name"):
             serialize_kb(make_kb(formulas=[formula], base_iri="urn:o"))
+
+
+class TestWalkTables:
+    """Each writer is one walk over a class table; a constructor added to
+    the model needs a functional word and, in standpoint content, an XML
+    tag."""
+
+    def test_every_class_has_a_functional_word(self):
+        plain = {*get_args(model.ConceptExpr), *get_args(model.RoleExpr),
+                 *get_args(model.PlainAxiom), Family}
+        compound = {cls for cls in model._CHILDREN if cls in plain}
+        assert compound == plain - {Top, Bottom, UniversalRole}
+        assert plain <= set(serializer._WORDS)
+
+    def test_every_formula_and_standpoint_class_has_a_tag(self):
+        tagged = {*get_args(model.StandpointFormula), *get_args(model.StandpointExpr),
+                  *get_args(model.TBoxAxiom)} - {Atom}
+        assert tagged <= set(serializer._TAGS)
 
 
 def one_axiom_at_a_time(plain):
