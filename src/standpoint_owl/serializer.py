@@ -110,9 +110,9 @@ def _functional(x, ns: _Namespaces, annotations: str = "") -> str:
     if type(x) is EntityName:  # the head of a role inclusion
         return ns.pname(x)
     word = _WORDS[type(x)]
+    if word is None:  # read directly: names are most of the nodes
+        return ns.pname(x.name)
     kids = children(x)
-    if word is None:
-        return ns.pname(kids[0])
     if not kids:
         return word
     if type(x) is Family:

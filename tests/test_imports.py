@@ -1,7 +1,9 @@
 """Every module-level import under ``src/`` is used in its module, every
 module-level function, class and assigned name under ``src/`` is read
-somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every import
-under ``src/`` is of the standard library or the package.
+somewhere in ``src/``, ``tests/`` or ``perfbench/``, every import
+under ``src/`` is of the standard library or the package, and every file
+under ``src/`` parses with the grammar of the oldest Python that
+pyproject.toml admits.
 
 A package's ``__init__.py`` imports names to export them, so it is not
 checked for unused imports.  A name counts as used when the module reads
@@ -139,3 +141,22 @@ def test_only_the_standard_library_is_imported(path):
     ("def f():\n    from lxml import etree\n", ["lxml (line 2)"])])
 def test_the_dependency_check_itself(source, foreign):
     assert foreign_imports(source) == foreign
+
+
+def oldest_python() -> tuple[int, int]:
+    """The oldest Python that ``requires-python`` in pyproject.toml admits."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=oldest_python())
+
+
+def test_the_version_check_itself():
+    assert oldest_python() == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=(3, 10))
