@@ -9,6 +9,7 @@ from standpoint_owl.frontend import assemble, assemble_kb, parse_document
 from standpoint_owl.model import (ConceptName, InverseRole, NamedStandpoint,
                                   Nominal, RoleName, Star, concept_name,
                                   individual_name, replace, role_name)
+from standpoint_owl.serializer import serialize_kb
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FOREST_BASE = "http://example.org/forestry#"
@@ -32,6 +33,18 @@ def O(local, base=""):
 
 def S(name):
     return Star() if name == "*" else NamedStandpoint(name)
+
+
+def writes_back(text):
+    """Assert that ``serialize_kb`` of the KB read from ``text`` reads back
+    as that KB (its formulas in order, plain axioms, role inclusions, named
+    axioms and signature), and that a second application changes no byte."""
+    kb = assemble_kb(parse_document(text))
+    once = serialize_kb(kb)
+    again = assemble_kb(parse_document(once))
+    assert again == kb
+    assert serialize_kb(again) == once
+    return once
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from standpoint_owl.serializer import (document_pieces, kb_pieces,
                                        serialize_document, serialize_kb)
 from standpoint_owl.translator import trans, translate_kb
 
-from conftest import FIXTURES, C, O, R, S
+from conftest import FIXTURES, C, O, R, S, writes_back
 from genkb import random_kb, top_level_kb, widened
 
 NS = "urn:o#"
@@ -157,17 +157,6 @@ KB_SHA256 = {
 
 BOX_LABEL = ('Annotation(:standpointLabel "<standpointAxiom><Box>'
              '<Standpoint name=\\"s\\"/></Box></standpointAxiom>")')
-
-
-def writes_back(text):
-    """Assert that ``serialize_kb`` of the KB read from ``text`` reads back
-    as that KB, and that a second application changes no byte."""
-    kb = assemble_kb(parse_document(text))
-    once = serialize_kb(kb)
-    again = assemble_kb(parse_document(once))
-    assert again == kb
-    assert serialize_kb(again) == once
-    return once
 
 
 class TestWriteBack:
