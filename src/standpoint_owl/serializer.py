@@ -5,14 +5,16 @@ order, declarations are sorted within each kind, and axioms keep their
 canonical order.  A conjunction or disjunction writes its parts in order
 into the n-ary syntax, and the parser builds the identical tree back.  A
 translated KB is rendered one family at a time: the template is rendered
-once and ``Family.render`` fills in each copy's index, so p copies cost
-one rendering and p joins; ``axioms`` is never built.  A family inside a
-concept (a box inside a Boolean combination) is rendered the same way, as
-the ObjectIntersectionOf of its copies; as the first part of an
-intersection its copies are written in line, without a wrapper, as And
-splices an And in first place, so the text reads back as the tree of
+once and ``_expand`` fills in each copy's index, so p copies cost one
+rendering and p joins, made in C; ``axioms`` is never built.  A family
+inside a concept (a box inside a Boolean combination) is rendered the
+same way, as the ObjectIntersectionOf of its copies; as the first part
+of an intersection its copies are written in line, without a wrapper, as
+And splices an And in first place, so the text reads back as the tree of
 ``axioms``.  Its declarations are made from the name templates in the
-same way, as strings, so neither is ``signature``.
+same way, as strings, so neither is ``signature``.  The index strings
+are made once per document (``_Namespaces.indices``), and every copy,
+of a family or of a declared name, is expanded from them.
 ``kb_pieces`` and ``document_pieces`` hand a document out in pieces (the
 header, the declarations of each kind and namespace, one family or axiom
 each, the closing line), made one at a time, so a writer that takes them
@@ -28,7 +30,7 @@ their carrier axiom, so the formulas read back in order.  Every output,
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, repeat
 from typing import Iterator
 
 from .errors import GrammarViolation
@@ -51,17 +53,30 @@ from .frontend.manchester import _KEYWORDS, _TOKEN_RE
 # ---------------------------------------------------------------------------
 
 class _Namespaces:
+    """The prefix name of each namespace of a document, and the index
+    strings its copies read (see ``indices``)."""
+
     def __init__(self, default_ns: str, bases: set[str]):
         self.table: dict[str, str] = {default_ns: ""}
         extra = sorted(b for b in bases if b != default_ns)
         for k, base in enumerate(extra, start=1):
             self.table[base] = f"ns{k}"
+        self.index_strings: list[str] = []
 
     @classmethod
     def from_table(cls, iri_to_pname: dict[str, str]) -> "_Namespaces":
         ns = cls.__new__(cls)
         ns.table = dict(iri_to_pname)
+        ns.index_strings = []
         return ns
+
+    def indices(self, copies: int) -> list[str]:
+        """``str(k)`` for each k below ``copies``.  Each string is made once
+        per document, however many families and names read it."""
+        table = self.index_strings
+        if len(table) < copies:
+            table += map(str, range(len(table), copies))
+        return table[:copies]
 
     def prefix(self, base: str) -> str:
         if base not in self.table:
@@ -119,7 +134,8 @@ def _functional(x, ns: _Namespaces, annotations: str = "") -> str:
         return f"{word}({_copies(x, ns)})"
     parts = [str(x.n)] if type(x) in _NUMBERED else []
     if type(x) is And and type(kids[0]) is Family:
-        parts.append(_copies(kids.pop(0), ns))
+        parts.append(_copies(kids[0], ns))
+        kids = kids[1:]
     # A loop, not a generator: one frame per level, as the parser uses, so
     # what parses and translates also renders.
     for kid in kids:
@@ -132,7 +148,18 @@ def _functional(x, ns: _Namespaces, annotations: str = "") -> str:
 def _copies(family: Family, ns: _Namespaces) -> str:
     """The copies of a family inside a concept, joined by spaces: its
     template rendered once, and each copy's index filled in."""
-    return " ".join(family.render(_functional(family.template, ns)))
+    return " ".join(_expand(_functional(family.template, ns),
+                            ns.indices(family.copies)))
+
+
+def _expand(text: str, indices: list[str]) -> Iterator[str]:
+    """One copy of ``text`` per string of ``indices``, in their order: its
+    pieces around every INDEX_SENTINEL joined with that string.  Digits in
+    the text are never rewritten, so fixed indices keep their numbers.
+    ``str.join`` makes each copy, through ``map``: no Python code runs per
+    copy.  The serializer expands every family, inside a concept or not,
+    and every declared name with it."""
+    return map(str.join, indices, repeat(text.split(INDEX_SENTINEL)))
 
 
 def serialize_concept(c: ConceptExpr, base: str = "") -> str:
@@ -270,16 +297,16 @@ def _sp_axiom_payload(name: str | None, op: str, e: StandpointExpr) -> str:
 def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
     """One declaration per copy of each name (see ``PlainKB.names``),
     sorted by namespace and then by local name within each kind, one piece
-    per kind and namespace.  The copies are made as strings; no name is
-    built."""
-    indices = [str(k) for k in range(copies)]
+    per kind and namespace.  The copies are made as strings, from the
+    index strings in string order ("10" < "100" < "11"), so the copies of
+    one name come to the sort as one sorted run; no name is built."""
+    indices = sorted(ns.indices(copies))
     for word, (kind, _) in DECLARATION_KINDS.items():
         by_base: dict[str, list[str]] = {}
         for name in getattr(names, f"{kind}s"):  # the Signature field
             group = by_base.setdefault(name.base, [])
             if INDEX_SENTINEL in name.local:
-                pieces = name.local.split(INDEX_SENTINEL)
-                group.extend(k.join(pieces) for k in indices)
+                group.extend(_expand(name.local, indices))
             else:
                 group.append(name.local)
         for base in sorted(by_base):
@@ -309,7 +336,11 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     if isinstance(kb, PlainKB):
         names, copies, default_ns, ontology = kb.names, kb.copies, kb.base_iri + "#", ()
     else:
-        names, copies, default_ns = kb.signature, 1, kb.namespace or kb.base_iri + "#"
+        names, copies = kb.signature, 1
+        # The KB's own namespace, the empty one too when a name has it
+        # (``Prefix(:=<>)`` reads back as "").
+        default_ns = (kb.namespace if kb.namespace or "" in signature_bases(names)
+                      else kb.base_iri + "#")
         # The formulas after the last one that is not a box or diamond over
         # one atom ride their carrier axioms, as they were read.
         top = len(kb.formulas)
@@ -325,7 +356,8 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
 
     if isinstance(kb, PlainKB):
         for family in kb.families:
-            yield "".join(family.render(_functional(family.template, ns) + "\n"))
+            yield "".join(_expand(_functional(family.template, ns) + "\n",
+                                  ns.indices(family.copies)))
     else:
         for ax in kb.plain_axioms:
             yield _functional(ax, ns) + "\n"

@@ -95,6 +95,22 @@ LADDER_SHA256 = {
     "ladder3.ofn": "fcd0f4cc91ed2a82c97f0ebe4e2488e2fb5811cc30daef3fd6dc93dcc174cf59",
 }
 
+# sha256 of the three outputs of the ingest-import workload on
+# gen.ingest_import(0), with --dump: the merge, the merge translated, and
+# the main document translated.  Both documents hold a RIA ladder with
+# chains, so every Ria of them is copied and written.
+INGEST_ARGV = {
+    "import": ["import", "main.ofn", "source.ofn", "--standpoint", run.IMPORT_STANDPOINT],
+    "import-translate": ["import", "main.ofn", "source.ofn",
+                         "--standpoint", run.IMPORT_STANDPOINT, "--translate"],
+    "translate": ["translate", "main.ofn"],
+}
+INGEST_SHA256 = {
+    "import": "a1a6c9abcea6fea28e877b9719c1cd2bae7ba0108ab42f0236521c58de6c2ac8",
+    "import-translate": "bcdbe7fb15b30f1fd7da453590802d470abd7562f70b08664d9d40c3c3ce3781",
+    "translate": "295ef7beaafda915f730a78c2ddae9c013d87c122f3a970b8b4058c5547464fd",
+}
+
 
 @pytest.fixture
 def forest_path(tmp_path):
@@ -185,6 +201,16 @@ class TestTranslate:
         assert main(["translate", path, "--dump"]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == LADDER_SHA256[rung]
+
+    @pytest.mark.parametrize("op", sorted(INGEST_SHA256))
+    def test_ingest_output(self, op, tmp_path, capsys):
+        for name, text in gen.ingest_import(0):
+            write(tmp_path, name, text)
+        argv = [str(tmp_path / arg) if arg.endswith(".ofn") else arg
+                for arg in INGEST_ARGV[op]]
+        assert main([*argv, "--dump"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == INGEST_SHA256[op]
 
 
 def plain_model(document):
@@ -936,21 +962,34 @@ class TestByteOrderMark:
 
 class TestQueryRoleRules:
     """A query obeys the role rules the KB does: with r transitive, it is
-    non-simple, so neither a number restriction nor an inverse may use it."""
+    non-simple, so no number restriction may use it.  Its inverse may stand
+    under ∃, as SROIQ and OWL 2 DL allow, and the query is decided."""
+
+    TRANSITIVE = ("Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
+                  "TransitiveObjectProperty(:r)\nSubClassOf(:A :B)\n)\n")
 
     @pytest.mark.parametrize("query, message", [
         ("[*](r min 2 A sub A)", "Self/number restriction over a non-simple role"),
-        ("[*](inverse r some A sub A)", "inverse of non-simple role 'r'"),
     ])
     def test_non_simple_role_exits_2(self, tmp_path, capsys, query, message):
-        path = write(tmp_path, "trans.ofn",
-                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\n"
-                     "TransitiveObjectProperty(:r)\nSubClassOf(:A :B)\n)\n")
+        path = write(tmp_path, "trans.ofn", self.TRANSITIVE)
         assert main(["query", path, "--simple", query, "--domain-bound", "1"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         # the same restriction over a simple role is decided
         simple = query.replace("r ", "s ", 1)
         assert main(["query", path, "--simple", simple, "--domain-bound", "1"]) == 0
+
+    @pytest.mark.parametrize("domain, verdict", [(1, 0), (2, 3)])
+    def test_inverse_of_a_non_simple_role_is_decided(self, tmp_path, capsys,
+                                                     domain, verdict):
+        """Entailed within domain 1, refuted at 2, as the translation path
+        of the benchmark finds."""
+        path = write(tmp_path, "trans.ofn", self.TRANSITIVE)
+        query = "[*](inverse r some A sub A)"
+        assert run.reference_verdicts([{"path": path, "query": query, "prec_bound": 1,
+                                        "domain_bound": domain}]) == [verdict]
+        assert main(["query", path, "--simple", query,
+                     "--domain-bound", str(domain)]) == verdict
 
 
 class TestSubPropertyRoleRules:

@@ -78,6 +78,26 @@ class TestTraversal:
         # 3 axiom, 5 standpoint-expression and 7 formula classes, Family.
         assert visited == 32
 
+    def test_children_reads_the_child_fields(self):
+        """``children`` is the tuple of a node's child fields in _CHILDREN
+        order, a tuple field spread in place, and () for a leaf."""
+        concept = And(Not(C("A")), Or(O("a"), Top()), AtMost(1, R("t"), C("B")),
+                      AtLeast(2, Rinv("r"), All(R("s"), Some(R("r"), HasSelf(R("u"))))))
+        gci = Gci(concept, Bottom())
+        sp = model.SpMinus(model.SpUnion(S("s"), S("*")), model.SpIntersection(S("s"), S("t")))
+        roots = [gci, Equiv(C("A"), C("B")), model.Family(gci, 3),
+                 Ria((R("p"), Rinv("q"), UNIVERSAL), role_name("h")),
+                 model.Conjunction(model.Disjunction(Box(sp, Atom(gci)), model.AxiomRef("n")),
+                                   model.Negation(model.Diamond(S("t"), Atom(gci))))]
+        nodes = [node for root in roots for node in iter_nodes(root)]
+        assert set(model._CHILDREN) <= {type(node) for node in nodes}
+        for node in nodes:
+            expected = []
+            for name in model._CHILDREN.get(type(node), ()):
+                value = getattr(node, name)
+                expected += value if type(value) is tuple else [value]
+            assert model.children(node) == tuple(expected), node
+
     @pytest.mark.parametrize("ctor", [Gci, Equiv])
     def test_entity_names_order(self, ctor):
         """First-occurrence order over every concept and role node kind; the
@@ -207,11 +227,25 @@ class TestValidateRoles:
                                               simple_ria(["z"], "y")]))
         assert {x.local for x in report.non_simple} == {"z", "y"}
 
-    def test_inverse_of_non_simple_rejected(self):
+    @pytest.mark.parametrize("restriction", [
+        AtLeast(2, Rinv("w"), C("A")), AtMost(1, Rinv("w"), C("A")), HasSelf(Rinv("w"))],
+        ids=["min", "max", "self"])
+    def test_inverse_of_non_simple_rejected(self, restriction):
+        # in a number restriction or Self only, as the role itself is
         bad = make_kb(rias=[simple_ria(["r", "t"], "w")],
-                      plain_axioms=[Gci(Some(Rinv("w"), C("A")), C("B"))])
+                      plain_axioms=[Gci(restriction, C("B"))])
         with pytest.raises(NonSimpleInRestriction):
             validate_roles(bad)
+
+    def test_inverse_of_non_simple_accepted_elsewhere(self):
+        """Under ∃ or ∀, in a role inclusion and in a formula, as SROIQ and
+        OWL 2 DL allow; the inverse adds nothing to the partition."""
+        w = Rinv("w")
+        kb = make_kb(rias=[simple_ria(["w", "w"], "w"), Ria((w,), role_name("v"))],
+                     plain_axioms=[Gci(Some(w, C("A")), C("B")), Gci(C("B"), All(w, C("A")))],
+                     formulas=[Box(S("s"), Atom(Gci(Some(w, C("A")), C("B"))))])
+        report = validate_roles(kb)
+        assert {x.local for x in report.non_simple} == {"w", "v"}
 
     def test_permutation_invariance(self):
         rias = [simple_ria(["a", "b"], "x"), simple_ria(["x", "c"], "y"),

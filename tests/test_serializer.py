@@ -186,6 +186,27 @@ class TestWriteBack:
             '</NOT></OR></booleanCombination>")\n)\n')
         assert once.startswith("Prefix(:=<urn:x#>)\n")
 
+    def test_names_in_the_empty_namespace(self):
+        """A ``make_kb`` KB, as every draw of ``genkb`` is, has the namespace
+        "", and its names too: "" is then its default namespace, written
+        ``Prefix(:=<>)``.  A draw that the label grammar cannot write has a
+        modality over a Boolean combination of atoms."""
+        written = 0
+        for draw in (random_kb, top_level_kb):
+            for seed in range(200):
+                kb = draw(seed)
+                try:
+                    once = serialize_kb(kb)
+                except GrammarViolation as exc:
+                    assert "modal operators wrap only standard axioms" in str(exc), seed
+                    continue
+                again = assemble_kb(parse_document(once))
+                assert (again.formulas, again.plain_axioms, again.rias) == (
+                    kb.formulas, kb.plain_axioms, kb.rias), seed
+                assert serialize_kb(again) == once, seed
+                written += 1
+        assert written > 150
+
     @pytest.mark.parametrize("local", ["only", "Self", "inverse", "_x", "a__b", "A-b"])
     def test_manchester_names_the_reader_rejects(self, local):
         formula = Disjunction(Atom(Gci(C(local, NS), C("B", NS))),
@@ -253,7 +274,7 @@ class TestFamilies:
 
     BOX = Box(S("s"), Atom(Gci(C("A"), C("B"))))
 
-    @pytest.mark.parametrize("p", [1, 2, 11])
+    @pytest.mark.parametrize("p", [1, 2, 11, 101])
     @pytest.mark.parametrize("other", [Atom(Gci(C("B"), C("D"))),
                                        Diamond(S("t"), Atom(Gci(C("D"), C("A"))))],
                              ids=["bare-atom", "modal"])
@@ -286,6 +307,13 @@ class TestDeclarations:
     the name's template; the block must sort as the names themselves do."""
 
     def test_two_digit_indices_sort_among_longer_names(self):
+        self.check_sorted(12)
+
+    def test_three_digit_indices_sort_among_longer_names(self):
+        self.check_sorted(101)  # 10, 100, 11, …
+
+    @staticmethod
+    def check_sorted(p):
         other = "urn:other#"
         kb = normalize_kb(make_kb(
             formulas=[Box(S("s"), Atom(Gci(C("A"), C("A1")))),
@@ -294,18 +322,18 @@ class TestDeclarations:
                       Atom(Gci(C("SPx"), Some(R("r10", other), O("a1")))),
                       Atom(Gci(C("B", other), Some(R("r"), O("b", other))))],
             plain_axioms=[Gci(C("A1", other), C("A"))], base_iri="urn:o"))
-        plain = translate_kb(kb, p=12)
+        plain = translate_kb(kb, p=p)
         text = serialize_kb(plain)
         assert text == one_axiom_at_a_time(plain)
         classes = [line for line in text.splitlines()
                    if line.startswith("Declaration(Class(")]
-        indices = sorted(str(k) for k in range(12))  # 0, 1, 10, 11, 2, …
-        assert classes[:36] == [f"Declaration(Class(:{name}__{k}))"
-                                for name in ("A10", "A1", "A") for k in indices]
-        assert classes[-24:] == [f"Declaration(Class(ns1:{name}__{k}))"
-                                 for name in ("A1", "B") for k in indices]
-        assert len(classes) == 12 * (len(kb.signature.concepts)
-                                     + len(kb.signature.standpoints))
+        indices = sorted(str(k) for k in range(p))  # 0, 1, 10, 11, 2, …
+        assert classes[:3 * p] == [f"Declaration(Class(:{name}__{k}))"
+                                   for name in ("A10", "A1", "A") for k in indices]
+        assert classes[-2 * p:] == [f"Declaration(Class(ns1:{name}__{k}))"
+                                    for name in ("A1", "B") for k in indices]
+        assert len(classes) == p * (len(kb.signature.concepts)
+                                    + len(kb.signature.standpoints))
 
 
 class TestPieces:

@@ -19,7 +19,7 @@ from standpoint_owl.oracle import find_plain_model, find_standpoint_model
 from standpoint_owl.serializer import serialize_kb
 from standpoint_owl.translator import mangle, trans, trans_e, translate_kb
 
-from conftest import C, O, R, S
+from conftest import C, O, R, Rinv, S
 from genkb import SECOND_NS, random_kb, top_level_kb, widened
 
 A, B, D = C("A"), C("B"), C("D")
@@ -463,6 +463,40 @@ class TestDifferential:
         """Role chains, inverse roles, nominals and ≤ restrictions, which
         the translation copies through the model's child table."""
         check_widened(random_kb)
+
+    # With w transitive, {a} starts a w-chain to a D, or a w-cycle back to
+    # itself through a D, and w⁻ stands under ∃, under ∀ or in w⁻ ⊑ v.  The
+    # chain tells w⁻ from w and the cycle needs transitivity, so reading
+    # either wrongly changes some verdicts.
+    W, W_INV = R("w"), Rinv("w")
+    STARTS = (Gci(O("a"), And(A, Some(W, Some(W, D)))),
+              Gci(O("a"), And(A, Some(W, And(D, Some(W, O("a")))))))
+    INVERSE_USES = {
+        "some": ((), Gci(Some(W_INV, O("a")), B)),
+        "only": ((), Gci(A, All(W_INV, B))),
+        "ria": ((Ria((W_INV,), role_name("v")),), Gci(Some(R("v"), A), B)),
+    }
+
+    @pytest.mark.parametrize("use", sorted(INVERSE_USES))
+    def test_inverse_of_a_transitive_role_agrees_with_the_oracle(self, use):
+        rias, axiom = self.INVERSE_USES[use]
+        rias += (Ria((self.W, self.W), role_name("w")),)
+        models, kbs = 0, 0
+        for draw in (random_kb, top_level_kb):
+            for seed in range(60):
+                base = draw(seed)
+                for start in self.STARTS:
+                    kb = normalize_kb(make_kb(
+                        rias=rias, plain_axioms=base.plain_axioms + (axiom, start),
+                        formulas=base.formulas, base_iri=base.base_iri))
+                    validate_roles(kb)
+                    p = count_precisifications(kb)
+                    ours = find_plain_model(translate_kb(kb), 2, guard_bits=1000)
+                    oracle = find_standpoint_model(kb, 2, p, guard_bits=1000)
+                    assert (ours is None) == (oracle is None), (draw.__name__, seed, start)
+                    models += ours is not None
+                    kbs += 1
+        assert kbs // 5 < models < kbs * 4 // 5  # both verdicts are common
 
 
 class TestTopLevelAxioms:
