@@ -18,9 +18,10 @@ from .errors import ParseError, StandpointOwlError
 from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.assemble import STANDPOINT_LABEL
-from .frontend.functional import (PREDECLARED_PREFIXES, Annotation,
-                                  RawDocument, with_names)
-from .model import Ria, StandpointKB, replace, standpoint_expr, validate_roles
+from .frontend.functional import PREDECLARED_PREFIXES, Annotation, RawDocument
+from .model import (Ria, StandpointKB, check_restricted_roles,
+                    replace, restricted_roles_in, standpoint_expr,
+                    validate_roles, with_cached)
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, GUARD_BITS, NOT_ENTAILED,
                      negated_query_kb, search_countermodel)
@@ -58,8 +59,7 @@ def _emit(pieces: Iterable[str], out_path: str | None, dump: bool,
 def _load(path: str):
     doc = parse_document(_read(path))
     kb = assemble_kb(doc)
-    validate_roles(kb)
-    return doc, kb
+    return doc, kb, validate_roles(kb)
 
 
 def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> int:
@@ -77,7 +77,7 @@ def cmd_translate(args) -> int:
     if args.rebase and ">" in args.rebase:  # a read IRI ends at its first '>'
         print(f"error: --rebase: an IRI cannot hold '>': {args.rebase!r}", file=sys.stderr)
         return 2
-    _, kb = _load(args.input)
+    _, kb, _ = _load(args.input)
     return _translate_and_emit(kb, args, args.rebase)
 
 
@@ -105,31 +105,42 @@ def _annotation_mover(prefixes: dict[str, str], source: dict[str, str]):
     return moved
 
 
-def cmd_import(args) -> int:
-    standpoint = standpoint_expr(args.standpoint)  # raises BadName on a bad name
-    doc_in = parse_document(_read(args.input))
-    token = STAR_TOKEN if args.standpoint == "*" else args.standpoint
+def _merge(doc_in: RawDocument, source_text: str, standpoint: str) -> RawDocument:
+    """The document ``import`` makes: ``doc_in`` with the declarations and
+    axioms of the source read into ``<input-iri>/imported/<S>#``, each
+    source axiom but a role axiom boxed by S.  Its names and restricted
+    roles are those of the two documents, so nothing is walked."""
+    token = STAR_TOKEN if standpoint == "*" else standpoint
     # Read straight into the imported namespace, so nothing is copied.
-    doc_src = parse_document(_read(args.source),
+    doc_src = parse_document(source_text,
                              namespace=f"{doc_in.base_iri}/imported/{token}#")
-
     prefixes = dict(doc_in.prefixes)
     moved = _annotation_mover(prefixes, dict(doc_src.prefixes))
     axioms = list(doc_in.axioms)
-    box_ann = Annotation("", STANDPOINT_LABEL, _sp_axiom_payload(None, "Box", standpoint))
+    box_ann = Annotation("", STANDPOINT_LABEL,
+                         _sp_axiom_payload(None, "Box", standpoint_expr(standpoint)))
     for axiom, annotations in doc_src.axioms:
         if isinstance(axiom, Ria):
             axioms.append((axiom, ()))
         else:
             axioms.append((axiom, (*map(moved, annotations), box_ann)))
-    merged = with_names(RawDocument(
-        base_iri=doc_in.base_iri, prefixes=tuple(prefixes.items()),
-        ontology_annotations=doc_in.ontology_annotations,
-        declarations=doc_in.declarations + doc_src.declarations,
-        axioms=tuple(axioms)), doc_in.names | doc_src.names)
+    return with_cached(
+        RawDocument(base_iri=doc_in.base_iri, prefixes=tuple(prefixes.items()),
+                    ontology_annotations=doc_in.ontology_annotations,
+                    declarations=doc_in.declarations + doc_src.declarations,
+                    axioms=tuple(axioms)),
+        names=doc_in.names | doc_src.names,
+        restricted_roles=doc_in.restricted_roles | doc_src.restricted_roles)
+
+
+def cmd_import(args) -> int:
+    standpoint_expr(args.standpoint)  # raises BadName on a bad name
+    doc_in = parse_document(_read(args.input))
+    merged = _merge(doc_in, _read(args.source), args.standpoint)
     kb = assemble_kb(merged)  # rejects name collisions and bad annotations
     validate_roles(kb)
-    n_annotated = sum(1 for axiom, _ in doc_src.axioms if not isinstance(axiom, Ria))
+    n_annotated = sum(1 for axiom, _ in merged.axioms[len(doc_in.axioms):]
+                      if not isinstance(axiom, Ria))
     print(f"imported {n_annotated} axioms under standpoint "
           f"{args.standpoint!r}", file=sys.stderr)
     if args.translate:
@@ -202,14 +213,14 @@ def cmd_query(args) -> int:
         if args.reasoner_cmd is None:
             print("error: --reasoner-timeout needs --reasoner-cmd", file=sys.stderr)
             return 2
-    doc, kb = _load(args.input)
+    doc, kb, report = _load(args.input)
     ns = doc.default_namespace
     if args.simple is not None:
         query = parse_simple_query(args.simple, ns)
     else:
         query = parse_query_document(_read(args.query_file), ns)
     # The KB's role rules bind the query too; ``_load`` checked the KB itself.
-    validate_roles(StandpointKB(rias=kb.rias, formulas=(query,)))
+    check_restricted_roles(restricted_roles_in((query,)), report.non_simple)
 
     normalized = negated_query_kb(kb, query)
     p = count_precisifications(normalized)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..errors import (DuplicateAxiomName, GrammarViolation, ReservedName,
                       SPAxiomOnRIA, StandpointOwlError)
 from ..model import (Atom, Box, Diamond, Equiv, Gci, Ria, Signature,
-                     StandpointKB, entity_names_in, signature_over)
+                     StandpointKB, entity_names_in, signature_over, with_cached)
 from ..normalizer import desugar_sharpening
 from .functional import Annotation, RawDocument
 from .labels import (BoolCombLabel, LabeledConstruct, SharpeningLabel,
@@ -70,8 +70,10 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
     Unresolved references are deliberately left to the normalizer.  Each
     distinct label literal is parsed once.  The signature is the document's
     ``names`` and the names of each distinct label construct (of an
-    axiom-level label, its standpoint expression), so the axioms are not
-    walked again.
+    axiom-level label, its standpoint expression).  The KB's
+    ``restricted_roles``, which ``validate_roles`` checks, are the
+    document's and those that the same walk of the label constructs finds.
+    So the axioms are not walked again.
     """
     base = doc.default_namespace
     formulas = []
@@ -125,7 +127,10 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
             label_roots += (construct.narrower, construct.wider)
         else:
             label_roots.append(construct.expr)
-    signature = signature_over(label_roots, doc.names)
+    restricted = set(doc.restricted_roles)
+    signature = signature_over(label_roots, doc.names, restricted)
     _check_locals(doc, signature)
-    return StandpointKB(tuple(rias), tuple(plain_axioms), tuple(formulas),
-                        named_axioms, signature, doc.base_iri, base)
+    return with_cached(
+        StandpointKB(tuple(rias), tuple(plain_axioms), tuple(formulas),
+                     named_axioms, signature, doc.base_iri, base),
+        restricted_roles=frozenset(restricted))

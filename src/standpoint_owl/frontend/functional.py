@@ -10,9 +10,11 @@ error reporting and re-emission.
 One ``split`` by one compiled regular expression cuts the text into gap
 and token strings; a gap is the whitespace and comments before its token.
 The grammar tells the token strings apart by their first character, their
-words and the colon of a prefixed name.  Tokens keep no offset: where an
-error or an annotation reads a position, it is summed from the lengths of
-the strings before it, once per document.  Only ``\\n`` ends a line, and
+words and the colon of a prefixed name.  Tokens keep no offset.  An
+annotation's position comes from a cursor that moves forward from the
+annotation before it, summing the lengths of the strings in between; an
+error's position is summed from the lengths of all the strings before it,
+once per document.  Only ``\\n`` ends a line, and
 columns count code points, so a ``\\r`` is a column of its own.  Integers
 are ``\\d+`` (Unicode decimal digits, which ``int`` reads); other
 characters that ``str.isdigit`` accepts, such as superscripts, are
@@ -32,7 +34,8 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
                      Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
                      Some, Top, UNIVERSAL, concept_name,
-                     individual_name, iter_nodes, record, role_name)
+                     individual_name, iter_nodes, record, restricted_roles_in,
+                     role_name, with_cached)
 
 
 @record
@@ -54,7 +57,8 @@ class Declaration:
 @record
 class RawDocument:
     """A document as read: its prefixes, its annotations as written, and
-    its declarations and axioms, whose names are ``names``."""
+    its declarations and axioms, whose names are ``names`` and whose Self
+    and number restrictions are over ``restricted_roles``."""
     base_iri: str
     prefixes: tuple[tuple[str, str], ...]
     ontology_annotations: tuple[Annotation, ...]
@@ -72,19 +76,19 @@ class RawDocument:
     def names(self) -> frozenset[EntityName]:
         """Every entity name of the declarations and the axioms, found by a
         walk on first use.  ``parse_document`` hands over the names it
-        interned instead (see `with_names`), so a read document is not
+        interned instead (see `with_cached`), so a read document is not
         walked."""
         return frozenset(
             [d.name for d in self.declarations]
             + [n for axiom, _ in self.axioms for n in iter_nodes(axiom)
                if type(n) is EntityName])
 
-
-def with_names(doc: RawDocument, names: frozenset[EntityName]) -> RawDocument:
-    """``doc`` with ``names`` as its ``names``, which must be what the walk
-    would find."""
-    doc.__dict__["names"] = names
-    return doc
+    @cached_property
+    def restricted_roles(self) -> frozenset[RoleExpr]:
+        """The role of every Self and number restriction in the axioms,
+        found by a walk on first use.  ``parse_document`` hands over the
+        roles it put under those restrictions instead."""
+        return restricted_roles_in(axiom for axiom, _ in self.axioms)
 
 
 _NEWLINE_RE = re.compile("\n")
@@ -176,6 +180,13 @@ class _DocParser:
         self.names: dict[tuple, EntityName] = {}
         self.by_text = {concept_name: {}, role_name: {}, individual_name: {}}
         self.classes, self.roles = self.by_text[concept_name], self.by_text[role_name]
+        # The role of each Self and number restriction; each literal's value.
+        self.restricted: list[RoleExpr] = []
+        self.literals: dict[str, str] = {}
+        # The annotation cursor: a piece index, its offset, the line there
+        # and the offset at which that line starts.
+        self.piece = self.pos = self.line_start = 0
+        self.line = 1
 
     def where(self, i: int, skip: int = 0) -> tuple[int, int]:
         """The line and column of token ``i``, or of ``skip`` characters into it."""
@@ -190,6 +201,21 @@ class _DocParser:
     def at(self) -> tuple[int, int]:
         """The line and column of the token taken last."""
         return self.where(self.n - len(self.toks) - 1)
+
+    def cursor(self) -> tuple[int, int]:
+        """The line and column of the token taken last, which must not lie
+        before the one the cursor was last moved to.  The cursor moves
+        forward over the strings in between, so a document's annotations
+        measure each string once and build no table of token offsets."""
+        piece = 3 * (self.n - len(self.toks)) - 1
+        text, start = self.text, self.pos
+        pos = start + sum(map(len, self.pieces[self.piece:piece]))
+        lines = text.count("\n", start, pos)
+        if lines:
+            self.line += lines
+            self.line_start = text.rindex("\n", start, pos) + 1
+        self.piece, self.pos = piece, pos
+        return self.line, pos + 1 - self.line_start
 
     def got(self, what: str) -> ParseError:
         tok = self.pieces[3 * (self.n - len(self.toks)) - 1]
@@ -307,9 +333,12 @@ class _DocParser:
         lit = pop()
         if lit[:1] != '"' or lit == '"':
             raise self.got("string literal")
-        line, col = self.at()
+        line, col = self.cursor()
         self.expect(")")
-        return Annotation(prefix, local, _literal(lit), line, col)
+        literal = self.literals.get(lit)
+        if literal is None:
+            literal = self.literals[lit] = _literal(lit)
+        return Annotation(prefix, local, literal, line, col)
 
     def declaration(self) -> Declaration:
         self.pop()  # Declaration
@@ -410,7 +439,9 @@ class _DocParser:
         elif tok == "ObjectComplementOf":
             out = Not(self.concept())
         elif tok == "ObjectHasSelf":
-            out = HasSelf(self.object_property())
+            role = self.object_property()
+            self.restricted.append(role)
+            out = HasSelf(role)
         elif tok == "ObjectOneOf":
             out = Nominal(self._name(individual_name, "individual name"))
         else:  # ObjectMaxCardinality, ObjectMinCardinality
@@ -418,6 +449,7 @@ class _DocParser:
             if not n.isdecimal():
                 raise self.got("non-negative integer")
             role = self.object_property()
+            self.restricted.append(role)
             filler = self.concept()
             out = (AtMost if tok == "ObjectMaxCardinality" else AtLeast)(int(n), role, filler)
         if pop() != ")":
@@ -432,14 +464,21 @@ def parse_document(text: str, namespace: str | None = None) -> RawDocument:
     becomes {a} ⊑ C and ObjectPropertyAssertion becomes {a} ⊑ ∃r.{b}.
 
     Each distinct name is built once, and the document's ``names`` are the
-    names so built.  A prefixed name must use a declared prefix (an
+    names so built.  Its ``restricted_roles`` are the role expressions the
+    reader put under ``ObjectHasSelf``, ``ObjectMinCardinality`` and
+    ``ObjectMaxCardinality`` (the universal role among them), so neither
+    ``assemble_kb`` nor ``validate_roles`` walks its axioms.  An annotation's
+    line and column are those of its literal, and each distinct literal is
+    unescaped once.  A prefixed name must use a declared prefix (an
     annotation property may also use one of PREDECLARED_PREFIXES).  Given
     a ``namespace``, every entity name is read into it instead of its
     prefix's namespace, so names equal in kind and local name are one name
     there; prefixes and annotations stay as written."""
     parser = _DocParser(text, namespace)
     try:
-        return with_names(parser.document(), frozenset(parser.names.values()))
+        return with_cached(parser.document(),
+                           names=frozenset(parser.names.values()),
+                           restricted_roles=frozenset(parser.restricted))
     except (ParseError, UnsupportedConstruct, RecursionError):
         error = parser.lex_error()
         if error is None:

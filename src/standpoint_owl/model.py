@@ -25,7 +25,7 @@ import re
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter, is_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Union
 
 from .errors import (BadName, CyclicRoleOrder, MalformedRIA,
                      NonSimpleInRestriction)
@@ -508,6 +508,15 @@ class StandpointKB:
     base_iri: str = ""
     namespace: str = ""
 
+    @cached_property
+    def restricted_roles(self) -> frozenset[RoleExpr]:
+        """The role of every Self and number restriction in the KB, found
+        by a walk on first use.  ``assemble_kb`` hands over what the reader
+        and its own walk of the labels found instead (see `with_cached`),
+        so a KB assembled from a read document is not walked."""
+        return restricted_roles_in(
+            (*self.plain_axioms, *self.formulas, *self.named_axioms.values()))
+
 
 # Stands for a family's own index in the names of its template (see
 # Family).  No local name may hold it: ``mangle`` rejects it, and document
@@ -604,6 +613,15 @@ class PlainKB:
         signature = Signature(*(frozenset(names[kind]) for kind in kinds),
                               self.names.standpoints)
         return tuple(ax for out in copies for ax in out), signature
+
+
+def with_cached(obj, **values):
+    """``obj`` with ``values`` as the values of its cached properties of
+    those names, which must be what their walks would find."""
+    assert all(type(getattr(type(obj), name, None)) is cached_property
+               for name in values), values
+    obj.__dict__.update(values)
+    return obj
 
 
 def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
@@ -790,21 +808,40 @@ def signature_of(kb: StandpointKB) -> Signature:
         (*kb.rias, *kb.plain_axioms, *kb.formulas, *kb.named_axioms.values()))
 
 
-def signature_over(roots, names: Iterable[EntityName] = ()) -> Signature:
+def signature_over(roots, names: Iterable[EntityName] = (),
+                   restricted: set | None = None) -> Signature:
     """The signature of the entity names ``names`` and of every name that
-    occurs in ``roots``, with the universal standpoint ``*``."""
+    occurs in ``roots``, with the universal standpoint ``*``.  The same
+    walk adds the role of every Self and number restriction in ``roots``
+    to ``restricted``, if given."""
     names_of: dict[str, set] = {"concept": set(), "role": set(), "individual": set()}
     for name in names:
         names_of[name.kind].add(name)
     standpoints: set[str] = {UNIVERSAL_STANDPOINT}
+    restricted = set() if restricted is None else restricted
     for root in roots:
         for node in iter_nodes(root):
             if type(node) is EntityName:
                 names_of[node.kind].add(node)
             elif type(node) is NamedStandpoint:
                 standpoints.add(node.name)
+            elif type(node) in _RESTRICTIONS:
+                restricted.add(node.role)
     return Signature(frozenset(names_of["concept"]), frozenset(names_of["role"]),
                      frozenset(names_of["individual"]), frozenset(standpoints))
+
+
+# The restrictions whose role must be simple.
+_RESTRICTIONS = frozenset({HasSelf, AtMost, AtLeast})
+
+
+def restricted_roles_in(roots) -> frozenset[RoleExpr]:
+    """The role of every Self and number restriction in ``roots``, found by
+    one walk down to the names: their EntityName leaves hold no restriction."""
+    return frozenset(
+        node.role for root in roots
+        for node in iter_nodes(root, (ConceptName, RoleName, InverseRole, Nominal))
+        if type(node) in _RESTRICTIONS)
 
 
 def signature_bases(signature: Signature) -> set[str]:
@@ -842,6 +879,17 @@ def _role_base(r: RoleExpr) -> EntityName | None:
     return None
 
 
+def check_restricted_roles(roles: Iterable[RoleExpr],
+                           non_simple: AbstractSet[EntityName]) -> None:
+    """Raise NonSimpleInRestriction if one of ``roles``, the roles under a
+    Self or number restriction, is the universal role or in ``non_simple``,
+    or is the inverse of a role there."""
+    for role in roles:
+        if isinstance(role, UniversalRole) or role.name in non_simple:
+            raise NonSimpleInRestriction(
+                "Self/number restriction over a non-simple role")
+
+
 def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     """Classify roles, build the strict order, and check regularity.
 
@@ -855,13 +903,21 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     the head; it must be irreflexive after transitive closure.  Head
     occurrences inside chains are only allowed at the very front, at the
     very end, or as the transitivity pattern head∘head.
+
+    The restricted roles are the KB's ``restricted_roles``: for a KB that
+    ``assemble_kb`` built from a read document, what the reader and the
+    walk of the labels recorded, so no axiom is walked again; any other KB
+    (``make_kb``, ``replace``, a hand-built one) is walked once, on first
+    use.  A PlainKB's axioms other than its RIAs are walked.  RIAs hold no
+    restriction and are never walked.
     """
     if isinstance(kb, PlainKB):
         rias = tuple(a for a in kb.axioms if isinstance(a, Ria))
-        roots = kb.axioms
+        restricted = restricted_roles_in(
+            a for a in kb.axioms if not isinstance(a, Ria))
     else:
         rias = kb.rias
-        roots = (*kb.plain_axioms, *kb.formulas, *kb.named_axioms.values(), *rias)
+        restricted = kb.restricted_roles
     all_roles = set(kb.signature.roles)
 
     non_simple: set[EntityName] = set()
@@ -905,15 +961,7 @@ def validate_roles(kb: StandpointKB | PlainKB) -> RoleValidationReport:
     # heads a chain of two or more roles and so is non-simple already.
     non_simple.update([b for a, b in closure if a in non_simple])
 
-    # Simple-role side conditions, in one pass over the KB's nodes down to
-    # the names: their EntityName leaves hold nothing to check.
-    for root in roots:
-        for node in iter_nodes(root, (ConceptName, RoleName, InverseRole, Nominal)):
-            if type(node) in (HasSelf, AtMost, AtLeast):
-                if isinstance(node.role, UniversalRole) or node.role.name in non_simple:
-                    raise NonSimpleInRestriction(
-                        "Self/number restriction over a non-simple role")
-
+    check_restricted_roles(restricted, non_simple)
     simple = frozenset(r for r in all_roles if r not in non_simple)
     return RoleValidationReport(simple=simple,
                                 non_simple=frozenset(non_simple),

@@ -895,6 +895,62 @@ class TestUniversalRoleRestriction:
             "error: Self/number restriction over a non-simple role\n"
 
 
+class TestNonSimpleRestrictionPaths:
+    """Every way a Self or number restriction over a non-simple role reaches
+    role validation ends in the same error: an axiom, an imported source,
+    a Boolean-combination payload, a named standpoint axiom that nothing
+    references, and the universal role under either cardinality."""
+
+    ERROR = "error: Self/number restriction over a non-simple role\n"
+
+    @staticmethod
+    def document(body):
+        return ("Prefix(:=<urn:d#>)\nOntology(<urn:d>\n" + body
+                + "\nTransitiveObjectProperty(:r)\n)\n")
+
+    def assert_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", self.ERROR)
+
+    @pytest.mark.parametrize("body", [
+        "SubClassOf(:A ObjectMinCardinality(2 :r :B))",
+        "SubClassOf(:A ObjectMaxCardinality(1 ObjectInverseOf(:r) :B))",
+        "EquivalentClasses(:A ObjectHasSelf(:r))",
+        # a named standpoint axiom that no Boolean combination references
+        'SubClassOf(Annotation(:standpointLabel "<standpointAxiom name=\\"§ax\\">'
+        '<Box><Standpoint name=\\"s\\"/></Box></standpointAxiom>") '
+        ":A ObjectMinCardinality(2 :r :B))",
+        # a Boolean-combination payload
+        'Annotation(:standpointLabel "<booleanCombination><Box><Standpoint '
+        'name=\\"s\\"/><subClassOf><LHS>r min 2 B</LHS><RHS>A</RHS></subClassOf>'
+        '</Box></booleanCombination>")',
+    ], ids=["min", "max-inverse", "self", "unreferenced-named-axiom",
+            "boolean-combination"])
+    @pytest.mark.parametrize("command", ["translate", "query"])
+    def test_document(self, tmp_path, capsys, body, command):
+        path = write(tmp_path, "d.ofn", self.document(body))
+        argv = {"translate": ["translate", path, "--dump"],
+                "query": ["query", path, "--simple", "[*](A sub B)"]}[command]
+        self.assert_rejected(argv, capsys)
+
+    @pytest.mark.parametrize("translate", [False, True])
+    def test_import_source(self, forest_path, tmp_path, capsys, translate):
+        """The source's own transitivity makes its role non-simple."""
+        src = write(tmp_path, "src.ofn", self.document(
+            "SubClassOf(:A ObjectMaxCardinality(1 :r :B))"))
+        self.assert_rejected(["import", forest_path, src, "--standpoint", "s",
+                              "--dump", *(["--translate"] if translate else [])],
+                             capsys)
+
+    @pytest.mark.parametrize("cardinality", ["ObjectMinCardinality",
+                                             "ObjectMaxCardinality"])
+    def test_universal_role(self, tmp_path, capsys, cardinality):
+        path = write(tmp_path, "u.ofn",
+                     "Prefix(:=<urn:d#>)\nOntology(<urn:d>\nSubClassOf(:A "
+                     f"{cardinality}(1 owl:topObjectProperty :B))\n)\n")
+        self.assert_rejected(["translate", path, "--dump"], capsys)
+
+
 def write_bytes(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)

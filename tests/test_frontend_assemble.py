@@ -9,7 +9,7 @@ from standpoint_owl.errors import (DuplicateAxiomName, GrammarViolation,
 from standpoint_owl.frontend import (Annotation, RawDocument, assemble_kb,
                                      parse_document)
 from standpoint_owl.frontend.assemble import STANDPOINT_LABEL
-from standpoint_owl import model
+from standpoint_owl import cli, model
 from standpoint_owl.model import (And, Atom, Bottom, Box, Conjunction,
                                   Diamond, Equiv, Gci, Signature, SpMinus,
                                   Some, Star, Top, make_kb, rebase_names)
@@ -320,3 +320,29 @@ def test_assembly_walks_no_axiom_of_a_read_document(monkeypatch):
         axioms = {id(axiom) for axiom, _ in doc.axioms}
         assert roots and not any(id(root) in axioms for root in roots), path.name
         assert len(roots) <= 2 * len(set(label_literals(doc))), path.name
+
+
+def test_role_validation_walks_nothing_of_an_assembled_document(monkeypatch):
+    """``validate_roles`` checks the restricted roles that the reader and
+    assembly handed over: it enters no node of a read document's KB, nor of
+    one that ``import`` merged, and a KB built another way is walked."""
+    walk = model.iter_nodes
+    roots = []
+
+    def counting(x, stop=()):
+        roots.append(x)
+        return walk(x, stop)
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.ofn"))]
+    docs = [parse_document(text) for text in texts]
+    docs += [cli._merge(parse_document(main), source, "s")
+             for main, source in zip(texts, texts[1:])]
+    for doc in docs:
+        kb = assemble_kb(doc)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "iter_nodes", counting)
+            model.validate_roles(kb)
+            assert roots == [], doc.base_iri
+            model.validate_roles(model.replace(kb))
+        assert roots, doc.base_iri
+        roots.clear()

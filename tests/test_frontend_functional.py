@@ -8,12 +8,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from standpoint_owl.errors import ParseError, UnsupportedConstruct
-from standpoint_owl.frontend import parse_document
+from standpoint_owl import cli
+from standpoint_owl.errors import (ParseError, StandpointOwlError,
+                                   UnsupportedConstruct)
+from standpoint_owl.frontend import assemble_kb, parse_document
 from standpoint_owl.frontend.functional import _DocParser, _value
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, Equiv,
                                   Gci, HasSelf, Not, Or, Ria, Some, Top,
-                                  UNIVERSAL, entity_names_in, replace)
+                                  UNIVERSAL, entity_names_in, iter_nodes,
+                                  replace)
 
 from conftest import FIXTURES, C, O, R, Rinv
 
@@ -329,6 +332,68 @@ class TestPositions:
         assert str(err.value) == message
 
 
+# Gaps between tokens: line ends of each kind, and comments that hold quotes,
+# parentheses and a backslash.
+GAPS = [" ", "\t", "\n", "\r\n", "\r", ' # a "quote" (and parens)\n',
+        "\n# ) \\ ( \"\r\n", "#\n"]
+# Literal values: quotes and backslashes are escaped when written, and a
+# line end makes a multi-line string.
+literal_values = st.text(alphabet='ab "\\\n\r()#<>:é', max_size=10)
+
+
+@st.composite
+def annotated_documents(draw):
+    """A document with ontology- and axiom-level annotations whose literals
+    repeat, and the value of each literal in text order."""
+    pool = draw(st.lists(literal_values, min_size=1, max_size=4))
+    values = []
+
+    def gap():
+        return draw(st.sampled_from(GAPS))
+
+    def annotations():
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            value = draw(st.sampled_from(pool))
+            values.append(value)
+            written = value.replace("\\", "\\\\").replace('"', '\\"')
+            out += [gap(), f'Annotation({gap()}:p{gap()}"{written}"{gap()})']
+        return out
+
+    parts = [gap(), "Prefix(:=<urn:o#>)", gap(), "Ontology(<urn:o>", *annotations()]
+    for _ in range(draw(st.integers(0, 3))):
+        parts += [gap(), "SubClassOf(", *annotations(), gap(), ":A", gap(), ":B)"]
+    parts += [gap(), ")", gap()]
+    return "".join(parts), values
+
+
+class TestAnnotationCursor:
+    """An annotation's line and column, which the reader takes from a cursor
+    moving forward through the document, are where its literal token
+    stands, as ``where`` computes it for an error; a literal written twice
+    keeps the position of each occurrence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(annotated_documents())
+    def test_every_annotation_is_at_its_literal(self, drawn):
+        text, values = drawn
+        parsed = parse_document(text)
+        annotations = [*parsed.ontology_annotations,
+                       *(a for _, written in parsed.axioms for a in written)]
+        assert [a.literal for a in annotations] == values
+        parser = _DocParser(text)
+        toks = parser.pieces[2::3]
+        literals = [i for i in range(3, len(toks)) if toks[i - 3] == "Annotation"]
+        assert [(a.line, a.col) for a in annotations] == list(map(parser.where, literals))
+
+    def test_a_repeated_literal(self):
+        parsed = parse_document('Ontology(<urn:o>\nAnnotation(:a "x\\"\ny")\r\n'
+                                'SubClassOf(Annotation(:a "x\\"\ny") :A :B))')
+        (first,), ((_, (second,)),) = parsed.ontology_annotations, parsed.axioms
+        assert first.literal == second.literal == 'x"\ny'
+        assert (first.line, first.col, second.line, second.col) == (2, 15, 4, 26)
+
+
 # -- the lexer against the per-character lexer it replaced ------------------
 
 def _reference_lex(text):
@@ -577,6 +642,64 @@ PARSE_DIGESTS = {
         "db2dae30 bfcebd5c"),
 }
 GENERATED_DIGESTS = "c830f9cb d7d5b142 9fb4c49c 256faaf5 ae47bb13 e62ba177"
+
+
+class TestRestrictedRoles:
+    """The roles the reader hands over as a document's ``restricted_roles``,
+    and those ``assemble_kb`` hands over as its KB's, equal what a full
+    ``iter_nodes`` walk finds under ``HasSelf``, ``AtMost`` and ``AtLeast``."""
+
+    @staticmethod
+    def walked(roots):
+        return {node.role for root in roots for node in iter_nodes(root)
+                if type(node) in (HasSelf, AtMost, AtLeast)}
+
+    def check(self, doc) -> int:
+        """Check ``doc`` and, if it assembles, its KB; the number of roles."""
+        assert doc.restricted_roles == self.walked(axiom for axiom, _ in doc.axioms)
+        try:
+            kb = assemble_kb(doc)
+        except StandpointOwlError:
+            return len(doc.restricted_roles)
+        assert kb.restricted_roles == self.walked(
+            (*kb.rias, *kb.plain_axioms, *kb.formulas, *kb.named_axioms.values()))
+        assert replace(kb).restricted_roles == kb.restricted_roles  # a copy walks
+        return len(kb.restricted_roles)
+
+    def test_fixtures_and_their_edits(self):
+        found = edits = 0
+        for text in FIXTURE_TEXTS:
+            found += self.check(parse_document(text))
+            for seed in range(50):
+                try:
+                    parsed = parse_document(_edit(text, seed))
+                except (ParseError, UnsupportedConstruct):
+                    continue
+                edits += 1
+                self.check(parsed)
+        assert found and edits > 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_documents_and_their_merges(self, seed):
+        texts = [text for _, text in gen.translate_ladder(seed) + gen.ingest_import(seed)]
+        found = sum(self.check(parse_document(text)) for text in texts)
+        for main_text, source_text in zip(texts[::2], texts[1::2]):
+            merged = cli._merge(parse_document(main_text), source_text, "s")
+            found += self.check(merged)
+        assert found
+
+    def test_fixture_merges_the_universal_role_and_a_label(self):
+        for main_text in FIXTURE_TEXTS:
+            for source_text in FIXTURE_TEXTS:
+                self.check(cli._merge(parse_document(main_text), source_text, "s"))
+        parsed = parse_document(doc(
+            'Annotation(:standpointLabel "<booleanCombination><Box><Standpoint '
+            'name=\\"s\\"/><subClassOf><LHS>t min 2 B</LHS><RHS>A</RHS></subClassOf>'
+            '</Box></booleanCombination>")\n'
+            "SubClassOf(:A ObjectMinCardinality(1 owl:topObjectProperty :B))\n"
+            "SubClassOf(:A ObjectHasSelf(ObjectInverseOf(:r)))"))
+        assert parsed.restricted_roles == {UNIVERSAL, Rinv("r", NS)}
+        assert self.check(parsed) == 3  # t is in the label only
 
 
 def test_parse_outcomes_are_pinned():
