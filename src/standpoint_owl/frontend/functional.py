@@ -10,11 +10,10 @@ error reporting and re-emission.
 One ``split`` by one compiled regular expression cuts the text into gap
 and token strings; a gap is the whitespace and comments before its token.
 The grammar tells the token strings apart by their first character, their
-words and the colon of a prefixed name.  Tokens keep no offset.  An
-annotation's position comes from a cursor that moves forward from the
-annotation before it, summing the lengths of the strings in between; an
-error's position is summed from the lengths of all the strings before it,
-once per document.  Only ``\\n`` ends a line, and
+words and the colon of a prefixed name.  Tokens keep no offset.  The
+position of an annotation or an error comes from a cursor that moves
+forward from the position asked for before it, summing the lengths of the
+strings in between.  Only ``\\n`` ends a line, and
 columns count code points, so a ``\\r`` is a column of its own.  Integers
 are ``\\d+`` (Unicode decimal digits, which ``int`` reads); other
 characters that ``str.isdigit`` accepts, such as superscripts, are
@@ -24,9 +23,7 @@ unexpected characters.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, islice
 from operator import itemgetter
 
 from ..errors import ParseError, UnsupportedConstruct
@@ -91,7 +88,6 @@ class RawDocument:
         return restricted_roles_in(axiom for axiom, _ in self.axioms)
 
 
-_NEWLINE_RE = re.compile("\n")
 # A string literal up to its closing quote; escapes are \" and \\ only.
 _STRING = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
 # Every match is a gap, then a token.  The alternatives start with distinct
@@ -171,8 +167,6 @@ class _DocParser:
         self.toks = self.pieces[-2::-3]
         self.n = len(self.toks)
         self.pop = self.toks.pop
-        self.starts: list[int] = []  # the offset of each token
-        self.newlines: list[int] = []  # the offset after each newline
         self.prefixes: dict[str, str] = {}
         self.base_iri = ""
         # One EntityName per (maker, namespace, local), found by token text
@@ -183,39 +177,33 @@ class _DocParser:
         # The role of each Self and number restriction; each literal's value.
         self.restricted: list[RoleExpr] = []
         self.literals: dict[str, str] = {}
-        # The annotation cursor: a piece index, its offset, the line there
+        # The position cursor: a piece index, its offset, the line there
         # and the offset at which that line starts.
         self.piece = self.pos = self.line_start = 0
         self.line = 1
 
     def where(self, i: int, skip: int = 0) -> tuple[int, int]:
-        """The line and column of token ``i``, or of ``skip`` characters into it."""
-        if not self.starts:
-            ends = accumulate(map(len, self.pieces))
-            self.starts = list(islice(ends, 1, None, 3))  # the ends of the gaps
-            self.newlines = [m.end() for m in _NEWLINE_RE.finditer(self.text)]
-        pos = self.starts[i] + skip
-        line = bisect_right(self.newlines, pos)
-        return line + 1, pos + 1 - (self.newlines[line - 1] if line else 0)
+        """The line and column of token ``i``, or of ``skip`` characters
+        into it.  The cursor moves forward to token ``i`` from the token it
+        was last moved to, which must not come after it, over the strings in
+        between, so a document's positions measure each string once.  The
+        ``skip`` characters do not move it."""
+        piece = 3 * i + 2
+        text, start = self.text, self.pos
+        pos = start + sum(map(len, self.pieces[self.piece:piece]))
+        end = pos + skip
+        line, line_start = self.line, self.line_start
+        lines = text.count("\n", start, end)
+        if lines:
+            line += lines
+            line_start = text.rindex("\n", start, end) + 1
+        if not skip:
+            self.piece, self.pos, self.line, self.line_start = piece, pos, line, line_start
+        return line, end + 1 - line_start
 
     def at(self) -> tuple[int, int]:
         """The line and column of the token taken last."""
         return self.where(self.n - len(self.toks) - 1)
-
-    def cursor(self) -> tuple[int, int]:
-        """The line and column of the token taken last, which must not lie
-        before the one the cursor was last moved to.  The cursor moves
-        forward over the strings in between, so a document's annotations
-        measure each string once and build no table of token offsets."""
-        piece = 3 * (self.n - len(self.toks)) - 1
-        text, start = self.text, self.pos
-        pos = start + sum(map(len, self.pieces[self.piece:piece]))
-        lines = text.count("\n", start, pos)
-        if lines:
-            self.line += lines
-            self.line_start = text.rindex("\n", start, pos) + 1
-        self.piece, self.pos = piece, pos
-        return self.line, pos + 1 - self.line_start
 
     def got(self, what: str) -> ParseError:
         tok = self.pieces[3 * (self.n - len(self.toks)) - 1]
@@ -237,18 +225,18 @@ class _DocParser:
         for i, tok in enumerate(self.pieces[2::3]):
             if tok[-1:] == ":" or len(tok) == 1 and not (
                     tok in "()" or tok.isdecimal() or tok.isascii() and tok.isalpha()):
-                where = self.where(i)
+                where, start = self.where(i), self.pos
                 if tok[-1] == ":":
                     return ParseError(f"expected local name after '{tok}'", *where)
                 if tok == "<":
                     return ParseError("unterminated IRI", *where)
                 if tok != '"':
                     return ParseError(f"unexpected character {tok!r}", *where)
-                end = _STRING_PREFIX_RE.match(self.text, self.starts[i]).end()
+                end = _STRING_PREFIX_RE.match(self.text, start).end()
                 if end == len(self.text):
                     return ParseError("unterminated string literal", *where)
                 return ParseError("unknown escape in string literal",
-                                  *self.where(i, end - self.starts[i]))
+                                  *self.where(i, end - start))
 
     # -- entity references ------------------------------------------------
 
@@ -333,7 +321,7 @@ class _DocParser:
         lit = pop()
         if lit[:1] != '"' or lit == '"':
             raise self.got("string literal")
-        line, col = self.cursor()
+        line, col = self.at()
         self.expect(")")
         literal = self.literals.get(lit)
         if literal is None:

@@ -4,7 +4,8 @@ Brings assembled knowledge bases into the shape the translator and the
 oracle expect: named-axiom references inlined and negation pushed inward
 by duality until it sits directly on subclass atoms, in one walk per
 formula that also rejects nested modalities; sharpenings desugared; and
-the precisification bound computed from the diamond count.
+the precisification bound counted by polarity, which is the diamond count
+in normal form.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from .errors import NestedModality, UnresolvedRef
 from .model import (Atom, AxiomRef, Bottom, Box, Conjunction, Diamond,
                     Disjunction, Equiv, Gci, Negation, SpMinus, StandpointExpr,
-                    StandpointFormula, StandpointKB, Top, iter_nodes, replace)
+                    StandpointFormula, StandpointKB, Top, replace)
 
 
 def desugar_sharpening(e1: StandpointExpr, e2: StandpointExpr) -> StandpointFormula:
@@ -66,15 +67,28 @@ def _nnf(f: StandpointFormula, negated: bool, named: dict,
 
 
 def count_precisifications(kb: StandpointKB) -> int:
-    """Number of precisification copies the translation materialises.
+    """Number of precisification copies the translation materialises: the
+    modals that need a witness precisification, floored at one because the
+    set of precisifications is never empty.
 
-    With formulas in negation normal form every witness-demanding modality
-    is a diamond, so the bound is the diamond count, floored at one because
-    the set of precisifications is never empty.  No modality nests in
-    normal form, so the walk stops at each one, as it does at each atom.
+    A modal needs a witness when it is a diamond under an even number of
+    negations or a box under an odd number, so on formulas in negation
+    normal form the count is the diamond count, and normalizing does not
+    change it.  The walk enters modal arguments.
     """
-    return max(1, sum(type(node) is Diamond for f in kb.formulas
-                      for node in iter_nodes(f, (Atom, Box, Diamond))))
+    return max(1, sum(_witnesses(f, False) for f in kb.formulas))
+
+
+def _witnesses(f: StandpointFormula, negated: bool) -> int:
+    """The modals in ``f`` (in ¬f when ``negated``) that need a witness."""
+    kind = type(f)
+    if kind is Negation:
+        return _witnesses(f.arg, not negated)
+    if kind is Conjunction or kind is Disjunction:
+        return _witnesses(f.lhs, negated) + _witnesses(f.rhs, negated)
+    if kind is Box or kind is Diamond:
+        return ((kind is Box) == negated) + _witnesses(f.arg, negated)
+    return 0
 
 
 def normalize_kb(kb: StandpointKB) -> StandpointKB:

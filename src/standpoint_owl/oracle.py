@@ -17,9 +17,7 @@ are cut.  The first surviving complete assignment is therefore the
 canonically least model, making witnesses reproducible.  The constraints
 are compiled once per search, in the one walk that also gives each name
 its slot (`_compile_checks`), so a probe neither dispatches on node types
-nor hashes names.  The search counts the constraints not yet definitely
-true, so it sees a finished model without evaluating every constraint at
-every node.
+nor hashes names.
 Conflict sets are sets of slot indices, and a conflict is minimised by
 releasing its slots in a fixed order, by (kind, base, local) of the name.
 Standpoint structures are searched by splitting the problem at the atom
@@ -36,14 +34,14 @@ only the formulas that atom occurs in; the formulas are compiled once per
 search into closures that give (true, false) masks with one bit per
 precisification (see `_compile`), so a partial assignment that makes a
 formula false anywhere is cut at once.  That one walk over each formula
-also numbers the atoms, lists the formulas each atom occurs in, collects
-those under an odd number of negations for `domain_cap` and counts p,
-the modals that need a witness precisification; no first model has
-more than p of them.  Renaming the precisifications maps models to
-models, so the search takes one standpoint assignment per orbit, the
-least in `product` order (`_orbit_leaders`), and gives two adjacent
-precisifications in the same standpoints ascending vectors: the first
-model obeys both rules, as a renamed copy that broke one would come
+also numbers the atoms, lists the formulas each atom occurs in and
+collects those under an odd number of negations for `domain_cap`.  No
+first model has more precisifications than p, the modals that need a
+witness (`count_precisifications`).  Renaming the precisifications maps
+models to models, so the search takes one standpoint assignment per
+orbit, the least in `product` order (`_orbit_leaders`), and gives two
+adjacent precisifications in the same standpoints ascending vectors: the
+first model obeys both rules, as a renamed copy that broke one would come
 before it.
 Exhaustion within bounds is evidence, not proof, of unsatisfiability,
 except where the bounds are complete: see `check_entailment_bounded`.
@@ -64,7 +62,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
                     Top, UNIVERSAL_STANDPOINT, UniversalRole, field,
                     record, replace, signature_of)
-from .normalizer import normalize_kb
+from .normalizer import count_precisifications, normalize_kb
 
 # The most distinct atoms the standpoint search takes on: each position
 # has 2**k atom vectors for k atoms, which the bit guard does not count.
@@ -595,13 +593,6 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
     conflict is minimised by unassigning the check's slots one at a time in
     a fixed order, by (kind, base, local) of the name, so the search and its
     first witness do not depend on how the slots are indexed.
-
-    The search finishes early once every check is definitely true, which it
-    sees from a count of the checks not yet settled.  Bounds only tighten as
-    slots are assigned, so a check first settles when one of its slots is
-    assigned, and the evaluations of the checks touching that slot see it.
-    Each level keeps the checks its current value settled and releases them
-    when that value changes or the level is left.
     """
     fixed = fixed or {}
     vals: list = [None] * len(slots)
@@ -613,15 +604,8 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
     for j, check in enumerate(checks):
         for i in check.slots:
             touching[i].append(j)
-    settled = [False] * len(checks)
-    unsettled = len(checks)
-    for j, state in enumerate(states):
-        verdict = state(vals)
-        if verdict is False:
-            return None
-        if verdict:
-            settled[j] = True
-            unsettled -= 1
+    if any(state(vals) is False for state in states):
+        return None
 
     def minimised_conflict(check: _Compiled) -> frozenset:
         """Assigned slots without which the check would no longer refute."""
@@ -640,14 +624,6 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
             vals[i] = value
         return frozenset(needed)
 
-    def release(level: list[int]) -> None:
-        """Unsettle the checks that a level's value settled."""
-        nonlocal unsettled
-        for j in level:
-            settled[j] = False
-        unsettled += len(level)
-        level.clear()
-
     def assignment() -> dict:
         out = {slots[i]: value for i, value in fixed.items()}
         for i, value in enumerate(vals):
@@ -655,12 +631,11 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
                 out[slots[i]] = value
         return out
 
-    # The slots searched, in order, and per slot being enumerated, whose
-    # value is in vals, one conflict set and the checks its value settled:
-    # the stack replaces one recursion per slot.
+    # The slots searched, in order, and one conflict set per slot being
+    # enumerated, whose value is in vals: the stack replaces one recursion
+    # per slot.
     free = [i for i in range(len(slots)) if i not in fixed] if order is None else order
     conflicts: list[set] = []
-    settles: list[list[int]] = []
     result = None
     while True:
         if result is None:  # descend to the next free slot
@@ -671,42 +646,26 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
                 result = minimised_conflict(failed)
             else:
                 conflicts.append(set())
-                settles.append([])
         if not conflicts:
             return None
-        k, conflict, mine = free[len(conflicts) - 1], conflicts[-1], settles[-1]
+        k, conflict = free[len(conflicts) - 1], conflicts[-1]
         if result is not None:  # a conflict from the level below
             if k not in result:
                 vals[k] = None
-                release(mine)
                 conflicts.pop()
-                settles.pop()
                 continue
             conflict |= result
             result = None
         for value in range(0 if vals[k] is None else vals[k] + 1, counts[k]):
             vals[k] = value
-            if mine:
-                release(mine)
             for j in touching[k]:
-                verdict = states[j](vals)
-                if verdict is False:
+                if states[j](vals) is False:
                     conflict |= minimised_conflict(checks[j])
                     break
-                if verdict and not settled[j]:
-                    settled[j] = True
-                    mine.append(j)
-                    unsettled -= 1
-            else:  # no check refutes the value: finish early or descend
-                if not unsettled:
-                    for i in free[len(conflicts):]:
-                        vals[i] = 0
-                    return assignment()
+            else:  # no check refutes the value: descend
                 break
         else:  # every value failed: pass the conflict up
-            release(mine)
             conflicts.pop()
-            settles.pop()
             vals[k] = None
             conflict.discard(k)
             result = frozenset(conflict)
@@ -741,8 +700,11 @@ def find_plain_model(kb: PlainKB, max_domain: int,
 
     Returns None when no model exists within the bound (which is not an
     unsatisfiability proof).  Raises SearchSpaceTooLarge when a domain size
-    would exceed the guard before any model was found.
+    would exceed the guard before any model was found, and ValueError when
+    the bound is below 1, as the domain is never empty.
     """
+    if max_domain < 1:
+        raise ValueError(f"the domain bound must be at least 1, got {max_domain}")
     compiled, slots, resize, _ = _compile_checks([(ax, True) for ax in kb.axioms],
                                                  kb.signature)
     for n in range(1, max_domain + 1):
@@ -767,7 +729,7 @@ def _compile(formulas, sp_names: list[str]):
     """Compile the formulas once per search into three-valued evaluators, in
     one walk over each formula.
 
-    Returns (atoms, evaluators, users, modals, p, negated): ``atoms``, the
+    Returns (atoms, evaluators, users, modals, negated): ``atoms``, the
     distinct TBox axioms of the atoms, numbered in first-occurrence order,
     in preorder across the formulas.  ``evaluators`` holds one function per
     formula, mapping (at, af, members) to its (true, false) masks, one bit
@@ -778,11 +740,9 @@ def _compile(formulas, sp_names: list[str]):
     ``i`` occurs in, in formula order.  ``modals`` holds one function per
     modal operator, mapping (sigma_tuple, full) to the operator's member
     mask, where ``sigma_tuple[j]`` is the member mask of ``sp_names[j]``
-    and ``full`` the mask of all precisifications.  ``p`` is the number of
-    modals that need a witness precisification, floored at one: a diamond
-    under an even number of negations or a box under an odd number, which
-    is the diamond count after NNF.  ``negated`` holds the numbers of the
-    atoms under an odd number of negations, the negated atoms after NNF.
+    and ``full`` the mask of all precisifications.  ``negated`` holds the
+    numbers of the atoms under an odd number of negations, the negated
+    atoms after NNF.
     Bitwise this is the three-valued logic: negation swaps, conjunction
     and disjunction combine bitwise, and a box over members M is true when
     its argument is true throughout M (``t & M == M``), false when it is
@@ -797,7 +757,6 @@ def _compile(formulas, sp_names: list[str]):
     users: list[list] = []
     modals: list = []
     negative: set[int] = set()
-    witnesses = 0
 
     def members(e):
         if isinstance(e, Star):
@@ -815,7 +774,6 @@ def _compile(formulas, sp_names: list[str]):
         return lambda sig, full: sig[j]
 
     def formula(f, negated):
-        nonlocal witnesses
         if isinstance(f, Atom):
             i = atom_index.get(f.axiom)
             if i is None:
@@ -849,9 +807,6 @@ def _compile(formulas, sp_names: list[str]):
             return disjunction
         if isinstance(f, AxiomRef):
             raise UnresolvedRef(f.name)
-        # A diamond under an even number of negations needs a witness, and
-        # so does a box under an odd number.
-        witnesses += isinstance(f, Box) == negated
         j = len(modals)
         modals.append(members(f.standpoint))
         g = formula(f.arg, negated)
@@ -875,7 +830,7 @@ def _compile(formulas, sp_names: list[str]):
         evaluators.append(ev)
         for i in met:
             users[i].append(ev)
-    return atoms, evaluators, users, modals, max(1, witnesses), negative
+    return atoms, evaluators, users, modals, negative
 
 
 def domain_cap(kinds: set[str], universal: bool, negated: int) -> Optional[int]:
@@ -971,9 +926,9 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     assignment that makes a formula false at some precisification is cut.
     Domain sizes above `domain_cap`, taken from the two compile walks, are
     not searched: they hold no first model.  Nor are precisification counts
-    above p, the modals that need a witness (see `_compile`): a model with
-    more precisifications stays one on a witness for each such modal, at
-    the same domain size, so the first model has at most p.
+    above p, the modals that need a witness (`count_precisifications`): a
+    model with more precisifications stays one on a witness for each such
+    modal, at the same domain size, so the first model has at most p.
 
     Of the (2^m)^s standpoint assignments for s named standpoints, only
     the C(m + 2^s − 1, m) whose rows do not increase are searched (see
@@ -987,7 +942,8 @@ def find_standpoint_model(kb: StandpointKB, max_domain: int, max_prec: int,
     witness.  `search_countermodel` reports the bounds searched.
 
     Raises SearchSpaceTooLarge when the guard trips, or when the formulas
-    have more than MAX_ATOMS distinct atoms, whatever the guard.
+    have more than MAX_ATOMS distinct atoms, whatever the guard; and
+    ValueError when a bound is below 1, as neither set is ever empty.
     """
     return _search_structures(kb, max_domain, max_prec, guard_bits).witness
 
@@ -1002,10 +958,14 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
     rows differ; a position whose row equals the one before passes that
     position's vector to `vectors` as its lower bound.  At m = 1 there is
     no such position, and the bound stays 0."""
+    if max_domain < 1 or max_prec < 1:
+        raise ValueError(f"the bounds must be at least 1, got domain {max_domain} "
+                         f"and precisifications {max_prec}")
     signature = kb.signature
     sp_names = sorted(signature.standpoints - {UNIVERSAL_STANDPOINT})
     # ``users[i]`` is re-evaluated when the search fixes atom i at a position.
-    atoms, evaluators, users, modals, p, negated = _compile(kb.formulas, sp_names)
+    atoms, evaluators, users, modals, negated = _compile(kb.formulas, sp_names)
+    p = count_precisifications(kb)
     k = len(atoms)
     if k > MAX_ATOMS:
         raise SearchSpaceTooLarge(f"{k} distinct atoms exceed the cap of {MAX_ATOMS}")
@@ -1033,7 +993,7 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
     for n in range(1, domain + 1):
         realizable: dict = {}
         resize(n)
-        # An atom whose check is settled before any name is assigned has one
+        # An atom whose check is decided before any name is assigned has one
         # polarity, the other is never realised: it is set at every position
         # before the search, which branches on the free atoms only.
         unassigned = [None] * len(slots)
@@ -1163,9 +1123,7 @@ def check_entailment_bounded(kb: StandpointKB, query: StandpointFormula,
     search's `domain_cap` is not None and at most ``max_domain``, and
     ``max_prec`` is at least its precisification bound p, a countermodel of
     any size would give one within the bounds, so the entailment holds; the
-    result says which.  The search counts p itself, by polarity in
-    `_compile`; on the normalized KB that count agrees with
-    `count_precisifications`, the diamond count.
+    result says which.  Raises ValueError when a bound is below 1.
     """
     return search_countermodel(negated_query_kb(kb, query), max_domain,
                                max_prec, guard_bits)

@@ -270,6 +270,14 @@ class TestFindPlainModel:
         kb = plain([Gci(O("a"), C("A")), Gci(C("A"), Bottom())])
         assert find_plain_model(kb, 2) is None
 
+    def test_a_domain_bound_below_one_is_rejected(self):
+        # No model has an empty domain, so a None here would read as
+        # "no model within the bound" for a satisfiable KB.
+        kb = plain([Gci(C("A"), C("B"))])
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                find_plain_model(kb, bound)
+
 
 class TestFindStandpointModel:
     def test_unsatisfiable_diamond(self):
@@ -552,7 +560,7 @@ def _searched_kbs():
 
 class TestPrecisificationCap:
     """The search stops at p, the modals that need a witness, counted by
-    polarity in the compile walk."""
+    polarity (`count_precisifications`)."""
 
     @pytest.mark.parametrize("make", [
         genkb.random_kb, lambda seed: genkb.random_kb(seed, normalized=False),
@@ -561,15 +569,13 @@ class TestPrecisificationCap:
     def test_p_is_the_diamond_count_after_nnf(self, make):
         for seed in range(60):
             kb = make(seed)
-            sp_names = sorted(kb.signature.standpoints - {UNIVERSAL_STANDPOINT})
-            p = oracle._compile(kb.formulas, sp_names)[4]
-            assert p == count_precisifications(normalize_kb(kb)), seed
+            assert count_precisifications(kb) == count_precisifications(normalize_kb(kb)), seed
 
     def test_negated_box_needs_a_witness_and_negated_diamond_none(self):
         ab = Atom(Gci(C("A"), C("B")))
         formulas = [Negation(Box(S("s"), ab)), Negation(Diamond(S("s"), ab)),
                     Negation(Negation(Diamond(S("s"), ab)))]
-        assert oracle._compile(formulas, ["s"])[4] == 2
+        assert count_precisifications(make_kb(formulas=formulas)) == 2
 
     def test_a_negated_box_gets_its_witness(self):
         # A is empty at one precisification and not at another.
@@ -590,13 +596,7 @@ class TestPrecisificationCap:
         a tenth of the KBs."""
         cases = [(kb, count_precisifications(normalize_kb(kb))) for kb in _searched_kbs()]
         capped = [find_standpoint_model(kb, 2, p, guard_bits=math.inf) for kb, p in cases]
-        compile_formulas = oracle._compile
-
-        def unbounded(formulas, sp_names):
-            atoms, evaluators, users, modals, _, negated = compile_formulas(formulas,
-                                                                            sp_names)
-            return atoms, evaluators, users, modals, 1 << 30, negated
-        monkeypatch.setattr(oracle, "_compile", unbounded)
+        monkeypatch.setattr(oracle, "count_precisifications", lambda kb: 1 << 30)
         for (kb, p), found in zip(cases, capped):
             assert repr(find_standpoint_model(kb, 2, p + 3, guard_bits=math.inf)) == \
                 repr(found)
@@ -612,6 +612,18 @@ class TestPrecisificationCap:
 
 
 class TestEntailment:
+    @pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (0, 0), (-1, 2)])
+    def test_a_bound_below_one_is_rejected(self, bounds):
+        """A search over no element or no precisification finds no
+        countermodel, so it would call a refuted query entailed."""
+        kb = make_kb(plain_axioms=[Gci(C("A"), C("B"))])
+        query = Box(Star(), Atom(Gci(C("B"), C("A"))))
+        assert check_entailment_bounded(kb, query, 2, 1).status == NOT_ENTAILED
+        with pytest.raises(ValueError, match="at least 1"):
+            check_entailment_bounded(kb, query, *bounds)
+        with pytest.raises(ValueError, match="at least 1"):
+            find_standpoint_model(kb, *bounds)
+
     def test_forest_box_lu_entailed(self, forest_kb):
         query = Box(S("LU"), Atom(Gci(C("Forest", forest_kb.base_iri + "#"),
                                       C("Land", forest_kb.base_iri + "#"))))
@@ -894,9 +906,9 @@ def plain_axioms(concepts="AB", max_axioms=3):
 
 # Slots A, B, C at one element.  Both KBs refute every value of C while A is
 # empty, by a conflict on A alone, so the search jumps back over B, whose
-# value settled ⊤ ⊑ B.  In the second, ⊤ ⊑ C settles at the refuted value
-# C = {0}.  A check settled at a level stays settled only while that level
-# keeps its value, or the search stops early at a non-model.
+# value made ⊤ ⊑ B true.  In the second, ⊤ ⊑ C is true at the refuted value
+# C = {0}.  A check found true under a value holds no longer once that
+# value is withdrawn, and the first model must still satisfy it.
 @settings(max_examples=300, deadline=None)
 @given(plain_axioms())
 @example([Gci(Top(), Or(And(C("A"), Bottom()), C("B"))),
@@ -1298,7 +1310,7 @@ def test_compiled_formulas_match_the_three_valued_walk(data, f):
     sigma_tuple = tuple(data.draw(st.integers(0, (1 << m) - 1)) for _ in SP_NAMES)
     known = [[data.draw(st.sampled_from([True, False, None])) for _ in range(k)]
              for _ in range(m)]
-    atoms, (evaluate,), _, modals, _, _ = _compile([f], SP_NAMES)
+    atoms, (evaluate,), _, modals, _ = _compile([f], SP_NAMES)
     assert atoms == list(dict.fromkeys(a.axiom for a in walk_atoms(f)))
     order = [atom_index[ax] for ax in atoms]  # compiled atom -> ATOMS position
     at = [sum(1 << pi for pi in range(m) if known[pi][i] is True) for i in order]

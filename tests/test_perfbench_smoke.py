@@ -1,7 +1,8 @@
 """Smoke test of the benchmark harness: its generated query inputs run
-through the CLI and agree with the harness's own reference verdicts, and
-its generated documents translate to the bytes of their axioms and
-assemble with one parse per distinct label literal."""
+through the CLI and agree with the harness's own reference verdicts, its
+traced replay imports and exits as the CLI does, and its generated
+documents translate to the bytes of their axioms and assemble with one
+parse per distinct label literal."""
 
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from conftest import assembled_label_by_label, label_literals
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (perfbench/gen.py)
+import replay  # noqa: E402  (perfbench/replay.py)
 import run  # noqa: E402  (perfbench/run.py)
+import spans  # noqa: E402  (perfbench/spans.py)
 
 
 @pytest.mark.parametrize("workload", ["query-standpoints", "query-domain"])
@@ -29,6 +32,19 @@ def test_first_kb_verdicts_match_reference(workload, tmp_path, capsys):
     assert first
     codes = [main(op["argv"]) for op, _ in first]
     assert codes == run.reference_verdicts([q for _, q in first])
+
+
+@pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
+def test_the_traced_replay_exits_as_the_cli_does(workload, tmp_path, capsys):
+    """The benchmark's child imports the replay at start-up, so a name the
+    replay imports from the package must stay; its first op of each
+    workload's seed-0 plan, replayed under the tracer, exits as the CLI
+    does and records spans."""
+    ops, _ = run.build_plan(workload, 0, tmp_path)
+    with spans.Tracer() as tracer:
+        traced = replay.traced_pass(ops[:1], tracer)
+    assert traced["codes"] == [main(ops[0]["argv"])]
+    assert traced["spans"][1] > traced["spans"][0]
 
 
 @pytest.fixture(scope="module")
