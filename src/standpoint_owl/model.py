@@ -25,6 +25,7 @@ import re
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter, is_
+from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, Union
 
 from .errors import (BadName, CyclicRoleOrder, MalformedRIA,
@@ -47,21 +48,9 @@ class FrozenInstanceError(AttributeError):
     """An attempt to assign or delete an attribute of a record."""
 
 
-class _Factory:
-    """A field default made afresh for every instance (see `field`)."""
-
-    def __init__(self, make):
-        self.make = make
-
-
-# The parameter default of a field whose value a factory makes.
-_HAS_DEFAULT_FACTORY = object()
-
-
-def field(*, default_factory):
-    """The default of a record field that ``default_factory()`` makes anew
-    for each instance, as a mutable value needs."""
-    return _Factory(default_factory)
+# The default of a mapping field: record defaults are shared between
+# instances, so this one is read-only.
+EMPTY_MAPPING: Mapping = MappingProxyType({})
 
 
 def _frozen_setattr(self, name, value):
@@ -72,42 +61,35 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, init=True):
+def record(cls, /):
     """Make ``cls`` a frozen value type over its annotated fields, in the
-    order they are declared; ``record(init=False)`` keeps the ``__init__``
-    that ``cls`` inherits.
+    order they are declared.
 
     One source text per class, compiled once, defines ``__init__`` (the
     class attribute of a field is its default; then ``__post_init__``, if
     the class has one), ``__eq__`` (between instances of one class),
     ``__hash__`` (the hash of the tuple of the fields) and ``__repr__``.  A
-    method the class body defines is kept.  The bodies are those that
-    ``dataclasses`` writes for ``frozen=True``, so a record builds,
-    compares and hashes as fast, and to the same hash values, as the
-    dataclass did; what is saved is compiling each method on its own at
-    start-up.  ``__init__`` sets the fields with ``object.__setattr__``;
-    any other assignment or deletion raises FrozenInstanceError.
+    method the class body defines is kept, and so is an ``__init__`` it
+    inherits from a base that is not a record (as And and Or do).  The
+    bodies are those that ``dataclasses`` writes for ``frozen=True``, so a
+    record builds, compares and hashes as fast, and to the same hash
+    values, as the dataclass did; what is saved is compiling each method on
+    its own at start-up.  ``__init__`` sets the fields with
+    ``object.__setattr__``; any other assignment or deletion raises
+    FrozenInstanceError.  A default is shared by every instance, so a
+    mapping field defaults to the read-only EMPTY_MAPPING.
     """
-    if cls is None:
-        return lambda cls: record(cls, init=init)
     own = cls.__dict__
     names = dict(own.get("__annotations__", {}))
-    env = {"__record_object__": object, "_HAS_DEFAULT_FACTORY": _HAS_DEFAULT_FACTORY}
+    env = {"__record_object__": object}
     params, body = ["self"], []
     for name in names:
-        value = name
         if name in own:
-            default = own[name]
-            if type(default) is _Factory:
-                delattr(cls, name)
-                env[f"_make_{name}"] = default.make
-                default = _HAS_DEFAULT_FACTORY
-                value = f"_make_{name}() if {name} is _HAS_DEFAULT_FACTORY else {name}"
-            env[f"_dflt_{name}"] = default
+            env[f"_dflt_{name}"] = own[name]
             params.append(f"{name}=_dflt_{name}")
         else:
             params.append(name)
-        body.append(f"__record_object__.__setattr__(self,{name!r},{value})")
+        body.append(f"__record_object__.__setattr__(self,{name!r},{name})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
 
@@ -125,7 +107,8 @@ def record(cls=None, /, *, init=True):
                      'return self.__class__.__qualname__ + f"(' + ", ".join(
                          f"{n}={{self.{n}!r}}" for n in names) + ')"'],
     }
-    if not init:
+    init_owner = next(k for k in cls.__mro__ if "__init__" in k.__dict__)
+    if init_owner is not object and not is_record(init_owner):
         del methods["__init__"]
     wanted = [m for m in methods if own.get(m) is None]
     # Compiled for this class alone: the interpreter specialises attribute
@@ -274,7 +257,7 @@ class _NAry:
         object.__setattr__(self, "parts", parts)
 
 
-@record(init=False)
+@record
 class And(_NAry):
     """``And(a, b, …)``: the intersection of two or more ``parts``.  A first
     operand that is itself an And is spliced in, so ``And(And(a, b), c) ==
@@ -284,7 +267,7 @@ class And(_NAry):
     parts: tuple["ConceptExpr", ...]
 
 
-@record(init=False)
+@record
 class Or(_NAry):
     """``Or(a, b, …)``: the union of two or more ``parts``, spliced as And."""
     parts: tuple["ConceptExpr", ...]
@@ -503,7 +486,7 @@ class StandpointKB:
     rias: tuple[Ria, ...] = ()
     plain_axioms: tuple[TBoxAxiom, ...] = ()
     formulas: tuple[StandpointFormula, ...] = ()
-    named_axioms: Mapping[str, StandpointFormula] = field(default_factory=dict)
+    named_axioms: Mapping[str, StandpointFormula] = EMPTY_MAPPING
     signature: Signature = Signature()
     base_iri: str = ""
     namespace: str = ""
@@ -776,18 +759,10 @@ def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:
     return (n for n in iter_nodes(f, (Atom,)) if type(n) is Atom)
 
 
-def rebase_names(x, base: str, names: dict | None = None):
-    """Copy of an axiom/expression with every entity name moved to ``base``.
-    ``names`` maps each source name to its copy; calls that share it copy
-    each distinct name once between them."""
-    names = {} if names is None else names
-
-    def rebased(n):
-        if type(n) is EntityName:
-            if n not in names:
-                names[n] = EntityName(n.kind, n.local, base)
-            return names[n]
-    return transform(x, rebased)
+def rebase_names(x, base: str):
+    """Copy of an axiom/expression with every entity name moved to ``base``."""
+    return transform(x, lambda n: EntityName(n.kind, n.local, base)
+                     if type(n) is EntityName else None)
 
 
 def entity_names_in(x) -> Iterator[EntityName]:

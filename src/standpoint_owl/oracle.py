@@ -60,7 +60,7 @@ from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
                     Nominal, Not, Or, PlainAxiom, PlainKB, RoleExpr, RoleName,
                     Signature, Some, SpIntersection, SpMinus, SpUnion,
                     StandpointExpr, StandpointFormula, StandpointKB, Star,
-                    Top, UNIVERSAL_STANDPOINT, UniversalRole, field,
+                    Top, UNIVERSAL_STANDPOINT, UniversalRole, EMPTY_MAPPING,
                     record, replace, signature_of)
 from .normalizer import count_precisifications, normalize_kb
 
@@ -90,7 +90,7 @@ class PlainInterpretation:
     domain_size: int
     concept_ext: Mapping[EntityName, frozenset[int]]
     role_ext: Mapping[EntityName, frozenset[tuple[int, int]]]
-    individual_map: Mapping[EntityName, int] = field(default_factory=dict)
+    individual_map: Mapping[EntityName, int] = EMPTY_MAPPING
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -640,12 +640,11 @@ def _search_assignment(n: int, slots: list[EntityName], checks: list[_Compiled],
     while True:
         if result is None:  # descend to the next free slot
             if len(conflicts) == len(free):
-                failed = next((check for check in checks if check.state(vals) is False), None)
-                if failed is None:
-                    return assignment()
-                result = minimised_conflict(failed)
-            else:
-                conflicts.append(set())
+                # No check is false here: one without a searched slot held
+                # before the search, and every other one held when the last
+                # of its searched slots took its current value.
+                return assignment()
+            conflicts.append(set())
         if not conflicts:
             return None
         k, conflict = free[len(conflicts) - 1], conflicts[-1]

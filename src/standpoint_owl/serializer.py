@@ -317,8 +317,9 @@ def _declaration_pieces(names, copies: int, ns: _Namespaces) -> Iterator[str]:
                 yield opening + f"))\n{opening}".join(group) + "))\n"
 
 
-def _label(payload: str) -> str:
-    return f'Annotation(:{STANDPOINT_LABEL} "{_escape_literal(payload)}")'
+def _annotation(prefix: str, local: str, literal: str) -> str:
+    """``Annotation(prefix:local "literal")``, the literal escaped."""
+    return f'Annotation({prefix}:{local} "{_escape_literal(literal)}")'
 
 
 def _on_axiom(f: StandpointFormula) -> bool:
@@ -350,7 +351,7 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     ns = _Namespaces(default_ns, signature_bases(names))
     head = [*ns.prefix_lines(), f"Ontology(<{kb.base_iri}>"]
     for f in ontology:
-        head.append(_label(_bool_comb_payload(f, default_ns)))
+        head.append(_annotation("", STANDPOINT_LABEL, _bool_comb_payload(f, default_ns)))
     yield "\n".join(head) + "\n"
     yield from _declaration_pieces(names, copies, ns)
 
@@ -365,7 +366,8 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
             if not _on_axiom(formula):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
             payload = _sp_axiom_payload(name, _TAGS[type(formula)], formula.standpoint)
-            yield _functional(formula.arg.axiom, ns, _label(payload) + " ") + "\n"
+            label = _annotation("", STANDPOINT_LABEL, payload)
+            yield _functional(formula.arg.axiom, ns, label + " ") + "\n"
         for ria in kb.rias:
             yield _functional(ria, ns) + "\n"
     yield ")\n"
@@ -403,9 +405,8 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
 
     head = [f"Prefix({pname}:=<{iri}>)" for pname, iri in table.items()]
     head.append(f"Ontology(<{doc.base_iri}>")
-    for ann in doc.ontology_annotations:
-        prop = f"{ann.property_prefix}:{ann.property_local}"
-        head.append(f'Annotation({prop} "{_escape_literal(ann.literal)}")')
+    for a in doc.ontology_annotations:
+        head.append(_annotation(a.property_prefix, a.property_local, a.literal))
     kind_words = {kind: word for word, (kind, _) in DECLARATION_KINDS.items()}
     for decl in doc.declarations:
         head.append(f"Declaration({kind_words[decl.kind]}({ns.pname(decl.name)}))")
@@ -413,8 +414,7 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
 
     for axiom, annotations in doc.axioms:
         ann_text = "".join(
-            f'Annotation({a.property_prefix}:{a.property_local} '
-            f'"{_escape_literal(a.literal)}") '
+            _annotation(a.property_prefix, a.property_local, a.literal) + " "
             for a in annotations)
         yield _functional(axiom, ns, ann_text) + "\n"
     yield ")\n"

@@ -379,14 +379,14 @@ def rebased_merge(main_text, source_text, standpoint):
     for reading the source straight into that namespace."""
     doc_in, doc_src = parse_document(main_text), parse_document(source_text)
     token = "STAR" if standpoint == "*" else standpoint
-    ns, names = f"{doc_in.base_iri}/imported/{token}#", {}
+    ns = f"{doc_in.base_iri}/imported/{token}#"
     declarations = list(doc_in.declarations) + [
-        Declaration(d.kind, rebase_names(d.name, ns, names)) for d in doc_src.declarations]
+        Declaration(d.kind, rebase_names(d.name, ns)) for d in doc_src.declarations]
     box = Annotation("", STANDPOINT_LABEL,
                      _sp_axiom_payload(None, "Box", standpoint_expr(standpoint)))
     axioms = list(doc_in.axioms)
     for axiom, annotations in doc_src.axioms:
-        rebased = rebase_names(axiom, ns, names)
+        rebased = rebase_names(axiom, ns)
         axioms.append((rebased, ()) if isinstance(rebased, Ria)
                       else (rebased, tuple(annotations) + (box,)))
     return serialize_document(RawDocument(doc_in.base_iri, doc_in.prefixes,

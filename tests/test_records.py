@@ -122,7 +122,10 @@ def test_defaults():
     assert functional.Annotation("", "p", "l").line == 0
     assert model.Family(GCI).copies == 1
     first, second = StandpointKB(), StandpointKB()
-    assert first.named_axioms == {} and first.named_axioms is not second.named_axioms
+    assert first.named_axioms == {} == second.named_axioms
+    assert first.named_axioms is second.named_axioms
+    with pytest.raises(TypeError):
+        first.named_axioms["x"] = ATOM
     assert INTERP.individual_map == {}
     assert oracle.EntailmentResult("x").witness is None
 
