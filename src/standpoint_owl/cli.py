@@ -19,13 +19,14 @@ from .frontend import (assemble_kb, parse_document, parse_query_document,
                        parse_simple_query)
 from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import PREDECLARED_PREFIXES, Annotation, RawDocument
-from .model import (Ria, StandpointKB, check_restricted_roles,
+from .frontend.labels import sp_axiom_payload
+from .model import (Box, Ria, StandpointKB, check_restricted_roles,
                     replace, restricted_roles_in, standpoint_expr,
                     validate_roles, with_cached)
 from .normalizer import count_precisifications, normalize_kb
 from .oracle import (ENTAILED_WITHIN_BOUNDS, GUARD_BITS, NOT_ENTAILED,
                      negated_query_kb, search_countermodel)
-from .serializer import _sp_axiom_payload, document_pieces, free_prefix, kb_pieces
+from .serializer import document_pieces, free_prefix, kb_pieces
 from .translator import STAR_TOKEN, translate_kb
 
 
@@ -118,7 +119,7 @@ def _merge(doc_in: RawDocument, source_text: str, standpoint: str) -> RawDocumen
     moved = _annotation_mover(prefixes, dict(doc_src.prefixes))
     axioms = list(doc_in.axioms)
     box_ann = Annotation("", STANDPOINT_LABEL,
-                         _sp_axiom_payload(None, "Box", standpoint_expr(standpoint)))
+                         sp_axiom_payload(None, Box, standpoint_expr(standpoint)))
     for axiom, annotations in doc_src.axioms:
         if isinstance(axiom, Ria):
             axioms.append((axiom, ()))

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from ..errors import (DuplicateAxiomName, GrammarViolation, ReservedName,
                       SPAxiomOnRIA, StandpointOwlError)
-from ..model import (Atom, Box, Diamond, Equiv, Gci, Ria, Signature,
+from ..model import (Atom, Equiv, Gci, Ria, Signature, StandpointFormula,
                      StandpointKB, entity_names_in, signature_over, with_cached)
-from ..normalizer import desugar_sharpening
 from .functional import Annotation, RawDocument
-from .labels import (BoolCombLabel, LabeledConstruct, SharpeningLabel,
-                     SpAxiomLabel, parse_standpoint_label)
+from .labels import SpAxiomLabel, parse_standpoint_label
 
 STANDPOINT_LABEL = "standpointLabel"
 
@@ -26,20 +24,21 @@ def _standpoint_labels(annotations):
 
 
 def _parse_label(ann: Annotation, base: str,
-                 parsed: dict[str, LabeledConstruct]) -> LabeledConstruct:
+                 parsed: dict[str, StandpointFormula | SpAxiomLabel]
+                 ) -> StandpointFormula | SpAxiomLabel:
     """Parse one annotation payload, pinning errors to their source.
-    ``parsed`` keeps each literal's construct: the document's base is fixed,
+    ``parsed`` keeps each literal's label: the document's base is fixed,
     so the literal alone determines it.  A failed parse is not kept, so the
     error names the first occurrence of a bad literal."""
-    construct = parsed.get(ann.literal)
-    if construct is None:
+    label = parsed.get(ann.literal)
+    if label is None:
         try:
-            construct = parse_standpoint_label(ann.literal, base)
+            label = parse_standpoint_label(ann.literal, base)
         except StandpointOwlError as exc:
             raise type(exc)(f"{exc} (standpointLabel at {ann.line}:{ann.col}, "
                             f"payload: {ann.literal!r})") from None
-        parsed[ann.literal] = construct
-    return construct
+        parsed[ann.literal] = label
+    return label
 
 
 def _check_locals(doc: RawDocument, signature: Signature):
@@ -69,10 +68,10 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
     entity local uses the mangling separator.
     Unresolved references are deliberately left to the normalizer.  Each
     distinct label literal is parsed once.  The signature is the document's
-    ``names`` and the names of each distinct label construct (of an
-    axiom-level label, its standpoint expression).  The KB's
+    ``names`` and the names of each distinct label (of an axiom-level
+    label, its standpoint expression).  The KB's
     ``restricted_roles``, which ``validate_roles`` checks, are the
-    document's and those that the same walk of the label constructs finds.
+    document's and those that the same walk of the labels finds.
     So the axioms are not walked again.
     """
     base = doc.default_namespace
@@ -80,18 +79,15 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
     named_axioms: dict = {}
     plain_axioms = []
     rias = []
-    parsed: dict[str, LabeledConstruct] = {}
+    parsed: dict[str, StandpointFormula | SpAxiomLabel] = {}
 
     for ann in _standpoint_labels(doc.ontology_annotations):
-        construct = _parse_label(ann, base, parsed)
-        if isinstance(construct, BoolCombLabel):
-            formulas.append(construct.formula)
-        elif isinstance(construct, SharpeningLabel):
-            formulas.append(desugar_sharpening(construct.narrower, construct.wider))
-        else:
+        label = _parse_label(ann, base, parsed)
+        if isinstance(label, SpAxiomLabel):
             raise GrammarViolation(
                 "standpointAxiom annotations must be attached to an axiom, "
                 "not to the ontology")
+        formulas.append(label)
 
     for axiom, annotations in doc.axioms:
         labels = _standpoint_labels(annotations)
@@ -105,28 +101,21 @@ def assemble_kb(doc: RawDocument) -> StandpointKB:
             plain_axioms.append(axiom)
             continue
         for ann in labels:
-            construct = _parse_label(ann, base, parsed)
-            if not isinstance(construct, SpAxiomLabel):
+            label = _parse_label(ann, base, parsed)
+            if not isinstance(label, SpAxiomLabel):
                 raise GrammarViolation(
                     "only standpointAxiom annotations may be attached to axioms")
-            op = Box if construct.operator == "box" else Diamond
-            formula = op(construct.expr, Atom(axiom))
-            if construct.name is not None:
-                if construct.name in named_axioms:
+            formula = label.operator(label.expr, Atom(axiom))
+            if label.name is not None:
+                if label.name in named_axioms:
                     raise DuplicateAxiomName(
-                        f"duplicate named standpoint axiom §{construct.name}")
-                named_axioms[construct.name] = formula
+                        f"duplicate named standpoint axiom §{label.name}")
+                named_axioms[label.name] = formula
             else:
                 formulas.append(formula)
 
-    label_roots = []
-    for construct in parsed.values():
-        if isinstance(construct, BoolCombLabel):
-            label_roots.append(construct.formula)
-        elif isinstance(construct, SharpeningLabel):
-            label_roots += (construct.narrower, construct.wider)
-        else:
-            label_roots.append(construct.expr)
+    label_roots = [label.expr if isinstance(label, SpAxiomLabel) else label
+                   for label in parsed.values()]
     restricted = set(doc.restricted_roles)
     signature = signature_over(label_roots, doc.names, restricted)
     _check_locals(doc, signature)

@@ -1,4 +1,6 @@
-"""Reader for the ontology input format (a functional-style syntax subset).
+"""Reader for the ontology input format (a functional-style syntax subset),
+and the word of each class (``WORDS``), which the reader reads and the
+serializer writes.
 
 A document is ``Prefix(...)`` declarations followed by one ``Ontology(<IRI>
 ...)`` block containing ontology annotations, entity declarations and
@@ -28,11 +30,11 @@ from operator import itemgetter
 
 from ..errors import ParseError, UnsupportedConstruct
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
-                     ConceptName, EntityName, Equiv, Gci, HasSelf, InverseRole,
-                     Nominal, Not, Or, PlainAxiom, Ria, RoleExpr, RoleName,
-                     Some, Top, UNIVERSAL, concept_name,
-                     individual_name, iter_nodes, record, restricted_roles_in,
-                     role_name, with_cached)
+                     ConceptName, EntityName, Equiv, Family, Gci, HasSelf,
+                     InverseRole, Nominal, Not, Or, PlainAxiom, Ria, RoleExpr,
+                     RoleName, Some, Top, UNIVERSAL, UniversalRole,
+                     concept_name, individual_name, iter_nodes, record,
+                     restricted_roles_in, role_name, with_cached)
 
 
 @record
@@ -134,13 +136,28 @@ def _value(tok: str) -> str:
     return tok.partition(":")[2] if _is_name(tok) else tok
 
 
-_AXIOM_WORDS = {"SubClassOf", "EquivalentClasses", "SubObjectPropertyOf",
-                "TransitiveObjectProperty", "ClassAssertion",
-                "ObjectPropertyAssertion"}
-_CE_WORDS = {"ObjectComplementOf", "ObjectIntersectionOf", "ObjectUnionOf",
-             "ObjectAllValuesFrom", "ObjectSomeValuesFrom", "ObjectHasSelf",
-             "ObjectMaxCardinality", "ObjectMinCardinality", "ObjectOneOf"}
-_OWL_CLASSES = {"owl:Thing": Top, "owl:Nothing": Bottom}
+# The functional-syntax word of each class, which the reader and the
+# serializer both use.  A leaf's word is its whole text, a name wrapper has
+# none and is written as its name, and any other class writes its word
+# around its children.  A family inside a concept is written as the
+# intersection of its copies; the reader builds an And from that word.
+WORDS = {
+    Top: "owl:Thing", Bottom: "owl:Nothing", UniversalRole: "owl:topObjectProperty",
+    ConceptName: None, RoleName: None,
+    Nominal: "ObjectOneOf", InverseRole: "ObjectInverseOf", Not: "ObjectComplementOf",
+    And: "ObjectIntersectionOf", Or: "ObjectUnionOf", Family: "ObjectIntersectionOf",
+    All: "ObjectAllValuesFrom", Some: "ObjectSomeValuesFrom", HasSelf: "ObjectHasSelf",
+    AtMost: "ObjectMaxCardinality", AtLeast: "ObjectMinCardinality",
+    Gci: "SubClassOf", Equiv: "EquivalentClasses", Ria: "SubObjectPropertyOf",
+}
+# The axiom words: those of the model's axiom classes, and the three that
+# the reader unfolds into them (None).
+_AXIOM_WORDS = {**{WORDS[cls]: cls for cls in (Gci, Equiv, Ria)},
+                "TransitiveObjectProperty": None, "ClassAssertion": None,
+                "ObjectPropertyAssertion": None}
+_CE_WORDS = {WORDS[cls]: cls for cls in (Not, And, Or, All, Some, HasSelf,
+                                         AtMost, AtLeast, Nominal)}
+_OWL_CLASSES = {WORDS[cls]: cls for cls in (Top, Bottom)}
 # The prefixes OWL 2 declares for every document (Structural Specification,
 # section 2.4); an annotation property may use them undeclared.
 PREDECLARED_PREFIXES = {"rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
@@ -353,10 +370,9 @@ class _DocParser:
         annotations = []
         while toks[-1] == "Annotation":
             annotations.append(self.annotation())
-        if word == "SubClassOf":
-            axiom: PlainAxiom = Gci(self.concept(), self.concept())
-        elif word == "EquivalentClasses":
-            axiom = Equiv(self.concept(), self.concept())
+        cls = _AXIOM_WORDS[word]
+        if cls is Gci or cls is Equiv:
+            axiom: PlainAxiom = cls(self.concept(), self.concept())
         elif word == "TransitiveObjectProperty":
             role = self._name(role_name, "role name")
             axiom = Ria((RoleName(role), RoleName(role)), role)
@@ -389,9 +405,9 @@ class _DocParser:
         name = self.roles.get(tok)
         if name is not None:
             return RoleName(name)
-        if tok == "owl:topObjectProperty":
+        if tok == WORDS[UniversalRole]:
             return UNIVERSAL
-        if tok == "ObjectInverseOf":
+        if tok == WORDS[InverseRole]:
             self.expect("(")
             name = self._name(role_name, "role name")
             self.expect(")")
@@ -406,7 +422,8 @@ class _DocParser:
         name = self.classes.get(tok)
         if name is not None:
             return ConceptName(name)
-        if tok not in _CE_WORDS:
+        cls = _CE_WORDS.get(tok)
+        if cls is None:
             if tok in _OWL_CLASSES:
                 return _OWL_CLASSES[tok]()
             if _is_name(tok):
@@ -414,32 +431,29 @@ class _DocParser:
             raise self.unexpected(tok, "class expression")
         if pop() != "(":
             raise self.got("(")
-        if tok == "ObjectIntersectionOf" or tok == "ObjectUnionOf":
+        if cls is And or cls is Or:
             toks = self.toks
             parts = [self.concept(), self.concept()]
             while toks[-1] != ")":
                 parts.append(self.concept())
-            out: ConceptExpr = (And if tok == "ObjectIntersectionOf" else Or)(*parts)
-        elif tok == "ObjectSomeValuesFrom":
-            out = Some(self.object_property(), self.concept())
-        elif tok == "ObjectAllValuesFrom":
-            out = All(self.object_property(), self.concept())
-        elif tok == "ObjectComplementOf":
+            out: ConceptExpr = cls(*parts)
+        elif cls is Some or cls is All:
+            out = cls(self.object_property(), self.concept())
+        elif cls is Not:
             out = Not(self.concept())
-        elif tok == "ObjectHasSelf":
+        elif cls is HasSelf:
             role = self.object_property()
             self.restricted.append(role)
             out = HasSelf(role)
-        elif tok == "ObjectOneOf":
+        elif cls is Nominal:
             out = Nominal(self._name(individual_name, "individual name"))
-        else:  # ObjectMaxCardinality, ObjectMinCardinality
+        else:  # AtMost, AtLeast
             n = pop()
             if not n.isdecimal():
                 raise self.got("non-negative integer")
             role = self.object_property()
             self.restricted.append(role)
-            filler = self.concept()
-            out = (AtMost if tok == "ObjectMaxCardinality" else AtLeast)(int(n), role, filler)
+            out = cls(int(n), role, self.concept())
         if pop() != ")":
             raise self.got(")")
         return out

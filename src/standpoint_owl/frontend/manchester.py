@@ -4,18 +4,22 @@ Supported: names, ``and``/``or``/``not``, ``some``/``only``, ``min n``/
 ``max n``/``exactly n`` (optional filler, defaulting to owl:Thing),
 ``Self``, ``inverse r``, nominals ``{a}``, ``owl:Thing``, ``owl:Nothing``
 and parentheses.  Precedence is the usual one: restrictions bind tightest,
-then ``not``, then ``and``, then ``or``.
+then ``not``, then ``and``, then ``or``.  The reader and the writer
+(``render_manchester``) take the restriction words from one table
+(``RESTRICTION_WORDS``); ``exactly`` is read only, as the pair of ``min``
+and ``max`` that the writer writes for it.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..errors import ParseError
+from ..errors import GrammarViolation, ParseError
 from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
-                     ConceptName, HasSelf, InverseRole, Nominal, Not, Or,
-                     RoleExpr, RoleName, Some, Top, concept_name,
-                     individual_name, role_name)
+                     ConceptName, EntityName, HasSelf, InverseRole, Nominal,
+                     Not, Or, RoleExpr, RoleName, Some, Top, UniversalRole,
+                     children, concept_name, individual_name, role_name)
+from .functional import WORDS
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -25,8 +29,12 @@ _TOKEN_RE = re.compile(r"""
   | (?P<punct>[(){}])
 """, re.VERBOSE)
 
-# The words that follow a role in a restriction.
-_RESTRICTION_KEYWORDS = {"some", "only", "min", "max", "exactly", "Self"}
+# The Manchester keyword of each restriction, written after its role.
+RESTRICTION_WORDS = {Some: "some", All: "only", HasSelf: "Self",
+                     AtLeast: "min", AtMost: "max"}
+# The restriction of each word that follows a role; ``exactly`` has none.
+_RESTRICTIONS = {word: cls for cls, word in RESTRICTION_WORDS.items()}
+_RESTRICTION_KEYWORDS = {*_RESTRICTIONS, "exactly"}
 _KEYWORDS = {"and", "or", "not", "inverse", *_RESTRICTION_KEYWORDS}
 
 
@@ -160,26 +168,83 @@ class _Parser:
 
     def _restriction_tail(self, role: RoleExpr, col: int) -> ConceptExpr:
         kind, val, col = self.next()
-        if val == "some":
-            return Some(role, self.unary())
-        if val == "only":
-            return All(role, self.unary())
-        if val == "Self":
+        cls = _RESTRICTIONS.get(val)
+        if cls is None and val != "exactly":
+            raise ParseError(f"got {val!r}", col=col, expected="restriction keyword")
+        if cls is Some or cls is All:
+            return cls(role, self.unary())
+        if cls is HasSelf:
             return HasSelf(role)
-        if val in ("min", "max", "exactly"):
-            k2, v2, c2 = self.next()
-            if k2 != "int":
-                raise ParseError(f"got {v2!r}", col=c2, expected="non-negative integer")
-            n = int(v2)
-            filler = self._cardinality_filler()
-            if val == "min":
-                return AtLeast(n, role, filler)
-            if val == "max":
-                return AtMost(n, role, filler)
+        k2, v2, c2 = self.next()
+        if k2 != "int":
+            raise ParseError(f"got {v2!r}", col=c2, expected="non-negative integer")
+        n = int(v2)
+        filler = self._cardinality_filler()
+        if cls is None:  # exactly
             return And(AtLeast(n, role, filler), AtMost(n, role, filler))
-        raise ParseError(f"got {val!r}", col=col, expected="restriction keyword")
+        return cls(n, role, filler)
 
 
 def parse_manchester_class(text: str, base: str = "") -> ConceptExpr:
     """Parse a Manchester-syntax class expression over the given namespace."""
     return _Parser(text, base).parse()
+
+
+# ---------------------------------------------------------------------------
+# The writer
+# ---------------------------------------------------------------------------
+
+_MANCHESTER_OR, _MANCHESTER_AND, _MANCHESTER_UNARY = 1, 2, 3
+
+
+def _check_manchester_base(name: EntityName, ns_base: str):
+    """Reject a name the Manchester reader would not read back as itself: one
+    from another namespace, a keyword, a non-name token, or one with '__'."""
+    if name.base != ns_base:
+        raise GrammarViolation(
+            f"cannot render {name.local!r} from a foreign namespace in Manchester text")
+    token = _TOKEN_RE.fullmatch(name.local)
+    if (name.local in _KEYWORDS or token is None or token.lastgroup != "name"
+            or "__" in name.local):
+        raise GrammarViolation(f"cannot render {name.local!r} as a Manchester name")
+
+
+def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
+    def wrap(text: str, own: int) -> str:
+        return f"({text})" if own < level else text
+
+    if type(c) in (Top, Bottom):
+        return WORDS[type(c)]
+    if isinstance(c, ConceptName):
+        _check_manchester_base(c.name, ns_base)
+        return c.name.local
+    if isinstance(c, Nominal):
+        _check_manchester_base(c.individual, ns_base)
+        return "{" + c.individual.local + "}"
+    if isinstance(c, (And, Or)):
+        own, word = ((_MANCHESTER_AND, " and ") if isinstance(c, And)
+                     else (_MANCHESTER_OR, " or "))
+        return wrap(word.join(_manchester(p, own + 1, ns_base) for p in c.parts), own)
+    if isinstance(c, Not):
+        return wrap(f"not {_manchester(c.arg, _MANCHESTER_UNARY + 1, ns_base)}",
+                    _MANCHESTER_UNARY)
+
+    def role_text(role: RoleExpr) -> str:
+        if isinstance(role, UniversalRole):
+            raise GrammarViolation("the universal role has no Manchester form here")
+        _check_manchester_base(role.name, ns_base)
+        inner = role.name.local
+        return f"inverse {inner}" if isinstance(role, InverseRole) else inner
+
+    role, *filler = children(c)
+    text = f"{role_text(role)} {RESTRICTION_WORDS[type(c)]}"
+    if type(c) in (AtLeast, AtMost):
+        text += f" {c.n}"
+    for f in filler:
+        text += f" {_manchester(f, _MANCHESTER_UNARY, ns_base)}"
+    return wrap(text, _MANCHESTER_UNARY + 1)
+
+
+def render_manchester(c: ConceptExpr, ns_base: str = "") -> str:
+    """Manchester-syntax text for a class expression (local names only)."""
+    return _manchester(c, 0, ns_base)

@@ -1,9 +1,10 @@
-"""Query syntaxes: the simple single-axiom form and the XML formula form.
+"""The simple query syntax: one modalised subclass or equivalence axiom.
 
 A simple query is ``[s](C sub D)`` or ``<s>(C eq D)`` where ``[s]``/``<s>``
 are the box/diamond operators for standpoint ``s`` (``*`` allowed) and the
 class expressions use Manchester syntax.  Richer queries arrive as an XML
-formula document using the same grammar as booleanCombination bodies.
+formula document using the same grammar as booleanCombination bodies
+(``labels.parse_query_document``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import re
 from ..errors import ParseError
 from ..model import (Atom, Box, Diamond, Equiv, Gci, StandpointFormula,
                      standpoint_expr)
-from .labels import _bool_comb_formula, _parse_formula, _tag, _xml_root
 from .manchester import parse_manchester_class
 
 _HEAD_RE = re.compile(r"\s*(\[(?P<box>[^\]]*)\]|<(?P<dia>[^>]*)>)\s*\((?P<body>.*)\)\s*\Z",
@@ -46,11 +46,3 @@ def parse_simple_query(text: str, base: str = "") -> StandpointFormula:
     atom = Atom(Gci(lhs, rhs) if op == "sub" else Equiv(lhs, rhs))
     return Box(expr, atom) if m.group("box") is not None else Diamond(expr, atom)
 
-
-def parse_query_document(text: str, base: str = "") -> StandpointFormula:
-    """Parse an XML query: a Formula element, optionally wrapped in
-    <booleanCombination>."""
-    root = _xml_root(text, "query")
-    if _tag(root) == "booleancombination":
-        return _bool_comb_formula(root, base)
-    return _parse_formula(root, base)

@@ -70,8 +70,9 @@ from .normalizer import count_precisifications, normalize_kb
 # included.
 MAX_ATOMS = 20
 
-# The default search guard: the most bits of search space (`_bits_needed`,
-# times the precisification count in a standpoint search) a search takes on.
+# The default search guard: the most bits of search space a search takes
+# on (`_bits_needed`; in a standpoint search, plus one bit per named
+# standpoint, times the precisification count).
 GUARD_BITS = 40.0
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1045,7 @@ def _search_structures(kb: StandpointKB, max_domain: int, max_prec: int, guard_b
                                        v | polarity << i)
                 known[i] ^= bit
 
-        bits = _bits_needed(slots, n)
+        bits = _bits_needed(slots, n) + len(sp_names)
         for m in range(1, min(max_prec, p) + 1):
             if bits * m > guard_bits:
                 raise SearchSpaceTooLarge(

@@ -20,7 +20,9 @@ header, the declarations of each kind and namespace, one family or axiom
 each, the closing line), made one at a time, so a writer that takes them
 in turn holds one piece and its memory does not grow with the output;
 ``serialize_kb`` and ``serialize_document`` join the same pieces.
-Each output syntax is one walk over a class table (``_WORDS``, ``_TAGS``).
+This module writes documents only: an expression is one walk over the
+word table of its syntax (``functional.WORDS``), and the label payloads
+are written by their own syntax's module (``frontend.labels``).
 Standpoint content re-emits as annotation literals: top-level formulas as
 booleanCombination payloads on the ontology; named standpoint axioms and
 the trailing boxes and diamonds over one atom as operator annotations on
@@ -34,18 +36,12 @@ from itertools import count, repeat
 from typing import Iterator
 
 from .errors import GrammarViolation
-from .model import (All, And, Atom, AtLeast, AtMost, AxiomRef, Bottom, Box,
-                    ConceptExpr, ConceptName, Conjunction, Diamond,
-                    Disjunction, EntityName, Equiv, Family, Gci, HasSelf,
-                    INDEX_SENTINEL, InverseRole, NamedStandpoint, Negation,
-                    Nominal, Not, Or, PlainKB, Ria, RoleExpr, RoleName, Some,
-                    SpIntersection, SpMinus, SpUnion, StandpointExpr,
-                    StandpointFormula, StandpointKB, Star, Top,
-                    UNIVERSAL_STANDPOINT, UniversalRole, children,
-                    signature_bases)
+from .model import (And, Atom, AtLeast, AtMost, Box, ConceptExpr, Diamond,
+                    EntityName, Family, INDEX_SENTINEL, PlainKB, Ria,
+                    StandpointFormula, StandpointKB, children, signature_bases)
 from .frontend.assemble import STANDPOINT_LABEL
-from .frontend.functional import DECLARATION_KINDS, RawDocument
-from .frontend.manchester import _KEYWORDS, _TOKEN_RE
+from .frontend.functional import DECLARATION_KINDS, WORDS, RawDocument
+from .frontend.labels import bool_comb_payload, sp_axiom_payload
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +95,20 @@ def _escape_literal(text: str) -> str:
 # Concepts, roles and axioms
 # ---------------------------------------------------------------------------
 
-# The functional-syntax word of each class.  A leaf's word is its whole
-# text, a name wrapper has none and is written as its name, and any other
-# class writes its word around its children.  A family inside a concept is
-# the intersection of its copies.
-_WORDS = {
-    Top: "owl:Thing", Bottom: "owl:Nothing", UniversalRole: "owl:topObjectProperty",
-    ConceptName: None, RoleName: None,
-    Nominal: "ObjectOneOf", InverseRole: "ObjectInverseOf", Not: "ObjectComplementOf",
-    And: "ObjectIntersectionOf", Or: "ObjectUnionOf", Family: "ObjectIntersectionOf",
-    All: "ObjectAllValuesFrom", Some: "ObjectSomeValuesFrom", HasSelf: "ObjectHasSelf",
-    AtMost: "ObjectMaxCardinality", AtLeast: "ObjectMinCardinality",
-    Gci: "SubClassOf", Equiv: "EquivalentClasses", Ria: "SubObjectPropertyOf",
-}
 # The classes that write their n before their children.
 _NUMBERED = (AtMost, AtLeast)
 
 
 def _functional(x, ns: _Namespaces, annotations: str = "") -> str:
     """Functional-syntax text of a role, a concept or a plain axiom: the
-    word of its class (``_WORDS``) around its ``annotations``, then its
-    children in the order of ``model.children``, a number restriction's n
-    first.  A role chain of two or more roles is an ObjectPropertyChain,
-    and a family first in an And is spliced in, as And splices an And."""
+    word of its class (``functional.WORDS``) around its ``annotations``,
+    then its children in the order of ``model.children``, a number
+    restriction's n first.  A role chain of two or more roles is an
+    ObjectPropertyChain, and a family first in an And is spliced in, as
+    And splices an And."""
     if type(x) is EntityName:  # the head of a role inclusion
         return ns.pname(x)
-    word = _WORDS[type(x)]
+    word = WORDS[type(x)]
     if word is None:  # read directly: names are most of the nodes
         return ns.pname(x.name)
     kids = children(x)
@@ -166,128 +150,6 @@ def serialize_concept(c: ConceptExpr, base: str = "") -> str:
     """Functional-syntax rendering of a single class expression whose names
     live in the given namespace (rendered with the default prefix)."""
     return _functional(c, _Namespaces(base, set()))
-
-
-# ---------------------------------------------------------------------------
-# Canonical XML for standpoint content
-# ---------------------------------------------------------------------------
-
-def _xml_attr(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-
-
-def _xml_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;")
-
-
-_MANCHESTER_OR, _MANCHESTER_AND, _MANCHESTER_UNARY = 1, 2, 3
-# The Manchester keyword of each restriction, written after its role.
-_RESTRICTION_WORDS = {Some: "some", All: "only", HasSelf: "Self",
-                      AtLeast: "min", AtMost: "max"}
-
-
-def _check_manchester_base(name: EntityName, ns_base: str):
-    """Reject a name the Manchester reader would not read back as itself: one
-    from another namespace, a keyword, a non-name token, or one with '__'."""
-    if name.base != ns_base:
-        raise GrammarViolation(
-            f"cannot render {name.local!r} from a foreign namespace in Manchester text")
-    token = _TOKEN_RE.fullmatch(name.local)
-    if (name.local in _KEYWORDS or token is None or token.lastgroup != "name"
-            or "__" in name.local):
-        raise GrammarViolation(f"cannot render {name.local!r} as a Manchester name")
-
-
-def _manchester(c: ConceptExpr, level: int, ns_base: str) -> str:
-    def wrap(text: str, own: int) -> str:
-        return f"({text})" if own < level else text
-
-    if type(c) in (Top, Bottom):
-        return _WORDS[type(c)]
-    if isinstance(c, ConceptName):
-        _check_manchester_base(c.name, ns_base)
-        return c.name.local
-    if isinstance(c, Nominal):
-        _check_manchester_base(c.individual, ns_base)
-        return "{" + c.individual.local + "}"
-    if isinstance(c, (And, Or)):
-        own, word = ((_MANCHESTER_AND, " and ") if isinstance(c, And)
-                     else (_MANCHESTER_OR, " or "))
-        return wrap(word.join(_manchester(p, own + 1, ns_base) for p in c.parts), own)
-    if isinstance(c, Not):
-        return wrap(f"not {_manchester(c.arg, _MANCHESTER_UNARY + 1, ns_base)}",
-                    _MANCHESTER_UNARY)
-
-    def role_text(role: RoleExpr) -> str:
-        if isinstance(role, UniversalRole):
-            raise GrammarViolation("the universal role has no Manchester form here")
-        _check_manchester_base(role.name, ns_base)
-        inner = role.name.local
-        return f"inverse {inner}" if isinstance(role, InverseRole) else inner
-
-    role, *filler = children(c)
-    text = f"{role_text(role)} {_RESTRICTION_WORDS[type(c)]}"
-    if type(c) in _NUMBERED:
-        text += f" {c.n}"
-    for f in filler:
-        text += f" {_manchester(f, _MANCHESTER_UNARY, ns_base)}"
-    return wrap(text, _MANCHESTER_UNARY + 1)
-
-
-def render_manchester(c: ConceptExpr, ns_base: str = "") -> str:
-    """Manchester-syntax text for a class expression (local names only)."""
-    return _manchester(c, 0, ns_base)
-
-
-# The XML element of each standpoint expression and formula class, and of
-# the standard axiom of an atom.
-_TAGS = {
-    Star: "Standpoint", NamedStandpoint: "Standpoint", AxiomRef: "standpointAxiom",
-    SpUnion: "UNION", SpIntersection: "INTERSECTION", SpMinus: "MINUS",
-    Gci: "subClassOf", Equiv: "equivalentClasses",
-    Negation: "NOT", Conjunction: "AND", Disjunction: "OR", Box: "Box", Diamond: "Diamond",
-}
-
-
-def _xml(x, ns_base: str) -> str:
-    """Canonical XML of a standpoint expression or formula: the element of
-    its class (``_TAGS``) around its children, in the order of
-    ``model.children``.  A standpoint or a reference is an empty element
-    with a name, an atom its axiom's element with each side's Manchester
-    text.  What the label grammar cannot wrap raises GrammarViolation."""
-    if type(x) is Atom:
-        tag = _TAGS[type(x.axiom)]
-        lhs, rhs = (_xml_text(render_manchester(side, ns_base))
-                    for side in children(x.axiom))
-        return f"<{tag}><LHS>{lhs}</LHS><RHS>{rhs}</RHS></{tag}>"
-    tag = _TAGS.get(type(x))
-    if tag is None:
-        raise GrammarViolation(f"cannot render formula node {type(x).__name__}")
-    kids = children(x)
-    if not kids:
-        name = UNIVERSAL_STANDPOINT if type(x) is Star else x.name
-        mark = "§" if type(x) is AxiomRef else ""
-        return f'<{tag} name="{mark}{_xml_attr(name)}"/>'
-    if type(x) is Negation and type(x.arg) not in (Atom, AxiomRef, Box, Diamond):
-        raise GrammarViolation("negation wraps only axioms in the annotation grammar")
-    if type(x) in (Box, Diamond) and type(x.arg) is not Atom:
-        raise GrammarViolation(
-            "modal operators wrap only standard axioms in the annotation grammar")
-    parts = []
-    for kid in kids:
-        parts.append(_xml(kid, ns_base))
-    return f"<{tag}>{''.join(parts)}</{tag}>"
-
-
-def _bool_comb_payload(f: StandpointFormula, ns_base: str) -> str:
-    return f"<booleanCombination>{_xml(f, ns_base)}</booleanCombination>"
-
-
-def _sp_axiom_payload(name: str | None, op: str, e: StandpointExpr) -> str:
-    """The label of a standpoint axiom: ``op`` ("Box" or "Diamond") over
-    ``e``, named ``§name`` when a name is given."""
-    attr = f' name="§{_xml_attr(name)}"' if name else ""
-    return f"<standpointAxiom{attr}><{op}>{_xml(e, '')}</{op}></standpointAxiom>"
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +213,7 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
     ns = _Namespaces(default_ns, signature_bases(names))
     head = [*ns.prefix_lines(), f"Ontology(<{kb.base_iri}>"]
     for f in ontology:
-        head.append(_annotation("", STANDPOINT_LABEL, _bool_comb_payload(f, default_ns)))
+        head.append(_annotation("", STANDPOINT_LABEL, bool_comb_payload(f, default_ns)))
     yield "\n".join(head) + "\n"
     yield from _declaration_pieces(names, copies, ns)
 
@@ -365,7 +227,7 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
         for name, formula in [*kb.named_axioms.items(), *((None, f) for f in carried)]:
             if not _on_axiom(formula):
                 raise GrammarViolation("named axioms must be modalised standard axioms")
-            payload = _sp_axiom_payload(name, _TAGS[type(formula)], formula.standpoint)
+            payload = sp_axiom_payload(name, type(formula), formula.standpoint)
             label = _annotation("", STANDPOINT_LABEL, payload)
             yield _functional(formula.arg.axiom, ns, label + " ") + "\n"
         for ria in kb.rias:

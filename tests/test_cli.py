@@ -24,11 +24,11 @@ from standpoint_owl.frontend import assemble_kb, parse_document, parse_simple_qu
 from standpoint_owl.frontend.assemble import STANDPOINT_LABEL
 from standpoint_owl.frontend.functional import (PREDECLARED_PREFIXES, Annotation,
                                                 Declaration, RawDocument)
-from standpoint_owl.model import (And, EntityName, Gci, PlainKB, Ria, iter_nodes,
-                                  rebase_names, standpoint_expr)
+from standpoint_owl.frontend.labels import sp_axiom_payload
+from standpoint_owl.model import (And, Box, EntityName, Gci, PlainKB, Ria,
+                                  iter_nodes, rebase_names, standpoint_expr)
 from standpoint_owl.oracle import find_plain_model, negated_query_kb
-from standpoint_owl.serializer import (_sp_axiom_payload, serialize_document,
-                                       serialize_kb)
+from standpoint_owl.serializer import serialize_document, serialize_kb
 from standpoint_owl.translator import translate_kb
 
 from conftest import FIXTURES, writes_back
@@ -383,7 +383,7 @@ def rebased_merge(main_text, source_text, standpoint):
     declarations = list(doc_in.declarations) + [
         Declaration(d.kind, rebase_names(d.name, ns)) for d in doc_src.declarations]
     box = Annotation("", STANDPOINT_LABEL,
-                     _sp_axiom_payload(None, "Box", standpoint_expr(standpoint)))
+                     sp_axiom_payload(None, Box, standpoint_expr(standpoint)))
     axioms = list(doc_in.axioms)
     for axiom, annotations in doc_src.axioms:
         rebased = rebase_names(axiom, ns)
@@ -705,6 +705,27 @@ class TestPrecisificationCap:
             "p=12 (including the negated query)\n"
             "entailed (no countermodel with domain \u2264 1, precisifications "
             "\u2264 12; with no roles or individuals these bounds are complete)\n"))
+
+    def test_the_guard_counts_the_standpoint_assignment(self, tmp_path):
+        """Eleven diamonds ``<x>(⊤ ⊑ ⊤)`` over four standpoints name no
+        concept, role or individual, so the interpretation search costs no
+        bit; the standpoint assignment costs one bit per named standpoint
+        and precisification, and trips an 8-bit guard at m = 3.  Counted
+        without it, every count up to 12 is searched, which takes minutes.
+        The child runs with a wall-clock limit."""
+        diamond = ('Annotation(:standpointLabel "<standpointAxiom><Diamond>'
+                   '<Standpoint name=\\"{}\\"/></Diamond></standpointAxiom>")').format
+        path = write(tmp_path, "nameless.ofn",
+                     "Prefix(:=<urn:g#>)\nOntology(<urn:g>\n"
+                     + "".join(f"SubClassOf({diamond('abcd'[i % 4])} owl:Thing owl:Thing)\n"
+                               for i in range(11))
+                     + ")\n")
+        proc = run_child(["query", path, "--simple", "[*](owl:Thing sub owl:Thing)",
+                          "--domain-bound", "1", "--prec-bound", "12",
+                          "--guard-bits", "8"], timeout=10)
+        assert (proc.returncode, proc.stderr) == (4, (
+            "p=12 (including the negated query)\n"
+            "inconclusive: the bounded search guard was exceeded\n"))
 
     @pytest.mark.parametrize("bound, searched", [
         ("400", "1; the precisification bound is complete"), ("1", "1")])

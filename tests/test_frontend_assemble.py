@@ -13,8 +13,8 @@ from standpoint_owl import cli, model
 from standpoint_owl.model import (And, Atom, Bottom, Box, Conjunction,
                                   Diamond, Equiv, Gci, Signature, SpMinus,
                                   Some, Star, Top, make_kb, rebase_names)
-from standpoint_owl.serializer import (_bool_comb_payload, _sp_axiom_payload,
-                                       serialize_document)
+from standpoint_owl.frontend.labels import bool_comb_payload, sp_axiom_payload
+from standpoint_owl.serializer import serialize_document
 
 from conftest import (C, FIXTURES, FOREST_BASE, R, S,
                       assembled_label_by_label, label_literals)
@@ -154,11 +154,11 @@ def genkb_document(kb):
     ontology, axioms = [], []
     for f in (rebase_names(f, NS) for f in kb.formulas):
         if type(f) in (Box, Diamond) and type(f.arg) is Atom:
-            payload = _sp_axiom_payload(None, type(f).__name__, f.standpoint)
+            payload = sp_axiom_payload(None, type(f), f.standpoint)
             axioms.append((f.arg.axiom, (Annotation("", STANDPOINT_LABEL, payload),)))
             continue
         with contextlib.suppress(GrammarViolation):
-            payload = _bool_comb_payload(f, NS)
+            payload = bool_comb_payload(f, NS)
             ontology.append(Annotation("", STANDPOINT_LABEL, payload))
     axioms += [(rebase_names(ax, NS), ()) for ax in (*kb.plain_axioms, *kb.rias)]
     return serialize_document(RawDocument(NS[:-1], (("", NS),), tuple(ontology),

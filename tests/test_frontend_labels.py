@@ -4,11 +4,11 @@ import pytest
 
 from standpoint_owl.errors import BadName, GrammarViolation, XmlSyntaxError
 from standpoint_owl.frontend import parse_standpoint_label
-from standpoint_owl.frontend.labels import (BoolCombLabel, SharpeningLabel,
-                                            SpAxiomLabel)
+from standpoint_owl.frontend.labels import SpAxiomLabel
 from standpoint_owl.model import (And, Atom, AxiomRef, Box, Conjunction,
                                   Diamond, Disjunction, Equiv, Gci, Negation,
                                   SpIntersection, SpMinus, SpUnion, Star)
+from standpoint_owl.normalizer import desugar_sharpening
 
 from conftest import C, S
 
@@ -29,11 +29,11 @@ EXPECTED_EXAMPLE = Conjunction(
 class TestBoolComb:
     def test_forestry_example(self):
         construct = parse_standpoint_label(EXAMPLE_PAYLOAD)
-        assert construct == BoolCombLabel(EXPECTED_EXAMPLE)
+        assert construct == EXPECTED_EXAMPLE
 
     def test_wrapper_element_tolerated(self):
         wrapped = f"<standpointLabel>{EXAMPLE_PAYLOAD}</standpointLabel>"
-        assert parse_standpoint_label(wrapped) == BoolCombLabel(EXPECTED_EXAMPLE)
+        assert parse_standpoint_label(wrapped) == EXPECTED_EXAMPLE
 
     def test_not_or_and_reference(self):
         payload = ("<booleanCombination><OR>"
@@ -41,50 +41,50 @@ class TestBoolComb:
                    '<standpointAxiom name="§ax1"/>'
                    "</OR></booleanCombination>")
         construct = parse_standpoint_label(payload)
-        assert construct == BoolCombLabel(
-            Disjunction(Negation(Atom(Gci(C("A"), C("B")))), AxiomRef("ax1")))
+        assert construct == Disjunction(Negation(Atom(Gci(C("A"), C("B")))),
+                                        AxiomRef("ax1"))
 
     def test_diamond_inside_combination(self):
         payload = ("<booleanCombination><Diamond><Standpoint name=\"s\"/>"
                    "<subClassOf><LHS>A</LHS><RHS>B</RHS></subClassOf>"
                    "</Diamond></booleanCombination>")
         construct = parse_standpoint_label(payload)
-        assert construct == BoolCombLabel(Diamond(S("s"), Atom(Gci(C("A"), C("B")))))
+        assert construct == Diamond(S("s"), Atom(Gci(C("A"), C("B"))))
 
 
 class TestSharpening:
     def test_simple(self):
         payload = '<Sharpening><Standpoint name="LC"/><Standpoint name="BFO"/></Sharpening>'
-        assert parse_standpoint_label(payload) == SharpeningLabel(S("LC"), S("BFO"))
+        assert parse_standpoint_label(payload) == desugar_sharpening(S("LC"), S("BFO"))
 
     def test_with_expressions(self):
         payload = ('<Sharpening><MINUS><Standpoint name="a"/><Standpoint name="b"/>'
                    '</MINUS><Standpoint name="*"/></Sharpening>')
-        assert parse_standpoint_label(payload) == SharpeningLabel(
+        assert parse_standpoint_label(payload) == desugar_sharpening(
             SpMinus(S("a"), S("b")), Star())
 
     def test_mixed_letters_digits_accepted(self):
         # the one name rule (model.STANDPOINT_NAME_RE): a letter, then
         # letters and digits in any order
         payload = '<Sharpening><Standpoint name="a1b"/><Standpoint name="c"/></Sharpening>'
-        assert parse_standpoint_label(payload) == SharpeningLabel(S("a1b"), S("c"))
+        assert parse_standpoint_label(payload) == desugar_sharpening(S("a1b"), S("c"))
 
 
 class TestSpAxiom:
     def test_named_box(self):
         payload = ('<standpointAxiom name="§ax1"><Box>'
                    '<Standpoint name="s"/></Box></standpointAxiom>')
-        assert parse_standpoint_label(payload) == SpAxiomLabel("ax1", "box", S("s"))
+        assert parse_standpoint_label(payload) == SpAxiomLabel("ax1", Box, S("s"))
 
     def test_digit_inside_axiom_name(self):
         payload = ('<standpointAxiom name="§a1b"><Box>'
                    '<Standpoint name="s"/></Box></standpointAxiom>')
-        assert parse_standpoint_label(payload) == SpAxiomLabel("a1b", "box", S("s"))
+        assert parse_standpoint_label(payload) == SpAxiomLabel("a1b", Box, S("s"))
 
     def test_unnamed_diamond(self):
         payload = ('<standpointAxiom><Diamond><Standpoint name="s"/>'
                    "</Diamond></standpointAxiom>")
-        assert parse_standpoint_label(payload) == SpAxiomLabel(None, "diamond", S("s"))
+        assert parse_standpoint_label(payload) == SpAxiomLabel(None, Diamond, S("s"))
 
     def test_union_intersection_fold(self):
         payload = ('<standpointAxiom><Box><INTERSECTION>'
@@ -115,7 +115,7 @@ class TestCaseSensitivity:
     def test_name_attribute_case_sensitive(self):
         one = parse_standpoint_label('<Sharpening><Standpoint name="lc"/>'
                                      '<Standpoint name="LC"/></Sharpening>')
-        assert one.narrower != one.wider
+        assert one.standpoint.lhs != one.standpoint.rhs
 
 
 class TestErrors:

@@ -7,7 +7,7 @@ from standpoint_owl.errors import ParseError
 from standpoint_owl.frontend import parse_manchester_class
 from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, HasSelf,
                                   Not, Or, Some, Top)
-from standpoint_owl.serializer import render_manchester
+from standpoint_owl.frontend.manchester import render_manchester
 
 from conftest import C, O, R, Rinv
 

@@ -1,8 +1,9 @@
 """Every module-level import under ``src/`` is used in its module, every
 module-level function, class and assigned name under ``src/`` is read
 somewhere in ``src/``, ``tests/`` or ``perfbench/``, every import
-under ``src/`` is of the standard library or the package, and every file
-under ``src/`` parses with the grammar of the oldest Python that
+under ``src/`` is of the standard library or the package, no module under
+``src/`` imports a private (``_``-prefixed) name from another, and every
+file under ``src/`` parses with the grammar of the oldest Python that
 pyproject.toml admits.
 
 A package's ``__init__.py`` imports names to export them, so it is not
@@ -141,6 +142,35 @@ def test_only_the_standard_library_is_imported(path):
     ("def f():\n    from lxml import etree\n", ["lxml (line 2)"])])
 def test_the_dependency_check_itself(source, foreign):
     assert foreign_imports(source) == foreign
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that ``source`` imports, anywhere, from a
+    module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.partition(".")[0] == PACKAGE):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_name_is_imported_from_another_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, private", [
+    ("from .model import Gci\nfrom __future__ import annotations\n", []),
+    ("from .serializer import _xml, kb_pieces\n", ["_xml (line 1)"]),
+    ("from ..labels import _tag as tag\n", ["_tag (line 1)"]),
+    ("from standpoint_owl.model import _CHILDREN\n", ["_CHILDREN (line 1)"]),
+    ("from os import _exit\n", []),
+    ("def f():\n    from . import _private\n", ["_private (line 2)"])])
+def test_the_private_import_check_itself(source, private):
+    assert private_imports(source) == private
 
 
 def oldest_python() -> tuple[int, int]:

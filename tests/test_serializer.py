@@ -5,10 +5,11 @@ from typing import get_args
 
 import pytest
 
-from standpoint_owl import model, serializer
+from standpoint_owl import model
 from standpoint_owl.errors import GrammarViolation
-from standpoint_owl.frontend import (assemble_kb, parse_document,
-                                     parse_manchester_class)
+from standpoint_owl.frontend import (assemble_kb, functional, labels,
+                                     parse_document, parse_manchester_class)
+from standpoint_owl.frontend.manchester import render_manchester
 from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
                                   Diamond, Disjunction, Equiv, Family, Gci,
                                   INDEX_SENTINEL, Negation, Not, Or, PlainKB,
@@ -16,8 +17,8 @@ from standpoint_owl.model import (All, And, Atom, Bottom, Box, Conjunction,
                                   UniversalRole, iter_nodes, make_kb, role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.serializer import (document_pieces, kb_pieces,
-                                       render_manchester, serialize_concept,
-                                       serialize_document, serialize_kb)
+                                       serialize_concept, serialize_document,
+                                       serialize_kb)
 from standpoint_owl.translator import trans, translate_kb
 
 from conftest import FIXTURES, C, O, R, S, writes_back
@@ -225,12 +226,12 @@ class TestWalkTables:
                  *get_args(model.PlainAxiom), Family}
         compound = {cls for cls in model._CHILDREN if cls in plain}
         assert compound == plain - {Top, Bottom, UniversalRole}
-        assert plain <= set(serializer._WORDS)
+        assert plain <= set(functional.WORDS)
 
     def test_every_formula_and_standpoint_class_has_a_tag(self):
         tagged = {*get_args(model.StandpointFormula), *get_args(model.StandpointExpr),
                   *get_args(model.TBoxAxiom)} - {Atom}
-        assert tagged <= set(serializer._TAGS)
+        assert tagged <= set(labels.TAGS)
 
 
 def one_axiom_at_a_time(plain):
@@ -373,3 +374,19 @@ class TestPieces:
         assert "".join(pieces) == serialize_document(doc)
         assert len(pieces) == len(doc.axioms) + 2 and pieces[-1] == ")\n"
         assert all(piece.count("\n") == 1 for piece in pieces[1:])
+
+
+def test_the_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    """The code block under README's "## Library" runs as written on the
+    forest example, and the document it writes a piece at a time is the
+    one it prints."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.partition("\n## Library\n")[2]
+    snippet = section.partition("```python\n")[2].partition("```")[0]
+    assert "serialize_kb(plain)" in snippet
+    monkeypatch.chdir(tmp_path)
+    scope = {"text": (FIXTURES / "forest.ofn").read_text(encoding="utf-8")}
+    exec(snippet, scope)
+    assert capsys.readouterr().out == serialize_kb(scope["plain"]) + "\n"
+    assert (tmp_path / "out.ofn").read_text(encoding="utf-8") == serialize_kb(scope["plain"])
+    assert scope["model"] is not None
