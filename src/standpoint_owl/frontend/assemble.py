@@ -14,9 +14,7 @@ from ..errors import (DuplicateAxiomName, GrammarViolation, ReservedName,
 from ..model import (Atom, Equiv, Gci, Ria, Signature, StandpointFormula,
                      StandpointKB, entity_names_in, signature_over, with_cached)
 from .functional import Annotation, RawDocument
-from .labels import SpAxiomLabel, parse_standpoint_label
-
-STANDPOINT_LABEL = "standpointLabel"
+from .labels import STANDPOINT_LABEL, SpAxiomLabel, parse_standpoint_label
 
 
 def _standpoint_labels(annotations):
@@ -35,7 +33,7 @@ def _parse_label(ann: Annotation, base: str,
         try:
             label = parse_standpoint_label(ann.literal, base)
         except StandpointOwlError as exc:
-            raise type(exc)(f"{exc} (standpointLabel at {ann.line}:{ann.col}, "
+            raise type(exc)(f"{exc} ({STANDPOINT_LABEL} at {ann.line}:{ann.col}, "
                             f"payload: {ann.literal!r})") from None
         parsed[ann.literal] = label
     return label

@@ -20,6 +20,11 @@ columns count code points, so a ``\\r`` is a column of its own.  Integers
 are ``\\d+`` (Unicode decimal digits, which ``int`` reads); other
 characters that ``str.isdigit`` accepts, such as superscripts, are
 unexpected characters.
+
+Records are immutable, so the reader shares its leaves: it builds one
+``EntityName`` per distinct name and one ``ConceptName``, ``RoleName``,
+``InverseRole`` or ``Nominal`` per distinct token text (⊤ and ⊥ once per
+document too), and every repeat of a token is the same object.
 """
 
 from __future__ import annotations
@@ -157,7 +162,6 @@ _AXIOM_WORDS = {**{WORDS[cls]: cls for cls in (Gci, Equiv, Ria)},
                 "ObjectPropertyAssertion": None}
 _CE_WORDS = {WORDS[cls]: cls for cls in (Not, And, Or, All, Some, HasSelf,
                                          AtMost, AtLeast, Nominal)}
-_OWL_CLASSES = {WORDS[cls]: cls for cls in (Top, Bottom)}
 # The prefixes OWL 2 declares for every document (Structural Specification,
 # section 2.4); an annotation property may use them undeclared.
 PREDECLARED_PREFIXES = {"rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
@@ -190,7 +194,14 @@ class _DocParser:
         # per maker; two prefixes may name one namespace.
         self.names: dict[tuple, EntityName] = {}
         self.by_text = {concept_name: {}, role_name: {}, individual_name: {}}
-        self.classes, self.roles = self.by_text[concept_name], self.by_text[role_name]
+        # One wrapper per token text: a class (⊤ and ⊥ too) or a role read
+        # as such, the individual of a nominal, the role of an inverse.
+        # Records are immutable, so a repeated name costs a dict hit, not a
+        # new record.
+        self.classes = {WORDS[cls]: cls() for cls in (Top, Bottom)}
+        self.roles: dict[str, RoleName] = {}
+        self.nominals: dict[str, Nominal] = {}
+        self.inverses: dict[str, InverseRole] = {}
         # The role of each Self and number restriction; each literal's value.
         self.restricted: list[RoleExpr] = []
         self.literals: dict[str, str] = {}
@@ -260,6 +271,18 @@ class _DocParser:
     def _name(self, maker, what: str) -> EntityName:
         tok = self.pop()
         return self.by_text[maker].get(tok) or self._new_name(tok, maker, what)
+
+    def _new_wrapper(self, tok: str, table: dict, wrap, maker, what: str):
+        """``wrap`` of the name that ``tok``, just taken, spells for
+        ``maker``, kept in ``table`` for the next time ``tok`` comes."""
+        name = self.by_text[maker].get(tok) or self._new_name(tok, maker, what)
+        out = table[tok] = wrap(name)
+        return out
+
+    def _wrapper(self, table: dict, wrap, maker, what: str):
+        """``wrap`` of the next token's name for ``maker``."""
+        tok = self.pop()
+        return table.get(tok) or self._new_wrapper(tok, table, wrap, maker, what)
 
     def _new_name(self, tok: str, maker, what: str) -> EntityName:
         """The name that ``tok``, just taken, spells for ``maker``."""
@@ -374,17 +397,15 @@ class _DocParser:
         if cls is Gci or cls is Equiv:
             axiom: PlainAxiom = cls(self.concept(), self.concept())
         elif word == "TransitiveObjectProperty":
-            role = self._name(role_name, "role name")
-            axiom = Ria((RoleName(role), RoleName(role)), role)
+            role = self._wrapper(self.roles, RoleName, role_name, "role name")
+            axiom = Ria((role, role), role.name)
         elif word == "ClassAssertion":
             ce = self.concept()
-            ind = self._name(individual_name, "individual name")
-            axiom = Gci(Nominal(ind), ce)
+            axiom = Gci(self.nominal(), ce)
         elif word == "ObjectPropertyAssertion":
-            role = self._name(role_name, "role name")
-            a = self._name(individual_name, "individual name")
-            b = self._name(individual_name, "individual name")
-            axiom = Gci(Nominal(a), Some(RoleName(role), Nominal(b)))
+            role = self._wrapper(self.roles, RoleName, role_name, "role name")
+            a, b = self.nominal(), self.nominal()
+            axiom = Gci(a, Some(role, b))
         else:  # SubObjectPropertyOf
             if toks[-1] == "ObjectPropertyChain":
                 pop()
@@ -400,34 +421,36 @@ class _DocParser:
         self.expect(")")
         return (axiom, tuple(annotations))
 
+    def nominal(self) -> Nominal:
+        return self._wrapper(self.nominals, Nominal, individual_name, "individual name")
+
     def object_property(self) -> RoleExpr:
         tok = self.pop()
-        name = self.roles.get(tok)
-        if name is not None:
-            return RoleName(name)
+        role = self.roles.get(tok)
+        if role is not None:
+            return role
         if tok == WORDS[UniversalRole]:
             return UNIVERSAL
         if tok == WORDS[InverseRole]:
             self.expect("(")
-            name = self._name(role_name, "role name")
+            role = self._wrapper(self.inverses, InverseRole, role_name, "role name")
             self.expect(")")
-            return InverseRole(name)
+            return role
         if _is_word(tok):
             raise UnsupportedConstruct(tok, *self.at())
-        return RoleName(self._new_name(tok, role_name, "role name"))
+        return self._new_wrapper(tok, self.roles, RoleName, role_name, "role name")
 
     def concept(self) -> ConceptExpr:
         pop = self.pop
         tok = pop()
-        name = self.classes.get(tok)
-        if name is not None:
-            return ConceptName(name)
+        out = self.classes.get(tok)
+        if out is not None:
+            return out
         cls = _CE_WORDS.get(tok)
         if cls is None:
-            if tok in _OWL_CLASSES:
-                return _OWL_CLASSES[tok]()
             if _is_name(tok):
-                return ConceptName(self._new_name(tok, concept_name, "class name"))
+                return self._new_wrapper(tok, self.classes, ConceptName, concept_name,
+                                     "class name")
             raise self.unexpected(tok, "class expression")
         if pop() != "(":
             raise self.got("(")
@@ -446,7 +469,7 @@ class _DocParser:
             self.restricted.append(role)
             out = HasSelf(role)
         elif cls is Nominal:
-            out = Nominal(self._name(individual_name, "individual name"))
+            out = self.nominal()
         else:  # AtMost, AtLeast
             n = pop()
             if not n.isdecimal():
@@ -465,17 +488,18 @@ def parse_document(text: str, namespace: str | None = None) -> RawDocument:
     TransitiveObjectProperty(r) becomes the chain r∘r ⊑ r, ClassAssertion
     becomes {a} ⊑ C and ObjectPropertyAssertion becomes {a} ⊑ ∃r.{b}.
 
-    Each distinct name is built once, and the document's ``names`` are the
-    names so built.  Its ``restricted_roles`` are the role expressions the
-    reader put under ``ObjectHasSelf``, ``ObjectMinCardinality`` and
-    ``ObjectMaxCardinality`` (the universal role among them), so neither
-    ``assemble_kb`` nor ``validate_roles`` walks its axioms.  An annotation's
-    line and column are those of its literal, and each distinct literal is
-    unescaped once.  A prefixed name must use a declared prefix (an
-    annotation property may also use one of PREDECLARED_PREFIXES).  Given
-    a ``namespace``, every entity name is read into it instead of its
-    prefix's namespace, so names equal in kind and local name are one name
-    there; prefixes and annotations stay as written."""
+    Each distinct name is built once, and each name wrapper once per
+    distinct token text; the document's ``names`` are the names so built.
+    Its ``restricted_roles`` are the role expressions the reader put under
+    ``ObjectHasSelf``, ``ObjectMinCardinality`` and ``ObjectMaxCardinality``
+    (the universal role among them), so neither ``assemble_kb`` nor
+    ``validate_roles`` walks its axioms.  An annotation's line and column
+    are those of its literal, and each distinct literal is unescaped once.
+    A prefixed name must use a declared prefix (an annotation property may
+    also use one of PREDECLARED_PREFIXES).  Given a ``namespace``, every
+    entity name is read into it instead of its prefix's namespace, so names
+    equal in kind and local name are one name there; prefixes and
+    annotations stay as written."""
     parser = _DocParser(text, namespace)
     try:
         return with_cached(parser.document(),

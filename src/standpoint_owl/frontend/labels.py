@@ -8,7 +8,9 @@ into a standpoint axiom (axiom-level, optionally named for later
 reference).  Element names are matched case-insensitively; name attribute
 values are case-sensitive.  An XML query is a formula of the same grammar.
 The element of each model class is in one table (``TAGS``), which the
-reader dispatches through and the writer (``_xml``) writes from.
+reader dispatches through and the writer (``_xml``) writes from; each
+element of no model class has one constant, which the writer writes and
+the reader matches lower-cased.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ from .manchester import parse_manchester_class, render_manchester
 
 # Axiom names follow the standpoint-name rule after their leading §.
 _AX_NAME_RE = re.compile("§" + STANDPOINT_NAME_RE.pattern)
+
+# The elements of no model class: the label's optional wrapper (its name is
+# also the annotation property that carries a label), the two top-level
+# constructs, and the sides of a standard axiom.
+STANDPOINT_LABEL = "standpointLabel"
+BOOLEAN_COMBINATION = "booleanCombination"
+SHARPENING = "Sharpening"
+LHS, RHS = "LHS", "RHS"
 
 # The XML element of each standpoint expression and formula class, and of
 # the standard axiom of an atom.
@@ -52,8 +62,14 @@ class SpAxiomLabel:
     expr: StandpointExpr
 
 
-def _tag(elem) -> str:
-    return elem.tag.lower()
+def _class(elem):
+    """The class of ``elem``'s element name, in any case, or None."""
+    return _CLASSES.get(elem.tag.lower())
+
+
+def _is(elem, word: str) -> bool:
+    """Whether ``elem`` is the element ``word``, in any case."""
+    return elem.tag.lower() == word.lower()
 
 
 def _attr(elem, name: str) -> Optional[str]:
@@ -87,17 +103,17 @@ def _xml_root(text: str, what: str):
 
 def _bool_comb_formula(elem, base: str) -> StandpointFormula:
     return _parse_formula(
-        _only_child(elem, "<booleanCombination> wraps exactly one formula"), base)
+        _only_child(elem, f"<{BOOLEAN_COMBINATION}> wraps exactly one formula"), base)
 
 
 def _parse_sp_expr(elem) -> StandpointExpr:
-    cls = _CLASSES.get(_tag(elem))
+    cls = _class(elem)
     if cls is NamedStandpoint:
         if _children(elem):
-            raise GrammarViolation("<Standpoint> must be empty")
+            raise GrammarViolation(f"<{TAGS[NamedStandpoint]}> must be empty")
         name = _attr(elem, "name")
         if name is None:
-            raise GrammarViolation("<Standpoint> requires a name attribute")
+            raise GrammarViolation(f"<{TAGS[NamedStandpoint]}> requires a name attribute")
         return standpoint_expr(name)
     kids = _children(elem)
     if cls is SpIntersection or cls is SpUnion:
@@ -108,7 +124,7 @@ def _parse_sp_expr(elem) -> StandpointExpr:
         return reduce(cls, map(_parse_sp_expr, kids))
     if cls is SpMinus:
         if len(kids) != 2:
-            raise GrammarViolation("<MINUS> needs exactly two operands")
+            raise GrammarViolation(f"<{TAGS[SpMinus]}> needs exactly two operands")
         return SpMinus(_parse_sp_expr(kids[0]), _parse_sp_expr(kids[1]))
     raise GrammarViolation(f"expected standpoint expression, got <{elem.tag}>")
 
@@ -120,12 +136,12 @@ def _class_text(elem, base: str):
 
 
 def _parse_std_axiom(elem, base: str) -> Atom:
-    cls = _CLASSES.get(_tag(elem))
+    cls = _class(elem)
     if cls is not Gci and cls is not Equiv:
-        raise GrammarViolation(f"expected subClassOf or equivalentClasses, got <{elem.tag}>")
+        raise GrammarViolation(f"expected {TAGS[Gci]} or {TAGS[Equiv]}, got <{elem.tag}>")
     kids = _children(elem)
-    if len(kids) != 2 or _tag(kids[0]) != "lhs" or _tag(kids[1]) != "rhs":
-        raise GrammarViolation(f"<{elem.tag}> needs <LHS> then <RHS>")
+    if len(kids) != 2 or not _is(kids[0], LHS) or not _is(kids[1], RHS):
+        raise GrammarViolation(f"<{elem.tag}> needs <{LHS}> then <{RHS}>")
     lhs = _class_text(kids[0], base)
     rhs = _class_text(kids[1], base)
     return Atom(cls(lhs, rhs))
@@ -134,16 +150,18 @@ def _parse_std_axiom(elem, base: str) -> Atom:
 def _ax_ref_name(elem) -> str:
     value = _attr(elem, "name")
     if value is None:
-        raise GrammarViolation("<standpointAxiom> reference requires a name attribute")
+        raise GrammarViolation(
+            f"<{TAGS[AxiomRef]}> reference requires a name attribute")
     if not _AX_NAME_RE.match(value):
         raise BadName(f"bad axiom name {value!r} (expected §name)")
     return value[1:]
 
 
 def _parse_formula(elem, base: str) -> StandpointFormula:
-    cls = _CLASSES.get(_tag(elem))
+    cls = _class(elem)
     if cls is Negation:
-        return Negation(_parse_axiom(_only_child(elem, "<NOT> wraps exactly one axiom"), base))
+        only = _only_child(elem, f"<{TAGS[Negation]}> wraps exactly one axiom")
+        return Negation(_parse_axiom(only, base))
     if cls is Conjunction or cls is Disjunction:
         kids = _children(elem)
         if len(kids) != 2:
@@ -153,7 +171,7 @@ def _parse_formula(elem, base: str) -> StandpointFormula:
 
 
 def _parse_axiom(elem, base: str) -> StandpointFormula:
-    cls = _CLASSES.get(_tag(elem))
+    cls = _class(elem)
     if cls is AxiomRef:
         if _children(elem):
             raise GrammarViolation(
@@ -178,35 +196,36 @@ def parse_standpoint_label(payload: str,
     Element names are case-insensitive, name attributes case-sensitive.
     A redundant outer <standpointLabel> wrapper is tolerated.
     """
-    root = _xml_root(payload, "standpointLabel")
-    if _tag(root) == "standpointlabel":
-        root = _only_child(root, "<standpointLabel> wraps exactly one construct")
-    tag = _tag(root)
-    if tag == "booleancombination":
+    root = _xml_root(payload, STANDPOINT_LABEL)
+    if _is(root, STANDPOINT_LABEL):
+        root = _only_child(root, f"<{STANDPOINT_LABEL}> wraps exactly one construct")
+    if _is(root, BOOLEAN_COMBINATION):
         return _bool_comb_formula(root, base)
-    if tag == "sharpening":
+    if _is(root, SHARPENING):
         kids = _children(root)
         if len(kids) != 2:
-            raise GrammarViolation("<Sharpening> needs exactly two standpoint expressions")
+            raise GrammarViolation(
+                f"<{SHARPENING}> needs exactly two standpoint expressions")
         return desugar_sharpening(_parse_sp_expr(kids[0]), _parse_sp_expr(kids[1]))
-    if _CLASSES.get(tag) is AxiomRef:
+    if _class(root) is AxiomRef:
         raw = _attr(root, "name")
         name = _ax_ref_name(root) if raw is not None else None
         kids = _children(root)
-        op = _CLASSES.get(_tag(kids[0])) if len(kids) == 1 else None
+        op = _class(kids[0]) if len(kids) == 1 else None
         if op is not Box and op is not Diamond:
-            raise GrammarViolation("<standpointAxiom> wraps exactly one <Box> or <Diamond>")
+            raise GrammarViolation(f"<{TAGS[AxiomRef]}> wraps exactly one "
+                                   f"<{TAGS[Box]}> or <{TAGS[Diamond]}>")
         expr = _only_child(kids[0], f"<{kids[0].tag}> inside a standpoint axiom wraps "
                                     "exactly one standpoint expression")
         return SpAxiomLabel(name, op, _parse_sp_expr(expr))
-    raise GrammarViolation(f"unknown standpointLabel construct <{root.tag}>")
+    raise GrammarViolation(f"unknown {STANDPOINT_LABEL} construct <{root.tag}>")
 
 
 def parse_query_document(text: str, base: str = "") -> StandpointFormula:
     """Parse an XML query: a Formula element, optionally wrapped in
     <booleanCombination>."""
     root = _xml_root(text, "query")
-    if _tag(root) == "booleancombination":
+    if _is(root, BOOLEAN_COMBINATION):
         return _bool_comb_formula(root, base)
     return _parse_formula(root, base)
 
@@ -233,7 +252,7 @@ def _xml(x, ns_base: str) -> str:
         tag = TAGS[type(x.axiom)]
         lhs, rhs = (_xml_text(render_manchester(side, ns_base))
                     for side in children(x.axiom))
-        return f"<{tag}><LHS>{lhs}</LHS><RHS>{rhs}</RHS></{tag}>"
+        return f"<{tag}><{LHS}>{lhs}</{LHS}><{RHS}>{rhs}</{RHS}></{tag}>"
     tag = TAGS.get(type(x))
     if tag is None:
         raise GrammarViolation(f"cannot render formula node {type(x).__name__}")
@@ -256,7 +275,7 @@ def _xml(x, ns_base: str) -> str:
 def bool_comb_payload(f: StandpointFormula, ns_base: str) -> str:
     """The label of a top-level formula whose Manchester names are in
     ``ns_base``: a booleanCombination."""
-    return f"<booleanCombination>{_xml(f, ns_base)}</booleanCombination>"
+    return f"<{BOOLEAN_COMBINATION}>{_xml(f, ns_base)}</{BOOLEAN_COMBINATION}>"
 
 
 def sp_axiom_payload(name: str | None, op: type, expr: StandpointExpr) -> str:

@@ -21,12 +21,14 @@ from ..model import (All, And, AtLeast, AtMost, Bottom, ConceptExpr,
                      children, concept_name, individual_name, role_name)
 from .functional import WORDS
 
-_TOKEN_RE = re.compile(r"""
+# ⊤ and ⊥, spelt as in the functional syntax.
+_OWL_CLASSES = {WORDS[cls]: cls for cls in (Top, Bottom)}
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
-  | (?P<owl>owl:(?:Thing|Nothing))
+  | (?P<owl>{"|".join(map(re.escape, _OWL_CLASSES))})
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>\d+)
-  | (?P<punct>[(){}])
+  | (?P<punct>[(){{}}])
 """, re.VERBOSE)
 
 # The Manchester keyword of each restriction, written after its role.
@@ -151,7 +153,7 @@ class _Parser:
             return Nominal(self._entity(v2, "individual"))
         if kind == "owl":
             self.next()
-            return Top() if val == "owl:Thing" else Bottom()
+            return _OWL_CLASSES[val]()
         if kind == "name" and val == "inverse":
             role = self._role()
             return self._restriction_tail(role, col)

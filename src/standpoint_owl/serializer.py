@@ -39,9 +39,8 @@ from .errors import GrammarViolation
 from .model import (And, Atom, AtLeast, AtMost, Box, ConceptExpr, Diamond,
                     EntityName, Family, INDEX_SENTINEL, PlainKB, Ria,
                     StandpointFormula, StandpointKB, children, signature_bases)
-from .frontend.assemble import STANDPOINT_LABEL
 from .frontend.functional import DECLARATION_KINDS, WORDS, RawDocument
-from .frontend.labels import bool_comb_payload, sp_axiom_payload
+from .frontend.labels import STANDPOINT_LABEL, bool_comb_payload, sp_axiom_payload
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, outputs, external reasoner protocol."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -1232,6 +1233,84 @@ class TestRepeatedCalls:
         assert "domain ≤ 1, precisifications ≤ 1" in err
         assert main([*query, "--reasoner-cmd", "/nonexistent/reasoner"]) == 4
         assert main([*query, "--domain-bound", "1"]) == 0  # no reasoner left
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic collector switched on or off, as it was afterwards."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def pause_commands(tmp_path) -> list[list[str]]:
+    """``translate`` of every fixture, of the seed-0 ladder rungs and of the
+    seed-0 ingest document, and ``import`` with and without ``--translate``
+    of every fixture pair and of the seed-0 ingest documents."""
+    pairs = [[str(FIXTURES / name) for name in pair] for pair in sorted(IMPORT_SHA256)]
+    ingest = [write(tmp_path, name, text) for name, text in gen.ingest_import(0)]
+    rungs = [write(tmp_path, name, text) for name, text in gen.translate_ladder(0)]
+    translated = [*(str(FIXTURES / name) for name in sorted(GOLDEN_SHA256)),
+                  *rungs, ingest[0]]
+    commands = [["translate", path, "--dump"] for path in translated]
+    for pair in [*pairs, ingest]:
+        imported = ["import", *pair, "--standpoint", "s", "--dump"]
+        commands += [imported, [*imported, "--translate"]]
+    return commands
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector while a command runs, and hands
+    the caller's collector back as it found it."""
+
+    def test_translate_and_import_leave_no_cycles(self, tmp_path, capsys):
+        commands = pause_commands(tmp_path)
+        assert len(commands) == len(GOLDEN_SHA256) + 4 + 1 + 2 * (len(IMPORT_SHA256) + 1)
+        gc.collect()
+        gc.freeze()  # so each collection walks only what came after
+        try:
+            for argv in commands:
+                with collector(False):
+                    assert main(argv) == 0
+                    assert gc.collect() == 0, argv
+                capsys.readouterr()
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_is_restored(self, enabled, forest_path, capsys):
+        query = ["query", forest_path, "--simple", "[LU](Forest sub Land)"]
+        calls = {
+            0: ["translate", forest_path, "--dump"],
+            2: ["translate", "/nonexistent/path.ofn"],
+            3: ["query", forest_path, "--simple", "[LC](Land sub Forest)",
+                "--domain-bound", "1"],
+            4: [*query, "--domain-bound", "3", "--guard-bits", "5"],
+        }
+        with collector(enabled):
+            for code, argv in calls.items():
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                main(["translate", "--no-such-flag"])
+            assert gc.isenabled() is enabled
+
+    def test_the_collector_is_off_during_the_command(self, forest_path, monkeypatch,
+                                                     capsys):
+        seen = []
+
+        def spy(kb, *args, **kwargs):
+            seen.append(gc.isenabled())
+            return translate_kb(kb, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "translate_kb", spy)
+        with collector(True):
+            assert main(["translate", forest_path, "--dump"]) == 0
+            assert gc.isenabled()
+        assert seen == [False]
 
 
 class TestStreaming:

@@ -13,10 +13,11 @@ from standpoint_owl.errors import (ParseError, StandpointOwlError,
                                    UnsupportedConstruct)
 from standpoint_owl.frontend import assemble_kb, parse_document
 from standpoint_owl.frontend.functional import _DocParser, _value
-from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom, Equiv,
-                                  Gci, HasSelf, Not, Or, Ria, Some, Top,
-                                  UNIVERSAL, entity_names_in, iter_nodes,
-                                  replace)
+from standpoint_owl.model import (All, And, AtLeast, AtMost, Bottom,
+                                  ConceptName, Equiv, Gci, HasSelf,
+                                  InverseRole, Nominal, Not, Or, Ria, RoleName,
+                                  Some, Top, UNIVERSAL, entity_names_in,
+                                  iter_nodes, replace)
 
 from conftest import FIXTURES, C, O, R, Rinv
 
@@ -265,6 +266,58 @@ class TestNamespace:
                 parse_document(text, namespace=namespace)
             errors.append((str(err.value), err.value.line, err.value.col))
         assert errors[0] == errors[1] == ("undeclared prefix 'zz' at 4:15", 4, 15)
+
+
+class TestSharedWrappers:
+    """The reader builds one ConceptName, RoleName, InverseRole and Nominal
+    per token text, the first occurrence included, and hands it out for
+    every repeat of the token."""
+
+    TEXT = doc(
+        "Declaration(Class(:A))\nDeclaration(NamedIndividual(:a))\n"
+        "SubClassOf(:A ObjectSomeValuesFrom(:r ObjectOneOf(:a)))\n"
+        "SubClassOf(ObjectAllValuesFrom(ObjectInverseOf(:r) :B) :A)\n"
+        "EquivalentClasses(ObjectOneOf(:a) ObjectMinCardinality(1 ObjectInverseOf(:r) :B))\n"
+        "TransitiveObjectProperty(:r)\nClassAssertion(:B :b)\n"
+        "ObjectPropertyAssertion(:r :a :b)\n"
+        "SubObjectPropertyOf(ObjectPropertyChain(:r ObjectInverseOf(:r)) :t)")
+
+    @staticmethod
+    def merged_source(text):
+        """The source's axioms as ``import`` merges them."""
+        merged = cli._merge(parse_document(doc("")), text, "s")
+        return merged.axioms
+
+    @pytest.mark.parametrize("read", [
+        lambda text: parse_document(text).axioms,
+        lambda text: parse_document(text, namespace="urn:n#").axioms,
+        merged_source,
+    ], ids=["plain", "namespace", "merge"])
+    def test_repeated_tokens_share_one_wrapper(self, read):
+        kinds = (ConceptName, RoleName, InverseRole, Nominal)
+        seen = {kind: {} for kind in kinds}  # wrapper: ids of its occurrences
+        for axiom, _ in read(self.TEXT):
+            for node in iter_nodes(axiom):
+                if type(node) in seen:
+                    seen[type(node)].setdefault(node, set()).add(id(node))
+        assert {kind: sorted(name.local for n in seen[kind] for name in entity_names_in(n))
+                for kind in kinds} == {
+            ConceptName: ["A", "B"], RoleName: ["r"], InverseRole: ["r"],
+            Nominal: ["a", "b"]}
+        assert all(len(ids) == 1 for table in seen.values() for ids in table.values())
+
+    def test_each_wrapper_is_repeated(self):
+        axioms = parse_document(self.TEXT).axioms
+        occurrences = [type(node) for axiom, _ in axioms for node in iter_nodes(axiom)]
+        assert [occurrences.count(kind) for kind in
+                (ConceptName, RoleName, InverseRole, Nominal)] == [5, 5, 3, 5]
+
+    def test_top_and_bottom_are_shared(self):
+        (gci, _), (equiv, _) = parse_document(doc(
+            "SubClassOf(owl:Thing owl:Nothing)\n"
+            "EquivalentClasses(owl:Nothing owl:Thing)")).axioms
+        assert gci.lhs is equiv.rhs and type(gci.lhs) is Top
+        assert gci.rhs is equiv.lhs and type(gci.rhs) is Bottom
 
 
 class TestAnnotationPrefixes:
