@@ -66,7 +66,7 @@ def _load(path: str):
 def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> int:
     """Translate the KB, report p and the axiom count on standard error,
     and emit the translated document."""
-    plain = translate_kb(normalize_kb(kb), base_iri=rebase if rebase else None)
+    plain = translate_kb(normalize_kb(kb), base_iri=rebase)
     axioms = sum(family.copies for family in plain.families)
     print(f"p={plain.copies}; axioms={axioms}", file=sys.stderr)
     _emit(kb_pieces(plain), args.out, args.dump,
@@ -75,6 +75,9 @@ def _translate_and_emit(kb: StandpointKB, args, rebase: str | None = None) -> in
 
 
 def cmd_translate(args) -> int:
+    if args.rebase == "":
+        print("error: --rebase: an IRI cannot be empty", file=sys.stderr)
+        return 2
     if args.rebase and ">" in args.rebase:  # a read IRI ends at its first '>'
         print(f"error: --rebase: an IRI cannot hold '>': {args.rebase!r}", file=sys.stderr)
         return 2

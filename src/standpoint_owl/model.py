@@ -612,15 +612,13 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
             namespace="") -> StandpointKB:
     """Build a StandpointKB with its signature computed from the contents
     (plus any explicitly declared names)."""
+    rias, plain_axioms, formulas = tuple(rias), tuple(plain_axioms), tuple(formulas)
     named_axioms = dict(named_axioms or {})
-    kb = StandpointKB(rias=tuple(rias), plain_axioms=tuple(plain_axioms),
-                      formulas=tuple(formulas), named_axioms=named_axioms,
-                      base_iri=base_iri)
-    sig = signature_of(kb)
+    sig = signature_over((*rias, *plain_axioms, *formulas, *named_axioms.values()))
     if declared is not None:
         sig = sig.union(declared)
-    return StandpointKB(kb.rias, kb.plain_axioms, kb.formulas,
-                        named_axioms, sig, base_iri, namespace)
+    return StandpointKB(rias, plain_axioms, formulas, named_axioms, sig,
+                        base_iri, namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +626,11 @@ def make_kb(rias=(), plain_axioms=(), formulas=(), named_axioms=None,
 # ---------------------------------------------------------------------------
 
 # The child fields of each compound node class, in field-declaration order;
-# a class not listed here is a leaf.  This order is the visit order of
-# iter_nodes and entity_names_in; the oracle's compile walk meets names in
-# it too (a test ties the two), which fixes its canonical first witness.
+# a class not listed here is a leaf.  Every generic walk reads children
+# through `children` and rebuilds through `rebuild`, both derived from this
+# table.  Its order is the visit order of iter_nodes, transform and
+# entity_names_in; the oracle's compile walk meets names in it too (a test
+# ties the two), which fixes its canonical first witness.
 _CHILDREN: dict[type, tuple[str, ...]] = {
     RoleName: ("name",), InverseRole: ("name",),
     ConceptName: ("name",), Nominal: ("individual",), Not: ("arg",),
@@ -650,12 +650,6 @@ _FIELDS = {cls: tuple(fields(cls)) for cls in _CHILDREN}
 # The classes whose constructor takes exactly their children, one each.
 _CHILDREN_ONLY = frozenset(cls for cls in _CHILDREN
                            if _FIELDS[cls] == _CHILDREN[cls] and cls is not Ria)
-# Child fields last to first, the order in which a stack takes them.
-# iter_nodes reads them inline: a children call per node doubled the cost
-# of entity_names_in and signature_of, and pushing the getter's tuple
-# (see _GETTERS) still made validate_roles 4.4 → 5.1 ms and signature_of
-# 4.1 → 5.4 ms on the ingest-import main KB (best of 30).
-_PUSH_ORDER = {cls: names[::-1] for cls, names in _CHILDREN.items()}
 
 
 def _getter(cls):
@@ -690,18 +684,14 @@ def children(node) -> tuple:
 def iter_nodes(x, stop=()) -> Iterator:
     """Every node of ``x`` in preorder, left to right, ``x`` first.  Nodes
     whose type is in ``stop`` are yielded but not entered.  The walk keeps
-    an explicit stack, so no tree is too wide or deep for it."""
+    an explicit stack, so no tree is too wide or deep for it; it reads
+    each node's children through ``children``."""
     stack = [x]
     while stack:
         node = stack.pop()
         yield node
         if type(node) not in stop:
-            for name in _PUSH_ORDER.get(type(node), ()):
-                value = getattr(node, name)
-                if type(value) is tuple:
-                    stack.extend(reversed(value))
-                else:
-                    stack.append(value)
+            stack.extend(reversed(children(node)))
 
 
 def rebuild(node, kids):
@@ -753,10 +743,6 @@ def transform(x, replace, memo: dict | None = None):
             new = memo[id(item)] = item if new is None else new
             done.append(new)
     return done[0]
-
-
-def walk_atoms(f: StandpointFormula) -> Iterator[Atom]:
-    return (n for n in iter_nodes(f, (Atom,)) if type(n) is Atom)
 
 
 def rebase_names(x, base: str):
@@ -840,11 +826,6 @@ class RoleValidationReport:
     simple: frozenset[EntityName]
     non_simple: frozenset[EntityName]
     order: frozenset[tuple[EntityName, EntityName]]
-
-    def is_simple(self, role: RoleExpr) -> bool:
-        if isinstance(role, UniversalRole):
-            return False
-        return role.name not in self.non_simple
 
 
 def _role_base(r: RoleExpr) -> EntityName | None:

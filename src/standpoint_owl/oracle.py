@@ -339,9 +339,7 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     polarities of an atom share its operands and conflict slots.
     ``resize(n)`` sets the domain size the compiled checks evaluate at, and
     must be called before they are.  A name reads its value from the list,
-    or its widest bounds when the value is None; a name operand of an
-    intersection or a union is read in place.  The converse of each role
-    mask is computed at most once per domain size.  ``universal`` says
+    or its widest bounds when the value is None.  ``universal`` says
     whether a check holds the universal role, which is no name.
     """
     index: dict[EntityName, int] = {}  # each name's slot, in slot order
@@ -355,18 +353,16 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
     top = universal = (0, 0)
     rows: list[tuple[int, int]] = []
     diagonal: list[tuple[int, int]] = []
-    converse: dict[int, int] = {}
     met_universal = False
 
     def resize(size: int) -> None:
-        nonlocal n, full, full2, top, universal, rows, diagonal, converse
+        nonlocal n, full, full2, top, universal, rows, diagonal
         n = size
         full = (1 << n) - 1
         full2 = (1 << (n * n)) - 1
         top, universal = (full, full), (full2, full2)
         rows = [(d * n, 1 << d) for d in range(n)]
         diagonal = [(1 << (d * n + d), 1 << d) for d in range(n)]
-        converse = {}
 
     def role(r: RoleExpr):
         nonlocal met_universal
@@ -379,9 +375,7 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
                 x = vals[i]
                 if x is None:
                     return 0, full2
-                y = converse.get(x)
-                if y is None:
-                    y = converse[x] = _converse(x, n)
+                y = _converse(x, n)
                 return y, y
             return inverse
 
@@ -420,23 +414,10 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
                 return full & ~hi, full & ~lo
             return complement
         if isinstance(c, (And, Or)):
-            # Bounds combine bitwise, so name operands can be read first.
-            names, parts = [], []
-            for part in c.parts:
-                if isinstance(part, ConceptName):
-                    names.append(slot(part.name))
-                else:
-                    parts.append(concept(part))
+            parts = [concept(part) for part in c.parts]
             if isinstance(c, And):
                 def intersection(vals):
                     lo = hi = full
-                    for i in names:
-                        x = vals[i]
-                        if x is None:
-                            lo = 0
-                        else:
-                            lo &= x
-                            hi &= x
                     for part in parts:
                         plo, phi = part(vals)
                         lo &= plo
@@ -446,13 +427,6 @@ def _compile_checks(checks: list[tuple[PlainAxiom, bool]], signature: Signature)
 
             def union(vals):
                 lo = hi = 0
-                for i in names:
-                    x = vals[i]
-                    if x is None:
-                        hi = full
-                    else:
-                        lo |= x
-                        hi |= x
                 for part in parts:
                     plo, phi = part(vals)
                     lo |= plo

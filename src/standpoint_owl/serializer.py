@@ -48,22 +48,13 @@ from .frontend.labels import STANDPOINT_LABEL, bool_comb_payload, sp_axiom_paylo
 # ---------------------------------------------------------------------------
 
 class _Namespaces:
-    """The prefix name of each namespace of a document, and the index
-    strings its copies read (see ``indices``)."""
+    """The prefix name of each namespace of a document (``table``, from
+    namespace IRI to prefix name), and the index strings its copies read
+    (see ``indices``)."""
 
-    def __init__(self, default_ns: str, bases: set[str]):
-        self.table: dict[str, str] = {default_ns: ""}
-        extra = sorted(b for b in bases if b != default_ns)
-        for k, base in enumerate(extra, start=1):
-            self.table[base] = f"ns{k}"
+    def __init__(self, table: dict[str, str]):
+        self.table = table
         self.index_strings: list[str] = []
-
-    @classmethod
-    def from_table(cls, iri_to_pname: dict[str, str]) -> "_Namespaces":
-        ns = cls.__new__(cls)
-        ns.table = dict(iri_to_pname)
-        ns.index_strings = []
-        return ns
 
     def indices(self, copies: int) -> list[str]:
         """``str(k)`` for each k below ``copies``.  Each string is made once
@@ -148,7 +139,7 @@ def _expand(text: str, indices: list[str]) -> Iterator[str]:
 def serialize_concept(c: ConceptExpr, base: str = "") -> str:
     """Functional-syntax rendering of a single class expression whose names
     live in the given namespace (rendered with the default prefix)."""
-    return _functional(c, _Namespaces(base, set()))
+    return _functional(c, _Namespaces({base: ""}))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,12 @@ def kb_pieces(kb: PlainKB | StandpointKB) -> Iterator[str]:
         while top and _on_axiom(kb.formulas[top - 1]):
             top -= 1
         ontology, carried = kb.formulas[:top], kb.formulas[top:]
-    ns = _Namespaces(default_ns, signature_bases(names))
+    # The default namespace takes the empty prefix, the others ns1, ns2, …
+    # in sorted order.
+    table = {default_ns: ""}
+    for k, base in enumerate(sorted(signature_bases(names) - {default_ns}), start=1):
+        table[base] = f"ns{k}"
+    ns = _Namespaces(table)
     head = [*ns.prefix_lines(), f"Ontology(<{kb.base_iri}>"]
     for f in ontology:
         head.append(_annotation("", STANDPOINT_LABEL, bool_comb_payload(f, default_ns)))
@@ -262,7 +258,7 @@ def document_pieces(doc: RawDocument) -> Iterator[str]:
     reverse: dict[str, str] = {}
     for pname, iri in table.items():
         reverse.setdefault(iri, pname)
-    ns = _Namespaces.from_table(reverse)
+    ns = _Namespaces(reverse)
 
     head = [f"Prefix({pname}:=<{iri}>)" for pname, iri in table.items()]
     head.append(f"Ontology(<{doc.base_iri}>")

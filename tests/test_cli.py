@@ -183,6 +183,13 @@ class TestTranslate:
             "error: --rebase: an IRI cannot hold '>': 'urn:x>y'\n"
         assert not out.exists()
 
+    def test_empty_rebase_exit_2(self, forest_path, tmp_path, capsys):
+        # An empty IRI is refused, not taken as "no --rebase".
+        out = tmp_path / "out.ofn"
+        assert main(["translate", forest_path, "--rebase", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --rebase: an IRI cannot be empty\n"
+        assert not out.exists()
+
     def test_idempotent_effect(self, forest_path, tmp_path, capsys):
         main(["translate", forest_path, "--dump"])
         first = capsys.readouterr().out
@@ -706,6 +713,30 @@ class TestPrecisificationCap:
             "p=12 (including the negated query)\n"
             "entailed (no countermodel with domain \u2264 1, precisifications "
             "\u2264 12; with no roles or individuals these bounds are complete)\n"))
+
+    def test_equal_rows_take_no_lower_vector(self, tmp_path):
+        """``a ⪯ b`` and five diamonds ``<b>(Xi ⊑ Y)``, queried with the
+        first of them: the negated query is a box, so p is 5, and the
+        entailed query makes the search try every count up to 5.  Most
+        positions of a standpoint assignment share a row, and a position
+        whose row equals the one before takes no atom vector below that
+        one's; without that rule the search takes about ten times as long.
+        The child runs with a wall-clock limit."""
+        sp = '<Standpoint name=\\"{}\\"/>'.format
+        diamond = ('Annotation(:standpointLabel "<standpointAxiom><Diamond>'
+                   f'{sp("b")}</Diamond></standpointAxiom>")')
+        path = write(tmp_path, "g3.ofn",
+                     "Prefix(:=<urn:g#>)\nOntology(<urn:g>\n"
+                     f'Annotation(:standpointLabel "<Sharpening>{sp("a")}{sp("b")}'
+                     '</Sharpening>")\n'
+                     + "".join(f"SubClassOf({diamond} :X{i} :Y)\n" for i in range(5))
+                     + ")\n")
+        proc = run_child(["query", path, "--simple", "<b>(X0 sub Y)",
+                          "--domain-bound", "1"], timeout=12)
+        assert (proc.returncode, proc.stderr) == (0, (
+            "p=5 (including the negated query)\n"
+            "entailed (no countermodel with domain \u2264 1, precisifications "
+            "\u2264 5; with no roles or individuals these bounds are complete)\n"))
 
     def test_the_guard_counts_the_standpoint_assignment(self, tmp_path):
         """Eleven diamonds ``<x>(⊤ ⊑ ⊤)`` over four standpoints name no

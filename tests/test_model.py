@@ -158,7 +158,6 @@ class TestValidateRoles:
         kb = make_kb(rias=[simple_ria(["r", "t"], "w")])
         report = validate_roles(kb)
         assert {x.local for x in report.non_simple} == {"w"}
-        assert not report.is_simple(UNIVERSAL)
         assert {(a.local, b.local) for a, b in report.order} == {("r", "w"), ("t", "w")}
 
     def test_order_is_transitive(self):

@@ -19,8 +19,7 @@ from standpoint_owl.model import (All, And, AtLeast, AtMost, Atom, AxiomRef,
                                   SpIntersection, SpUnion, STAR, Star, Top,
                                   UNIVERSAL, UNIVERSAL_STANDPOINT, UniversalRole,
                                   concept_name, entity_names_in,
-                                  individual_name, make_kb, role_name,
-                                  walk_atoms)
+                                  individual_name, make_kb, role_name)
 from standpoint_owl.normalizer import count_precisifications, normalize_kb
 from standpoint_owl.oracle import (ENTAILED_WITHIN_BOUNDS, INCONCLUSIVE,
                                    NOT_ENTAILED, PlainInterpretation,
@@ -51,6 +50,11 @@ I2 = PlainInterpretation(
 
 def ext(c):
     return eval_concept(I2, c)
+
+
+def walk_atoms(f):
+    """The atoms of a standpoint formula, in visit order."""
+    return (n for n in model.iter_nodes(f, (Atom,)) if type(n) is Atom)
 
 
 class TestConstructorTable:
